@@ -19,10 +19,6 @@
 //   - the experiment harness that regenerates the paper's Tables 1-12
 //     (Tables, FindTable).
 //
-// The concrete-engine constructors NewEngine and NewAtomicEngine are
-// deprecated in favor of NewSimulator and RunSpec.Build; they keep working
-// through v0.x.
-//
 // See examples/quickstart for a complete end-to-end program.
 package repro
 
@@ -37,7 +33,6 @@ import (
 	"repro/internal/qdg"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/stats"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -80,7 +75,7 @@ type (
 	// ErrDeadlock reports a watchdog-detected deadlock.
 	ErrDeadlock = sim.ErrDeadlock
 	// QueueSnapshot reports one central queue's instantaneous occupancy
-	// (see Engine.Snapshot and Config.OnCycle).
+	// (see Simulator.Snapshot, typically called from an Observer's OnCycle).
 	QueueSnapshot = sim.QueueSnapshot
 	// Observer taps a run's deliveries, cycles, and completion; attach one
 	// with Config.Observer or WithObserver. See the internal/obs package
@@ -184,24 +179,6 @@ const (
 	HDropAge  = obs.HDropAge
 )
 
-// LatencyCollector accumulates per-delivery latency statistics (mean,
-// percentiles, histograms). Assign its OnDeliver method to Config.OnDeliver.
-//
-// Deprecated: use NewLatencyObserver with Config.Observer / WithObserver;
-// it wraps the same collector behind the Observer interface. Removal
-// timeline: LatencyCollector, NewLatencyCollector and the raw
-// Config.OnDeliver / Config.OnCycle callbacks were deprecated when the
-// Observer API landed (PR 2); they remain supported through the v0.x line
-// and will be removed together in v1. No code in this repository uses them
-// anymore.
-type LatencyCollector = stats.Collector
-
-// NewLatencyCollector returns an empty latency collector.
-//
-// Deprecated: use NewLatencyObserver (see LatencyCollector for the removal
-// timeline).
-func NewLatencyCollector() *LatencyCollector { return stats.NewCollector() }
-
 // NewLatencyObserver returns an empty latency-collecting observer.
 func NewLatencyObserver() *LatencyObserver { return obs.NewLatency() }
 
@@ -220,21 +197,6 @@ func StaticPlan(maxCycles int64) Plan { return sim.StaticPlan(maxCycles) }
 
 // DynamicPlan returns a fixed warmup+measure window plan for Engine.Run.
 func DynamicPlan(warmup, measure int64) Plan { return sim.DynamicPlan(warmup, measure) }
-
-// NewEngine returns the buffered cycle-accurate simulator for cfg.
-//
-// Deprecated: use NewSimulator("buffered", cfg), which returns the same
-// engine behind the engine-agnostic Simulator API, or build the whole run
-// from a serializable RunSpec via RunSpec.Build. NewEngine remains
-// supported through the v0.x line; new code should not need the concrete
-// *Engine type.
-func NewEngine(cfg Config) (*Engine, error) { return sim.NewEngine(cfg) }
-
-// NewAtomicEngine returns the abstract queue-to-queue simulator for cfg.
-//
-// Deprecated: use NewSimulator("atomic", cfg) or RunSpec.Build; see
-// NewEngine.
-func NewAtomicEngine(cfg Config) (*AtomicEngine, error) { return sim.NewAtomicEngine(cfg) }
 
 // EngineNames lists the engine kinds accepted by NewSimulator.
 func EngineNames() []string { return sim.EngineKinds }

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -91,26 +92,26 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1})
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := eng.RunStatic(repro.NewStaticTraffic(pat, algo, 2, 2), 100000)
+	res, err := eng.Run(context.Background(), repro.NewStaticTraffic(pat, algo, 2, 2), repro.StaticPlan(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Delivered != 128 {
-		t.Fatalf("delivered %d, want 128", m.Delivered)
+	if res.Metrics.Delivered != 128 {
+		t.Fatalf("delivered %d, want 128", res.Metrics.Delivered)
 	}
-	ae, err := repro.NewAtomicEngine(repro.Config{Algorithm: algo, Seed: 1})
+	ae, err := repro.NewSimulator("atomic", repro.Config{Algorithm: algo, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ae.RunDynamic(repro.NewDynamicTraffic(pat, algo, 0.5, 3), 50, 200)
+	res2, err := ae.Run(context.Background(), repro.NewDynamicTraffic(pat, algo, 0.5, 3), repro.DynamicPlan(50, 200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.InjectionRate() <= 0 {
+	if res2.Metrics.InjectionRate() <= 0 {
 		t.Fatal("atomic dynamic run measured nothing")
 	}
 }
@@ -204,15 +205,16 @@ func TestLatencyObserverFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := repro.NewLatencyObserver()
-	eng, err := repro.NewEngineOpts(algo, repro.WithSeed(1), repro.WithObserver(col))
+	eng, err := repro.NewSimulatorOpts("buffered", algo, repro.WithSeed(1), repro.WithObserver(col))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pat, _ := repro.NewPattern("random", algo, 3)
-	m, err := eng.RunStatic(repro.NewStaticTraffic(pat, algo, 3, 7), 100000)
+	res, err := eng.Run(context.Background(), repro.NewStaticTraffic(pat, algo, 3, 7), repro.StaticPlan(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := res.Metrics
 	if col.Count() != m.Delivered {
 		t.Fatalf("collector saw %d deliveries, engine %d", col.Count(), m.Delivered)
 	}

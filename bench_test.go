@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -107,7 +108,7 @@ func runOnce(b *testing.B, algoSpec, patSpec string, perNode int, cfg repro.Conf
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	eng, err := repro.NewEngine(cfg)
+	eng, err := repro.NewSimulator("buffered", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,10 +118,11 @@ func runOnce(b *testing.B, algoSpec, patSpec string, perNode int, cfg repro.Conf
 	}
 	var m repro.Metrics
 	for i := 0; i < b.N; i++ {
-		m, err = eng.RunStatic(repro.NewStaticTraffic(pat, algo, perNode, 9), 10_000_000)
+		res, err := eng.Run(context.Background(), repro.NewStaticTraffic(pat, algo, perNode, 9), repro.StaticPlan(10_000_000))
 		if err != nil {
 			b.Fatal(err)
 		}
+		m = res.Metrics
 	}
 	b.ReportMetric(m.AvgLatency(), "Lavg")
 	b.ReportMetric(float64(m.LatencyMax), "Lmax")
@@ -171,7 +173,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1})
+			eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -181,10 +183,11 @@ func BenchmarkAblationLambda(b *testing.B) {
 			}
 			var m repro.Metrics
 			for i := 0; i < b.N; i++ {
-				m, err = eng.RunDynamic(repro.NewDynamicTraffic(pat, algo, lambda, 9), 300, 1000)
+				res, err := eng.Run(context.Background(), repro.NewDynamicTraffic(pat, algo, lambda, 9), repro.DynamicPlan(300, 1000))
 				if err != nil {
 					b.Fatal(err)
 				}
+				m = res.Metrics
 			}
 			b.ReportMetric(m.AvgLatency(), "Lavg")
 			b.ReportMetric(100*m.InjectionRate(), "Ir%")
@@ -318,7 +321,7 @@ func BenchmarkEngineBuffered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -326,10 +329,11 @@ func BenchmarkEngineBuffered(b *testing.B) {
 	b.ResetTimer()
 	var m repro.Metrics
 	for i := 0; i < b.N; i++ {
-		m, err = eng.RunDynamic(repro.NewDynamicTraffic(pat, algo, 1.0, 9), 0, 200)
+		res, err := eng.Run(context.Background(), repro.NewDynamicTraffic(pat, algo, 1.0, 9), repro.DynamicPlan(0, 200))
 		if err != nil {
 			b.Fatal(err)
 		}
+		m = res.Metrics
 	}
 	b.ReportMetric(float64(m.Cycles*int64(algo.Topology().Nodes()))*float64(b.N)/b.Elapsed().Seconds(), "node-cycles/s")
 }
@@ -339,7 +343,7 @@ func BenchmarkEngineAtomic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewAtomicEngine(repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	eng, err := repro.NewSimulator("atomic", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -347,10 +351,11 @@ func BenchmarkEngineAtomic(b *testing.B) {
 	b.ResetTimer()
 	var m repro.Metrics
 	for i := 0; i < b.N; i++ {
-		m, err = eng.RunDynamic(repro.NewDynamicTraffic(pat, algo, 1.0, 9), 0, 200)
+		res, err := eng.Run(context.Background(), repro.NewDynamicTraffic(pat, algo, 1.0, 9), repro.DynamicPlan(0, 200))
 		if err != nil {
 			b.Fatal(err)
 		}
+		m = res.Metrics
 	}
 	b.ReportMetric(float64(m.Cycles*int64(algo.Topology().Nodes()))*float64(b.N)/b.Elapsed().Seconds(), "node-cycles/s")
 }

@@ -300,16 +300,9 @@ func runWormhole(algoSpec, pattern, inject string, packets int, lambda float64, 
 		fatal(repro.VerifyWormholeDeadlockFree(route))
 		fmt.Printf("cdg: %s certified deadlock-free\n", route.Name())
 	}
-	// Patterns are built against a packet algorithm on the same topology.
-	var likeSpec string
-	switch {
-	case strings.HasPrefix(algoSpec, "wh-hypercube"):
-		likeSpec = "hypercube-adaptive:" + strings.SplitN(algoSpec, ":", 2)[1]
-	default:
-		side := strings.SplitN(algoSpec, ":", 2)[1]
-		likeSpec = "torus-adaptive:" + side + "x" + side
-	}
-	like, err := repro.NewAlgorithm(likeSpec)
+	// Patterns are built against a packet algorithm on the route's own
+	// topology, so the two can never disagree on the node count.
+	like, err := likeAlgorithm(route)
 	fatal(err)
 	pat, err := repro.NewPattern(pattern, like, seed)
 	fatal(err)
@@ -333,6 +326,25 @@ func runWormhole(algoSpec, pattern, inject string, packets int, lambda float64, 
 	}
 	fmt.Printf("channels  : %d adaptive / %d escape allocations, %d flit moves\n",
 		m.AdaptAlloc, m.EscapeAlloc, m.FlitMoves)
+}
+
+// likeAlgorithm returns the fully-adaptive packet algorithm over the
+// wormhole route's topology: traffic patterns and sources take an Algorithm,
+// and the wormhole engine uses it only for its network.
+func likeAlgorithm(route repro.WormholeRoute) (repro.Algorithm, error) {
+	tspec, err := repro.TopologySpec(route.Topology())
+	if err != nil {
+		return nil, err
+	}
+	kind, size, _ := strings.Cut(tspec, ":")
+	like, err := repro.NewAlgorithm(kind + "-adaptive:" + size)
+	if err != nil {
+		return nil, err
+	}
+	if got, want := like.Topology().Nodes(), route.Topology().Nodes(); got != want {
+		return nil, fmt.Errorf("pattern network %s has %d nodes, %s routes %d", like.Topology().Name(), got, route.Name(), want)
+	}
+	return like, nil
 }
 
 func pct(a, b int64) float64 {

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,14 +23,15 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := repro.NewEngine(repro.Config{Algorithm: algo, Seed: 1})
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := eng.RunStatic(repro.NewStaticTraffic(pat, algo, 1, 2), 100000)
+	res, err := eng.Run(context.Background(), repro.NewStaticTraffic(pat, algo, 1, 2), repro.StaticPlan(100000))
 	if err != nil {
 		log.Fatal(err)
 	}
+	m := res.Metrics
 	fmt.Printf("delivered %d packets, Lavg %.0f, Lmax %d\n", m.Delivered, m.AvgLatency(), m.LatencyMax)
 	// Output: delivered 64 packets, Lavg 13, Lmax 13
 }

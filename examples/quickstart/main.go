@@ -33,8 +33,7 @@ func main() {
 
 	// 2. Static injection: every node sends 4 packets to random targets.
 	// The engine is built with functional options; the latency observer
-	// collects the full per-delivery distribution (percentiles, histogram)
-	// without touching the deprecated OnDeliver callback.
+	// collects the full per-delivery distribution (percentiles, histogram).
 	algo, err := repro.NewAlgorithm("hypercube-adaptive:8")
 	if err != nil {
 		log.Fatal(err)

@@ -376,6 +376,12 @@ func (c *compiled) build(o simObserver) (sim.Simulator, error) {
 		Faults:         c.faults,
 		HopBudget:      c.spec.HopBudget,
 	}
+	if c.algo.Props().Credits {
+		// Credited algorithms are not worker-count deterministic and the
+		// fingerprint excludes Workers, so such runs are pinned to one worker
+		// (sim.Config refuses the combination).
+		cfg.Workers = 1
+	}
 	if o != nil {
 		cfg.Observer = o
 	}

@@ -186,6 +186,28 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// Workers is outside the fingerprint, so a credited (not worker-count
+// deterministic) run must come out the same for any value: Run pins it to
+// one worker instead of tripping sim.Config's refusal.
+func TestRunPinsCreditedAlgorithms(t *testing.T) {
+	s := RunSpec{Algo: "shuffle-adaptive:6", Inject: "dynamic", Lambda: 0.5, Warmup: 50, Measure: 100, Seed: 3}
+	if s.Parallelizable() {
+		t.Fatal("shuffle-adaptive reported as parallelizable")
+	}
+	one, err := Run(context.Background(), s, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 4
+	four, err := Run(context.Background(), s, nil)
+	if err != nil {
+		t.Fatalf("workers 4: %v", err)
+	}
+	if one.Metrics != four.Metrics || one.FP != four.FP {
+		t.Errorf("workers changed a credited run:\n 1: %+v\n 4: %+v", one.Metrics, four.Metrics)
+	}
+}
+
 func TestCostAndParallelizable(t *testing.T) {
 	stat := small()
 	dyn := RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Warmup: 100, Measure: 300}

@@ -5,10 +5,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Observer receives the three probes of a simulation run. It replaces the
-// raw Config.OnDeliver / Config.OnCycle callbacks: attach one via
-// Config.Observer (or the repro.WithObserver option) and the engine enables
-// its metrics core for the run.
+// Observer receives the three probes of a simulation run — the one tap the
+// engines offer: attach one via Config.Observer (or the repro.WithObserver
+// option) and the engine enables its metrics core for the run.
 //
 // Contract:
 //

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"repro/internal/core"
-	"repro/internal/obs"
-)
+import "repro/internal/core"
 
 // BatchSource is the optional batched extension of TrafficSource. A source
 // that implements it lets the engines replace the per-node Wants/Take
@@ -39,83 +36,4 @@ type BatchSource interface {
 	// returns the number of entries written to out and the count of
 	// attempts that failed against an occupied injection queue.
 	FillCycle(cycle int64, lo, hi int32, full []uint64, out []core.PendingInject) (n, blocked int)
-}
-
-// batchFor returns src as a BatchSource when the engine may use the batched
-// injection path for this run: the source implements it, the config does
-// not disable it, and the run carries no fault state (fault backoff and
-// dead-node gating are interleaved per node in the scalar path).
-func batchFor(src TrafficSource, cfg *Config, faulted bool) BatchSource {
-	if cfg.DisableBatchInject || faulted {
-		return nil
-	}
-	bs, _ := src.(BatchSource)
-	return bs
-}
-
-// injectBatch is the buffered engine's batched injection phase over one
-// shard: one FillCycle call, then a commit loop over the returned entries.
-// It must account attempts, successes and the obs counters exactly like
-// injectNode does per node.
-func (e *Engine) injectBatch(w int, lo, hi int32, bs BatchSource, cycle int64, win runWindow, st *cycleStats) {
-	buf := e.batchBuf[w]
-	n, blocked := bs.FillCycle(cycle, lo, hi, e.injFull, buf)
-	inWin := win.contains(cycle)
-	if inWin {
-		st.attempts += int64(n + blocked)
-	}
-	if e.obsOn {
-		st.obs.Add(obs.CInjAttempts, int64(n+blocked))
-		st.obs.Add(obs.CInjBackpressure, int64(blocked))
-	}
-	for i := range buf[:n] {
-		u, dst := buf[i].Node, buf[i].Dst
-		class, work := e.algo.Inject(u, dst)
-		e.nextID[u]++
-		e.injQ[u] = injSlot{
-			pkt: core.Packet{
-				ID: e.nextID[u], Src: u, Dst: dst, InjectedAt: cycle,
-				Class: class, MinFree: 1, Work: work,
-			},
-			full: true,
-		}
-		e.injFull[u>>6] |= 1 << (uint(u) & 63)
-		e.setLive(u)
-	}
-	st.injected += int64(n)
-	if inWin {
-		st.successes += int64(n)
-	}
-}
-
-// injectBatchAtomic is the atomic engine's batched injection phase: the
-// whole node range is one shard.
-func (e *AtomicEngine) injectBatchAtomic(bs BatchSource, cycle int64, win runWindow, st *cycleStats) {
-	buf := e.batchBuf
-	n, blocked := bs.FillCycle(cycle, 0, int32(e.nodes), e.injFull, buf)
-	inWin := win.contains(cycle)
-	if inWin {
-		st.attempts += int64(n + blocked)
-	}
-	if e.obsOn {
-		st.obs.Add(obs.CInjAttempts, int64(n+blocked))
-		st.obs.Add(obs.CInjBackpressure, int64(blocked))
-	}
-	for i := range buf[:n] {
-		u, dst := buf[i].Node, buf[i].Dst
-		class, work := e.algo.Inject(u, dst)
-		e.nextID[u]++
-		e.injQ[u] = injSlot{
-			pkt: core.Packet{
-				ID: e.nextID[u], Src: u, Dst: dst, InjectedAt: cycle,
-				Class: class, MinFree: 1, Work: work,
-			},
-			full: true,
-		}
-		e.injFull[u>>6] |= 1 << (uint(u) & 63)
-	}
-	st.injected += int64(n)
-	if inWin {
-		st.successes += int64(n)
-	}
 }

@@ -96,7 +96,7 @@ func TestBatchRecordingCounts(t *testing.T) {
 	}
 	inner := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.6, 99)
 	rec := &traffic.RecordingSource{Inner: inner, Cap: 1 << 16}
-	m, err := e.RunDynamic(rec, 20, 100)
+	m, err := runDynamic(e, rec, 20, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func BenchmarkHotPathDim10(b *testing.B) {
 			b.Fatal(err)
 		}
 		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 1.0, 7)
-		if _, err := e.RunDynamic(src, 50, 450); err != nil {
+		if _, err := runDynamic(e, src, 50, 450); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -57,10 +57,10 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 						var m Metrics
 						if inject == "static" {
 							src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 3, 99)
-							m, err = e.RunStatic(src, 1_000_000)
+							m, err = runStatic(e, src, 1_000_000)
 						} else {
 							src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.5, 99)
-							m, err = e.RunDynamic(src, 50, 150)
+							m, err = runDynamic(e, src, 50, 150)
 						}
 						if err != nil {
 							t.Fatalf("workers=%d: %v", workers, err)
@@ -100,7 +100,7 @@ func TestDeterminismRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewBernoulliSource(traffic.Hotspot{Nodes: nodes, Hot: 3, Fraction: 0.5}, nodes, 0.5, 99)
-		m, err := e.RunDynamic(src, 50, 150)
+		m, err := runDynamic(e, src, 50, 150)
 		if err != nil {
 			t.Fatalf("workers=%d rebalance=%d: %v", workers, rebalance, err)
 		}
@@ -137,7 +137,7 @@ func TestDeterminismCanonicalSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.5, 99)
-		if _, err := e.RunDynamic(src, 50, 150); err != nil {
+		if _, err := runDynamic(e, src, 50, 150); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		snap := e.Obs().Latest().Canonical()
@@ -199,7 +199,7 @@ func TestEngineManyClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewStaticSource(traffic.Random{Nodes: 6}, 6, 4, 11)
-		m, err := e.RunStatic(src, 100_000)
+		m, err := runStatic(e, src, 100_000)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -1,24 +1,14 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/topology"
-	"repro/internal/xrand"
 )
-
-// injSlot is the per-node injection queue (size 1).
-type injSlot struct {
-	pkt  core.Packet
-	full bool
-}
 
 // Engine is the buffered cycle-accurate simulator of Sections 6 and 7.1.
 //
@@ -67,23 +57,12 @@ type injSlot struct {
 // snapshot (occSnap under RemoteLookahead), so node order within a phase
 // cannot influence the outcome. The one exception is credited moves
 // (shuffle-exchange bubble rings): their commit CAS reads live occupancy, so
-// with Workers > 1 they remain correct and deadlock-free but may tie-break
-// differently from the sequential run.
+// a sharded run could tie-break differently from the sequential one. Such
+// algorithms (Props().Credits) therefore run on one worker only: Config
+// refuses them with Workers > 1, and exec pins their RunSpecs to one worker.
 type Engine struct {
-	cfg        Config
-	algo       core.Algorithm
-	topo       topology.Topology
-	nodes      int
-	ports      int
-	classes    int
+	kernel
 	bufClasses int
-	queueCap   int
-
-	// Central queues: fixed-capacity FIFO rings over one packet slab.
-	// Queue qi = node*classes+class occupies qbuf[qi*queueCap:(qi+1)*queueCap].
-	qbuf  []core.Packet
-	qhead []int32
-	qlen  []int32
 
 	// Blocked-packet wait masks (waitFast engines only). qwait parallels
 	// qbuf: a non-zero mask records the node-local output-buffer slots
@@ -99,22 +78,11 @@ type Engine struct {
 	inbound []int32 // committed-but-not-delivered packets per queue (credit accounting)
 	occSnap []int32 // cycle-start copy of occ; only under RemoteLookahead
 
-	injQ []injSlot // per-node injection queue (size 1)
-	// injFull mirrors injQ[u].full as a bitmap (bit u of word u/64); the
-	// batched injection path hands it to BatchSource.FillCycle so the
-	// source can fail blocked attempts without a per-node engine call. It
-	// is maintained unconditionally (set at injection commit, cleared when
-	// phase (b) drains the slot) — one masked OR per event — so scalar and
-	// batched runs on the same engine never see a stale word. Shards are
-	// 64-aligned, so every word has exactly one writer between barriers.
-	injFull []uint64
-
 	// Output buffers, structure of arrays, indexed by sender:
 	// [(node*ports+port)*bufClasses+bc].
 	outPkt  []core.Packet
 	outFull []uint8
 	outLink []uint8 // per directed link: number of occupied output buffers
-	nbr     []int32 // neighbor table [node*ports+port]; -1 for missing links
 
 	// Input buffers, indexed by *receiver*: node v's buffers occupy
 	// inPkt[inBase[v] : inBase[v]+inDeg[v]], ordered by (sending node,
@@ -127,25 +95,15 @@ type Engine struct {
 	inDeg   []int32
 	linkDst []int32  // per directed link: first input-buffer index at the far end
 	linkRR  []uint32 // per directed link: next buffer class to favor (< bufClasses)
-	rngs    []xrand.RNG
-	nextID  []int64 // per-node packet id counters (determinism)
 
-	// Active worklists. liveBits marks nodes holding any packet (central
-	// queues, injection queue, input or output buffers); injBits marks nodes
-	// whose traffic source is not yet exhausted. Shards are 64-aligned, so
-	// every word has exactly one writer between barriers.
+	// liveBits is the active worklist: it marks nodes holding any packet
+	// (central queues, injection queue, input or output buffers). Shards are
+	// 64-aligned, so every word has exactly one writer between barriers.
 	liveBits []uint64
-	injBits  []uint64
 	qTotal   []int32 // per node: packets across its central queues
 	inCount  []int32 // per node: occupied inbound input buffers
 	outCount []int32 // per node: occupied output buffers
 
-	// minimal caches Props().Minimal so the per-delivery hop assertion does
-	// not pay an interface call.
-	minimal bool
-	// pmr is the algorithm's optional PortMaskRouter fast path (nil when not
-	// implemented); used by the FirstFree phase (a) scan.
-	pmr core.PortMaskRouter
 	// atomicOcc selects atomic maintenance of occ/inbound; plain counters
 	// suffice for credit-free algorithms, whose occupancy is only ever read
 	// by the owning worker (see core.Props.Credits).
@@ -156,13 +114,8 @@ type Engine struct {
 	// liveness) to be absent, because those can clear without any local
 	// buffer changing — which is why fault-enabled engines run without it.
 	waitFast bool
-	// flt is the fault-injection machinery; nil when Config.Faults is unset,
-	// so the no-fault hot path pays one pointer test per guarded site.
-	flt      *faultState
 	slotPort [64]uint8 // waitFast: outMask bit -> port (avoids a division)
 	owner    []int32   // node -> owning worker (avoids a division per transfer)
-
-	obsState
 
 	workers int
 	// bounds holds the shard boundaries: worker w owns nodes
@@ -170,10 +123,9 @@ type Engine struct {
 	// the node count) so every liveBits/injBits word has exactly one writer;
 	// uniform at reset, re-cut by rebalance when Config.RebalanceEvery asks
 	// for occupancy-weighted sharding.
-	bounds   []int32
-	rebW     []int64      // rebalance scratch: per-64-node-block occupancy weights
-	statsBuf []cycleStats // one per worker
-	scratch  []workerScratch
+	bounds  []int32
+	rebW    []int64         // rebalance scratch: per-64-node-block occupancy weights
+	scratch []workerScratch // one per worker
 	// mail holds the workers*workers cross-shard arrival lanes, src-major:
 	// lane srcWorker*workers+dstWorker. See mailLane.
 	mail []mailLane
@@ -181,23 +133,8 @@ type Engine struct {
 	// fuseOK records that the inject/(a)/(b) phases touch only shard-owned
 	// state (no occupancy snapshot, no credited occupancy probes), so one
 	// worker may run them back-to-back and a cycle needs two barriers
-	// instead of four; start() honors Config.DisableFusion/PhaseProf.
+	// instead of four; begin honors Config.DisableFusion/PhaseProf.
 	fuseOK bool
-
-	// Per-run state read by the pool workers; every write is sequenced
-	// before the phase barrier that releases them.
-	curSrc   TrafficSource
-	curWin   runWindow
-	curCycle int64
-	// curBatch is non-nil while the current run uses the batched injection
-	// path (see BatchSource); batchBuf holds one reusable PendingInject
-	// buffer per worker, sized to the node count so any shard fits after a
-	// rebalance. Allocated on the first batched run, then reused.
-	curBatch BatchSource
-	batchBuf [][]core.PendingInject
-
-	// rs is the control state of the stepwise run driver (Start/Step).
-	rs runState
 }
 
 // mailLane is one cross-shard arrival lane: the nodes of dstWorker's shard
@@ -240,33 +177,6 @@ type workerScratch struct {
 	_ [64]byte
 }
 
-// cycleStats accumulates per-worker observations that are folded into
-// Metrics once per cycle.
-type cycleStats struct {
-	moves        int64
-	dynamicMoves int64
-	injected     int64
-	delivered    int64
-	dropped      int64
-	attempts     int64
-	successes    int64
-	latencySum   int64
-	latencyMax   int64
-	measured     int64
-	maxQueue     int
-	_            [40]byte // pad: keeps the counters and the shard on separate lines
-
-	// obs is the worker's metric shard, folded into the engine's obs.Core
-	// at the same barrier that merges the fields above. It stays zero (and
-	// unread) unless the engine's metrics core is enabled.
-	obs obs.Shard
-
-	// Tail pad: stats live one-per-worker in a contiguous slice, and a
-	// trailing cache line guarantees no two workers' per-cycle increments
-	// ever share a line regardless of the struct's total size.
-	_ [64]byte
-}
-
 // NewEngine builds a buffered engine for the given configuration. Engines
 // with Workers > 1 own a persistent worker pool whose goroutines are
 // created here, parked between runs, and reaped by a finalizer once the
@@ -279,48 +189,29 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if a.Props().AtomicOnly {
 		return nil, fmt.Errorf("sim: algorithm %s requires the atomic engine", a.Name())
 	}
-	t := a.Topology()
-	e := &Engine{
-		cfg:        cfg,
-		algo:       a,
-		topo:       t,
-		nodes:      t.Nodes(),
-		ports:      t.Ports(),
-		classes:    a.NumClasses(),
-		bufClasses: a.NumClasses() + 1,
-		queueCap:   cfg.QueueCap,
-		workers:    cfg.Workers,
+	e := &Engine{workers: cfg.Workers}
+	if err := e.kernel.init(cfg, e, e.workers); err != nil {
+		return nil, err
 	}
+	e.bufClasses = e.classes + 1
 	nQueues := e.nodes * e.classes
-	e.qbuf = make([]core.Packet, nQueues*e.queueCap)
-	e.qhead = make([]int32, nQueues)
-	e.qlen = make([]int32, nQueues)
 	e.occ = make([]int32, nQueues)
 	e.inbound = make([]int32, nQueues)
 	if cfg.RemoteLookahead {
 		e.occSnap = make([]int32, nQueues)
 	}
-	e.injQ = make([]injSlot, e.nodes)
 	nLinks := e.nodes * e.ports
 	e.outPkt = make([]core.Packet, nLinks*e.bufClasses)
 	e.outFull = make([]uint8, nLinks*e.bufClasses)
 	e.outLink = make([]uint8, nLinks)
-	e.nbr = make([]int32, nLinks)
 	e.linkDst = make([]int32, nLinks)
 	e.inBase = make([]int32, e.nodes)
 	e.inDeg = make([]int32, e.nodes)
 	// Two passes: size each receiver's contiguous input-buffer range, then
 	// hand out slot indices in (sender, port, class) ascending order — the
 	// same deterministic drain order as a per-link slot list would give.
-	for u := 0; u < e.nodes; u++ {
-		for p := 0; p < e.ports; p++ {
-			v := t.Neighbor(u, p)
-			e.nbr[u*e.ports+p] = int32(v)
-			e.linkDst[u*e.ports+p] = -1
-			if v == topology.None || v == u {
-				e.nbr[u*e.ports+p] = -1
-				continue
-			}
+	for _, v := range e.nbr {
+		if v >= 0 {
 			e.inDeg[v] += int32(e.bufClasses)
 		}
 	}
@@ -330,13 +221,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 		nIn += e.inDeg[v]
 	}
 	next := make([]int32, e.nodes)
-	for u := 0; u < e.nodes; u++ {
-		for p := 0; p < e.ports; p++ {
-			v := e.nbr[u*e.ports+p]
-			if v < 0 {
-				continue
-			}
-			e.linkDst[u*e.ports+p] = e.inBase[v] + next[v]
+	for l, v := range e.nbr {
+		e.linkDst[l] = -1
+		if v >= 0 {
+			e.linkDst[l] = e.inBase[v] + next[v]
 			next[v] += int32(e.bufClasses)
 		}
 	}
@@ -344,20 +232,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
 	e.atomicOcc = a.Props().Credits
-	e.minimal = a.Props().Minimal
-	if !cfg.DisablePortMask {
-		e.pmr, _ = a.(core.PortMaskRouter)
-	}
-	if !cfg.Faults.Empty() {
-		if e.ports > 32 {
-			return nil, fmt.Errorf("sim: fault injection supports at most 32 ports per node, %s has %d", t.Name(), e.ports)
-		}
-		sched, err := cfg.Faults.Compile(t)
-		if err != nil {
-			return nil, err
-		}
-		e.flt = newFaultState(t, sched, cfg.HopBudget)
-	}
 	e.waitFast = e.ports*e.bufClasses <= 64 && !e.atomicOcc && !cfg.RemoteLookahead && e.flt == nil
 	if e.waitFast {
 		e.qwait = make([]uint64, len(e.qbuf))
@@ -366,12 +240,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 			e.slotPort[b] = uint8(b / e.bufClasses)
 		}
 	}
-	e.rngs = make([]xrand.RNG, e.nodes)
-	e.nextID = make([]int64, e.nodes)
-	nWords := (e.nodes + 63) / 64
-	e.liveBits = make([]uint64, nWords)
-	e.injBits = make([]uint64, nWords)
-	e.injFull = make([]uint64, nWords)
+	e.liveBits = make([]uint64, (e.nodes+63)/64)
 	e.qTotal = make([]int32, e.nodes)
 	e.inCount = make([]int32, e.nodes)
 	e.outCount = make([]int32, e.nodes)
@@ -379,7 +248,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.owner = make([]int32, e.nodes)
 	e.uniformBounds()
 	e.fuseOK = !cfg.RemoteLookahead && !e.atomicOcc
-	e.statsBuf = make([]cycleStats, e.workers)
 	e.scratch = make([]workerScratch, e.workers)
 	for i := range e.scratch {
 		e.scratch[i].cand = make([]core.Move, 0, 64)
@@ -390,12 +258,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if e.workers > 1 && cfg.RebalanceEvery > 0 {
 		e.rebW = make([]int64, (e.nodes+63)/64)
 	}
-	e.initObs(&cfg)
 	if e.workers > 1 {
 		e.pool = newPhasePool(e.workers)
 		runtime.SetFinalizer(e, (*Engine).stopPool)
 	}
-	e.reset()
 	return e, nil
 }
 
@@ -406,56 +272,23 @@ func (e *Engine) stopPool() {
 	}
 }
 
-func (e *Engine) reset() {
-	for i := range e.qlen {
-		e.qlen[i] = 0
-		e.qhead[i] = 0
-		e.occ[i] = 0
-		e.inbound[i] = 0
-	}
-	if e.occSnap != nil {
-		for i := range e.occSnap {
-			e.occSnap[i] = 0
-		}
-	}
-	if e.waitFast {
-		for i := range e.qwait {
-			e.qwait[i] = 0
-		}
-		for i := range e.outMask {
-			e.outMask[i] = 0
-		}
-	}
-	for i := range e.injQ {
-		e.injQ[i] = injSlot{}
-	}
-	for i := range e.injFull {
-		e.injFull[i] = 0
-	}
-	for i := range e.outFull {
-		e.outFull[i] = 0
-	}
-	for i := range e.inFull {
-		e.inFull[i] = 0
-	}
-	for i := range e.outLink {
-		e.outLink[i] = 0
-		e.linkRR[i] = 0
-	}
-	for u := range e.rngs {
-		e.rngs[u] = xrand.New(e.cfg.Seed, int32(u))
-		e.nextID[u] = int64(u) << 36
-		e.qTotal[u] = 0
-		e.inCount[u] = 0
-		e.outCount[u] = 0
-	}
-	for i := range e.liveBits {
-		e.liveBits[i] = 0
-		e.injBits[i] = ^uint64(0)
-	}
-	if tail := uint(e.nodes % 64); tail != 0 {
-		e.injBits[len(e.injBits)-1] = (uint64(1) << tail) - 1
-	}
+// begin clears the node model's state for a new run and returns the cycle
+// body. The phase closures are built once per run; release drops the one the
+// pool still holds, so parked workers never retain the engine.
+func (e *Engine) begin() func(cycle int64) {
+	clear(e.occ)
+	clear(e.inbound)
+	clear(e.occSnap)
+	clear(e.qwait)
+	clear(e.outMask)
+	clear(e.outFull)
+	clear(e.inFull)
+	clear(e.outLink)
+	clear(e.linkRR)
+	clear(e.qTotal)
+	clear(e.inCount)
+	clear(e.outCount)
+	clear(e.liveBits)
 	for i := range e.mail {
 		e.mail[i].buf = e.mail[i].buf[:0]
 	}
@@ -463,11 +296,51 @@ func (e *Engine) reset() {
 		// A previous run may have left occupancy-weighted boundaries behind.
 		e.uniformBounds()
 	}
-	if e.flt != nil {
-		e.flt.reset()
+	inject := func(w int) { e.workerInject(w) }
+	phaseA := func(w int) { e.workerPhaseA(w) }
+	phaseB := func(w int) { e.workerPhaseB(w) }
+	link := func(w int) { e.workerLink(w) }
+	var fused func(int)
+	if e.fuseOK && !e.cfg.DisableFusion && !e.cfg.PhaseProf {
+		// Inject/(a)/(b) touch only shard-owned state here (no occupancy
+		// snapshot, no credited probes), so one worker can run them
+		// back-to-back: the cycle pays two barriers instead of four. The
+		// link phase still needs its own barrier — it writes remote input
+		// buffers and reads remote inFull flags. PhaseProf forces the split
+		// pipeline so each phase is individually timed.
+		fused = func(w int) {
+			e.workerInject(w)
+			e.workerPhaseA(w)
+			e.workerPhaseB(w)
+		}
 	}
-	if e.obsOn {
-		e.obsCore.Reset()
+	every := int64(e.cfg.RebalanceEvery)
+	return func(cycle int64) {
+		if e.workers > 1 && every > 0 && cycle > 0 && cycle%every == 0 {
+			e.rebalance()
+		}
+		if fused != nil {
+			e.exec(fused)
+		} else {
+			e.exec(inject)
+			e.lap(phInject)
+			e.exec(phaseA)
+			e.lap(phA)
+			e.exec(phaseB)
+			e.lap(phB)
+		}
+		e.exec(link)
+		e.lap(phLink)
+		if e.obsOn {
+			e.obsCore.SetGauge(obs.GLiveNodes, e.liveCount())
+		}
+	}
+}
+
+// release drops the phase closure the pool holds between runs.
+func (e *Engine) release() {
+	if e.pool != nil {
+		e.pool.clear()
 	}
 }
 
@@ -563,19 +436,6 @@ func (e *Engine) rebalance() {
 
 func (e *Engine) setLive(u int32) {
 	e.liveBits[u>>6] |= 1 << (uint(u) & 63)
-}
-
-func (e *Engine) queueIndex(node int32, class core.QueueClass) int {
-	return int(node)*e.classes + int(class)
-}
-
-// qAt returns the i-th packet (FIFO order) of queue qi, in place.
-func (e *Engine) qAt(qi int, i int32) *core.Packet {
-	pos := e.qhead[qi] + i
-	if pos >= int32(e.queueCap) {
-		pos -= int32(e.queueCap)
-	}
-	return &e.qbuf[qi*e.queueCap+int(pos)]
 }
 
 // qPush and qDrop route every central-queue mutation through the atomic
@@ -681,284 +541,6 @@ func (e *Engine) tryReserve(qi int, need int32) bool {
 	}
 }
 
-// runWindow holds the measurement bounds of a run.
-type runWindow struct {
-	start int64 // first cycle whose deliveries/attempts are measured
-	end   int64 // exclusive; <0 means measure to the end of the run
-}
-
-func (w runWindow) contains(cycle int64) bool {
-	return cycle >= w.start && (w.end < 0 || cycle < w.end)
-}
-
-// RunStatic injects the (finite) traffic of src and simulates until every
-// packet has been delivered, returning the full-run metrics. It returns
-// *ErrDeadlock if the watchdog fires and an error if maxCycles (0 = none) is
-// exceeded. It is equivalent to Run with a background context and
-// StaticPlan; use Run for cancellation and the full RunResult.
-func (e *Engine) RunStatic(src TrafficSource, maxCycles int64) (Metrics, error) {
-	res, err := e.run(context.Background(), src, runWindow{0, -1}, 0, maxCycles, true)
-	return res.Metrics, err
-}
-
-// RunDynamic simulates warmup+measure cycles of dynamic injection,
-// measuring latency and the effective injection rate over deliveries and
-// attempts that fall in the measurement window. It is equivalent to Run
-// with a background context and DynamicPlan.
-func (e *Engine) RunDynamic(src TrafficSource, warmup, measure int64) (Metrics, error) {
-	res, err := e.run(context.Background(), src, runWindow{warmup, warmup + measure}, warmup+measure, warmup+measure, false)
-	return res.Metrics, err
-}
-
-// runState is the control state of a stepwise run: everything the old
-// monolithic run loop kept on its stack, so that Step can execute exactly
-// one cycle per call. The four phase closures are built once per run; the
-// pool releases them clear at the end so parked workers never retain the
-// engine.
-type runState struct {
-	src       TrafficSource
-	win       runWindow
-	stopAt    int64
-	maxCycles int64
-	drain     bool
-	idle      int
-	m         Metrics
-
-	inject, phaseA, phaseB, link func(int)
-	// fused runs inject+(a)+(b) back-to-back per worker (one barrier instead
-	// of three); non-nil only when the engine's fuseOK holds and neither
-	// DisableFusion nor PhaseProf forces the split pipeline.
-	fused func(int)
-	// pt accumulates the per-phase wall-clock breakdown under PhaseProf;
-	// lastCycleEnd anchors OtherNs (the inter-phase remainder of each cycle).
-	pt           PhaseTimes
-	lastCycleEnd time.Time
-
-	active bool // Start was called
-	done   bool // the run finished; res/err hold the outcome
-	res    RunResult
-	err    error
-}
-
-// Start begins a stepwise run: the engine is reset and each subsequent Step
-// call simulates exactly one cycle. Run is Start plus a Step loop; use
-// Start/Step directly to interleave simulation with other work or inspect
-// engine state between cycles (Snapshot, Metrics).
-func (e *Engine) Start(src TrafficSource, plan Plan) {
-	win, stopAt, maxCycles, drain := plan.params()
-	e.start(src, win, stopAt, maxCycles, drain)
-}
-
-func (e *Engine) start(src TrafficSource, win runWindow, stopAt, maxCycles int64, drain bool) {
-	e.reset()
-	e.curSrc, e.curWin = src, win
-	e.curBatch = batchFor(src, &e.cfg, e.flt != nil)
-	if e.curBatch != nil && e.batchBuf == nil {
-		e.batchBuf = make([][]core.PendingInject, e.workers)
-		for i := range e.batchBuf {
-			e.batchBuf[i] = make([]core.PendingInject, e.nodes)
-		}
-	}
-	e.rs = runState{
-		src: src, win: win, stopAt: stopAt, maxCycles: maxCycles, drain: drain,
-		active: true,
-		inject: func(w int) { e.workerInject(w) },
-		phaseA: func(w int) { e.workerPhaseA(w) },
-		phaseB: func(w int) { e.workerPhaseB(w) },
-		link:   func(w int) { e.workerLink(w) },
-	}
-	if e.fuseOK && !e.cfg.DisableFusion && !e.cfg.PhaseProf {
-		// Inject/(a)/(b) touch only shard-owned state here (no occupancy
-		// snapshot, no credited probes), so one worker can run them
-		// back-to-back: the cycle pays two barriers instead of four. The
-		// link phase still needs its own barrier — it writes remote input
-		// buffers and reads remote inFull flags.
-		e.rs.fused = func(w int) {
-			e.workerInject(w)
-			e.workerPhaseA(w)
-			e.workerPhaseB(w)
-		}
-	}
-}
-
-// end records the run's outcome (firing OnDone exactly once) and releases
-// the per-run state so parked pool workers never retain the engine.
-func (e *Engine) end(wasCanceled bool, err error) {
-	rs := &e.rs
-	rs.res = e.finish(rs.m, wasCanceled)
-	rs.err = err
-	rs.done = true
-	rs.inject, rs.phaseA, rs.phaseB, rs.link, rs.fused = nil, nil, nil, nil, nil
-	rs.src = nil
-	e.curSrc = nil
-	e.curBatch = nil
-	if e.pool != nil {
-		e.pool.clear()
-	}
-}
-
-// Step simulates one cycle of the started plan and reports whether the run
-// finished (normally or with an error); Result then returns the outcome.
-// Calling Step again after done is a no-op returning the same outcome.
-func (e *Engine) Step() (done bool, err error) {
-	rs := &e.rs
-	if !rs.active {
-		panic("sim: Step called before Start")
-	}
-	if rs.done {
-		return true, rs.err
-	}
-	m := &rs.m
-	cycle := m.Cycles
-	if rs.stopAt > 0 && cycle >= rs.stopAt {
-		e.end(false, nil)
-		return true, rs.err
-	}
-	if rs.maxCycles > 0 && cycle > rs.maxCycles {
-		e.end(false, fmt.Errorf("sim: %s exceeded %d cycles with %d packets in flight",
-			e.algo.Name(), rs.maxCycles, m.InFlight))
-		return true, rs.err
-	}
-
-	prevMoves := m.Moves
-	e.curCycle = cycle
-	if e.flt != nil {
-		// Fault events apply sequentially at the cycle boundary, before the
-		// parallel phases observe the liveness masks.
-		e.applyFaults(cycle, &e.statsBuf[0])
-	}
-	if e.workers > 1 && e.cfg.RebalanceEvery > 0 && cycle > 0 &&
-		cycle%int64(e.cfg.RebalanceEvery) == 0 {
-		e.rebalance()
-	}
-	switch {
-	case e.cfg.PhaseProf:
-		// Timed split pipeline: each phase's figure includes its barrier, so
-		// synchronization cost is charged to the phase that paid it. OtherNs
-		// is everything between the previous cycle's merge and this cycle's
-		// injection (watchdog, faults, observer probes, plan bookkeeping).
-		t0 := time.Now()
-		other := int64(0)
-		if !rs.lastCycleEnd.IsZero() {
-			other = t0.Sub(rs.lastCycleEnd).Nanoseconds()
-		}
-		e.exec(rs.inject)
-		t1 := time.Now()
-		e.exec(rs.phaseA)
-		t2 := time.Now()
-		e.exec(rs.phaseB)
-		t3 := time.Now()
-		e.exec(rs.link)
-		t4 := time.Now()
-		e.mergeCycle(m)
-		t5 := time.Now()
-		rs.pt.add(t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds(),
-			t3.Sub(t2).Nanoseconds(), t4.Sub(t3).Nanoseconds(),
-			t5.Sub(t4).Nanoseconds(), other)
-		rs.lastCycleEnd = t5
-		if e.obsOn {
-			c := e.obsCore
-			c.AddCounter(obs.CPhaseInjectNs, t1.Sub(t0).Nanoseconds())
-			c.AddCounter(obs.CPhaseANs, t2.Sub(t1).Nanoseconds())
-			c.AddCounter(obs.CPhaseBNs, t3.Sub(t2).Nanoseconds())
-			c.AddCounter(obs.CPhaseLinkNs, t4.Sub(t3).Nanoseconds())
-			c.AddCounter(obs.CPhaseMergeNs, t5.Sub(t4).Nanoseconds())
-			c.AddCounter(obs.CPhaseOtherNs, other)
-		}
-	case rs.fused != nil:
-		e.exec(rs.fused)
-		e.exec(rs.link)
-		e.mergeCycle(m)
-	default:
-		e.exec(rs.inject)
-		e.exec(rs.phaseA)
-		e.exec(rs.phaseB)
-		e.exec(rs.link)
-		e.mergeCycle(m)
-	}
-	m.Cycles = cycle + 1
-	m.InFlight = m.Injected - m.Delivered - m.Dropped
-	if e.obsOn {
-		c := e.obsCore
-		c.SetGauge(obs.GInFlight, m.InFlight)
-		c.SetGauge(obs.GMaxQueue, int64(m.MaxQueue))
-		c.SetGauge(obs.GLiveNodes, e.liveCount())
-		if e.flt != nil {
-			c.SetGauge(obs.GDeadLinks, int64(e.flt.live.DeadLinks()))
-			c.SetGauge(obs.GDeadNodes, int64(e.flt.live.DeadNodes()))
-		}
-		snap := c.EndCycle(m.Cycles)
-		if e.observer != nil {
-			e.observer.OnCycle(cycle, snap)
-		}
-	}
-	if e.cfg.OnCycle != nil {
-		e.cfg.OnCycle(cycle)
-	}
-
-	if rs.drain && m.InFlight == 0 && e.allExhausted(rs.src) {
-		e.end(false, nil)
-		return true, nil
-	}
-	if m.Moves == prevMoves && m.InFlight > 0 {
-		rs.idle++
-		if rs.idle >= e.cfg.DeadlockWindow {
-			derr := &ErrDeadlock{Cycle: cycle, InFlight: int(m.InFlight), Algorithm: e.algo.Name()}
-			derr.Dump = buildDeadlockDump(e.algo, e.flt, int64(e.cfg.DeadlockWindow), cycle, m.InFlight, e.headAt)
-			if d, ok := e.observer.(obs.DeadlockObserver); ok {
-				d.OnDeadlock(derr.Dump)
-			}
-			e.end(false, derr)
-			return true, rs.err
-		}
-	} else {
-		rs.idle = 0
-	}
-	return false, nil
-}
-
-// Result returns the outcome of the run once Step reported done (or Run
-// returned); before that it returns the zero RunResult and a nil error.
-func (e *Engine) Result() (RunResult, error) { return e.rs.res, e.rs.err }
-
-// Metrics returns the aggregate metrics of the current (possibly still
-// running) stepwise run.
-func (e *Engine) Metrics() Metrics { return e.rs.m }
-
-// headAt exposes queue heads to the deadlock-dump builder.
-func (e *Engine) headAt(u, c int) (*core.Packet, int) {
-	qi := u*e.classes + c
-	if e.qlen[qi] == 0 {
-		return nil, 0
-	}
-	return e.qAt(qi, 0), int(e.qlen[qi])
-}
-
-func (e *Engine) run(ctx context.Context, src TrafficSource, win runWindow, stopAt, maxCycles int64, drain bool) (RunResult, error) {
-	e.start(src, win, stopAt, maxCycles, drain)
-	defer func() {
-		// Guard against panics mid-cycle: the pool must not retain the
-		// engine's closures, and curSrc must not leak across runs.
-		if !e.rs.done {
-			e.curSrc = nil
-			e.curBatch = nil
-			e.rs.src, e.rs.inject, e.rs.phaseA, e.rs.phaseB, e.rs.link, e.rs.fused = nil, nil, nil, nil, nil, nil
-			if e.pool != nil {
-				e.pool.clear()
-			}
-		}
-	}()
-	for {
-		if canceled(ctx) {
-			e.end(true, ctx.Err())
-			return e.rs.res, e.rs.err
-		}
-		if done, _ := e.Step(); done {
-			return e.rs.res, e.rs.err
-		}
-	}
-}
-
 // liveCount returns the number of nodes on the active worklist.
 func (e *Engine) liveCount() int64 {
 	n := 0
@@ -976,57 +558,6 @@ func (e *Engine) exec(fn func(int)) {
 		return
 	}
 	e.pool.run(fn)
-}
-
-// allExhausted probes the still-active traffic sources in ascending node
-// order, retiring nodes whose source has drained; it iterates only the
-// worklist of active sources, not all N nodes.
-func (e *Engine) allExhausted(src TrafficSource) bool {
-	for wi := range e.injBits {
-		for word := e.injBits[wi]; word != 0; word &= word - 1 {
-			b := bits.TrailingZeros64(word)
-			if !src.Exhausted(int32(wi*64 + b)) {
-				return false
-			}
-			e.injBits[wi] &^= 1 << uint(b)
-		}
-	}
-	return true
-}
-
-// mergeCycle folds the per-worker cycle stats into the run metrics, once
-// per cycle. With the metrics core enabled it also mirrors the fields the
-// metrics share with Metrics into each worker's obs shard (so the hot loop
-// never double-counts them) and folds the shards — in worker order, so the
-// merged snapshot is bit-deterministic.
-func (e *Engine) mergeCycle(m *Metrics) {
-	for i := range e.statsBuf {
-		st := &e.statsBuf[i]
-		m.Moves += st.moves
-		m.DynamicMoves += st.dynamicMoves
-		m.Injected += st.injected
-		m.Delivered += st.delivered
-		m.Dropped += st.dropped
-		m.Attempts += st.attempts
-		m.Successes += st.successes
-		m.LatencySum += st.latencySum
-		m.Measured += st.measured
-		if st.latencyMax > m.LatencyMax {
-			m.LatencyMax = st.latencyMax
-		}
-		if st.maxQueue > m.MaxQueue {
-			m.MaxQueue = st.maxQueue
-		}
-		if e.obsOn {
-			sh := &st.obs
-			sh.Add(obs.CInjected, st.injected)
-			sh.Add(obs.CDelivered, st.delivered)
-			sh.Add(obs.CMoves, st.moves)
-			sh.Add(obs.CDynamicMoves, st.dynamicMoves)
-			e.obsCore.Fold(sh)
-		}
-		*st = cycleStats{}
-	}
 }
 
 // workerInject is the injection phase over one shard. It first folds in the
@@ -1054,90 +585,11 @@ func (e *Engine) workerInject(w int) {
 	if e.occSnap != nil {
 		copy(e.occSnap[lo*e.classes:hi*e.classes], e.occ[lo*e.classes:hi*e.classes])
 	}
-	st := &e.statsBuf[w]
-	cycle, src, win := e.curCycle, e.curSrc, e.curWin
-	if bs := e.curBatch; bs != nil {
-		e.injectBatch(w, int32(lo), int32(hi), bs, cycle, win, st)
-		return
-	}
-	base := lo >> 6
-	for wi, word := range e.injBits[base : (hi+63)>>6] {
-		for ; word != 0; word &= word - 1 {
-			u := int32((base+wi)*64 + bits.TrailingZeros64(word))
-			e.injectNode(u, cycle, src, win, st)
-		}
-	}
-}
-
-// injectNode lets node u attempt one injection into its injection queue.
-func (e *Engine) injectNode(u int32, cycle int64, src TrafficSource, win runWindow, st *cycleStats) {
-	if src.Exhausted(u) {
-		e.injBits[u>>6] &^= 1 << (uint(u) & 63)
-		return
-	}
-	f := e.flt
-	if f != nil {
-		if !f.live.NodeAlive(int(u)) {
-			return // a dead node does not consult its source
-		}
-		if cycle < f.injNext[u] {
-			// Retry-with-backoff: the node's last attempts hit a saturated
-			// queue pool; it sits out the backoff window.
-			if e.obsOn {
-				st.obs.Inc(obs.CInjRetries)
-			}
-			return
-		}
-	}
-	if !src.Wants(u, cycle) {
-		return
-	}
-	if win.contains(cycle) {
-		st.attempts++
-	}
-	if e.obsOn {
-		st.obs.Inc(obs.CInjAttempts)
-		if e.injQ[u].full {
-			st.obs.Inc(obs.CInjBackpressure)
-		}
-	}
-	if e.injQ[u].full {
-		if f != nil {
-			f.backoff(u, cycle)
-		}
-		return // injection queue occupied: the attempt fails
-	}
-	dst := src.Take(u, cycle)
-	if f != nil {
-		f.injFail[u] = 0
-		if !f.live.NodeAlive(int(dst)) || (f.livePorts[u] == 0 && dst != u) {
-			// Unroutable at injection: the destination is dead, or the
-			// source is isolated. The packet counts as injected and then
-			// immediately dropped, keeping Injected-Delivered-Dropped exact.
-			e.nextID[u]++
-			st.injected++
-			if win.contains(cycle) {
-				st.successes++
-			}
-			pkt := core.Packet{ID: e.nextID[u], Src: u, Dst: dst, InjectedAt: cycle}
-			e.faultDropPacket(&pkt, cycle, st)
-			return
-		}
-	}
-	class, work := e.algo.Inject(u, dst)
-	e.nextID[u]++
-	e.injQ[u] = injSlot{
-		pkt: core.Packet{
-			ID: e.nextID[u], Src: u, Dst: dst, InjectedAt: cycle,
-			Class: class, MinFree: 1, Work: work,
-		},
-		full: true,
-	}
-	e.injFull[u>>6] |= 1 << (uint(u) & 63)
-	e.setLive(u)
-	st.injected++
-	if win.contains(cycle) {
-		st.successes++
+	e.inject(w, lo, hi)
+	// A node with an occupied injection queue holds a packet, so the word-wise
+	// OR puts this cycle's injectors on the worklist (and re-marks old ones).
+	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		e.liveBits[wi] |= e.injFull[wi]
 	}
 }
 
@@ -1149,7 +601,7 @@ func (e *Engine) workerPhaseA(w int) {
 	}
 	st := &e.statsBuf[w]
 	sc := &e.scratch[w]
-	cycle, win := e.curCycle, e.curWin
+	cycle, win := e.rs.m.Cycles, e.rs.win
 	base := lo >> 6
 	for wi, word := range e.liveBits[base : (hi+63)>>6] {
 		for ; word != 0; word &= word - 1 {
@@ -1457,7 +909,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 					}
 				}
 				if nAdm > 0 {
-					mvi = e.choose(r, moves, sc.adm[:nAdm])
+					mvi = choose(pol, r, moves, sc.adm[:nAdm])
 				}
 			}
 			if mvi < 0 {
@@ -1596,31 +1048,6 @@ func (e *Engine) admissibleA(u int32, class core.QueueClass, mv *core.Move, sc *
 	}
 }
 
-// choose applies the configured policy to the admissible move indices.
-func (e *Engine) choose(r *xrand.RNG, moves []core.Move, adm []int) int {
-	switch e.cfg.Policy {
-	case PolicyFirstFree:
-		return adm[0]
-	case PolicyLastFree:
-		return adm[len(adm)-1]
-	case PolicyStaticFirst:
-		var static [64]int
-		n := 0
-		for _, i := range adm {
-			if moves[i].Kind == core.Static {
-				static[n] = i
-				n++
-			}
-		}
-		if n > 0 {
-			return static[r.Intn(n)]
-		}
-		return adm[r.Intn(len(adm))]
-	default: // PolicyRandom
-		return adm[r.Intn(len(adm))]
-	}
-}
-
 // workerPhaseB runs node phase (b) over the live nodes of one shard.
 func (e *Engine) workerPhaseB(w int) {
 	lo, hi := e.shard(w)
@@ -1629,7 +1056,7 @@ func (e *Engine) workerPhaseB(w int) {
 	}
 	st := &e.statsBuf[w]
 	sc := &e.scratch[w]
-	cycle, win := e.curCycle, e.curWin
+	cycle, win := e.rs.m.Cycles, e.rs.win
 	base := lo >> 6
 	for wi, word := range e.liveBits[base : (hi+63)>>6] {
 		for ; word != 0; word &= word - 1 {
@@ -1897,43 +1324,5 @@ func (e *Engine) linkTransfer(u int32, l, p, w int, st *cycleStats) {
 			}
 		}
 		return // one packet per link per cycle
-	}
-}
-
-// deliver consumes a packet at its destination and updates statistics,
-// asserting the livelock-freedom hop bound (and exact minimality for
-// minimal algorithms).
-func (e *Engine) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleStats) {
-	// Misrouted packets left the minimal path to dodge a fault; their hop
-	// bound is the misroute budget, enforced at misroute time instead.
-	if !e.cfg.DisableInvariantChecks && !pkt.Misrouted() {
-		bound := e.algo.MaxHops(pkt.Src, pkt.Dst)
-		if pkt.HopCount() > bound {
-			panic(fmt.Sprintf("sim: %s: packet %d took %d hops from %d to %d, bound %d",
-				e.algo.Name(), pkt.ID, pkt.HopCount(), pkt.Src, pkt.Dst, bound))
-		}
-		if e.minimal && pkt.HopCount() != bound {
-			panic(fmt.Sprintf("sim: %s: minimal algorithm delivered packet %d in %d hops, distance %d",
-				e.algo.Name(), pkt.ID, pkt.HopCount(), bound))
-		}
-	}
-	st.delivered++
-	st.moves++
-	lat := cycle - pkt.InjectedAt + 1
-	if e.cfg.OnDeliver != nil {
-		e.cfg.OnDeliver(pkt, lat)
-	}
-	if e.observer != nil {
-		e.observer.OnDeliver(pkt, lat)
-	}
-	if e.obsOn {
-		st.obs.Observe(obs.HLatency, lat)
-	}
-	if win.contains(cycle) {
-		st.latencySum += lat
-		st.measured++
-		if lat > st.latencyMax {
-			st.latencyMax = lat
-		}
 	}
 }

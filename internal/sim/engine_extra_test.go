@@ -8,35 +8,35 @@ import (
 	"repro/internal/traffic"
 )
 
-// TestOnDeliverHook checks the delivery callback sees every packet exactly
-// once with a plausible latency, on both engines.
+// TestOnDeliverHook checks the observer's delivery probe sees every packet
+// exactly once with a plausible latency, on both engines.
 func TestOnDeliverHook(t *testing.T) {
-	a := core.NewHypercubeAdaptive(5)
-	var mu sync.Mutex
-	seen := map[int64]int64{}
-	cfg := Config{
-		Algorithm: a, Seed: 1,
-		OnDeliver: func(p core.Packet, lat int64) {
-			mu.Lock()
-			seen[p.ID] = lat
-			mu.Unlock()
-		},
-	}
-	e, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := traffic.NewStaticSource(traffic.Random{Nodes: 32}, 32, 3, 2)
-	m, err := e.RunStatic(src, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(seen)) != m.Delivered {
-		t.Fatalf("hook saw %d deliveries, engine reported %d", len(seen), m.Delivered)
-	}
-	for id, lat := range seen {
-		if lat < 1 || lat > m.LatencyMax {
-			t.Fatalf("packet %d: latency %d out of range", id, lat)
+	for _, kind := range EngineKinds {
+		var mu sync.Mutex
+		seen := map[int64]int64{}
+		e, err := NewSimulator(kind, Config{
+			Algorithm: core.NewHypercubeAdaptive(5), Seed: 1,
+			Observer: &probe{deliver: func(p core.Packet, lat int64) {
+				mu.Lock()
+				seen[p.ID] = lat
+				mu.Unlock()
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := traffic.NewStaticSource(traffic.Random{Nodes: 32}, 32, 3, 2)
+		m, err := runStatic(e, src, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(seen)) != m.Delivered {
+			t.Fatalf("%s: probe saw %d deliveries, engine reported %d", kind, len(seen), m.Delivered)
+		}
+		for id, lat := range seen {
+			if lat < 1 || lat > m.LatencyMax {
+				t.Fatalf("%s: packet %d: latency %d out of range", kind, id, lat)
+			}
 		}
 	}
 }
@@ -51,7 +51,7 @@ func TestWorkersExceedNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewStaticSource(traffic.Random{Nodes: 8}, 8, 5, 2)
-		m, err := e.RunStatic(src, 100000)
+		m, err := runStatic(e, src, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestEngineReuse(t *testing.T) {
 	var prev Metrics
 	for i := 0; i < 3; i++ {
 		src := traffic.NewStaticSource(traffic.Complement{Bits: 5}, 32, 2, 3)
-		m, err := e.RunStatic(src, 100000)
+		m, err := runStatic(e, src, 100000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestAtomicDynamicRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.5, 3)
-		m, err := e.RunDynamic(src, 100, 400)
+		m, err := runDynamic(e, src, 100, 400)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -120,7 +120,7 @@ func TestRemoteLookahead(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 6, 2)
-		m, err := e.RunStatic(src, 1_000_000)
+		m, err := runStatic(e, src, 1_000_000)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -139,7 +139,7 @@ func TestDynamicWindowAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := traffic.NewBernoulliSource(traffic.Random{Nodes: 16}, 16, 1.0, 2)
-	m, err := e.RunDynamic(src, 50, 100)
+	m, err := runDynamic(e, src, 50, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestInjectionQueueBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := traffic.NewStaticSource(&traffic.Permutation{Label: "compl", Sigma: sigma}, int(nodes), 20, 2)
-	m, err := e.RunStatic(src, 1_000_000)
+	m, err := runStatic(e, src, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,22 +195,23 @@ func TestConservationEveryCycle(t *testing.T) {
 			nodes := a.Topology().Nodes()
 			var eng *Engine
 			injected, delivered := int64(0), int64(0)
-			cfg := Config{Algorithm: a, Seed: 5, QueueCap: 3}
-			cfg.OnDeliver = func(core.Packet, int64) { delivered++ }
-			cfg.OnCycle = func(cycle int64) {
-				inNet := int64(eng.InNetwork())
-				if injected != delivered+inNet {
-					t.Fatalf("cycle %d: injected %d != delivered %d + in-network %d",
-						cycle, injected, delivered, inNet)
-				}
-			}
+			cfg := Config{Algorithm: a, Seed: 5, QueueCap: 3, Observer: &probe{
+				deliver: func(core.Packet, int64) { delivered++ },
+				cycle: func(cycle int64) {
+					inNet := int64(eng.InNetwork())
+					if injected != delivered+inNet {
+						t.Fatalf("cycle %d: injected %d != delivered %d + in-network %d",
+							cycle, injected, delivered, inNet)
+					}
+				},
+			}}
 			var err error
 			eng, err = NewEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			src := &countingSource{inner: traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.8, 7), injected: &injected}
-			if _, err := eng.RunDynamic(src, 0, 400); err != nil {
+			if _, err := runDynamic(eng, src, 0, 400); err != nil {
 				t.Fatal(err)
 			}
 			if injected == 0 {
@@ -285,7 +286,7 @@ func TestCutThroughDeterministicParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.RunDynamic(src, 100, 300)
+		m, err := runDynamic(e, src, 100, 300)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-// faultState is the per-engine fault machinery, shared by both engines. It
+// faultState is the kernel's fault machinery, shared by both engines. It
 // is nil when the configuration schedules no faults, so the no-fault hot
 // path pays a single pointer test per guarded site.
 //
@@ -96,47 +96,6 @@ func (f *faultState) backoff(u int32, cycle int64) {
 	f.injNext[u] = cycle + 1<<f.injFail[u]
 }
 
-// faultDropPacket accounts one packet lost to faults. The drop itself
-// (removing the packet from whatever structure held it) is the caller's job.
-func (e *Engine) faultDropPacket(pkt *core.Packet, cycle int64, st *cycleStats) {
-	st.dropped++
-	if e.obsOn {
-		st.obs.Inc(obs.CFaultDrops)
-		st.obs.Observe(obs.HDropAge, cycle-pkt.InjectedAt+1)
-	}
-}
-
-// applyFaults replays all schedule events due at or before cycle. It runs
-// sequentially before the parallel phases, so purges and liveness flips are
-// ordered identically for every worker count.
-func (e *Engine) applyFaults(cycle int64, st *cycleStats) {
-	f := e.flt
-	evs := f.sched.Events
-	changed := false
-	for f.nextEv < len(evs) && evs[f.nextEv].At <= cycle {
-		ev := evs[f.nextEv]
-		f.nextEv++
-		switch {
-		case ev.Port < 0 && ev.Up:
-			f.live.ReviveNode(int(ev.Node))
-		case ev.Port < 0:
-			if f.live.KillNode(int(ev.Node)) {
-				e.purgeNode(ev.Node, cycle, st)
-			}
-		case ev.Up:
-			f.live.ReviveLink(int(ev.Node), int(ev.Port))
-		default:
-			if f.live.KillLink(int(ev.Node), int(ev.Port)) {
-				e.purgeLink(int(ev.Node)*e.ports+int(ev.Port), cycle, st)
-			}
-		}
-		changed = true
-	}
-	if changed {
-		f.recomputeLivePorts()
-	}
-}
-
 // purgeLink drops the packets waiting in the output buffers of the directed
 // link l: they were committed to a link that no longer exists. Input
 // buffers at the far end keep their packets — those already crossed.
@@ -152,7 +111,7 @@ func (e *Engine) purgeLink(l int, cycle int64, st *cycleStats) {
 			// Credited packet: release its reservation at the target queue.
 			atomic.AddInt32(&e.inbound[e.queueIndex(e.nbr[l], pkt.Class)], -1)
 		}
-		e.faultDropPacket(pkt, cycle, st)
+		e.faultDrop(pkt, cycle, st)
 		e.outFull[base+bc] = 0
 		e.outLink[l]--
 		e.outCount[u]--
@@ -168,15 +127,8 @@ func (e *Engine) purgeNode(u int32, cycle int64, st *cycleStats) {
 	for _, l := range e.flt.inEdges[u] {
 		e.purgeLink(int(l), cycle, st)
 	}
-	qi0 := int(u) * e.classes
-	for c := 0; c < e.classes; c++ {
-		qi := qi0 + c
-		n := e.qlen[qi]
-		for i := int32(0); i < n; i++ {
-			e.faultDropPacket(e.qAt(qi, i), cycle, st)
-		}
-		e.qlen[qi] = 0
-		e.qhead[qi] = 0
+	e.purgeQueues(u, cycle, st)
+	for qi := int(u) * e.classes; qi < (int(u)+1)*e.classes; qi++ {
 		if e.atomicOcc {
 			atomic.StoreInt32(&e.occ[qi], 0)
 			atomic.StoreInt32(&e.inbound[qi], 0)
@@ -184,22 +136,14 @@ func (e *Engine) purgeNode(u int32, cycle int64, st *cycleStats) {
 			e.occ[qi] = 0
 			e.inbound[qi] = 0
 		}
-		if e.obsOn && n > 0 {
-			st.obs.GaugeAdd(obs.GQueueOccupancy, -int64(n))
-		}
 	}
 	e.qTotal[u] = 0
-	if e.injQ[u].full {
-		e.faultDropPacket(&e.injQ[u].pkt, cycle, st)
-		e.injQ[u] = injSlot{}
-		e.injFull[u>>6] &^= 1 << (uint(u) & 63)
-	}
 	base, deg := e.inBase[u], e.inDeg[u]
 	for si := base; si < base+deg; si++ {
 		if e.inFull[si] == 0 {
 			continue
 		}
-		e.faultDropPacket(&e.inPkt[si], cycle, st)
+		e.faultDrop(&e.inPkt[si], cycle, st)
 		e.inFull[si] = 0
 	}
 	e.inCount[u] = 0
@@ -233,7 +177,7 @@ func (e *Engine) misroute(u int32, qi int, idx int32, pkt *core.Packet, cycle in
 	f := e.flt
 	lp := f.livePorts[u]
 	if lp == 0 || pkt.HopCount() >= e.algo.MaxHops(pkt.Src, pkt.Dst)+f.hopBudget {
-		e.faultDropPacket(pkt, cycle, st)
+		e.faultDrop(pkt, cycle, st)
 		e.qDrop(u, qi, idx)
 		return true
 	}
@@ -296,52 +240,4 @@ func (f *faultState) filterLiveMoves(u int32, moves []core.Move) []core.Move {
 		kept = append(kept, moves[i])
 	}
 	return kept
-}
-
-// buildDeadlockDump assembles the wait-for state behind a watchdog firing:
-// one entry per non-empty central queue head, with the outputs its
-// candidates wait on. headAt abstracts over the two engines' queue layouts.
-func buildDeadlockDump(algo core.Algorithm, flt *faultState, window, cycle, inFlight int64,
-	headAt func(u, c int) (*core.Packet, int)) *obs.DeadlockDump {
-	t := algo.Topology()
-	nodes, classes := t.Nodes(), algo.NumClasses()
-	d := &obs.DeadlockDump{Cycle: cycle, Window: window, InFlight: inFlight}
-	var cand []core.Move
-	for u := 0; u < nodes; u++ {
-		for c := 0; c < classes; c++ {
-			pkt, qlen := headAt(u, c)
-			if pkt == nil {
-				continue
-			}
-			if len(d.Waits) >= obs.DumpLimit {
-				d.Truncated = true
-				return d
-			}
-			w := obs.WaitFor{
-				Node: int32(u), Class: uint8(c), QueueLen: qlen,
-				PacketID: pkt.ID, Dst: pkt.Dst,
-			}
-			cand = algo.Candidates(int32(u), core.QueueClass(c), pkt.Work, pkt.Dst, cand[:0])
-			for _, mv := range cand {
-				if mv.Deliver || mv.Port == core.PortInternal {
-					continue
-				}
-				bc := uint8(mv.Class)
-				dyn := mv.Kind == core.Dynamic
-				if dyn {
-					bc = uint8(classes)
-				}
-				dead := false
-				if flt != nil {
-					dead = !flt.portAlive(int32(u), mv.Port)
-				}
-				w.WaitsOn = append(w.WaitsOn, obs.WaitTarget{
-					Node: int32(t.Neighbor(u, int(mv.Port))), Port: mv.Port,
-					Class: bc, Dynamic: dyn, Dead: dead,
-				})
-			}
-			d.Waits = append(d.Waits, w)
-		}
-	}
-	return d
 }

@@ -167,32 +167,3 @@ func TestRunDeadlineAlreadyExpired(t *testing.T) {
 		t.Errorf("expired context still simulated: %+v", res.Metrics)
 	}
 }
-
-// TestLegacyCallbacksStillFire: the deprecated OnDeliver/OnCycle fields
-// keep working alongside an Observer.
-func TestLegacyCallbacksStillFire(t *testing.T) {
-	a := core.NewHypercubeAdaptive(4)
-	nodes := a.Topology().Nodes()
-	var legacyDeliver, legacyCycle int64
-	lat := obs.NewLatency()
-	e, err := NewEngine(Config{
-		Algorithm: a, Seed: 3,
-		Observer:  lat,
-		OnDeliver: func(core.Packet, int64) { legacyDeliver++ },
-		OnCycle:   func(int64) { legacyCycle++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 2, 5)
-	res, err := e.Run(context.Background(), src, StaticPlan(100_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyDeliver != res.Metrics.Delivered || lat.Count() != res.Metrics.Delivered {
-		t.Errorf("deliver taps: legacy=%d observer=%d engine=%d", legacyDeliver, lat.Count(), res.Metrics.Delivered)
-	}
-	if legacyCycle != res.Metrics.Cycles {
-		t.Errorf("legacy OnCycle fired %d times over %d cycles", legacyCycle, res.Metrics.Cycles)
-	}
-}

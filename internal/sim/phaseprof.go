@@ -11,7 +11,7 @@ package sim
 // parallel phase's figure includes its barrier (release, spin, wake): the
 // breakdown deliberately charges synchronization to the phase that paid it.
 type PhaseTimes struct {
-	InjectNs int64 // injection phase (incl. mail-lane fold)
+	InjectNs int64 // injection phase (incl. mail-lane fold and shard rebalance)
 	PhaseANs int64 // node phase (a): queues -> output buffers
 	PhaseBNs int64 // node phase (b): input buffers -> queues
 	LinkNs   int64 // link phase (0 for the atomic engine, which has no links)
@@ -26,22 +26,12 @@ func (p PhaseTimes) TotalNs() int64 {
 }
 
 // add accumulates one cycle's phase samples.
-func (p *PhaseTimes) add(inject, a, b, link, merge, other int64) {
-	p.InjectNs += inject
-	p.PhaseANs += a
-	p.PhaseBNs += b
-	p.LinkNs += link
-	p.MergeNs += merge
+func (p *PhaseTimes) add(lap [numPhases]int64, other int64) {
+	p.InjectNs += lap[phInject]
+	p.PhaseANs += lap[phA]
+	p.PhaseBNs += lap[phB]
+	p.LinkNs += lap[phLink]
+	p.MergeNs += lap[phMerge]
 	p.OtherNs += other
 	p.Cycles++
 }
-
-// PhaseTimes returns the accumulated per-phase breakdown of the current (or
-// finished) run; all zero unless Config.PhaseProf was set.
-func (e *Engine) PhaseTimes() PhaseTimes { return e.rs.pt }
-
-// PhaseTimes returns the atomic engine's per-phase breakdown; the atomic
-// model's "phases" are its three sequential sections: injection draws map to
-// InjectNs, the injection-queue drain to PhaseBNs, and the Route(q) sweep to
-// PhaseANs (there is no link phase).
-func (e *AtomicEngine) PhaseTimes() PhaseTimes { return e.rs.pt }

@@ -46,16 +46,13 @@ func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable boo
 		m   Metrics
 		err error
 	)
-	runEither := func(e interface {
-		RunStatic(TrafficSource, int64) (Metrics, error)
-		RunDynamic(TrafficSource, int64, int64) (Metrics, error)
-	}) (Metrics, error) {
+	runEither := func(e Simulator) (Metrics, error) {
 		if inject == "static" {
 			src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 3, 99)
-			return e.RunStatic(src, 1_000_000)
+			return runStatic(e, src, 1_000_000)
 		}
 		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.2, 99)
-		return e.RunDynamic(src, 50, 150)
+		return runDynamic(e, src, 50, 150)
 	}
 	if atomic {
 		e, nerr := NewAtomicEngine(cfg)
@@ -90,6 +87,9 @@ func TestPortMaskToggleDeterminism(t *testing.T) {
 				t.Parallel()
 				want := runToggled(t, false, al.mk, false, inject, nil, 1)
 				for _, workers := range []int{1, 2} {
+					if workers > 1 && al.mk().Props().Credits {
+						continue // Config refuses credited algorithms on several workers
+					}
 					if got := runToggled(t, false, al.mk, true, inject, nil, workers); got != want {
 						t.Errorf("workers=%d mask-off diverged:\n got  %+v\n want %+v", workers, got, want)
 					}

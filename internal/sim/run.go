@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Plan describes the schedule of a run: either drain a finite (static)
 // workload to completion, or simulate a fixed warmup+measure window of
@@ -34,15 +30,6 @@ func DynamicPlan(warmup, measure int64) Plan {
 	return Plan{Warmup: warmup, Measure: measure}
 }
 
-// params lowers the plan to the engine loop's controls.
-func (p Plan) params() (win runWindow, stopAt, maxCycles int64, drain bool) {
-	if p.Drain {
-		return runWindow{0, -1}, 0, p.MaxCycles, true
-	}
-	end := p.Warmup + p.Measure
-	return runWindow{p.Warmup, end}, end, end, false
-}
-
 // RunResult is what a run hands back: the aggregate Metrics, and — when the
 // metrics core was enabled (an Observer attached or Config.Metrics set) —
 // the final metric snapshot.
@@ -57,72 +44,4 @@ type RunResult struct {
 	// Canceled reports that the run was stopped by context cancellation or
 	// deadline; Metrics and Snapshot then cover the completed cycles.
 	Canceled bool
-}
-
-// Run simulates according to plan, stopping early — within one cycle — if
-// ctx is canceled or its deadline passes. On cancellation it returns the
-// partial RunResult together with ctx.Err(). A nil ctx means never cancel.
-func (e *Engine) Run(ctx context.Context, src TrafficSource, plan Plan) (RunResult, error) {
-	win, stopAt, maxCycles, drain := plan.params()
-	return e.run(ctx, src, win, stopAt, maxCycles, drain)
-}
-
-// Run simulates the atomic model according to plan; see (*Engine).Run.
-func (e *AtomicEngine) Run(ctx context.Context, src TrafficSource, plan Plan) (RunResult, error) {
-	win, stopAt, maxCycles, drain := plan.params()
-	return e.run(ctx, src, win, stopAt, maxCycles, drain)
-}
-
-// Obs returns the engine's metrics core, or nil when observability is off
-// (no Observer attached and Config.Metrics unset). The core's Latest and
-// Handler are safe to use concurrently with a run — the hook behind
-// routesim's /metrics endpoint.
-func (e *Engine) Obs() *obs.Core { return e.obsCore }
-
-// Obs returns the atomic engine's metrics core, or nil; see (*Engine).Obs.
-func (e *AtomicEngine) Obs() *obs.Core { return e.obsCore }
-
-// obsState is the per-engine observability plumbing shared by both engines.
-type obsState struct {
-	// obsOn gates every metric instrumentation site in the hot loop.
-	obsOn    bool
-	obsCore  *obs.Core
-	observer obs.Observer
-}
-
-// initObs builds the metrics core when the configuration asks for it.
-func (s *obsState) initObs(cfg *Config) {
-	s.observer = cfg.Observer
-	s.obsOn = cfg.Observer != nil || cfg.Metrics
-	if s.obsOn {
-		s.obsCore = obs.NewCore()
-	}
-}
-
-// finish assembles the RunResult for a completed (or aborted) run and fires
-// the observer's OnDone probe exactly once.
-func (s *obsState) finish(m Metrics, canceled bool) RunResult {
-	res := RunResult{Metrics: m, Canceled: canceled}
-	if s.obsOn {
-		snap := s.obsCore.EndCycle(m.Cycles)
-		res.Snapshot = *snap
-		res.Observed = true
-		if s.observer != nil {
-			s.observer.OnDone(snap)
-		}
-	}
-	return res
-}
-
-// canceled reports whether ctx is done (nil ctx never is).
-func canceled(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
 }

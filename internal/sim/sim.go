@@ -124,7 +124,9 @@ type Config struct {
 	// from it, so results are independent of worker count.
 	Seed int64
 	// Workers > 1 shards the nodes across goroutines with barriers between
-	// the phases of a cycle. 0 or 1 means sequential.
+	// the phases of a cycle. 0 or 1 means sequential. Algorithms with
+	// credited moves (Props().Credits) are refused with Workers > 1, because
+	// their results would depend on it; the atomic engine ignores Workers.
 	Workers int
 	// RebalanceEvery > 0 recomputes the worker-shard boundaries every that
 	// many cycles, weighting nodes by their central-queue occupancy (the
@@ -232,21 +234,6 @@ type Config struct {
 	// nor Observer set, the instrumentation is compiled out of the hot
 	// loop behind a single predictable branch.
 	Metrics bool
-	// OnDeliver, if set, is called at every delivery with the packet and
-	// its measured latency (cycles since network entry). With Workers > 1
-	// it is called concurrently and must be safe for parallel use.
-	//
-	// Deprecated: attach an Observer instead (obs.NewLatency replaces the
-	// typical latency-collector use). The field keeps working and may be
-	// combined with an Observer.
-	OnDeliver func(pkt core.Packet, latency int64)
-	// OnCycle, if set, is called once at the end of every simulated cycle,
-	// outside the parallel phases, so it may safely inspect the engine
-	// (e.g. through Snapshot) to sample congestion over time.
-	//
-	// Deprecated: attach an Observer instead; its OnCycle probe also
-	// receives the merged metric snapshot. The field keeps working.
-	OnCycle func(cycle int64)
 }
 
 func (c *Config) fill() error {
@@ -266,6 +253,12 @@ func (c *Config) fill() error {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
+	}
+	if c.Workers > 1 && c.Algorithm.Props().Credits {
+		// Credited moves commit against live occupancy, so their tie-breaks
+		// would depend on how the workers interleave.
+		return fmt.Errorf("sim: Workers must be 1 for %s: its credited moves are not worker-count deterministic, got %d",
+			c.Algorithm.Name(), c.Workers)
 	}
 	if c.RebalanceEvery < 0 {
 		return fmt.Errorf("sim: RebalanceEvery must be >= 0, got %d", c.RebalanceEvery)

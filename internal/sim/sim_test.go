@@ -1,13 +1,27 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
+
+// runStatic drains src on either engine and returns the run's Metrics.
+func runStatic(e Simulator, src TrafficSource, maxCycles int64) (Metrics, error) {
+	res, err := e.Run(context.Background(), src, StaticPlan(maxCycles))
+	return res.Metrics, err
+}
+
+// runDynamic runs a warmup+measure window of dynamic injection.
+func runDynamic(e Simulator, src TrafficSource, warmup, measure int64) (Metrics, error) {
+	res, err := e.Run(context.Background(), src, DynamicPlan(warmup, measure))
+	return res.Metrics, err
+}
 
 // runStaticBuffered is a test helper: buffered engine, static injection.
 func runStaticBuffered(t *testing.T, a core.Algorithm, src TrafficSource, cfg Config) Metrics {
@@ -17,7 +31,7 @@ func runStaticBuffered(t *testing.T, a core.Algorithm, src TrafficSource, cfg Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.RunStatic(src, 1_000_000)
+	m, err := runStatic(e, src, 1_000_000)
 	if err != nil {
 		t.Fatalf("%s: %v", a.Name(), err)
 	}
@@ -98,7 +112,7 @@ func TestConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			src2 := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 3, 5)
-			m2, err := e.RunStatic(src2, 1_000_000)
+			m2, err := runStatic(e, src2, 1_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +133,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := e.RunDynamic(src, 100, 300)
+		m, err := runDynamic(e, src, 100, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,14 +198,14 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dl *ErrDeadlock
-	if _, err := e.RunStatic(mk(), 1_000_000); !errors.As(err, &dl) {
+	if _, err := runStatic(e, mk(), 1_000_000); !errors.As(err, &dl) {
 		t.Errorf("buffered engine: expected ErrDeadlock, got %v", err)
 	}
 	ae, err := NewAtomicEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ae.RunStatic(mk(), 1_000_000); !errors.As(err, &dl) {
+	if _, err := runStatic(ae, mk(), 1_000_000); !errors.As(err, &dl) {
 		t.Errorf("atomic engine: expected ErrDeadlock, got %v", err)
 	}
 }
@@ -242,7 +256,7 @@ func TestNoDeadlockUnderPressure(t *testing.T) {
 					t.Fatal(err)
 				}
 				src2 := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 8, 3)
-				m2, err := ae.RunStatic(src2, 1_000_000)
+				m2, err := runStatic(ae, src2, 1_000_000)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +276,7 @@ func TestDynamicRunSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.RunDynamic(src, 200, 500)
+	m, err := runDynamic(e, src, 200, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +361,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewEngine(Config{Algorithm: core.NewHypercubeAdaptive(3), QueueCap: -1}); err == nil {
 		t.Error("negative queue capacity accepted")
 	}
+	// Credited moves commit against live occupancy: the buffered engine
+	// refuses to shard them, the atomic engine ignores Workers as always.
+	shuffle := Config{Algorithm: core.NewShuffleExchangeAdaptive(4), Workers: 4}
+	if _, err := NewEngine(shuffle); err == nil || !strings.Contains(err.Error(), "Workers") {
+		t.Errorf("credited algorithm on 4 workers: err = %v, want an error naming Workers", err)
+	}
+	if _, err := NewAtomicEngine(shuffle); err != nil {
+		t.Errorf("atomic engine with Workers set: %v", err)
+	}
 }
 
 // TestMaxCyclesExceeded checks the safety cap error path (not a deadlock:
@@ -358,7 +381,7 @@ func TestMaxCyclesExceeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunStatic(src, 3); err == nil {
+	if _, err := runStatic(e, src, 3); err == nil {
 		t.Error("expected a max-cycles error")
 	}
 }

@@ -46,12 +46,6 @@ var (
 	_ Simulator = (*AtomicEngine)(nil)
 )
 
-// Algorithm returns the routing algorithm the engine simulates.
-func (e *Engine) Algorithm() core.Algorithm { return e.algo }
-
-// Algorithm returns the routing algorithm the engine simulates.
-func (e *AtomicEngine) Algorithm() core.Algorithm { return e.algo }
-
 // EngineKinds lists the valid NewSimulator kinds.
 var EngineKinds = []string{"buffered", "atomic"}
 

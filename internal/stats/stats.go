@@ -1,7 +1,7 @@
 // Package stats provides the latency statistics used by the experiment
 // harness and the routesim tool: streaming mean/variance (Welford), exact
-// percentiles over a bounded latency domain, and a text histogram. A
-// Collector plugs directly into sim.Config.OnDeliver.
+// percentiles over a bounded latency domain, and a text histogram. The
+// obs.Latency observer wraps a Collector behind the Observer interface.
 package stats
 
 import (
@@ -33,7 +33,7 @@ func NewCollector() *Collector {
 	return &Collector{min: math.MaxInt64, counts: make(map[int64]int64), byHops: make(map[int]int64)}
 }
 
-// OnDeliver records one delivery; its signature matches sim.Config.OnDeliver.
+// OnDeliver records one delivery; its signature is the Observer probe's.
 func (c *Collector) OnDeliver(pkt core.Packet, latency int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

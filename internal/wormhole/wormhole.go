@@ -291,6 +291,10 @@ func (e *Engine) run(src TrafficSource, measureFrom, stopAt, maxCycles int64, dr
 				continue
 			}
 			dst := src.Take(u, cycle)
+			if dst < 0 || int(dst) >= e.nodes {
+				return m, fmt.Errorf("wormhole: %s: traffic source sent node %d a destination %d outside [0, %d)",
+					e.route.Name(), u, dst, e.nodes)
+			}
 			e.nextID++
 			e.worms = append(e.worms, worm{
 				id: e.nextID, src: u, dst: dst, state: e.route.Inject(u, dst),

@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/topology"
@@ -122,6 +123,22 @@ func (s *singleSource) Take(node int32, _ int64) int32 { s.done = true; return s
 func (s *singleSource) Exhausted(node int32) bool      { return node != 0 || s.done }
 
 // TestDeterminism: fixed seeds reproduce bit-identical metrics.
+// TestDestinationOutOfRange: a source drawing destinations for a larger
+// network (the routesim wh-torus-dor:8x8 defect) must surface as an error,
+// not as a "no candidates" panic deep in the header allocation.
+func TestDestinationOutOfRange(t *testing.T) {
+	for _, dst := range []int32{-1, 64, 4095} {
+		e, err := NewEngine(Config{Route: NewTorusDOR(8), Flits: 4, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.RunStatic(&singleSource{dst: dst}, 1000)
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 64)") {
+			t.Errorf("destination %d: err = %v, want an out-of-range error", dst, err)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) Metrics {
 		r := NewTorusAdaptive(6)

@@ -2,13 +2,11 @@ package repro
 
 import "repro/internal/obs"
 
-// EngineOption customizes an engine built by NewEngineOpts or
-// NewAtomicEngineOpts. Options apply over the zero Config in order, so a
-// later option overrides an earlier one; anything left unset keeps the
-// Config defaults (queue capacity 5, PolicyFirstFree, one worker).
-//
-// The plain NewEngine(Config) constructor keeps working; the options form
-// is a convenience over exactly the same Config.
+// EngineOption customizes a simulator built by NewSimulatorOpts. Options
+// apply over the zero Config in order, so a later option overrides an
+// earlier one; anything left unset keeps the Config defaults (queue
+// capacity 5, PolicyFirstFree, one worker). The options form is a
+// convenience over exactly the Config NewSimulator takes.
 type EngineOption func(*Config)
 
 // WithQueueCap sets the central-queue capacity (the paper fixes 5).
@@ -28,8 +26,9 @@ func WithSeed(seed int64) EngineOption {
 }
 
 // WithWorkers shards the nodes across n goroutines (buffered engine only;
-// the atomic engine is inherently sequential and this legacy Config path
-// silently ignores it there). The canonical RunSpec path is stricter:
+// the atomic engine is inherently sequential and ignores it, and algorithms
+// with credited moves — the shuffle-exchange family — are refused with
+// n > 1 because their results would depend on it). The RunSpec path differs:
 // RunSpec.Validate rejects workers > 1 with the atomic engine instead of
 // ignoring them, so a spec never claims parallelism it does not have.
 func WithWorkers(n int) EngineOption {
@@ -75,11 +74,6 @@ func WithWatchdog(windowCycles int) EngineOption {
 	return func(c *Config) { c.DeadlockWindow = windowCycles }
 }
 
-// WithDeadlockWindow sets the watchdog's no-progress window.
-//
-// Deprecated: renamed WithWatchdog; this alias keeps working through v0.x.
-func WithDeadlockWindow(cycles int) EngineOption { return WithWatchdog(cycles) }
-
 // WithFaultPlan schedules deterministic link/node failures for the run and
 // enables degraded-mode routing: misrouting over surviving links (bounded by
 // hopBudget extra traversals beyond the minimal distance; <= 0 selects the
@@ -94,17 +88,6 @@ func WithFaultPlan(p *FaultPlan, hopBudget int) EngineOption {
 	}
 }
 
-// buildConfig folds the options over a zero Config for algo.
-func buildConfig(algo Algorithm, opts []EngineOption) Config {
-	cfg := Config{Algorithm: algo}
-	for _, o := range opts {
-		if o != nil {
-			o(&cfg)
-		}
-	}
-	return cfg
-}
-
 // NewSimulatorOpts builds either engine behind the engine-agnostic
 // Simulator API from functional options:
 //
@@ -116,27 +99,13 @@ func buildConfig(algo Algorithm, opts []EngineOption) Config {
 // kind is "buffered" or "atomic" (EngineNames). For runs describable as a
 // RunSpec, prefer RunSpec.Build — it validates, fingerprints and caches.
 func NewSimulatorOpts(kind string, algo Algorithm, opts ...EngineOption) (Simulator, error) {
-	return NewSimulator(kind, buildConfig(algo, opts))
-}
-
-// NewEngineOpts builds the buffered cycle-accurate engine from functional
-// options.
-//
-// Deprecated: use NewSimulatorOpts("buffered", algo, opts...) or
-// RunSpec.Build; like NewEngine, this concrete-engine constructor keeps
-// working through v0.x.
-func NewEngineOpts(algo Algorithm, opts ...EngineOption) (*Engine, error) {
-	return NewEngine(buildConfig(algo, opts))
-}
-
-// NewAtomicEngineOpts builds the abstract queue-to-queue engine from
-// functional options.
-//
-// Deprecated: use NewSimulatorOpts("atomic", algo, opts...) or
-// RunSpec.Build; like NewAtomicEngine, this concrete-engine constructor
-// keeps working through v0.x.
-func NewAtomicEngineOpts(algo Algorithm, opts ...EngineOption) (*AtomicEngine, error) {
-	return NewAtomicEngine(buildConfig(algo, opts))
+	cfg := Config{Algorithm: algo}
+	for _, o := range opts {
+		if o != nil {
+			o(&cfg)
+		}
+	}
+	return NewSimulator(kind, cfg)
 }
 
 // MultiObserver composes observers into one that fans every probe out to

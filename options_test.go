@@ -69,7 +69,7 @@ func TestNewPatternRejectsNonsense(t *testing.T) {
 	}
 }
 
-// TestEngineOptions checks that the functional-option constructors build
+// TestEngineOptions checks that the functional-option constructor builds
 // the same engines as the raw Config form.
 func TestEngineOptions(t *testing.T) {
 	algo, err := repro.NewAlgorithm("hypercube-adaptive:5")
@@ -82,7 +82,7 @@ func TestEngineOptions(t *testing.T) {
 	}
 
 	lat := repro.NewLatencyObserver()
-	eng, err := repro.NewEngineOpts(algo,
+	eng, err := repro.NewSimulatorOpts("buffered", algo,
 		repro.WithQueueCap(5),
 		repro.WithPolicy(repro.PolicyRandom),
 		repro.WithSeed(11),
@@ -104,26 +104,26 @@ func TestEngineOptions(t *testing.T) {
 	}
 
 	// Raw Config form must agree exactly.
-	ref, err := repro.NewEngine(repro.Config{
+	ref, err := repro.NewSimulator("buffered", repro.Config{
 		Algorithm: algo, QueueCap: 5, Policy: repro.PolicyRandom, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := ref.RunStatic(repro.NewStaticTraffic(pat, algo, 2, 7), 100000)
+	res2, err := ref.Run(context.Background(), repro.NewStaticTraffic(pat, algo, 2, 7), repro.StaticPlan(100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics != m2 {
-		t.Errorf("options engine metrics differ from Config engine:\n%+v\n%+v", res.Metrics, m2)
+	if res.Metrics != res2.Metrics {
+		t.Errorf("options engine metrics differ from Config engine:\n%+v\n%+v", res.Metrics, res2.Metrics)
 	}
 
 	// Atomic engine through options, with a composed observer.
 	smp := repro.NewSampler(50)
-	ae, err := repro.NewAtomicEngineOpts(algo,
+	ae, err := repro.NewSimulatorOpts("atomic", algo,
 		repro.WithSeed(11),
 		repro.WithObserver(repro.MultiObserver(nil, smp)),
-		repro.WithDeadlockWindow(500),
+		repro.WithWatchdog(500),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestWithMetricsNoObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := repro.NewEngineOpts(algo, repro.WithSeed(7), repro.WithMetrics())
+	eng, err := repro.NewSimulatorOpts("buffered", algo, repro.WithSeed(7), repro.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
