@@ -86,11 +86,10 @@ func NewGraphAdaptive(t topology.Topology, opts ...GraphOption) (*GraphAdaptive,
 			return nil, fmt.Errorf("core: graph-adaptive: %s has %d nodes, above the %d-node cap for distance compilation", t.Name(), a.n, topology.MaxGraphNodes)
 		}
 		a.nbr = topology.Flatten(t)
-		dist, diam, err := allPairsBFS(t.Name(), a.nbr, a.n, a.ports)
-		if err != nil {
-			return nil, err
+		var err error
+		if a.dist, a.diam, err = topology.AllPairsBFS(a.nbr, a.n, a.ports); err != nil {
+			return nil, fmt.Errorf("core: graph-adaptive: %s: %w", t.Name(), err)
 		}
-		a.dist, a.diam = dist, diam
 	}
 	if a.diam > 254 {
 		return nil, fmt.Errorf("core: graph-adaptive: %s has diameter %d, above the 254 hop-class limit", t.Name(), a.diam)
@@ -127,44 +126,6 @@ func GraphWithoutRouteTable() GraphOption {
 // tier for every size.
 func GraphRouteTableFullLimit(limit int) GraphOption {
 	return func(o *graphOptions) { o.fullLimit = limit }
-}
-
-// allPairsBFS computes the all-pairs distance table of a flat adjacency
-// snapshot by per-source BFS — the generic-topology replacement for the
-// O(n^2) interface-dispatched Distance rescan, with no interface call on
-// any path. It fails on any unreachable ordered pair.
-func allPairsBFS(name string, nbr []int32, n, ports int) (dist []int16, diam int, err error) {
-	dist = make([]int16, n*n)
-	queue := make([]int32, 0, n)
-	for s := 0; s < n; s++ {
-		row := dist[s*n : (s+1)*n]
-		for i := range row {
-			row[i] = -1
-		}
-		row[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
-			for p := 0; p < ports; p++ {
-				v := nbr[u*ports+p]
-				if v < 0 || int(v) == u || row[v] >= 0 {
-					continue
-				}
-				row[v] = row[u] + 1
-				queue = append(queue, v)
-			}
-		}
-		for v, d := range row {
-			if d < 0 {
-				return nil, 0, fmt.Errorf("core: graph-adaptive: %s is not strongly connected: no path %d -> %d", name, s, v)
-			}
-			if int(d) > diam {
-				diam = int(d)
-			}
-		}
-	}
-	return dist, diam, nil
 }
 
 // WithoutRouteTable returns a view of the algorithm that routes through

@@ -12,7 +12,8 @@ import (
 
 // seedGrid is the PR-8 generated-topology seed grid (the same instances
 // graph_e2e_test.go sweeps end-to-end), one constructor per generator
-// family per cell.
+// family per cell, plus two sizes that are not a multiple of the table's
+// 32-destination fill block (a full block and a partial one on each tier).
 func seedGrid(t *testing.T) map[string]*topology.Graph {
 	t.Helper()
 	grid := map[string]*topology.Graph{}
@@ -28,6 +29,10 @@ func seedGrid(t *testing.T) map[string]*topology.Graph {
 		g, err = topology.NewRandomRegular(32, 4, seed)
 		add(fmt.Sprintf("random-regular:n=32,k=4,seed=%d", seed), g, err)
 	}
+	g, err := topology.NewRandomRegular(33, 4, 1)
+	add("random-regular:n=33,k=4,seed=1", g, err)
+	g, err = topology.NewRandomRegular(100, 3, 1)
+	add("random-regular:n=100,k=3,seed=1", g, err)
 	df, err := topology.NewDragonfly(4, 9)
 	add("dragonfly:a=4,g=9", df, err)
 	hx, err := topology.NewHyperX(3, 3)
@@ -113,10 +118,13 @@ func TestRouteTableMatchesScanPath(t *testing.T) {
 	}
 }
 
-// TestRouteTableLazyRowsConcurrent: the lazy tier's first-touch row builds
-// must be race-free and agree with the full table under concurrent access
-// from many goroutines (the engines call PortMask from every worker). Run
-// with -race in CI.
+// TestRouteTableLazyRowsConcurrent: the lazy tier's first-touch block
+// builds must be race-free and agree with the full table under concurrent
+// access from many goroutines (the engines call PortMask from every
+// worker). All goroutines start inside the same 32-destination block, each
+// at a different destination, so several build that block at once; every
+// row any of them read through must be the one canonical published slice.
+// Run with -race in CI.
 func TestRouteTableLazyRowsConcurrent(t *testing.T) {
 	g, err := topology.NewRandomRegular(64, 4, 3)
 	if err != nil {
@@ -130,18 +138,23 @@ func TestRouteTableLazyRowsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers = 8
 	n := int32(g.Nodes())
 	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
+	start := make(chan struct{})
+	errs := make(chan string, workers)
+	sawRow := make([][]*[]uint32, workers)
+	for w := 0; w < workers; w++ {
+		sawRow[w] = make([]*[]uint32, n)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			var pmF, pmL core.PortMasks
-			for dst := int32(0); dst < n; dst++ {
-				// Stagger destination order per goroutine so different
-				// goroutines race on different first touches.
-				d := (dst + int32(w)*7) % n
+			<-start
+			for i := int32(0); i < n; i++ {
+				// Block by block, each goroutine entering a block 4
+				// destinations after the previous one.
+				d := i&^31 | (i+int32(w)*4)&31
 				for node := int32(0); node < n; node++ {
 					if node == d {
 						continue
@@ -149,20 +162,30 @@ func TestRouteTableLazyRowsConcurrent(t *testing.T) {
 					full.PortMask(node, 0, 0, d, &pmF)
 					lazy.PortMask(node, 0, 0, d, &pmL)
 					if pmF.StaticMask != pmL.StaticMask {
-						select {
-						case errs <- fmt.Sprintf("node %d dst %d: full %032b lazy %032b", node, d, pmF.StaticMask, pmL.StaticMask):
-						default:
-						}
+						errs <- fmt.Sprintf("node %d dst %d: full %032b lazy %032b", node, d, pmF.StaticMask, pmL.StaticMask)
 						return
 					}
 				}
+				sawRow[w][d] = lazy.LazyRow(d)
 			}
 		}(w)
 	}
+	close(start)
 	wg.Wait()
 	close(errs)
 	if msg, bad := <-errs; bad {
 		t.Fatal(msg)
+	}
+	for d := int32(0); d < n; d++ {
+		row := lazy.LazyRow(d)
+		if row == nil {
+			t.Fatalf("dst %d: no row published", d)
+		}
+		for w := range sawRow {
+			if sawRow[w][d] != row {
+				t.Fatalf("dst %d: goroutine %d saw row %p, canonical row is %p", d, w, sawRow[w][d], row)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -60,5 +61,37 @@ func BenchmarkGraphStep(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkGraphBuild measures what a generated-graph spec costs before its
+// first cycle: "generate" is topology.NewRandomRegular (pairing, validation
+// and the all-pairs BFS), "compile" is core.NewGraphAdaptive over the
+// generated graph (the route-table fill; at n=4096 the default tier is lazy,
+// so construction only allocates the row index). `go test -run '^$' -bench
+// GraphBuild ./internal/sim/` is the target to iterate on those kernels.
+func BenchmarkGraphBuild(b *testing.B) {
+	for _, n := range []int{512, 2048, 4096} {
+		b.Run(fmt.Sprintf("generate/n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := topology.NewRandomRegular(n, 3, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("compile/n=%d", n), func(b *testing.B) {
+			g, err := topology.NewRandomRegular(n, 3, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewGraphAdaptive(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/xrand"
 )
@@ -14,12 +15,23 @@ import (
 // property that lets a generated topology live inside a fingerprinted
 // RunSpec.
 
+// randomRegularAttempts is NewRandomRegular's retry budget. A uniform
+// pairing of n*k stubs is simple (no self-loop, no duplicate edge) with
+// probability about e^-(k^2-1)/4 — 14% at k=3, 2.4% at k=4, 0.25% at k=5,
+// 1.6e-4 at k=6 — and the whole pairing is rejected otherwise, so 1000
+// attempts fail about one k=4 seed in 10^10 and one k=5 seed in twelve;
+// beyond that a spec depends on a lucky seed. An attempt costs one
+// permutation of the stubs and no allocation, which is what keeps a
+// hopeless spec (the daemon generates on client input) cheap to refuse.
+const randomRegularAttempts = 1000
+
 // NewRandomRegular generates a connected random k-regular undirected graph
 // on n nodes (every link bidirectional) by the configuration model: n*k
 // stubs are shuffled with a seeded generator and paired off; pairings with
 // self-loops or duplicate edges, and graphs that come out disconnected, are
 // rejected and retried with a seed derived from the attempt number, so the
-// result is simple, connected, and deterministic in (n, k, seed).
+// result is simple, connected, and deterministic in (n, k, seed). See
+// randomRegularAttempts for which k the retry budget can serve.
 func NewRandomRegular(n, k int, seed int64) (*Graph, error) {
 	switch {
 	case n < 4 || n > MaxGraphNodes:
@@ -33,33 +45,39 @@ func NewRandomRegular(n, k int, seed int64) (*Graph, error) {
 	}
 	spec := fmt.Sprintf("random-regular:n=%d,k=%d,seed=%d", n, k, seed)
 	stubs := make([]int32, n*k)
-	for attempt := 0; attempt < 200; attempt++ {
+	flat := make([]int32, n*k) // node u's neighbors so far: flat[u*k : u*k+deg[u]]
+	deg := make([]int, n)
+	adj := make([][]int32, n)
+	for u := range adj {
+		adj[u] = flat[u*k : (u+1)*k]
+	}
+attempts:
+	for attempt := 0; attempt < randomRegularAttempts; attempt++ {
 		rng := xrand.New(seed, int32(attempt))
 		rng.Perm(stubs)
-		sets := make([]map[int32]bool, n)
-		for u := range sets {
-			sets[u] = make(map[int32]bool, k)
-		}
-		ok := true
-		for i := 0; i < len(stubs) && ok; i += 2 {
-			u, v := int32(int(stubs[i])/k), int32(int(stubs[i+1])/k)
-			if u == v || sets[u][v] {
-				ok = false // self-loop or duplicate edge: reject the pairing
-				break
+		clear(deg)
+		for i := 0; i < len(stubs); i += 2 {
+			u, v := int(stubs[i])/k, int(stubs[i+1])/k
+			if u == v || slices.Contains(flat[u*k:u*k+deg[u]], int32(v)) {
+				continue attempts // self-loop or duplicate edge: reject the pairing
 			}
-			sets[u][v] = true
-			sets[v][u] = true
+			flat[u*k+deg[u]], flat[v*k+deg[v]] = int32(v), int32(u)
+			deg[u]++
+			deg[v]++
 		}
-		if !ok {
-			continue
+		// Ports in ascending neighbor order, so the instance depends only on
+		// the pairing, never on the order its edges were drawn in.
+		for _, row := range adj {
+			slices.Sort(row)
 		}
-		g, err := NewGraph(spec, sortedAdj(sets))
+		g, err := NewGraph(spec, adj)
 		if err != nil {
 			continue // disconnected: retry with the next derived stream
 		}
 		return g, nil
 	}
-	return nil, fmt.Errorf("topology: random-regular: no simple connected pairing found for n=%d k=%d seed=%d", n, k, seed)
+	return nil, fmt.Errorf("topology: random-regular: no simple connected pairing in %d attempts for n=%d k=%d seed=%d (a pairing is simple with probability about e^-(k^2-1)/4, so larger k needs a lucky seed)",
+		randomRegularAttempts, n, k, seed)
 }
 
 // NewDragonfly generates the canonical two-level dragonfly of Kim et al.

@@ -2,7 +2,8 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // MaxGraphNodes caps the size of a generated irregular network. The Graph
@@ -66,7 +67,6 @@ func NewGraph(spec string, adj [][]int32) (*Graph, error) {
 		g.nbr[i] = None
 	}
 	for u, row := range adj {
-		seen := make(map[int32]bool, len(row))
 		for p, v := range row {
 			if v == None {
 				continue
@@ -77,10 +77,9 @@ func NewGraph(spec string, adj [][]int32) (*Graph, error) {
 			if int(v) == u {
 				return nil, fmt.Errorf("topology: graph %s: node %d has a self-loop", spec, u)
 			}
-			if seen[v] {
+			if slices.Contains(row[:p], v) {
 				return nil, fmt.Errorf("topology: graph %s: node %d has duplicate links to %d", spec, u, v)
 			}
-			seen[v] = true
 			g.nbr[u*ports+p] = v
 		}
 	}
@@ -93,47 +92,103 @@ func NewGraph(spec string, adj [][]int32) (*Graph, error) {
 			}
 		}
 	}
-	if err := g.computeDistances(); err != nil {
-		return nil, err
+	var err error
+	if g.dist, g.diam, err = AllPairsBFS(g.nbr, n, ports); err != nil {
+		return nil, fmt.Errorf("topology: graph %s: %w", spec, err)
 	}
 	return g, nil
 }
 
-// computeDistances fills the all-pairs BFS table and the diameter, failing
-// on any unreachable pair (the routing algorithms need a finite minimal
-// distance between every ordered pair).
-func (g *Graph) computeDistances() error {
-	g.dist = make([]int16, g.n*g.n)
-	queue := make([]int32, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		row := g.dist[s*g.n : (s+1)*g.n]
-		for i := range row {
-			row[i] = -1
+// AllPairsBFS computes the all-pairs hop-distance table of the digraph
+// given by a flat node-major adjacency (nbr[u*ports+p] is the endpoint of
+// port p of u, negative where unconnected; n at most MaxGraphNodes, so a
+// distance fits int16): dist[s*n+v] is the length of the shortest directed
+// path s -> v, diam the largest entry. It fails on the lowest (s, v) pair
+// with no path, as soon as the batch of 64 sources containing s is done —
+// the first batch for an undirected graph, so a caller that retries over
+// candidate graphs pays little for a disconnected one.
+//
+// The search is bit-parallel: 64 sources advance together, one uint64 per
+// node holding the sources whose frontier is on it, so an edge relaxation
+// is one OR for all 64 and a level is one pass over the frontier. The
+// frontier and the set of nodes reached this level are bitmaps walked in
+// ascending order, so a level costs its frontier, not n (a 4096-node ring
+// has 2048 levels of two nodes each), and the distance writes of one
+// source move forward through its row.
+func AllPairsBFS(nbr []int32, n, ports int) (dist []int16, diam int, err error) {
+	dist = make([]int16, n*n)
+	seen := make([]uint64, n) // sources that have reached v
+	cur := make([]uint64, n)  // sources that reached u at the previous level
+	next := make([]uint64, n) // sources arriving at v over this level's edges
+	words := (n + 63) / 64
+	front := make([]uint64, words)   // nodes with cur != 0
+	touched := make([]uint64, words) // nodes with next != 0
+	for s0 := 0; s0 < n; s0 += 64 {
+		w := min(64, n-s0)
+		all := ^uint64(0) >> uint(64-w)
+		clear(seen)
+		for i := 0; i < w; i++ {
+			seen[s0+i] = 1 << uint(i)
+			cur[s0+i] = 1 << uint(i)
 		}
-		row[s] = 0
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			u := int(queue[0])
-			queue = queue[1:]
-			for p := 0; p < g.ports; p++ {
-				v := g.nbr[u*g.ports+p]
-				if v == None || row[v] >= 0 {
-					continue
+		front[s0>>6] = all
+		for d := 1; ; d++ {
+			for wi, fw := range front {
+				front[wi] = 0
+				for ; fw != 0; fw &= fw - 1 {
+					u := wi<<6 | bits.TrailingZeros64(fw)
+					c := cur[u]
+					cur[u] = 0
+					for _, v := range nbr[u*ports : (u+1)*ports] {
+						if v >= 0 {
+							next[v] |= c
+							touched[v>>6] |= 1 << uint(v&63)
+						}
+					}
 				}
-				row[v] = row[u] + 1
-				queue = append(queue, v)
 			}
+			grew := false
+			for wi, tw := range touched {
+				touched[wi] = 0
+				nf := uint64(0)
+				for ; tw != 0; tw &= tw - 1 {
+					v := wi<<6 | bits.TrailingZeros64(tw)
+					fresh := next[v] &^ seen[v]
+					next[v] = 0
+					if fresh == 0 {
+						continue
+					}
+					seen[v] |= fresh
+					cur[v] = fresh
+					nf |= tw & -tw
+					for ; fresh != 0; fresh &= fresh - 1 {
+						dist[(s0+bits.TrailingZeros64(fresh))*n+v] = int16(d)
+					}
+				}
+				if nf != 0 {
+					front[wi] = nf
+					grew = true
+				}
+			}
+			if !grew {
+				break
+			}
+			diam = max(diam, d)
 		}
-		for v, d := range row {
-			if d < 0 {
-				return fmt.Errorf("topology: graph %s: not strongly connected: no path %d -> %d", g.spec, s, v)
-			}
-			if int(d) > g.diam {
-				g.diam = int(d)
+		missing := uint64(0)
+		for _, sv := range seen {
+			missing |= all &^ sv
+		}
+		if missing != 0 {
+			i := bits.TrailingZeros64(missing)
+			for v, sv := range seen {
+				if sv>>uint(i)&1 == 0 {
+					return nil, 0, fmt.Errorf("not strongly connected: no path %d -> %d", s0+i, v)
+				}
 			}
 		}
 	}
-	return nil
+	return dist, diam, nil
 }
 
 // Spec returns the canonical generator spec of the instance, e.g.
@@ -184,20 +239,3 @@ func (g *Graph) PortTo(u, v int) int {
 }
 
 func (g *Graph) Distance(a, b int) int { return int(g.dist[a*g.n+b]) }
-
-// sortedAdj canonicalizes an undirected adjacency-set representation into
-// per-node port lists ordered by ascending neighbor id, so a generated
-// instance depends only on its parameters, never on map iteration or on the
-// order edges were produced in.
-func sortedAdj(sets []map[int32]bool) [][]int32 {
-	adj := make([][]int32, len(sets))
-	for u, set := range sets {
-		row := make([]int32, 0, len(set))
-		for v := range set {
-			row = append(row, v)
-		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
-		adj[u] = row
-	}
-	return adj
-}

@@ -1,8 +1,15 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/xrand"
 )
 
 // mustGraph returns a helper that unwraps a generator result and runs the
@@ -32,8 +39,8 @@ func TestNewGraphValidation(t *testing.T) {
 		{"duplicate", [][]int32{{1, 1}, {0}}, "duplicate"},
 		{"out of range", [][]int32{{5}, {0}}, "out-of-range"},
 		{"no out-links", [][]int32{{}, {}}, "no out-links"},
-		{"disconnected", [][]int32{{1}, {0}, {3}, {2}}, "not strongly connected"},
-		{"one-way sink", [][]int32{{1}, {2}, {None, None}}, "not strongly connected"},
+		{"disconnected", [][]int32{{1}, {0}, {3}, {2}}, "not strongly connected: no path 0 -> 2"},
+		{"one-way sink", [][]int32{{1}, {2}, {None, None}}, "not strongly connected: no path 1 -> 0"},
 	}
 	for _, c := range cases {
 		if _, err := NewGraph("test", c.adj); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -206,5 +213,138 @@ func TestGraphDistanceMatchesBFS(t *testing.T) {
 				t.Fatalf("Distance(%d,%d) = %d, BFS says %d", a, b, got, want)
 			}
 		}
+	}
+}
+
+// TestAllPairsBFSMatchesScalar checks the bit-parallel kernel against the
+// scalar per-pair BFS on seeded random directed graphs with None-padded
+// ports: distances are asymmetric, and the sizes put the last batch of 64
+// sources at 2, 63, 64, 1 and 2 wide.
+func TestAllPairsBFSMatchesScalar(t *testing.T) {
+	for _, n := range []int{2, 63, 64, 65, 130} {
+		rng := xrand.New(int64(n), 0)
+		// A directed Hamiltonian cycle through a random node order keeps the
+		// digraph strongly connected; up to three random extra out-links per
+		// node (duplicates and self-loops left as None) shorten some paths.
+		order := make([]int32, n)
+		rng.Perm(order)
+		adj := make([][]int32, n)
+		for i, u := range order {
+			row := []int32{order[(i+1)%n], None, None, None}
+			for p := 1; p < len(row); p++ {
+				v := int32(rng.Intn(n))
+				if v != u && rng.Coin(0.6) && !slices.Contains(row, v) {
+					row[p] = v
+				}
+			}
+			adj[u] = row
+		}
+		g := mustGraph(t)(NewGraph(fmt.Sprintf("random-digraph-%d", n), adj))
+		diam := 0
+		for a := 0; a < n; a++ {
+			for b := 0; b < n; b++ {
+				want := BFSDistance(g, a, b)
+				if got := g.Distance(a, b); got != want {
+					t.Fatalf("n=%d: Distance(%d,%d) = %d, scalar BFS says %d", n, a, b, got, want)
+				}
+				if want > diam {
+					diam = want
+				}
+			}
+		}
+		if g.Diameter() != diam {
+			t.Errorf("n=%d: Diameter() = %d, largest scalar distance is %d", n, g.Diameter(), diam)
+		}
+	}
+}
+
+// TestAllPairsBFSLateBatchFailure: when every source of the first two
+// batches reaches every node, the third batch must still find the pair.
+func TestAllPairsBFSLateBatchFailure(t *testing.T) {
+	// Nodes 0..137 form a directed ring, node 0 also feeds the two-node
+	// trap 138 <-> 139, so 138 is the lowest source with an unreachable
+	// destination and 0 the lowest such destination.
+	const ring = 138
+	adj := make([][]int32, ring+2)
+	for u := 0; u < ring; u++ {
+		adj[u] = []int32{int32((u + 1) % ring), None}
+	}
+	adj[0][1] = ring
+	adj[ring] = []int32{ring + 1}
+	adj[ring+1] = []int32{ring}
+	_, err := NewGraph("late-trap", adj)
+	if want := "no path 138 -> 0"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("got error %v, want substring %q", err, want)
+	}
+}
+
+// adjHash is a digest of a graph's port-ordered adjacency.
+func adjHash(g *Graph) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, v := range g.FlatNeighbors() {
+		binary.LittleEndian.PutUint32(b[:], uint32(v))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestRandomRegularPinnedGraphs: attempt i draws from xrand.New(seed, i),
+// so every seed that produced a graph before the generator went map-free
+// must still produce the same one. Hashes recorded at the commit before.
+func TestRandomRegularPinnedGraphs(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		seed int64
+		hash string
+		diam int
+	}{
+		{64, 4, 7, "67960a90730d638c", 6},
+		{128, 3, 42, "f10d2ff1c02d0236", 10},
+		{1024, 3, 1, "4cd47592a66566cb", 13},
+		{2048, 3, 5, "eb45ecb995f90878", 14},
+	} {
+		g := mustGraph(t)(NewRandomRegular(c.n, c.k, c.seed))
+		if got := adjHash(g); got != c.hash || g.Diameter() != c.diam {
+			t.Errorf("random-regular n=%d k=%d seed=%d: adjacency %s diameter %d, pinned %s diameter %d",
+				c.n, c.k, c.seed, got, g.Diameter(), c.hash, c.diam)
+		}
+	}
+}
+
+// TestRandomRegularRetryBudget: degree 4 must not refuse ordinary seeds
+// (200 attempts refused 4 of these 300), and degree 5 must mostly succeed
+// (it refused 201 of 300).
+func TestRandomRegularRetryBudget(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		if _, err := NewRandomRegular(64, 4, seed); err != nil {
+			t.Errorf("k=4: %v", err)
+		}
+	}
+	fail5 := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		if _, err := NewRandomRegular(64, 5, seed); err != nil {
+			fail5++
+		}
+	}
+	if fail5 > 15 { // expected 60/12 = 5
+		t.Errorf("k=5: %d of 60 seeds refused, expected about 5", fail5)
+	}
+}
+
+// TestRandomRegularHopelessSpecIsCheap: the daemon generates on client
+// input, so a spec no seed can satisfy must be refused quickly — the
+// attempts allocate nothing, and the error says why larger k fails. The
+// refusal took 135 ms with 200 map-based attempts and is about as long
+// with 1000 map-free ones; the ceiling is generous for slow CI hosts.
+func TestRandomRegularHopelessSpecIsCheap(t *testing.T) {
+	start := time.Now()
+	_, err := NewRandomRegular(MaxGraphNodes, 8, 1)
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "e^-(k^2-1)/4") {
+		t.Fatalf("got error %v, want a refusal that names the success probability", err)
+	}
+	if took > 3*time.Second {
+		t.Errorf("refusing n=%d k=8 took %v, want well under 3s", MaxGraphNodes, took)
 	}
 }
