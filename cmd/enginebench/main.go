@@ -26,6 +26,13 @@
 //
 //	go run ./cmd/enginebench -scaling -label my-change -workers 1,2,4
 //	go run ./cmd/enginebench -scaling -phaseprof -rebalance 64 -label rb
+//
+// -pattern picks the destination pattern in either mode; with -phaseprof the
+// scaling table also prints nanoseconds per node-cycle by phase and moves per
+// node-cycle, the "where a saturated cycle goes" table of EXPERIMENTS.md:
+//
+//	go run ./cmd/enginebench -scaling -phaseprof -workers 1 -dims 10,11 \
+//	    -pattern complement -scaling-out ""
 package main
 
 import (
@@ -48,6 +55,7 @@ func main() {
 		notable   = flag.Bool("notable", false, "disable the compiled next-hop route tables (same-binary scan-path baseline for graph-adaptive cells)")
 		nobatch   = flag.Bool("nobatch", false, "disable the batched injection fast path (same-binary baseline for before/after runs)")
 		tmodel    = flag.String("traffic", "", "injection model(s) to time, comma-separated: bernoulli|mmpp|trace|perm (default bernoulli)")
+		pattern   = flag.String("pattern", "random", "destination pattern (a spec.Pattern name): random|complement|transpose|leveled|...")
 		workers   = flag.String("workers", "", "comma-separated worker counts (default \"1,<NumCPU>\")")
 		warmup    = flag.Int64("warmup", 100, "warmup cycles per cell")
 		measure   = flag.Int64("measure", 400, "measured cycles per cell")
@@ -71,7 +79,7 @@ func main() {
 		os.Exit(runCompare(flag.Args(), *tolerance, *useLabel))
 	}
 	if *scaling {
-		runScaling(*label, *scalingOut, *algo, *engine, *dims, *workers,
+		runScaling(*label, *scalingOut, *algo, *pattern, *engine, *dims, *workers,
 			*warmup, *measure, *repeat, *seed, *phaseprof, *rebalance, *note)
 		return
 	}
@@ -93,6 +101,7 @@ func main() {
 				NoTable: *notable,
 				NoBatch: *nobatch,
 				Traffic: strings.TrimSpace(tm),
+				Pattern: *pattern,
 			}
 			r, err := bench.RunEngineBench(*label, cfg)
 			fatal(err)
@@ -126,7 +135,7 @@ func main() {
 
 // runScaling records one scaling curve per algo listed in algos (each engine
 // sweep shares the worker ladder) and appends it to the scaling artifact.
-func runScaling(label, out, algos, engine, dims, workers string,
+func runScaling(label, out, algos, pattern, engine, dims, workers string,
 	warmup, measure int64, repeat int, seed int64, phaseprof bool, rebalance int, note string) {
 	sizes := parseInts(dims)
 	for _, a := range strings.Split(algos, ",") {
@@ -141,6 +150,7 @@ func runScaling(label, out, algos, engine, dims, workers string,
 			cfg := bench.ScalingConfig{
 				Engine:         engine,
 				Algo:           a,
+				Pattern:        pattern,
 				Dims:           d,
 				Workers:        parseInts(workers),
 				Warmup:         warmup,

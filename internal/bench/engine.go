@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/xrand"
@@ -58,11 +59,17 @@ type EngineBenchConfig struct {
 	// its replay), or "perm" (bernoulli attempts over a fixed seeded
 	// random permutation — the adversarial-search workload shape).
 	Traffic string
+	// Pattern is the spec.Pattern destination pattern the sources draw from:
+	// "random" (default), "complement", "transpose", "leveled", ...
+	Pattern string
 }
 
 func (c *EngineBenchConfig) fill() {
 	if c.Algo == "" {
 		c.Algo = "hypercube"
+	}
+	if c.Pattern == "" {
+		c.Pattern = "random"
 	}
 	if len(c.Dims) == 0 {
 		switch c.Algo {
@@ -144,7 +151,10 @@ type EngineBenchResult struct {
 	// Traffic is the injection model the cell timed; empty in runs recorded
 	// before the benchmark covered non-Bernoulli models (implying
 	// "bernoulli").
-	Traffic      string  `json:"traffic,omitempty"`
+	Traffic string `json:"traffic,omitempty"`
+	// Pattern is the destination pattern the cell timed; empty means
+	// "random" (every run recorded before the benchmark took a pattern).
+	Pattern      string  `json:"pattern,omitempty"`
 	Dims         int     `json:"dims"`
 	Nodes        int     `json:"nodes"`
 	Workers      int     `json:"workers"`
@@ -305,7 +315,7 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 	defer cleanup()
 	best := EngineBenchResult{
 		Engine: cfg.Engine, Algo: cfg.Algo, NoMask: cfg.NoMask, NoTable: cfg.NoTable,
-		NoBatch: cfg.NoBatch, Traffic: cfg.Traffic,
+		NoBatch: cfg.NoBatch, Traffic: cfg.Traffic, Pattern: recordedPattern(cfg.Pattern),
 		Dims: dims, Nodes: nodes, Workers: workers,
 	}
 	for _, withObs := range []bool{false, true} {
@@ -355,8 +365,11 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 // region: a bernoulli run of the same shape is recorded to a temporary
 // JSONL, and every repetition times a replay of that file.
 func benchSource(cfg EngineBenchConfig, algo core.Algorithm, nodes int, lambda float64, workers int) (func() (sim.TrafficSource, error), func(), error) {
-	pat := traffic.Pattern(traffic.Random{Nodes: nodes})
 	nop := func() {}
+	pat, err := spec.Pattern(cfg.Pattern, algo, cfg.Seed)
+	if err != nil {
+		return nil, nop, err
+	}
 	switch cfg.Traffic {
 	case "", "bernoulli":
 		return func() (sim.TrafficSource, error) {
@@ -484,8 +497,17 @@ func trafficOf(r *EngineBenchResult) string {
 	return r.Traffic
 }
 
+// recordedPattern is the artifact form of a destination pattern: "random",
+// the only pattern older records could have timed, is left out.
+func recordedPattern(p string) string {
+	if p == "random" {
+		return ""
+	}
+	return p
+}
+
 // matchCell returns the cell of run with the same (engine, algo, traffic,
-// dims, workers) coordinates as r, or nil. NoMask, NoTable and NoBatch are
+// pattern, dims, workers) coordinates as r, or nil. NoMask, NoTable and NoBatch are
 // deliberately not part of the key: a fast-path run compared against a
 // -nomask, -notable or -nobatch baseline run is exactly the before/after
 // measurement those flags exist for.
@@ -493,7 +515,7 @@ func matchCell(run *EngineBenchRun, r *EngineBenchResult) *EngineBenchResult {
 	for i := range run.Results {
 		b := &run.Results[i]
 		if engineOf(b) == engineOf(r) && algoOf(b) == algoOf(r) && trafficOf(b) == trafficOf(r) &&
-			b.Dims == r.Dims && b.Workers == r.Workers {
+			b.Pattern == r.Pattern && b.Dims == r.Dims && b.Workers == r.Workers {
 			return b
 		}
 	}

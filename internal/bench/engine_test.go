@@ -103,6 +103,44 @@ func TestEngineBenchTrafficCells(t *testing.T) {
 	}
 }
 
+// TestBenchPattern checks that both modes draw destinations from the named
+// spec.Pattern: a permutation delivers differently from random traffic, the
+// record names it (and leaves "random" out, as older records do), the phase
+// table carries its moves column, and an unknown name is an error.
+func TestBenchPattern(t *testing.T) {
+	delivered := map[string]int64{}
+	for _, pat := range []string{"", "complement"} {
+		run, err := RunEngineBench("t", EngineBenchConfig{
+			Dims: []int{4}, Workers: []int{1}, Warmup: 10, Measure: 40, Repeat: 1, Pattern: pat,
+		})
+		if err != nil {
+			t.Fatalf("pattern=%q: %v", pat, err)
+		}
+		if got := run.Results[0].Pattern; got != pat {
+			t.Errorf("pattern=%q recorded as %q", pat, got)
+		}
+		delivered[pat] = run.Results[0].Delivered
+	}
+	if delivered[""] == delivered["complement"] {
+		t.Errorf("random and complement delivered the same %d packets: the pattern is not reaching the source", delivered[""])
+	}
+	cfg := ScalingConfig{Dims: 4, Workers: []int{1}, Warmup: 10, Measure: 40, Repeat: 1, PhaseProf: true, Pattern: "transpose"}
+	run, err := RunScaling("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ph := run.Points[0].Phases; run.Pattern != "transpose" || ph == nil || ph.Moves == 0 {
+		t.Errorf("scaling run pattern %q, phases %+v", run.Pattern, ph)
+	}
+	if out := FormatScaling(run); !strings.Contains(out, "pattern=transpose") || !strings.Contains(out, "moves/node-cycle") {
+		t.Errorf("scaling table misses the pattern or the per-node-cycle columns:\n%s", out)
+	}
+	cfg.Pattern = "no-such-pattern"
+	if _, err := RunScaling("t", cfg); err == nil {
+		t.Error("unknown pattern accepted")
+	}
+}
+
 // TestRunAdversary smoke-runs the permutation search on a tiny hypercube and
 // checks determinism and the shape of the result.
 func TestRunAdversary(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/traffic"
 )
 
@@ -38,6 +39,7 @@ type ScalingConfig struct {
 	Engine  string // "buffered" (default) or "atomic"
 	Algo    string // benchAlgorithm selector (default "hypercube")
 	Dims    int    // per-algo size (default: largest of the engine-bench defaults)
+	Pattern string // spec.Pattern destination pattern (default "random")
 	Workers []int  // worker counts (default 1, 2, 4, ... doubling, plus GOMAXPROCS)
 	Warmup  int64  // warmup cycles per run (default 100)
 	Measure int64  // measured cycles per run (default 400)
@@ -70,6 +72,9 @@ func (c *ScalingConfig) fill() {
 	}
 	if c.Algo == "" {
 		c.Algo = "hypercube"
+	}
+	if c.Pattern == "" {
+		c.Pattern = "random"
 	}
 	if c.Dims == 0 {
 		switch c.Algo {
@@ -124,6 +129,9 @@ type PhaseBreakdown struct {
 	MergeNs  int64 `json:"merge_ns"`
 	OtherNs  int64 `json:"other_ns"`
 	Cycles   int64 `json:"cycles"`
+	// Moves is the profiled run's packet-move count, so the phase times read
+	// as a cost per move as well as per node-cycle.
+	Moves int64 `json:"moves,omitempty"`
 }
 
 // ScalingPoint is one worker count's measurement on the curve.
@@ -153,6 +161,7 @@ type ScalingRun struct {
 	Kind           string         `json:"kind"`
 	Engine         string         `json:"engine"`
 	Algo           string         `json:"algo,omitempty"`
+	Pattern        string         `json:"pattern,omitempty"` // empty = random
 	Dims           int            `json:"dims,omitempty"`
 	Nodes          int            `json:"nodes,omitempty"`
 	Suite          string         `json:"suite,omitempty"` // sweep records
@@ -230,8 +239,12 @@ func RunScaling(label string, cfg ScalingConfig) (ScalingRun, error) {
 	}
 	nodes := algo.Topology().Nodes()
 	lambda := benchLambda(cfg.Algo)
+	pat, err := spec.Pattern(cfg.Pattern, algo, cfg.Seed)
+	if err != nil {
+		return ScalingRun{}, err
+	}
 	run := ScalingRun{
-		Label: label, Kind: "engine",
+		Label: label, Kind: "engine", Pattern: recordedPattern(cfg.Pattern),
 		Engine: cfg.Engine, Algo: cfg.Algo, Dims: cfg.Dims, Nodes: nodes,
 		RebalanceEvery: cfg.RebalanceEvery,
 		Warmup:         cfg.Warmup, Measure: cfg.Measure, Seed: cfg.Seed,
@@ -249,7 +262,7 @@ func RunScaling(label string, cfg ScalingConfig) (ScalingRun, error) {
 			if err != nil {
 				return run, err
 			}
-			src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, lambda, cfg.Seed+2)
+			src := traffic.NewBernoulliSource(pat, nodes, lambda, cfg.Seed+2)
 			start := time.Now()
 			res, err := eng.Run(nil, src, sim.DynamicPlan(cfg.Warmup, cfg.Measure))
 			if err != nil {
@@ -276,15 +289,16 @@ func RunScaling(label string, cfg ScalingConfig) (ScalingRun, error) {
 			if err != nil {
 				return run, err
 			}
-			src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, lambda, cfg.Seed+2)
-			if _, err := eng.Run(nil, src, sim.DynamicPlan(cfg.Warmup, cfg.Measure)); err != nil {
+			src := traffic.NewBernoulliSource(pat, nodes, lambda, cfg.Seed+2)
+			res, err := eng.Run(nil, src, sim.DynamicPlan(cfg.Warmup, cfg.Measure))
+			if err != nil {
 				return run, fmt.Errorf("bench: scaling phaseprof workers=%d: %w", workers, err)
 			}
 			t := eng.PhaseTimes()
 			pt.Phases = &PhaseBreakdown{
 				InjectNs: t.InjectNs, PhaseANs: t.PhaseANs, PhaseBNs: t.PhaseBNs,
 				LinkNs: t.LinkNs, MergeNs: t.MergeNs, OtherNs: t.OtherNs,
-				Cycles: t.Cycles,
+				Cycles: t.Cycles, Moves: res.Metrics.Moves,
 			}
 		}
 		run.Points = append(run.Points, pt)
@@ -314,7 +328,7 @@ func LoadScaling(path string) (ScalingFile, error) {
 // (so re-measuring replaces the record instead of duplicating it).
 func sameCurve(a, b *ScalingRun) bool {
 	return a.Label == b.Label && a.Kind == b.Kind && a.Engine == b.Engine &&
-		a.Algo == b.Algo && a.Dims == b.Dims && a.Suite == b.Suite &&
+		a.Algo == b.Algo && a.Pattern == b.Pattern && a.Dims == b.Dims && a.Suite == b.Suite &&
 		a.RebalanceEvery == b.RebalanceEvery
 }
 
@@ -345,11 +359,15 @@ func AppendScaling(path string, run ScalingRun) error {
 }
 
 // FormatScaling renders one curve as an aligned table, with the phase
-// breakdown (as percentages of the profiled run's total) when recorded.
+// breakdown when recorded: percentages of the profiled run's total, then
+// nanoseconds per node-cycle by phase and packet moves per node-cycle.
 func FormatScaling(run ScalingRun) string {
 	s := fmt.Sprintf("scaling %q kind=%s engine=%s", run.Label, run.Kind, run.Engine)
 	if run.Kind == "engine" {
 		s += fmt.Sprintf(" algo=%s dims=%d nodes=%d", run.Algo, run.Dims, run.Nodes)
+		if run.Pattern != "" {
+			s += " pattern=" + run.Pattern
+		}
 	} else {
 		s += fmt.Sprintf(" suite=%s maxn=%d", run.Suite, run.MaxN)
 	}
@@ -365,7 +383,7 @@ func FormatScaling(run ScalingRun) string {
 		}
 	}
 	if hasPhases {
-		s += " | inject% a% b% link% merge% other%"
+		s += " | inject% a% b% link% merge% other% | ns/node-cycle: inject a b link  moves/node-cycle"
 	}
 	s += "\n"
 	for i := range run.Points {
@@ -382,6 +400,10 @@ func FormatScaling(run ScalingRun) string {
 				s += fmt.Sprintf(" | %6.1f %4.1f %4.1f %5.1f %6.1f %6.1f",
 					pc(ph.InjectNs), pc(ph.PhaseANs), pc(ph.PhaseBNs),
 					pc(ph.LinkNs), pc(ph.MergeNs), pc(ph.OtherNs))
+			}
+			if nc := float64(ph.Cycles) * float64(run.Nodes); nc > 0 {
+				s += fmt.Sprintf(" | %20.1f %5.1f %5.1f %5.1f  %8.2f", float64(ph.InjectNs)/nc,
+					float64(ph.PhaseANs)/nc, float64(ph.PhaseBNs)/nc, float64(ph.LinkNs)/nc, float64(ph.Moves)/nc)
 			}
 		}
 		s += "\n"

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -41,6 +42,16 @@ import (
 //   - per-node and per-link occupancy counters (qTotal, inCount, outCount,
 //     outLink) let every phase exit its scans as soon as the remaining work
 //     is known to be zero;
+//   - a blocked buffer costs the link phase nothing: dnFull mirrors, at the
+//     sender, the flag of each output slot's far-end input buffer, so "which
+//     buffers can move" is outMask AND-NOT the packed mirror and no remote
+//     flag is read. The mirror is bytes, not bits, so each flag has one
+//     writer at a time — the sender sets it when its transfer lands (link
+//     phase), the receiver clears it through inSrc when it drains the buffer
+//     (inject/(a)/(b)) — with a pool barrier between the two: no atomics;
+//   - flag scans (packFlags, nextFull) read eight flags per 64-bit load and
+//     never load past the scanned node's own flags, because the neighboring
+//     bytes belong to a node another worker may be writing;
 //   - a live-node bitmap (liveBits) — the active worklist — is maintained
 //     incrementally at inject/push/drain/link time, so the phases iterate
 //     only nodes that currently hold a packet and the drain tail of a
@@ -83,6 +94,7 @@ type Engine struct {
 	outPkt  []core.Packet
 	outFull []uint8
 	outLink []uint8 // per directed link: number of occupied output buffers
+	dnFull  []uint8 // downstream-full mirror: 1 while the slot's far-end input buffer is occupied
 
 	// Input buffers, indexed by *receiver*: node v's buffers occupy
 	// inPkt[inBase[v] : inBase[v]+inDeg[v]], ordered by (sending node,
@@ -93,6 +105,7 @@ type Engine struct {
 	inFull  []uint8
 	inBase  []int32
 	inDeg   []int32
+	inSrc   []int32  // per input link (input slot / bufClasses): the sender's first output slot
 	linkDst []int32  // per directed link: first input-buffer index at the far end
 	linkRR  []uint32 // per directed link: next buffer class to favor (< bufClasses)
 
@@ -203,31 +216,39 @@ func NewEngine(cfg Config) (*Engine, error) {
 	nLinks := e.nodes * e.ports
 	e.outPkt = make([]core.Packet, nLinks*e.bufClasses)
 	e.outFull = make([]uint8, nLinks*e.bufClasses)
+	e.dnFull = make([]uint8, nLinks*e.bufClasses)
 	e.outLink = make([]uint8, nLinks)
 	e.linkDst = make([]int32, nLinks)
 	e.inBase = make([]int32, e.nodes)
 	e.inDeg = make([]int32, e.nodes)
-	// Two passes: size each receiver's contiguous input-buffer range, then
-	// hand out slot indices in (sender, port, class) ascending order — the
-	// same deterministic drain order as a per-link slot list would give.
+	// Two passes: count each receiver's input links, then hand out its
+	// contiguous input-buffer range in (sender, port, class) ascending order
+	// — the same deterministic drain order as a per-link slot list would
+	// give. next[v] is the global index of v's next unassigned input link.
 	for _, v := range e.nbr {
 		if v >= 0 {
-			e.inDeg[v] += int32(e.bufClasses)
+			e.inDeg[v]++
 		}
 	}
-	nIn := int32(0)
-	for v := 0; v < e.nodes; v++ {
-		e.inBase[v] = nIn
-		nIn += e.inDeg[v]
-	}
+	bc := int32(e.bufClasses)
 	next := make([]int32, e.nodes)
+	nInLinks := int32(0)
+	for v := range next {
+		next[v] = nInLinks
+		e.inBase[v] = nInLinks * bc
+		nInLinks += e.inDeg[v]
+		e.inDeg[v] *= bc
+	}
+	e.inSrc = make([]int32, nInLinks)
 	for l, v := range e.nbr {
 		e.linkDst[l] = -1
 		if v >= 0 {
-			e.linkDst[l] = e.inBase[v] + next[v]
-			next[v] += int32(e.bufClasses)
+			e.linkDst[l] = next[v] * bc
+			e.inSrc[next[v]] = int32(l) * bc
+			next[v]++
 		}
 	}
+	nIn := nInLinks * bc
 	e.inPkt = make([]core.Packet, nIn)
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
@@ -282,6 +303,7 @@ func (e *Engine) begin() func(cycle int64) {
 	clear(e.qwait)
 	clear(e.outMask)
 	clear(e.outFull)
+	clear(e.dnFull)
 	clear(e.inFull)
 	clear(e.outLink)
 	clear(e.linkRR)
@@ -306,7 +328,7 @@ func (e *Engine) begin() func(cycle int64) {
 		// snapshot, no credited probes), so one worker can run them
 		// back-to-back: the cycle pays two barriers instead of four. The
 		// link phase still needs its own barrier — it writes remote input
-		// buffers and reads remote inFull flags. PhaseProf forces the split
+		// buffers and their inFull flags. PhaseProf forces the split
 		// pipeline so each phase is individually timed.
 		fused = func(w int) {
 			e.workerInject(w)
@@ -1059,26 +1081,30 @@ func (e *Engine) workerPhaseB(w int) {
 	cycle, win := e.rs.m.Cycles, e.rs.win
 	base := lo >> 6
 	for wi, word := range e.liveBits[base : (hi+63)>>6] {
+		inj := e.injFull[base+wi]
 		for ; word != 0; word &= word - 1 {
-			u := int32((base+wi)*64 + bits.TrailingZeros64(word))
-			if e.inCount[u] != 0 || e.injQ[u].full {
-				e.nodePhaseB(u, cycle, win, st, sc)
+			b := bits.TrailingZeros64(word)
+			u := int32((base+wi)*64 + b)
+			if full := inj>>uint(b)&1 != 0; full || e.inCount[u] != 0 {
+				e.nodePhaseB(u, full, cycle, win, st, sc)
 			}
 		}
 	}
 }
 
-// nodePhaseB drains u's input buffers and injection queue into the central
-// queues under a rotating fair order, consuming packets that reached their
-// destination directly from the buffer. The occupancy counters bound the
-// scan: it stops as soon as every occupied buffer has been considered.
-func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats, sc *workerScratch) {
+// nodePhaseB drains u's input buffers and injection queue (inj: it holds a
+// packet) into the central queues under a rotating fair order, consuming
+// packets that reached their destination directly from the buffer. nextDrain
+// finds the occupied slots eight flags at a time, and the occupancy counters
+// end the scan as soon as every occupied buffer has been considered.
+func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *cycleStats, sc *workerScratch) {
 	deg := int(e.inDeg[u])
 	base := e.inBase[u]
+	flags := e.inFull[base : base+int32(deg)]
 	ct := e.cfg.CutThrough
 	total := deg + 1 // +1 for the injection queue
 	left := int(e.inCount[u])
-	if e.injQ[u].full {
+	if inj {
 		left++
 	}
 	// The rotation advances once per cycle whether or not the node is
@@ -1090,7 +1116,11 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 		sc.rotStart = int(cycle % int64(total))
 	}
 	start := sc.rotStart
-	for i := 0; i < total && left > 0; i++ {
+	for i := 0; left > 0; i++ {
+		if i = nextDrain(flags, inj, start, i); i >= total {
+			break
+		}
+		left--
 		s := start + i
 		if s >= total {
 			s -= total
@@ -1102,10 +1132,6 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 			// not to latency, matching Section 7's bounded L_max under
 			// saturation.
 			sl := &e.injQ[u]
-			if !sl.full {
-				continue
-			}
-			left--
 			qi := e.queueIndex(u, sl.pkt.Class)
 			if e.effectiveFree(qi) >= int32(sl.pkt.MinFree) {
 				sl.pkt.InjectedAt = cycle
@@ -1119,10 +1145,6 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 			continue
 		}
 		si := base + int32(s)
-		if e.inFull[si] == 0 {
-			continue
-		}
-		left--
 		pkt := &e.inPkt[si]
 		if ct && pkt.Dst != u && pkt.MinFree != 0 && e.cutThrough(u, si, pkt, st, sc) {
 			continue
@@ -1134,8 +1156,7 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 				atomic.AddInt32(&e.inbound[e.queueIndex(u, pkt.Class)], -1)
 			}
 			e.deliver(*pkt, cycle, win, st)
-			e.inFull[si] = 0
-			e.inCount[u]--
+			e.inFree(u, si)
 			continue
 		}
 		qi := e.queueIndex(u, pkt.Class)
@@ -1148,8 +1169,7 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 				st.maxQueue = l
 			}
 			atomic.AddInt32(&e.inbound[qi], -1)
-			e.inFull[si] = 0
-			e.inCount[u]--
+			e.inFree(u, si)
 			st.moves++
 			continue
 		}
@@ -1157,11 +1177,61 @@ func (e *Engine) nodePhaseB(u int32, cycle int64, win runWindow, st *cycleStats,
 			if l := e.qPush(u, qi, pkt); l > st.maxQueue {
 				st.maxQueue = l
 			}
-			e.inFull[si] = 0
-			e.inCount[u]--
+			e.inFree(u, si)
 			st.moves++
 		}
 	}
+}
+
+// inFree marks u's input buffer si empty, at the receiver and in the
+// sender's downstream-full mirror.
+func (e *Engine) inFree(u, si int32) {
+	e.inFull[si] = 0
+	j := si / int32(e.bufClasses)
+	e.dnFull[e.inSrc[j]+si-j*int32(e.bufClasses)] = 0
+	e.inCount[u]--
+}
+
+// nextFull returns the first index >= i of a set flag in f, or len(f). It
+// loads eight flags at a time and never reads outside f — the caller passes
+// one node's flags, and a neighbor's may be mid-write on another worker — so
+// a tail shorter than a word is read through the last eight bytes of f.
+func nextFull(f []uint8, i int) int {
+	n := len(f)
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(f[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	if i < n && n >= 8 {
+		if x := binary.LittleEndian.Uint64(f[n-8:]) >> (uint(i+8-n) * 8); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+		return n
+	}
+	for ; i < n && f[i] == 0; i++ {
+	}
+	return i
+}
+
+// nextDrain returns the first position >= i of the phase (b) scan order that
+// holds a packet, or len(flags)+1. Position i is slot (start+i) mod
+// (len(flags)+1): in-buffers [start, deg), the injection queue, [0, start).
+func nextDrain(flags []uint8, inj bool, start, i int) int {
+	k := len(flags) - start // position of the injection queue
+	if i < k {
+		if s := nextFull(flags, start+i); s < len(flags) {
+			return s - start
+		}
+		i = k
+	}
+	if i == k {
+		if inj {
+			return k
+		}
+		i++
+	}
+	return nextFull(flags[:start], i-k-1) + k + 1
 }
 
 // cutThrough attempts to forward an input-buffer packet straight to a free
@@ -1203,8 +1273,7 @@ func (e *Engine) cutThrough(u int32, si int32, src *core.Packet, st *cycleStats,
 		}
 		e.outLink[link]++
 		e.outCount[u]++
-		e.inFull[si] = 0
-		e.inCount[u]--
+		e.inFree(u, si)
 		st.moves++
 		if mv.Kind == core.Dynamic {
 			st.dynamicMoves++
@@ -1227,13 +1296,15 @@ func (e *Engine) workerLink(w int) {
 	st := &e.statsBuf[w]
 	base := lo >> 6
 	for wi := base; wi < (hi+63)>>6; wi++ {
+		inj := e.injFull[wi]
 		for word := e.liveBits[wi]; word != 0; word &= word - 1 {
-			u := int32(wi*64 + bits.TrailingZeros64(word))
+			b := uint(bits.TrailingZeros64(word))
+			u := int32(wi*64) + int32(b)
 			if e.outCount[u] != 0 {
 				e.linkNode(u, w, st)
 			}
-			if e.qTotal[u] == 0 && e.inCount[u] == 0 && e.outCount[u] == 0 && !e.injQ[u].full {
-				e.liveBits[wi] &^= 1 << (uint(u) & 63)
+			if e.qTotal[u] == 0 && e.inCount[u] == 0 && e.outCount[u] == 0 && inj>>b&1 == 0 {
+				e.liveBits[wi] &^= 1 << b
 			}
 		}
 	}
@@ -1241,88 +1312,113 @@ func (e *Engine) workerLink(w int) {
 
 // linkNode transfers at most one packet per direction over each of u's
 // occupied outgoing links, into empty input buffers, rotating over the
-// buffer classes for fairness. Arrivals are recorded on the destination's
-// worklist directly when it lives on the same shard, or posted to the
-// owner's mail lane for the next cycle otherwise.
+// buffer classes for fairness. Only the sender's own flags are read: an
+// output buffer is ready when outFull is set and dnFull is clear.
 func (e *Engine) linkNode(u int32, w int, st *cycleStats) {
 	lbase := int(u) * e.ports
 	if e.waitFast {
-		// outMask is a bitset of the occupied output buffers, so the scan
-		// jumps straight to the next occupied link instead of probing every
-		// port; a link's bits are dropped from the local copy once the link
-		// has had its transfer chance.
-		for m := e.outMask[u]; m != 0; {
-			p := int(e.slotPort[bits.TrailingZeros64(m)])
-			m &^= ((uint64(1) << uint(e.bufClasses)) - 1) << uint(p*e.bufClasses)
-			e.linkTransfer(u, lbase+p, p, w, st)
+		// outMask and the packed dnFull flags share one bit layout, so one
+		// AND-NOT yields the ready buffers and the scan visits only ports
+		// that hold one; a node whose every output faces a full input is done.
+		obase := lbase * e.bufClasses
+		ready := e.outMask[u] &^ packFlags(e.dnFull[obase:obase+e.ports*e.bufClasses])
+		cm := uint64(1)<<uint(e.bufClasses) - 1
+		for ready != 0 {
+			p := int(e.slotPort[bits.TrailingZeros64(ready)])
+			sh := uint(p * e.bufClasses)
+			bc := pickClass(ready>>sh&cm, e.linkRR[lbase+p])
+			ready &^= cm << sh
+			e.linkMove(u, lbase+p, p, bc, w, st)
 		}
 		return
 	}
 	rem := int(e.outCount[u])
-	for p := 0; p < e.ports; p++ {
+	for p := 0; p < e.ports && rem > 0; p++ {
 		l := lbase + p
-		ol := int(e.outLink[l])
-		if ol == 0 {
+		if e.outLink[l] == 0 {
 			continue
 		}
-		rem -= ol
-		e.linkTransfer(u, l, p, w, st)
-		if rem == 0 {
-			return
+		rem -= int(e.outLink[l])
+		bc := int(e.linkRR[l])
+		for i := 0; i < e.bufClasses; i++ {
+			if si := l*e.bufClasses + bc; e.outFull[si] != 0 && e.dnFull[si] == 0 {
+				e.linkMove(u, l, p, bc, w, st)
+				break // one packet per link per cycle
+			}
+			if bc++; bc == e.bufClasses {
+				bc = 0
+			}
 		}
 	}
 }
 
-// linkTransfer moves at most one packet over the occupied directed link l
-// (port p of node u), choosing among its occupied output buffers under the
-// rotating class order and only into an empty input buffer.
-func (e *Engine) linkTransfer(u int32, l, p, w int, st *cycleStats) {
-	sbase := l * e.bufClasses
-	dbase := e.linkDst[l]
-	start := int(e.linkRR[l])
-	for i := 0; i < e.bufClasses; i++ {
-		bc := start + i
-		if bc >= e.bufClasses {
-			bc -= e.bufClasses
+// packFlags packs up to 64 flag bytes (each 0 or 1) into a bitset, eight
+// per multiply. Like nextFull it never reads outside f.
+func packFlags(f []uint8) uint64 {
+	const gather = 0x0102040810204080 // byte i's low bit -> bit 56+i
+	n, m := len(f), uint64(0)
+	if n < 8 {
+		for i, b := range f {
+			m |= uint64(b) << uint(i)
 		}
-		si := sbase + bc
-		di := dbase + int32(bc)
-		if e.outFull[si] == 0 || e.inFull[di] != 0 {
-			continue
-		}
-		// Hops was already charged at commit time; the transfer is a
-		// plain copy plus flag updates.
-		e.inPkt[di] = e.outPkt[si]
-		e.inFull[di] = 1
-		e.outFull[si] = 0
-		if e.waitFast {
-			e.outMask[u] &^= 1 << uint((p*e.bufClasses+bc)&63)
-		}
-		e.outLink[l]--
-		e.outCount[u]--
-		// The class rotation advances one step past the winner's start
-		// position per transfer; storing the next start directly avoids
-		// a modulo on every occupied link.
-		start++
-		if start >= e.bufClasses {
-			start = 0
-		}
-		e.linkRR[l] = uint32(start)
-		st.moves++
+		return m
+	}
+	for i := 0; i+8 <= n; i += 8 {
+		m |= binary.LittleEndian.Uint64(f[i:]) * gather >> 56 << uint(i)
+	}
+	return m | binary.LittleEndian.Uint64(f[n-8:])*gather>>56<<uint(n-8)
+}
+
+// pickClass returns the first buffer class at or after rr, cyclically, whose
+// bit is set in ready (one link's ready buffers; not zero).
+func pickClass(ready uint64, rr uint32) int {
+	if hi := ready >> rr; hi != 0 {
+		return int(rr) + bits.TrailingZeros64(hi)
+	}
+	return bits.TrailingZeros64(ready)
+}
+
+// rrNext advances a link's class rotation: one step per transfer from its
+// old start, not from the winner.
+func rrNext(rr uint32, n int) uint32 {
+	if rr++; int(rr) == n {
+		return 0
+	}
+	return rr
+}
+
+// linkMove transfers the packet in output buffer bc of the directed link l
+// (port p of node u) into its far-end input buffer, which is known empty.
+// The arrival is recorded on the destination's worklist directly when it
+// lives on the same shard, or posted to the owner's mail lane for the next
+// cycle otherwise. Hops was already charged at commit time; the transfer is
+// a plain copy plus flag updates.
+func (e *Engine) linkMove(u int32, l, p, bc, w int, st *cycleStats) {
+	si := l*e.bufClasses + bc
+	di := e.linkDst[l] + int32(bc)
+	e.inPkt[di] = e.outPkt[si]
+	e.inFull[di] = 1
+	e.dnFull[si] = 1
+	e.outFull[si] = 0
+	if e.waitFast {
+		e.outMask[u] &^= 1 << uint((p*e.bufClasses+bc)&63)
+	}
+	e.outLink[l]--
+	e.outCount[u]--
+	e.linkRR[l] = rrNext(e.linkRR[l], e.bufClasses)
+	st.moves++
+	if e.obsOn {
+		st.obs.Inc(obs.CLinkTransfers)
+	}
+	v := e.nbr[l]
+	if dw := e.owner[v]; int(dw) == w {
+		e.inCount[v]++
+		e.setLive(v)
+	} else {
+		lane := &e.mail[w*e.workers+int(dw)]
+		lane.buf = append(lane.buf, v)
 		if e.obsOn {
-			st.obs.Inc(obs.CLinkTransfers)
+			st.obs.Inc(obs.CMailPosts)
 		}
-		v := e.nbr[l]
-		if dw := e.owner[v]; int(dw) == w {
-			e.inCount[v]++
-			e.setLive(v)
-		} else {
-			lane := &e.mail[w*e.workers+int(dw)]
-			lane.buf = append(lane.buf, v)
-			if e.obsOn {
-				st.obs.Inc(obs.CMailPosts)
-			}
-		}
-		return // one packet per link per cycle
 	}
 }

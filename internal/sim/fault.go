@@ -143,10 +143,11 @@ func (e *Engine) purgeNode(u int32, cycle int64, st *cycleStats) {
 		if e.inFull[si] == 0 {
 			continue
 		}
+		// inCount is decremented per buffer, never reset: an arrival still in
+		// a mail lane is counted at the next fold, which must land on zero.
 		e.faultDrop(&e.inPkt[si], cycle, st)
-		e.inFull[si] = 0
+		e.inFree(u, si)
 	}
-	e.inCount[u] = 0
 	lbase := int(u) * e.ports
 	for p := 0; p < e.ports; p++ {
 		if e.nbr[lbase+p] >= 0 {
