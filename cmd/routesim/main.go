@@ -53,7 +53,7 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallel workers for the buffered engine")
 		verify    = flag.Bool("verify", false, "verify deadlock freedom via the QDG checker first (small networks only)")
 		hist      = flag.Bool("hist", false, "print a latency histogram and percentiles")
-		vct       = flag.Bool("vct", false, "virtual cut-through switching [KK79] instead of store-and-forward")
+		vct       = flag.Bool("vct", false, "virtual cut-through switching [KK79] instead of store-and-forward (buffered engine; -engine atomic refuses it)")
 		maxCyc    = flag.Int64("maxcycles", 10_000_000, "static model: abort after this many cycles")
 		faults    = flag.String("faults", "", "fault schedule, e.g. 'link:0:1@50,node:3@100+200,links:0.05@0' (packet engines only)")
 		killLinks = flag.Float64("kill-links", 0, "kill this fraction of links at cycle 0 (seeded; shorthand for -faults links:<p>@0)")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 
 	"repro/internal/core"
@@ -17,6 +18,10 @@ import (
 // It is the reference semantics for deadlock-freedom studies and for quick
 // algorithm comparisons; the buffered Engine is the one that reproduces the
 // paper's latency tables.
+//
+// A cycle costs the heads that can move: empty queues are never visited, and
+// under first-free without faults a head whose every target queue is full
+// is parked until a pop from one of them wakes it (DESIGN.md §3.3).
 type AtomicEngine struct {
 	kernel
 
@@ -25,7 +30,18 @@ type AtomicEngine struct {
 	// FirstFree policy, mask-eligible head packets route through an inline
 	// bitmask scan over the neighbor table instead of materializing Moves.
 	maskFF bool
-	headID []int64 // per-queue head snapshot: one move per packet per cycle
+
+	// What a cycle visits, one bit per queue (DESIGN.md §3.3). occ: may hold
+	// a packet; set by qPush, dropped at the next cycle start once the queue
+	// has emptied. stuck: parked — every target queue of the head was full
+	// when the mask path last probed them, so only a pop from a full queue of
+	// an out-neighbor can release it, and exactly those pops call wake. snap:
+	// the cycle's work list, occ &^ stuck plus what wake returns mid-sweep.
+	park             bool
+	occ, stuck, snap []uint64
+	// inNbr[inOff[v]:inOff[v+1]] are v's in-neighbors, the inverse of nbr
+	// (not nbr: shuffle links are one-way). Built when the first head parks.
+	inOff, inNbr []int32
 
 	// Route(q) scratch, overwritten per queue.
 	cand [64]core.Move
@@ -34,8 +50,17 @@ type AtomicEngine struct {
 }
 
 // NewAtomicEngine builds an atomic engine for the configuration. Workers is
-// ignored: atomic semantics are inherently sequential.
+// ignored: atomic semantics are inherently sequential. CutThrough and
+// RemoteLookahead are refused: they change what the buffered node simulates
+// and have no meaning in a model without link buffers.
 func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
+	const refused = "sim: Config.%s does not apply to the atomic engine: the Section 2 model has no link buffers"
+	if cfg.CutThrough {
+		return nil, fmt.Errorf(refused, "CutThrough")
+	}
+	if cfg.RemoteLookahead {
+		return nil, fmt.Errorf(refused, "RemoteLookahead")
+	}
 	cfg.Workers = 1
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -44,14 +69,23 @@ func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
 	if err := e.kernel.init(cfg, e, 1); err != nil {
 		return nil, err
 	}
-	e.headID = make([]int64, len(e.qlen))
 	e.maskFF = e.pmr != nil && e.ports <= 32 && cfg.Policy == PolicyFirstFree
+	// Parking needs "admissible" to mean "some target queue is not full" and
+	// no more: the mask path, no faults. wake takes a node's queues to fit two
+	// words of stuck.
+	e.park = e.maskFF && e.flt == nil && e.classes <= 64
+	words := (len(e.qlen) + 63) / 64
+	e.occ, e.stuck, e.snap = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	return e, nil
 }
 
-// begin hands the kernel the Section 2 sweep; the head snapshot is rebuilt
-// every cycle, so the model has no state of its own to clear.
-func (e *AtomicEngine) begin() func(cycle int64) { return e.sweep }
+// begin hands the kernel the Section 2 sweep over queues that are all empty
+// again (snap is rebuilt every cycle).
+func (e *AtomicEngine) begin() func(cycle int64) {
+	clear(e.occ)
+	clear(e.stuck)
+	return e.sweep
+}
 
 // release: the atomic model holds no per-run references of its own.
 func (e *AtomicEngine) release() {}
@@ -77,6 +111,7 @@ func (e *AtomicEngine) qPush(qi int, pkt *core.Packet) int {
 	}
 	e.qbuf[qi*e.queueCap+int(pos)] = *pkt
 	e.qlen[qi] = n + 1
+	e.occ[qi>>6] |= 1 << (uint(qi) & 63)
 	return int(n + 1)
 }
 
@@ -108,55 +143,70 @@ func (e *AtomicEngine) sweep(cycle int64) {
 	e.inject(0, 0, e.nodes)
 	e.lap(phInject)
 
-	// Snapshot the head of every queue: a packet may advance at most
-	// once per cycle, even if it lands in a queue processed later.
-	for qi := range e.qlen {
-		if e.qlen[qi] == 0 {
-			e.headID[qi] = 0
-		} else {
-			e.headID[qi] = e.qAt(qi, 0).ID
+	// The cycle's work list: the queues that hold a packet now and are not
+	// parked. It is what lets a packet advance at most once per cycle: only
+	// Route(qi) pops qi, so a listed queue still has the same head at its
+	// turn, and one that fills later this cycle is not listed. Parked queues
+	// are non-empty; any other may have emptied since its occ bit was set.
+	for wi, w := range e.occ {
+		sk := e.stuck[wi]
+		for m := w &^ sk; m != 0; m &= m - 1 {
+			if e.qlen[wi<<6+bits.TrailingZeros64(m)] == 0 {
+				w &^= m & -m
+			}
+		}
+		e.occ[wi], e.snap[wi] = w, w&^sk
+		if e.obsOn {
+			// A parked head stalls this cycle unseen, unless wake hands it
+			// back to the sweep in time (see unpark).
+			st.obs.Add(obs.COutputStalls, int64(bits.OnesCount64(sk)))
 		}
 	}
 
-	// Drain injection queues into central queues (one hop of the model).
-	for u := int32(0); int(u) < e.nodes; u++ {
-		sl := &e.injQ[u]
-		if !sl.full {
-			continue
-		}
-		if sl.pkt.Dst == u {
-			e.deliver(sl.pkt, cycle, win, st)
-			sl.full = false
-			e.injFull[u>>6] &^= 1 << (uint(u) & 63)
-			continue
-		}
-		qi := e.queueIndex(u, sl.pkt.Class)
-		if e.qFree(qi) >= 1 {
-			sl.pkt.InjectedAt = cycle // latency runs from network entry
-			l := e.qPush(qi, &sl.pkt)
-			if l > st.maxQueue {
-				st.maxQueue = l
+	// Drain injection queues into central queues (one hop of the model). A
+	// shift walk: TrailingZeros64 here serialises the loads (DESIGN.md §3.3).
+	for wi, w := range e.injFull {
+		for u := int32(wi << 6); w != 0; u, w = u+1, w>>1 {
+			if w&1 == 0 {
+				continue
 			}
-			if e.obsOn {
-				st.obs.GaugeAdd(obs.GQueueOccupancy, 1)
-				st.obs.Observe(obs.HQueueLen, int64(l))
+			sl := &e.injQ[u]
+			if sl.pkt.Dst == u {
+				e.deliver(sl.pkt, cycle, win, st)
+				sl.full = false
+				e.injFull[wi] &^= 1 << (uint(u) & 63)
+				continue
 			}
-			sl.full = false
-			e.injFull[u>>6] &^= 1 << (uint(u) & 63)
-			st.moves++
+			qi := e.queueIndex(u, sl.pkt.Class)
+			if e.qFree(qi) >= 1 {
+				sl.pkt.InjectedAt = cycle // latency runs from network entry
+				l := e.qPush(qi, &sl.pkt)
+				if l > st.maxQueue {
+					st.maxQueue = l
+				}
+				if e.obsOn {
+					st.obs.GaugeAdd(obs.GQueueOccupancy, 1)
+					st.obs.Observe(obs.HQueueLen, int64(l))
+				}
+				sl.full = false
+				e.injFull[wi] &^= 1 << (uint(u) & 63)
+				st.moves++
+			}
 		}
 	}
 
 	e.lap(phB)
 
-	// Route(q) for every queue: advance the head packet if possible.
-	for u := int32(0); int(u) < e.nodes; u++ {
-		r := &e.rngs[u]
-		for c := 0; c < e.classes; c++ {
-			qi := int(u)*e.classes + c
-			if e.qlen[qi] == 0 || e.qAt(qi, 0).ID != e.headID[qi] {
-				continue
-			}
+	// Route(q) for every listed queue, ascending: advance the head packet if
+	// possible. wake may add queues ahead of position b while the sweep runs,
+	// so the word is read again at every step, not cached.
+	classes := e.classes
+	for wi := range e.snap {
+		for b := uint(0); e.snap[wi]>>b != 0; b++ {
+			b += uint(bits.TrailingZeros64(e.snap[wi] >> b))
+			qi := wi<<6 + int(b)
+			u := int32(qi / classes)
+			c := qi - int(u)*classes
 			pkt := *e.qAt(qi, 0)
 			if e.maskFF && pkt.Dst != u {
 				// Port-mask fast path: identical move-by-move to running the
@@ -181,41 +231,42 @@ func (e *AtomicEngine) sweep(cycle int64) {
 							continue
 						}
 					}
-					// The atomic model's admissibility depends on the target
-					// queue, so (unlike the buffered probe-and-stop scan) the
-					// full admissible port set is computed — which the slow
-					// path does anyway, and the hashed misroute pick needs.
+					// First-free takes the lowest admissible port, so the probe
+					// stops at the first hit; only the hashed pick of a
+					// fault-displaced packet needs the whole admissible set.
+					hashed := f != nil && pkt.Misrouted()
 					adm := uint32(0)
 					nbase := int(u) * e.ports
 					// Locals keep the engine's fields in registers across the
 					// probe loop, the hottest lines of the model.
-					qlen, nbr, classes, full := e.qlen, e.nbr, e.classes, int32(e.queueCap)
+					qlen, nbr, full := e.qlen, e.nbr, int32(e.queueCap)
 					for mk := union; mk != 0; mk &= mk - 1 {
 						p := bits.TrailingZeros32(mk)
-						bit := uint32(1) << uint(p)
-						tc := 0
-						switch {
-						case pm.Dyn&bit != 0:
-							tc = int(pm.DynClass)
-						case pm.PerPort:
-							tc = int(pm.PortClass[p])
-						default:
-							for pm.Static[tc]&bit == 0 {
-								tc++
-							}
+						tc := int(pm.DynClass)
+						if pm.Dyn>>uint(p)&1 == 0 {
+							tc = int(pm.StaticClass(p))
 						}
 						if qlen[int(nbr[nbase+p])*classes+tc] < full {
-							adm |= bit
+							adm |= 1 << uint(p)
+							if !hashed {
+								break
+							}
 						}
 					}
 					if adm == 0 {
 						if e.obsOn {
 							st.obs.Inc(obs.COutputStalls)
 						}
+						if e.park {
+							if e.inOff == nil {
+								e.invertNbr()
+							}
+							e.stuck[wi] |= 1 << b
+						}
 						continue
 					}
 					sel := bits.TrailingZeros32(adm)
-					if f != nil && adm&(adm-1) != 0 && pkt.Misrouted() {
+					if hashed && adm&(adm-1) != 0 {
 						k := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(bits.OnesCount32(adm)))
 						mk := adm
 						for i := 0; i < k; i++ {
@@ -223,19 +274,12 @@ func (e *AtomicEngine) sweep(cycle int64) {
 						}
 						sel = bits.TrailingZeros32(mk)
 					}
-					bit := uint32(1) << uint(sel)
-					dyn := pm.Dyn&bit != 0
-					tc := 0
-					switch {
-					case dyn:
-						tc = int(pm.DynClass)
-					case pm.PerPort:
-						tc = int(pm.PortClass[sel])
-					default:
-						for pm.Static[tc]&bit == 0 {
-							tc++
-						}
+					dyn := pm.Dyn>>uint(sel)&1 != 0
+					tc := int(pm.DynClass)
+					if !dyn {
+						tc = int(pm.StaticClass(sel))
 					}
+					e.wake(qi)
 					pkt = e.qPop(qi)
 					pkt.Hops++
 					pkt.Class = core.QueueClass(tc)
@@ -289,10 +333,11 @@ func (e *AtomicEngine) sweep(cycle int64) {
 				// hash the pick instead (see Engine.misroute).
 				mv = moves[e.adm[int(misrouteHash(cycle, pkt.ID, pkt.HopCount())%uint32(nAdm))]]
 			} else {
-				mv = moves[choose(e.cfg.Policy, r, moves, e.adm[:nAdm])]
+				mv = moves[choose(e.cfg.Policy, &e.rngs[u], moves, e.adm[:nAdm])]
 			}
 			switch {
 			case mv.Deliver:
+				e.wake(qi)
 				pkt = e.qPop(qi)
 				if e.obsOn {
 					st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
@@ -303,6 +348,7 @@ func (e *AtomicEngine) sweep(cycle int64) {
 				*e.qAt(qi, 0) = pkt
 				st.moves++
 			default:
+				e.wake(qi)
 				pkt = e.qPop(qi)
 				if mv.Port != core.PortInternal {
 					pkt.Hops++
@@ -329,6 +375,73 @@ func (e *AtomicEngine) sweep(cycle int64) {
 		}
 	}
 	e.lap(phA)
+}
+
+// wake precedes every pop of the sweep, from queue pos at its turn: a pop
+// that takes a queue from full to one slot free is what releases parked heads.
+func (e *AtomicEngine) wake(pos int) {
+	if int(e.qlen[pos]) == e.queueCap && e.inOff != nil {
+		e.wakeIn(pos)
+	}
+}
+
+// wakeIn releases the heads that may be parked on a queue of the node that
+// owns queue pos: every queue of every in-neighbor (a parked head does not
+// record which targets it probed).
+func (e *AtomicEngine) wakeIn(pos int) {
+	v, cl := pos/e.classes, uint(e.classes)
+	all := ^uint64(0) >> (64 - cl)
+	for _, u := range e.inNbr[e.inOff[v]:e.inOff[v+1]] {
+		lo := uint(u) * cl
+		wi, sh := int(lo>>6), lo&63
+		e.unpark(wi, all<<sh, pos)
+		if sh+cl > 64 {
+			e.unpark(wi+1, all>>(64-sh), pos)
+		}
+	}
+}
+
+// unpark returns the parked queues of stuck[wi]&m to the sweep, which is at
+// queue pos. Those ahead of pos get their Route(q) this very cycle, as the
+// full sweep would give them; those behind were blocked at their turn (their
+// targets stayed full until this pop) and run again next cycle.
+func (e *AtomicEngine) unpark(wi int, m uint64, pos int) {
+	s := e.stuck[wi] & m
+	if s == 0 {
+		return
+	}
+	e.stuck[wi] &^= s
+	e.snap[wi] |= s
+	if e.obsOn && wi >= pos>>6 {
+		// The heads ahead count their own stall if they block again; take
+		// back the one the snapshot charged them.
+		if wi == pos>>6 {
+			s &= ^uint64(0) << (uint(pos) & 63)
+		}
+		e.statsBuf[0].obs.Add(obs.COutputStalls, -int64(bits.OnesCount64(s)))
+	}
+}
+
+// invertNbr builds the in-neighbor lists wake walks. off[v+1] counts up from
+// the start of v's list to the start of the next, so off ends as the offsets.
+func (e *AtomicEngine) invertNbr() {
+	off := make([]int32, e.nodes+2)
+	for _, v := range e.nbr {
+		if v >= 0 {
+			off[v+2]++
+		}
+	}
+	for v := 0; v < e.nodes; v++ {
+		off[v+2] += off[v+1]
+	}
+	in := make([]int32, off[e.nodes+1])
+	for l, v := range e.nbr {
+		if v >= 0 {
+			in[off[v+1]] = int32(l / e.ports)
+			off[v+1]++
+		}
+	}
+	e.inOff, e.inNbr = off, in
 }
 
 // misroute is the atomic model's degraded-routing fallback: the head

@@ -165,7 +165,8 @@ type Config struct {
 	// to a free output buffer in the same cycle, without being stored in a
 	// central queue. Blocked packets fall back to the store-and-forward
 	// path, so deadlock freedom is unchanged (cut-through only ever uses
-	// free buffers); an uncongested hop costs 1 cycle instead of 2.
+	// free buffers); an uncongested hop costs 1 cycle instead of 2. The
+	// atomic engine has no buffers to cut through and refuses the option.
 	CutThrough bool
 	// HeadOnly restricts node phase (a) to each queue's head packet, the
 	// strict reading of Section 2's Route(q) (one head move per queue per
@@ -219,7 +220,8 @@ type Config struct {
 	// its way plus this one (occupancy + inbound < capacity). This realizes
 	// the abstract Route(q) of Section 2 — "select q' : not Full(q')" —
 	// over the buffered node model: the adaptive choice is made against the
-	// state of the target queues rather than only the local buffers.
+	// state of the target queues rather than only the local buffers. The
+	// atomic engine is that Route(q) already and refuses the option.
 	RemoteLookahead bool
 	// Observer, if set, receives the run's delivery, per-cycle, and
 	// end-of-run probes together with the merged metric snapshots; compose

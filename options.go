@@ -49,13 +49,17 @@ func WithMetrics() EngineOption {
 	return func(c *Config) { c.Metrics = true }
 }
 
-// WithCutThrough enables virtual cut-through switching [KK79].
+// WithCutThrough enables virtual cut-through switching [KK79]. It is an
+// option of the buffered node model: the atomic engine has no link buffers
+// to cut through, and NewSimulator("atomic", ...) returns an error naming it.
 func WithCutThrough() EngineOption {
 	return func(c *Config) { c.CutThrough = true }
 }
 
 // WithRemoteLookahead makes moves commit against target-queue state
-// (Section 2's abstract Route(q) over the buffered model).
+// (Section 2's abstract Route(q) over the buffered model). The atomic engine
+// is that Route(q) already; NewSimulator("atomic", ...) returns an error
+// naming the option instead of ignoring it.
 func WithRemoteLookahead() EngineOption {
 	return func(c *Config) { c.RemoteLookahead = true }
 }
