@@ -10,7 +10,7 @@
 //	go run ./cmd/enginebench -label quick -dims 8,10 -measure 200
 //	go run ./cmd/enginebench -label atomic-change -engine atomic
 //	go run ./cmd/enginebench -label mesh-before -algo mesh -nomask
-//	go run ./cmd/enginebench -label graph-before -algo graph,hyperx -notable
+//	go run ./cmd/enginebench -label graph-change -algo graph,hyperx
 //	go run ./cmd/enginebench -label inject-before -nobatch
 //	go run ./cmd/enginebench -label bursty -traffic mmpp,trace
 //
@@ -52,7 +52,6 @@ func main() {
 		algo      = flag.String("algo", "hypercube", "routing algorithm(s) to benchmark, comma-separated: hypercube|mesh|torus|shuffle|ccc|graph|dragonfly|hyperx|fattree")
 		dims      = flag.String("dims", "", "comma-separated sizes (hypercube/shuffle/ccc: dimensions; mesh/torus: side); default per algo, so leave empty when -algo lists several")
 		nomask    = flag.Bool("nomask", false, "disable the port-mask fast path (same-binary baseline for before/after runs)")
-		notable   = flag.Bool("notable", false, "disable the compiled next-hop route tables (same-binary scan-path baseline for graph-adaptive cells)")
 		nobatch   = flag.Bool("nobatch", false, "disable the batched injection fast path (same-binary baseline for before/after runs)")
 		tmodel    = flag.String("traffic", "", "injection model(s) to time, comma-separated: bernoulli|mmpp|trace|perm (default bernoulli)")
 		pattern   = flag.String("pattern", "random", "destination pattern (a spec.Pattern name): random|complement|transpose|leveled|...")
@@ -98,7 +97,6 @@ func main() {
 				Seed:    *seed,
 				Engine:  *engine,
 				NoMask:  *nomask,
-				NoTable: *notable,
 				NoBatch: *nobatch,
 				Traffic: strings.TrimSpace(tm),
 				Pattern: *pattern,

@@ -45,10 +45,6 @@ type EngineBenchConfig struct {
 	// NoMask disables the PortMaskRouter fast path (Config.DisablePortMask),
 	// giving a same-binary baseline for before/after mask measurements.
 	NoMask bool
-	// NoTable disables the compiled next-hop route tables
-	// (Config.DisableRouteTable), giving a same-binary baseline for
-	// before/after route-table measurements on the graph-adaptive cells.
-	NoTable bool
 	// NoBatch disables the batched injection fast path
 	// (Config.DisableBatchInject), giving a same-binary baseline for
 	// before/after batch-injection measurements.
@@ -140,10 +136,6 @@ type EngineBenchResult struct {
 	// NoMask marks cells timed with the port-mask fast path disabled
 	// (baseline cells of a before/after mask measurement).
 	NoMask bool `json:"nomask,omitempty"`
-	// NoTable marks cells timed with the compiled next-hop route tables
-	// disabled (baseline cells of a before/after route-table measurement on
-	// graph-adaptive topologies).
-	NoTable bool `json:"notable,omitempty"`
 	// NoBatch marks cells timed with the batched injection fast path
 	// disabled (baseline cells of a before/after batch-injection
 	// measurement).
@@ -314,8 +306,8 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 	}
 	defer cleanup()
 	best := EngineBenchResult{
-		Engine: cfg.Engine, Algo: cfg.Algo, NoMask: cfg.NoMask, NoTable: cfg.NoTable,
-		NoBatch: cfg.NoBatch, Traffic: cfg.Traffic, Pattern: recordedPattern(cfg.Pattern),
+		Engine: cfg.Engine, Algo: cfg.Algo, NoMask: cfg.NoMask, NoBatch: cfg.NoBatch,
+		Traffic: cfg.Traffic, Pattern: recordedPattern(cfg.Pattern),
 		Dims: dims, Nodes: nodes, Workers: workers,
 	}
 	for _, withObs := range []bool{false, true} {
@@ -325,7 +317,6 @@ func engineBenchCell(dims, workers int, cfg EngineBenchConfig) (EngineBenchResul
 			Workers:            workers,
 			Metrics:            withObs,
 			DisablePortMask:    cfg.NoMask,
-			DisableRouteTable:  cfg.NoTable,
 			DisableBatchInject: cfg.NoBatch,
 		})
 		if err != nil {
@@ -507,10 +498,10 @@ func recordedPattern(p string) string {
 }
 
 // matchCell returns the cell of run with the same (engine, algo, traffic,
-// pattern, dims, workers) coordinates as r, or nil. NoMask, NoTable and NoBatch are
+// pattern, dims, workers) coordinates as r, or nil. NoMask and NoBatch are
 // deliberately not part of the key: a fast-path run compared against a
-// -nomask, -notable or -nobatch baseline run is exactly the before/after
-// measurement those flags exist for.
+// -nomask or -nobatch baseline run is exactly the before/after measurement
+// those flags exist for.
 func matchCell(run *EngineBenchRun, r *EngineBenchResult) *EngineBenchResult {
 	for i := range run.Results {
 		b := &run.Results[i]

@@ -27,56 +27,43 @@ import (
 // fan-out beyond what PortMasks can encode.
 //
 // The routing relation over a static digraph is a pure function of
-// (node, destination), so NewGraphAdaptive compiles it to flat tables
-// once: a destination-major uint32 mask table holding, for every
-// (dst, node) pair, the set of ports one hop closer to dst (the full
-// fully-adaptive candidate set), plus the flat neighbor and distance
-// arrays needed so neither PortMask, Candidates, nor MaxHops touches the
-// topology.Topology interface after construction. PortMask is then one
-// table load plus the PortClass fill, and Candidates a mask-walk over the
-// flat neighbor row. See routeTable for the memory tiering and
-// WithoutRouteTable for the uncompiled scan path kept for A/B comparison.
+// (node, destination) and of one table, the all-pairs BFS distances, so
+// that table is all the algorithm keeps: decisions are read off it when
+// they are made. With row the n distances to dst (the table is
+// destination-major, see topology.AllPairsBFS), port p of node u is a
+// candidate iff row[nbr[u*ports+p]] == row[u]-1 — one load for the node
+// and one per port, all inside one 2n-byte row that a run toward dst keeps
+// in cache. Nothing is derived per pair: a next-hop table costs n^2 x ports
+// to fill against the few decisions per node a run makes, and at the sizes
+// where it would pay per decision it no longer fits the cache the row does
+// (EXPERIMENTS.md, "What a graph spec costs").
 type GraphAdaptive struct {
 	t     topology.Topology
 	diam  int
 	n     int
 	ports int
-	// maskOK: Ports() fits the 32-bit port masks. Without it neither the
-	// PortMasks encoding nor the compiled mask table can represent a
-	// candidate set, so PortMask declines and routing scans.
-	maskOK bool
-	// scan routes through the interface scan path (compiled tables unused);
-	// forced when maskOK is false, selected by WithoutRouteTable otherwise.
-	scan bool
-	// nbr and dist are the flat adjacency and all-pairs distance tables
-	// (node-major and source-major respectively); for a *topology.Graph they
-	// alias the topology's own backing store, costing nothing extra.
+	// nbr and dist are the flat adjacency (node-major, None-padded) and
+	// all-pairs distance (destination-major) tables; for a *topology.Graph
+	// they are the topology's own backing store, costing nothing extra.
 	nbr  []int32
 	dist []int16
-	tab  *routeTable
 }
 
 // NewGraphAdaptive builds the generic minimal-adaptive algorithm over any
 // strongly-connected topology. The topology must report a finite Distance
 // for every ordered pair (generated *topology.Graph instances guarantee
 // this at construction) and its diameter must fit the 8-bit queue-class
-// space. Construction compiles the routing relation into flat next-hop
-// tables (see GraphAdaptive); options tune or disable the compilation.
-func NewGraphAdaptive(t topology.Topology, opts ...GraphOption) (*GraphAdaptive, error) {
+// space. Over a *topology.Graph construction is free — the graph already
+// holds both tables; any other topology is flattened and searched once.
+func NewGraphAdaptive(t topology.Topology) (*GraphAdaptive, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: graph-adaptive: nil topology")
-	}
-	var o graphOptions
-	o.fullLimit = RouteTableFullNodes
-	for _, opt := range opts {
-		opt(&o)
 	}
 	a := &GraphAdaptive{
 		t:     t,
 		n:     t.Nodes(),
 		ports: t.Ports(),
 	}
-	a.maskOK = a.ports <= 32
 	if g, ok := t.(*topology.Graph); ok {
 		a.diam = g.Diameter()
 		a.nbr = g.FlatNeighbors()
@@ -94,52 +81,7 @@ func NewGraphAdaptive(t topology.Topology, opts ...GraphOption) (*GraphAdaptive,
 	if a.diam > 254 {
 		return nil, fmt.Errorf("core: graph-adaptive: %s has diameter %d, above the 254 hop-class limit", t.Name(), a.diam)
 	}
-	a.scan = o.scanOnly || !a.maskOK
-	if !a.scan {
-		a.tab = newRouteTable(a.nbr, a.dist, a.n, a.ports, o.fullLimit)
-	}
 	return a, nil
-}
-
-// GraphOption tunes NewGraphAdaptive's route-table compilation.
-type GraphOption func(*graphOptions)
-
-type graphOptions struct {
-	scanOnly  bool
-	fullLimit int
-}
-
-// GraphWithoutRouteTable disables the compiled next-hop tables: every
-// routing decision rescans the ports through the topology interface, as
-// the pre-compilation implementation did. Routing is bit-identical either
-// way (the route-table property tests pin this); the option exists for
-// those tests and for same-binary before/after benchmarking — see also
-// sim.Config.DisableRouteTable, which applies it at engine construction.
-func GraphWithoutRouteTable() GraphOption {
-	return func(o *graphOptions) { o.scanOnly = true }
-}
-
-// GraphRouteTableFullLimit overrides the RouteTableFullNodes tier
-// threshold: networks with more than limit nodes get lazily-built
-// per-destination mask rows instead of the full table. Exists for the
-// tier-equivalence tests and for memory tuning; limit <= 0 forces the lazy
-// tier for every size.
-func GraphRouteTableFullLimit(limit int) GraphOption {
-	return func(o *graphOptions) { o.fullLimit = limit }
-}
-
-// WithoutRouteTable returns a view of the algorithm that routes through
-// the uncompiled interface scan path — bit-identical decisions, no mask
-// table (the flat adjacency and distance tables are shared, immutable).
-// It implements RouteTableRouter for sim.Config.DisableRouteTable.
-func (a *GraphAdaptive) WithoutRouteTable() Algorithm {
-	if a.scan {
-		return a
-	}
-	b := *a
-	b.scan = true
-	b.tab = nil
-	return &b
 }
 
 func (a *GraphAdaptive) Name() string                { return "graph-adaptive" }
@@ -154,63 +96,64 @@ func (a *GraphAdaptive) Props() Props {
 }
 
 func (a *GraphAdaptive) MaxHops(src, dst int32) int {
-	return int(a.dist[int(src)*a.n+int(dst)])
+	return int(a.dist[int(dst)*a.n+int(src)])
 }
 
 func (a *GraphAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
 	return 0, 0
 }
 
+// hops returns what a decision at node toward dst reads: the node's port
+// row of the adjacency, the row of distances to dst, and the distance a
+// minimal next hop must have.
+func (a *GraphAdaptive) hops(node, dst int32) (nbr []int32, row []int16, closer int16) {
+	nbr = a.nbr[int(node)*a.ports : (int(node)+1)*a.ports]
+	row = a.dist[int(dst)*a.n : (int(dst)+1)*a.n]
+	return nbr, row, row[node] - 1
+}
+
 func (a *GraphAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
 	if node == dst {
 		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
 	}
-	if a.scan {
-		return a.scanCandidates(node, class, dst, buf)
-	}
-	base := int(node) * a.ports
-	nc := class + 1
-	for m := a.tab.mask(node, dst); m != 0; m &= m - 1 {
-		p := bits.TrailingZeros32(m)
-		buf = append(buf, Move{
-			Node: a.nbr[base+p], Port: int16(p), Class: nc, Kind: Static, MinFree: 1,
-		})
-	}
-	return buf
-}
-
-// scanCandidates is the uncompiled path: rescan every port through the
-// topology interface, two dispatched calls per port. Kept reachable (see
-// WithoutRouteTable) as the cross-check oracle and benchmark baseline, and
-// as the only path for topologies wider than 32 ports.
-func (a *GraphAdaptive) scanCandidates(node int32, class QueueClass, dst int32, buf []Move) []Move {
-	remain := a.t.Distance(int(node), int(dst))
-	for p := 0; p < a.ports; p++ {
-		v := a.t.Neighbor(int(node), p)
-		if v == topology.None || a.t.Distance(v, int(dst)) != remain-1 {
-			continue
+	nbr, row, closer := a.hops(node, dst)
+	for p, v := range nbr {
+		// One unsigned compare rejects a None pad and proves i in range.
+		if i := int(v); uint(i) < uint(len(row)) && row[i] == closer {
+			buf = append(buf, Move{
+				Node: v, Port: int16(p), Class: class + 1, Kind: Static, MinFree: 1,
+			})
 		}
-		buf = append(buf, Move{
-			Node: int32(v), Port: int16(p), Class: class + 1, Kind: Static, MinFree: 1,
-		})
 	}
 	return buf
 }
 
 // PortMask implements PortMaskRouter with the per-port encoding: every
 // state except delivery is mask-shaped (uncredited static moves only, one
-// shared target class per hop layer). On the compiled path the static mask
-// is a single table load; only the fields the per-port encoding defines
-// are written (StaticMask, Dyn, Work, PerPort, and PortClass at set bits —
-// everything a consumer of a PerPort mask with Dyn == 0 reads).
+// shared target class per hop layer), as long as the ports fit the 32-bit
+// masks; a wider topology routes through Candidates. Only the fields the
+// per-port encoding defines are written (StaticMask, Dyn, Work, PerPort,
+// and PortClass at set bits — everything a consumer of a PerPort mask with
+// Dyn == 0 reads).
 func (a *GraphAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
-	if !a.maskOK || node == dst {
+	if a.ports > 32 || node == dst {
 		return false
 	}
-	if a.scan {
-		return a.scanPortMask(node, class, dst, pm)
+	nbr, row, closer := a.hops(node, dst)
+	mask := uint32(0)
+	bit := uint32(1) // of the port being tested
+	for _, v := range nbr {
+		if i := int(v); uint(i) < uint(len(row)) { // not a None pad
+			// Written so the compiler emits SETcc, not a branch: which ports
+			// are minimal is data-dependent and mispredicts.
+			b := uint32(0)
+			if row[i] == closer {
+				b = 1
+			}
+			mask |= bit & -b
+		}
+		bit <<= 1
 	}
-	mask := a.tab.mask(node, dst)
 	pm.PerPort = true
 	pm.StaticMask = mask
 	pm.Dyn = 0
@@ -219,22 +162,6 @@ func (a *GraphAdaptive) PortMask(node int32, class QueueClass, work uint32, dst 
 	nc := class + 1
 	for m := mask; m != 0; m &= m - 1 {
 		pm.PortClass[bits.TrailingZeros32(m)] = nc
-	}
-	return true
-}
-
-// scanPortMask is PortMask's uncompiled path, the port rescan counterpart
-// of scanCandidates.
-func (a *GraphAdaptive) scanPortMask(node int32, class QueueClass, dst int32, pm *PortMasks) bool {
-	*pm = PortMasks{PerPort: true}
-	remain := a.t.Distance(int(node), int(dst))
-	for p := 0; p < a.ports; p++ {
-		v := a.t.Neighbor(int(node), p)
-		if v == topology.None || a.t.Distance(v, int(dst)) != remain-1 {
-			continue
-		}
-		pm.StaticMask |= 1 << uint(p)
-		pm.PortClass[p] = class + 1
 	}
 	return true
 }

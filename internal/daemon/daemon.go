@@ -40,7 +40,7 @@ type Config struct {
 	// QueueCap bounds requests waiting for an execution slot; submissions
 	// beyond it receive 429. Default 16.
 	QueueCap int
-	// MaxCost rejects specs whose estimated work (RunSpec.Cost, in
+	// MaxCost rejects specs whose estimated work (exec.Compiled.Cost, in
 	// node-cycles) exceeds it with 413; 0 accepts everything.
 	MaxCost float64
 	// RunTimeout bounds a single simulation's wall clock; 0 = unbounded.
@@ -50,8 +50,8 @@ type Config struct {
 	// BuildID overrides the fingerprint build key (tests); default
 	// buildid.ID().
 	BuildID string
-	// Exec overrides the executor (tests); default exec.Run.
-	Exec func(ctx context.Context, s exec.RunSpec, o obs.Observer) (exec.Result, error)
+	// Exec overrides the executor (tests); default (*exec.Compiled).Run.
+	Exec func(ctx context.Context, c *exec.Compiled, workers int, o obs.Observer) (exec.Result, error)
 }
 
 // Response is the /v1/sim response envelope: the executed (or replayed)
@@ -122,7 +122,9 @@ func New(cfg Config) (*Server, error) {
 		cfg.BuildID = buildid.ID()
 	}
 	if cfg.Exec == nil {
-		cfg.Exec = exec.Run
+		cfg.Exec = func(ctx context.Context, c *exec.Compiled, workers int, o obs.Observer) (exec.Result, error) {
+			return c.Run(ctx, workers, o)
+		}
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
@@ -198,8 +200,11 @@ func (s *Server) handleGetByFP(w http.ResponseWriter, r *http.Request) {
 	s.writeResultBlob(w, blob, true, false)
 }
 
-// handleSim is POST /v1/sim: validate, fingerprint, serve from store,
-// dedup in flight, or schedule.
+// handleSim is POST /v1/sim: compile (which validates), fingerprint, serve
+// from store, dedup in flight, or schedule. The spec is compiled exactly
+// once per request — a generated-graph spec's compile is its topology
+// generator plus an all-pairs BFS — and the compiled form answers every
+// later question about it (cost, worker grant, the run itself).
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST with a JSON RunSpec body", "")
@@ -212,7 +217,8 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad RunSpec JSON: "+err.Error(), "")
 		return
 	}
-	if err := spec.Validate(); err != nil {
+	compiled, err := exec.Compile(spec)
+	if err != nil {
 		var fe *exec.FieldError
 		field := ""
 		if errors.As(err, &fe) {
@@ -246,7 +252,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	fl := &flight{done: make(chan struct{})}
 	s.inflight[fp] = fl
 	s.mu.Unlock()
-	s.lead(w, r, spec, fp, fl, sse)
+	s.lead(w, r, compiled, fp, fl, sse)
 }
 
 // waitFlight blocks a coalesced request until the leader's run completes,
@@ -278,7 +284,7 @@ func (s *Server) waitFlight(w http.ResponseWriter, r *http.Request, fl *flight, 
 
 // lead executes the run for a fingerprint this request now owns: submit to
 // the scheduler (429 on a full queue), run, store, publish to followers.
-func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec, fp string, fl *flight, sse bool) {
+func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Compiled, fp string, fl *flight, sse bool) {
 	finish := func(resp Response, err error, code int) {
 		fl.resp, fl.err, fl.code = resp, err, code
 		s.mu.Lock()
@@ -287,7 +293,7 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec,
 		close(fl.done)
 	}
 
-	cost := spec.Cost()
+	cost := compiled.Cost
 	if s.cfg.MaxCost > 0 && cost > s.cfg.MaxCost {
 		s.rejected.Add(1)
 		err := fmt.Errorf("spec estimated cost %.3g node-cycles exceeds this server's limit %.3g", cost, s.cfg.MaxCost)
@@ -317,21 +323,17 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, spec exec.RunSpec,
 	var runErr error
 	task := sweep.Task{
 		Cost:           cost,
-		Parallelizable: spec.Parallelizable(),
+		Parallelizable: compiled.Parallelizable,
 		Run: func(workers int) {
 			defer close(done)
 			if cancel != nil {
 				defer cancel()
 			}
-			runSpec := spec
-			if runSpec.Workers == 0 {
-				runSpec.Workers = workers
-			}
 			var o obs.Observer
 			if prog != nil {
 				o = prog
 			}
-			res, runErr = s.cfg.Exec(runCtx, runSpec, o)
+			res, runErr = s.cfg.Exec(runCtx, compiled, workers, o)
 		},
 	}
 	if err := s.sched.TrySubmit(task); err != nil {

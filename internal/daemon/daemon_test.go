@@ -203,8 +203,8 @@ func TestUnknownFieldRejected(t *testing.T) {
 
 // fakeExec returns a controllable executor: each call blocks until release
 // is closed.
-func fakeExec(calls *atomic.Int64, release <-chan struct{}) func(context.Context, exec.RunSpec, obs.Observer) (exec.Result, error) {
-	return func(ctx context.Context, s exec.RunSpec, _ obs.Observer) (exec.Result, error) {
+func fakeExec(calls *atomic.Int64, release <-chan struct{}) func(context.Context, *exec.Compiled, int, obs.Observer) (exec.Result, error) {
+	return func(ctx context.Context, c *exec.Compiled, _ int, _ obs.Observer) (exec.Result, error) {
 		calls.Add(1)
 		if release != nil {
 			select {
@@ -213,7 +213,7 @@ func fakeExec(calls *atomic.Int64, release <-chan struct{}) func(context.Context
 				return exec.Result{}, ctx.Err()
 			}
 		}
-		return exec.Result{V: 1, Spec: s.Canon()}, nil
+		return exec.Result{V: 1, Spec: c.Spec}, nil
 	}
 }
 
@@ -421,11 +421,11 @@ func TestMaxCostRejection(t *testing.T) {
 // failure is not stored — the next request runs fresh.
 func TestRunErrorNotCached(t *testing.T) {
 	var calls atomic.Int64
-	execFn := func(ctx context.Context, s exec.RunSpec, _ obs.Observer) (exec.Result, error) {
+	execFn := func(ctx context.Context, c *exec.Compiled, _ int, _ obs.Observer) (exec.Result, error) {
 		if calls.Add(1) == 1 {
 			return exec.Result{}, fmt.Errorf("transient failure")
 		}
-		return exec.Result{V: 1, Spec: s.Canon()}, nil
+		return exec.Result{V: 1, Spec: c.Spec}, nil
 	}
 	srv, hs := newTestServer(t, Config{Exec: execFn})
 	spec := exec.RunSpec{Algo: "hypercube-adaptive:4", Seed: 5}

@@ -31,17 +31,28 @@ type Result struct {
 // bench.BuildID.
 func BuildID() string { return buildid.ID() }
 
-// Run validates the spec, builds the engine, source and plan, and executes
-// the run to completion (or ctx cancellation). o, when non-nil, taps the
-// run's Observer probes — progress streaming for the daemon's SSE
-// endpoint; observers are read-only, so the Result is bit-identical with
-// or without one.
+// Run compiles the spec and executes it with the workers it names; see
+// Compiled.Run.
 func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
-	c, err := s.compile()
+	c, err := Compile(s)
 	if err != nil {
 		return Result{}, err
 	}
-	eng, err := c.build(o)
+	return c.Run(ctx, 0, o)
+}
+
+// Run builds the engine, source and plan, and executes the run to
+// completion (or ctx cancellation). workers is a scheduler's grant: it
+// applies where the spec leaves Workers unset, and the Result's spec
+// records the count the run used. o, when non-nil, taps the run's Observer
+// probes — progress streaming for the daemon's SSE endpoint; observers are
+// read-only, so the Result is bit-identical with or without one.
+func (c *Compiled) Run(ctx context.Context, workers int, o obs.Observer) (Result, error) {
+	ran := c.Spec
+	if ran.Workers == 0 {
+		ran.Workers = workers
+	}
+	eng, err := c.build(ran.Workers, o)
 	if err != nil {
 		return Result{}, err
 	}
@@ -56,8 +67,8 @@ func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
 	}
 	return Result{
 		V:          SpecVersion,
-		FP:         s.Fingerprint(BuildID()),
-		Spec:       c.spec,
+		FP:         ran.Fingerprint(BuildID()),
+		Spec:       ran,
 		Metrics:    res.Metrics,
 		ElapsedSec: time.Since(start).Seconds(),
 		BuildID:    BuildID(),

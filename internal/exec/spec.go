@@ -190,27 +190,44 @@ func (s RunSpec) Canon() RunSpec {
 	return c
 }
 
-// Validate checks the spec without building it. Errors are structured:
-// every failure is a *FieldError naming the offending field, wrapping the
-// underlying *spec.ParseError / *spec.UnknownNameError when the field
-// value itself is a sub-spec.
+// Validate checks the spec by compiling it; see Compile for the errors.
 func (s RunSpec) Validate() error {
-	_, err := s.compile()
+	_, err := Compile(s)
 	return err
 }
 
-// compiled is the validated, constructed form of a spec.
-type compiled struct {
-	spec    RunSpec // canonical
+// Compiled is the validated, constructed form of a spec, with its topology
+// generated and its algorithm, pattern, policy, traffic model and fault
+// plan built. Compiling is where a spec's setup cost sits (for a generated
+// graph, the generator and the all-pairs BFS), so a caller that needs more
+// than one answer about a spec — the daemon wants its validity, its cost,
+// whether it parallelizes, and then the run — compiles once and asks the
+// Compiled. Treat it as read-only; every Run builds its own engine and
+// traffic source.
+type Compiled struct {
+	// Spec is the canonical form (Canon) of the spec that was compiled.
+	Spec RunSpec
+	// Cost estimates the run's work in node-cycles for admission control
+	// and worker-grant decisions — the RunSpec analogue of the sweep's
+	// cell cost model. Only relative accuracy matters.
+	Cost float64
+	// Parallelizable reports whether the run's results are invariant under
+	// Workers > 1 (credited algorithms and the atomic engine are not), the
+	// fact the scheduler needs to decide worker grants.
+	Parallelizable bool
+
 	algo    core.Algorithm
 	pat     traffic.Pattern
 	policy  sim.Policy
-	plan    fault.Plan // zero unless faults are set
-	faults  *fault.Plan
+	faults  *fault.Plan       // nil unless faults are set
 	traffic *spec.TrafficSpec // nil when the spec names no traffic model
 }
 
-func (s RunSpec) compile() (*compiled, error) {
+// Compile validates the spec and constructs everything a run of it needs.
+// Errors are structured: every failure is a *FieldError naming the
+// offending field, wrapping the underlying *spec.ParseError /
+// *spec.UnknownNameError when the field value itself is a sub-spec.
+func Compile(s RunSpec) (*Compiled, error) {
 	// A combined v1 algo that contradicts an explicit topology survives
 	// Canon un-split; detect the conflict against the original spec so the
 	// error can name both halves.
@@ -287,7 +304,14 @@ func (s RunSpec) compile() (*compiled, error) {
 		return nil, fieldErr("workers",
 			"the atomic engine is inherently sequential and cannot use %d workers; omit workers or use the buffered engine", c.Workers)
 	}
-	out := &compiled{spec: c, algo: algo, pat: pat, policy: policy}
+	out := &Compiled{
+		Spec:           c,
+		Cost:           cost(c, algo.Topology().Nodes()),
+		Parallelizable: !algo.Props().Credits && c.Engine != "atomic",
+		algo:           algo,
+		pat:            pat,
+		policy:         policy,
+	}
 	if c.Traffic != "" {
 		ts, err := spec.ParseTraffic(c.Traffic)
 		if err != nil {
@@ -358,23 +382,23 @@ func (s RunSpec) Fingerprint(buildID string) string {
 // assembling a sim.Config by hand. Use Source for the matching traffic
 // source and plan, or Run to do both and execute.
 func (s RunSpec) Build() (sim.Simulator, error) {
-	c, err := s.compile()
+	c, err := Compile(s)
 	if err != nil {
 		return nil, err
 	}
-	return c.build(nil)
+	return c.build(c.Spec.Workers, nil)
 }
 
-func (c *compiled) build(o simObserver) (sim.Simulator, error) {
+func (c *Compiled) build(workers int, o simObserver) (sim.Simulator, error) {
 	cfg := sim.Config{
 		Algorithm:      c.algo,
-		QueueCap:       c.spec.QueueCap,
+		QueueCap:       c.Spec.QueueCap,
 		Policy:         c.policy,
-		Seed:           c.spec.Seed,
-		Workers:        c.spec.Workers,
-		RebalanceEvery: c.spec.RebalanceEvery,
+		Seed:           c.Spec.Seed,
+		Workers:        workers,
+		RebalanceEvery: c.Spec.RebalanceEvery,
 		Faults:         c.faults,
-		HopBudget:      c.spec.HopBudget,
+		HopBudget:      c.Spec.HopBudget,
 	}
 	if c.algo.Props().Credits {
 		// Credited algorithms are not worker-count deterministic and the
@@ -385,13 +409,13 @@ func (c *compiled) build(o simObserver) (sim.Simulator, error) {
 	if o != nil {
 		cfg.Observer = o
 	}
-	return sim.NewSimulator(c.spec.Engine, cfg)
+	return sim.NewSimulator(c.Spec.Engine, cfg)
 }
 
 // Source validates the spec and constructs its traffic source and run
 // plan, the counterpart of Build.
 func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
-	c, err := s.compile()
+	c, err := Compile(s)
 	if err != nil {
 		return nil, sim.Plan{}, err
 	}
@@ -400,52 +424,50 @@ func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
 
 // source builds the traffic source and plan. It can fail: a trace model
 // opens its file here, at run time.
-func (c *compiled) source() (sim.TrafficSource, sim.Plan, error) {
+func (c *Compiled) source() (sim.TrafficSource, sim.Plan, error) {
 	nodes := c.algo.Topology().Nodes()
-	plan := sim.StaticPlan(c.spec.MaxCycles)
-	if c.spec.Inject == "dynamic" {
-		plan = sim.DynamicPlan(c.spec.Warmup, c.spec.Measure)
+	plan := sim.StaticPlan(c.Spec.MaxCycles)
+	if c.Spec.Inject == "dynamic" {
+		plan = sim.DynamicPlan(c.Spec.Warmup, c.Spec.Measure)
 	}
 	if c.traffic != nil {
-		src, err := c.traffic.Build(c.pat, nodes, c.spec.Lambda, c.spec.Seed+2)
+		src, err := c.traffic.Build(c.pat, nodes, c.Spec.Lambda, c.Spec.Seed+2)
 		if err != nil {
 			return nil, sim.Plan{}, &FieldError{Field: "traffic", Reason: err.Error(), Err: err}
 		}
 		return src, plan, nil
 	}
-	if c.spec.Inject == "dynamic" {
-		return traffic.NewBernoulliSource(c.pat, nodes, c.spec.Lambda, c.spec.Seed+2), plan, nil
+	if c.Spec.Inject == "dynamic" {
+		return traffic.NewBernoulliSource(c.pat, nodes, c.Spec.Lambda, c.Spec.Seed+2), plan, nil
 	}
-	return traffic.NewStaticSource(c.pat, nodes, c.spec.Packets, c.spec.Seed+2), plan, nil
+	return traffic.NewStaticSource(c.pat, nodes, c.Spec.Packets, c.Spec.Seed+2), plan, nil
 }
 
-// Cost estimates the run's work in node-cycles for admission control and
-// worker-grant decisions — the RunSpec analogue of the sweep's cell cost
-// model. Only relative accuracy matters. Invalid specs cost 0.
-func (s RunSpec) Cost() float64 {
-	c, err := s.compile()
-	if err != nil {
-		return 0
-	}
-	nodes := c.algo.Topology().Nodes()
-	if c.spec.Inject == "dynamic" {
-		return float64(nodes) * float64(c.spec.Warmup+c.spec.Measure)
+// cost is the work estimate behind Compiled.Cost for a canonical spec on a
+// network of the given size.
+func cost(c RunSpec, nodes int) float64 {
+	if c.Inject == "dynamic" {
+		return float64(nodes) * float64(c.Warmup+c.Measure)
 	}
 	diam := 1
 	for 1<<diam < nodes {
 		diam++
 	}
-	return float64(nodes) * float64(c.spec.Packets) * float64(diam)
+	return float64(nodes) * float64(c.Packets) * float64(diam)
 }
 
-// Parallelizable reports whether the run's results are invariant under
-// Workers > 1 (credited algorithms and the atomic engine are not), the
-// fact the scheduler needs to decide worker grants. Invalid specs report
-// false.
-func (s RunSpec) Parallelizable() bool {
-	c, err := s.compile()
+// Cost is Compiled.Cost for a spec not yet compiled. Invalid specs cost 0.
+func (s RunSpec) Cost() float64 {
+	c, err := Compile(s)
 	if err != nil {
-		return false
+		return 0
 	}
-	return !c.algo.Props().Credits && c.spec.Engine != "atomic"
+	return c.Cost
+}
+
+// Parallelizable is Compiled.Parallelizable for a spec not yet compiled.
+// Invalid specs report false.
+func (s RunSpec) Parallelizable() bool {
+	c, err := Compile(s)
+	return err == nil && c.Parallelizable
 }

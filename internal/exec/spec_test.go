@@ -226,3 +226,37 @@ func TestCostAndParallelizable(t *testing.T) {
 		t.Error("atomic engine must not be parallelizable")
 	}
 }
+
+// One Compile answers everything the wrappers answer, and its Run is the
+// run Run makes: same metrics, fingerprint and recorded spec, whether the
+// worker count comes from the spec or from the caller's grant, and again on
+// a second Run of the same Compiled.
+func TestCompileOnce(t *testing.T) {
+	s := RunSpec{Algo: "graph-adaptive:random-regular:n=64,k=3,seed=2", Inject: "dynamic", Lambda: 0.2, Warmup: 20, Measure: 60, Seed: 7}
+	c, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Spec != s.Canon() || c.Cost != s.Cost() || c.Parallelizable != s.Parallelizable() {
+		t.Fatalf("Compiled disagrees with the RunSpec wrappers: %+v cost %v parallelizable %v", c.Spec, c.Cost, c.Parallelizable)
+	}
+	withWorkers := s
+	withWorkers.Workers = 2
+	want, err := Run(context.Background(), withWorkers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := c.Run(context.Background(), 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.ElapsedSec, want.ElapsedSec = 0, 0
+		if got != want {
+			t.Fatalf("Compiled.Run with a grant of 2:\n got  %+v\n want %+v", got, want)
+		}
+	}
+	if _, err := Compile(RunSpec{Algo: "graph-adaptive", Topology: "graph:random-regular:n=7,k=3,seed=1"}); err == nil {
+		t.Fatal("Compile accepted an impossible topology")
+	}
+}

@@ -27,6 +27,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		metrics bool
 		source  string // "" = bernoulli
 		noBatch bool
+		cold    bool // no warm-up: measure from the second cycle of the run
 	}{
 		{engine: "buffered", algo: "hypercube", workers: 1},
 		{engine: "buffered", algo: "hypercube", workers: 1, metrics: true},
@@ -51,13 +52,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{engine: "buffered", algo: "hypercube", workers: 2, source: "trace"},
 		{engine: "atomic", algo: "hypercube", workers: 1, source: "trace"},
 		{engine: "buffered", algo: "hypercube", workers: 1, source: "mmpp", noBatch: true},
-		// Graph-adaptive runs route through the compiled next-hop tables;
-		// the table path must not allocate after construction either.
+		// Graph-adaptive decisions are reads of the graph's distance table,
+		// so nothing is built during a run, not even on the first packets
+		// toward a destination: the graph-2304 rows (a size whose routing
+		// state was once built on first use, a slab per 32 destinations)
+		// measure a cold run.
 		{engine: "buffered", algo: "graph", workers: 1},
 		{engine: "buffered", algo: "graph", workers: 1, metrics: true},
 		{engine: "buffered", algo: "graph", workers: 2},
 		{engine: "atomic", algo: "graph", workers: 1},
 		{engine: "atomic", algo: "graph", workers: 1, metrics: true},
+		{engine: "buffered", algo: "graph-2304", workers: 1, cold: true},
+		{engine: "atomic", algo: "graph-2304", workers: 1, cold: true},
 	}
 	for _, tc := range cases {
 		source := tc.source
@@ -69,8 +75,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			var algo core.Algorithm = core.NewHypercubeAdaptive(6)
 			lambda := 1.0
-			if tc.algo == "graph" {
-				g, err := topology.NewRandomRegular(64, 4, 1)
+			if tc.algo != "hypercube" {
+				n, k := 64, 4
+				if tc.algo == "graph-2304" {
+					n, k = 2304, 3
+				}
+				g, err := topology.NewRandomRegular(n, k, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -104,7 +114,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			// A plan far longer than the test steps, so Step never completes
 			// (completion tears down run state, which is not the steady state).
 			eng.Start(src, DynamicPlan(0, 1<<30))
-			for i := 0; i < 200; i++ {
+			for i := 0; i < 200 && !tc.cold; i++ {
 				if done, err := eng.Step(); done {
 					t.Fatalf("warmup finished early: %v", err)
 				}

@@ -9,8 +9,8 @@ import "repro/internal/core"
 // flat buffer and the engine commits them in a tight loop with no interface
 // calls inside. Both engines detect the interface at the start of a run;
 // Config.DisableBatchInject forces the scalar path as a same-binary
-// baseline (mirroring DisablePortMask and DisableRouteTable), and runs with
-// fault injection always use the scalar path.
+// baseline (mirroring DisablePortMask), and runs with fault injection
+// always use the scalar path.
 //
 // The contract makes the two paths bit-identical, which the determinism
 // tests pin:

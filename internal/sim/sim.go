@@ -196,21 +196,11 @@ type Config struct {
 	// costs nothing per cycle: the engines simply skip the interface
 	// assertion at construction.
 	DisablePortMask bool
-	// DisableRouteTable forces algorithms that compile their routing
-	// relation into flat next-hop tables at construction
-	// (core.RouteTableRouter implementors — the graph-adaptive algorithm)
-	// through their uncompiled interface scan path instead. Routing is
-	// bit-identical either way (the route-table property tests pin this);
-	// the switch mirrors DisablePortMask: it exists for those tests and for
-	// same-binary before/after benchmarking, and costs nothing per cycle —
-	// the swap happens once at engine construction. Algorithms without a
-	// compiled table ignore it.
-	DisableRouteTable bool
 	// DisableBatchInject forces the per-node scalar injection path
 	// (Wants/Take per node per cycle) even when the traffic source
 	// implements BatchSource. Metrics are bit-identical either way (the
-	// batch determinism tests pin this); the switch mirrors DisablePortMask
-	// and DisableRouteTable: it exists for those tests and for same-binary
+	// batch determinism tests pin this); the switch mirrors
+	// DisablePortMask: it exists for those tests and for same-binary
 	// before/after benchmarking of the batched injection fast path, and
 	// costs nothing per cycle — the engines simply skip the interface
 	// assertion at the start of the run.
@@ -241,11 +231,6 @@ type Config struct {
 func (c *Config) fill() error {
 	if c.Algorithm == nil {
 		return fmt.Errorf("sim: Config.Algorithm is nil")
-	}
-	if c.DisableRouteTable {
-		if rt, ok := c.Algorithm.(core.RouteTableRouter); ok {
-			c.Algorithm = rt.WithoutRouteTable()
-		}
 	}
 	if c.QueueCap == 0 {
 		c.QueueCap = 5

@@ -8,9 +8,10 @@ import (
 
 // MaxGraphNodes caps the size of a generated irregular network. The Graph
 // type keeps an all-pairs distance table (the only representation that works
-// for networks with no closed-form metric), so the memory cost is
-// Nodes()^2; 4096 nodes is a 32 MiB table, the largest we let a spec ask
-// for.
+// for networks with no closed-form metric), and that table is all a graph
+// spec keeps — graph-adaptive routing reads its decisions straight off it —
+// so the memory cost is 2 bytes x Nodes()^2; 4096 nodes is a 32 MiB table,
+// the largest we let a spec ask for.
 const MaxGraphNodes = 4096
 
 // MaxGraphPorts caps the per-node port count of a generated network at the
@@ -32,7 +33,7 @@ type Graph struct {
 	ports int
 	nbr   []int32 // n*ports neighbor table, None-padded
 	rev   []int16 // n*ports reverse-port table, None where asymmetric
-	dist  []int16 // n*n all-pairs BFS distances
+	dist  []int16 // n*n all-pairs BFS distances, destination-major
 	diam  int
 }
 
@@ -102,19 +103,22 @@ func NewGraph(spec string, adj [][]int32) (*Graph, error) {
 // AllPairsBFS computes the all-pairs hop-distance table of the digraph
 // given by a flat node-major adjacency (nbr[u*ports+p] is the endpoint of
 // port p of u, negative where unconnected; n at most MaxGraphNodes, so a
-// distance fits int16): dist[s*n+v] is the length of the shortest directed
-// path s -> v, diam the largest entry. It fails on the lowest (s, v) pair
-// with no path, as soon as the batch of 64 sources containing s is done —
-// the first batch for an undirected graph, so a caller that retries over
-// candidate graphs pays little for a disconnected one.
+// distance fits int16). The table is destination-major: dist[v*n+s] is the
+// length of the shortest directed path s -> v, so row v holds every node's
+// distance to v — the one row a routing decision toward v reads (see
+// core.GraphAdaptive). diam is the largest entry. It fails on the lowest
+// (s, v) pair with no path, as soon as the batch of 64 sources containing s
+// is done — the first batch for an undirected graph, so a caller that
+// retries over candidate graphs pays little for a disconnected one.
 //
 // The search is bit-parallel: 64 sources advance together, one uint64 per
 // node holding the sources whose frontier is on it, so an edge relaxation
 // is one OR for all 64 and a level is one pass over the frontier. The
 // frontier and the set of nodes reached this level are bitmaps walked in
 // ascending order, so a level costs its frontier, not n (a 4096-node ring
-// has 2048 levels of two nodes each), and the distance writes of one
-// source move forward through its row.
+// has 2048 levels of two nodes each). The layout serves the search too:
+// the sources of a batch that reach v at one level write into one 128-byte
+// run of row v, where a source-major table would take them 64 rows apart.
 func AllPairsBFS(nbr []int32, n, ports int) (dist []int16, diam int, err error) {
 	dist = make([]int16, n*n)
 	seen := make([]uint64, n) // sources that have reached v
@@ -161,8 +165,9 @@ func AllPairsBFS(nbr []int32, n, ports int) (dist []int16, diam int, err error) 
 					seen[v] |= fresh
 					cur[v] = fresh
 					nf |= tw & -tw
+					batch := dist[v*n+s0 : v*n+s0+w]
 					for ; fresh != 0; fresh &= fresh - 1 {
-						dist[(s0+bits.TrailingZeros64(fresh))*n+v] = int16(d)
+						batch[bits.TrailingZeros64(fresh)] = int16(d)
 					}
 				}
 				if nf != 0 {
@@ -198,14 +203,15 @@ func (g *Graph) Spec() string { return g.spec }
 
 // FlatNeighbors returns the graph's node-major flat neighbor table:
 // FlatNeighbors()[u*Ports()+p] is Neighbor(u, p), None-padded. The slice is
-// the graph's own backing store, shared so the compiled routing paths can
-// index adjacency arithmetically without an interface call per port;
-// callers must treat it as read-only.
+// the graph's own backing store, shared so graph-adaptive routing can index
+// adjacency arithmetically without an interface call per port; callers
+// must treat it as read-only.
 func (g *Graph) FlatNeighbors() []int32 { return g.nbr }
 
-// Distances returns the all-pairs BFS distance table, source-major:
-// Distances()[u*Nodes()+v] is Distance(u, v). Like FlatNeighbors, the slice
-// is the graph's backing store and must be treated as read-only.
+// Distances returns the all-pairs BFS distance table, destination-major:
+// Distances()[v*Nodes()+u] is Distance(u, v), so the distances of every
+// node to v are one contiguous row. Like FlatNeighbors, the slice is the
+// graph's backing store and must be treated as read-only.
 func (g *Graph) Distances() []int16 { return g.dist }
 
 // Diameter returns the longest shortest path over all ordered node pairs.
@@ -238,4 +244,4 @@ func (g *Graph) PortTo(u, v int) int {
 	return None
 }
 
-func (g *Graph) Distance(a, b int) int { return int(g.dist[a*g.n+b]) }
+func (g *Graph) Distance(a, b int) int { return int(g.dist[b*g.n+a]) }

@@ -45,7 +45,7 @@ type Topology interface {
 }
 
 // Flatten snapshots the adjacency of any Topology into the node-major flat
-// neighbor table the compiled routing paths index arithmetically:
+// neighbor table graph-adaptive routing indexes arithmetically:
 // Flatten(t)[u*t.Ports()+p] is t.Neighbor(u, p), None-padded. Graph
 // instances hand out their internal table through FlatNeighbors without
 // copying; Flatten is the generic export for every other implementation
