@@ -96,8 +96,7 @@ type Options struct {
 
 // Filled returns the options with unset fields replaced by the paper's
 // defaults — the exported form of the fill step, for callers (the sweep
-// orchestrator) that need the effective values for cost estimates and
-// checkpoint fingerprints.
+// orchestrator) that need the effective values for cost estimates.
 func (o Options) Filled() Options {
 	o.fill()
 	return o
@@ -273,7 +272,6 @@ func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 // POSTed spec with the same parameters are the same run, fingerprint and
 // all.
 func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, error) {
-	opt.fill()
 	s, err := ex.Spec(dims, opt)
 	if err != nil {
 		return Row{}, err
@@ -282,17 +280,29 @@ func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, er
 	if err != nil {
 		return Row{}, err
 	}
-	m := res.Metrics
+	return ex.Row(dims, res), nil
+}
+
+// Row is the table row of the cell at dims whose spec (Spec) produced res,
+// whether res was just computed or read back from the result store.
+func (ex Experiment) Row(dims int, res exec.Result) Row {
+	return rowOf(dims, 1<<dims, res.Metrics, ex.paperRow(dims))
+}
+
+// rowOf reads a row off a run's metrics. The metrics are integer counters,
+// so a row rebuilt from a stored result equals the one first computed,
+// bit for bit.
+func rowOf(size, nodes int, m sim.Metrics, paper PaperRow) Row {
 	return Row{
-		Dims:      dims,
-		Nodes:     1 << dims,
+		Dims:      size,
+		Nodes:     nodes,
 		Lavg:      m.AvgLatency(),
 		Lmax:      m.LatencyMax,
 		Ir:        100 * m.InjectionRate(),
 		Cycles:    m.Cycles,
 		Delivered: m.Delivered,
-		Paper:     ex.paperRow(dims),
-	}, nil
+		Paper:     paper,
+	}
 }
 
 // RunAll executes the experiment at every dimension the paper reports, up

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/buildid"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -275,7 +276,7 @@ func RunEngineBench(label string, cfg EngineBenchConfig) (EngineBenchRun, error)
 		NumCPU:     runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
-		BuildID:    BuildID(),
+		BuildID:    buildid.ID(),
 	}
 	for _, dims := range cfg.Dims {
 		for _, workers := range cfg.Workers {

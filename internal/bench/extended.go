@@ -162,7 +162,6 @@ func (ex Extended) Spec(size int, opt Options) (exec.RunSpec, error) {
 // published tables, extended cells execute through the canonical
 // exec.RunSpec path.
 func (ex Extended) RunCtx(ctx context.Context, size int, opt Options) (Row, error) {
-	opt.fill()
 	s, err := ex.Spec(size, opt)
 	if err != nil {
 		return Row{}, err
@@ -171,16 +170,13 @@ func (ex Extended) RunCtx(ctx context.Context, size int, opt Options) (Row, erro
 	if err != nil {
 		return Row{}, err
 	}
-	m := res.Metrics
-	return Row{
-		Dims:      size,
-		Nodes:     ex.Algo(size).Topology().Nodes(),
-		Lavg:      m.AvgLatency(),
-		Lmax:      m.LatencyMax,
-		Ir:        100 * m.InjectionRate(),
-		Cycles:    m.Cycles,
-		Delivered: m.Delivered,
-	}, nil
+	return ex.Row(size, res), nil
+}
+
+// Row is the row of the cell at size whose spec produced res; see
+// (Experiment).Row.
+func (ex Extended) Row(size int, res exec.Result) Row {
+	return rowOf(size, ex.Algo(size).Topology().Nodes(), res.Metrics, PaperRow{})
 }
 
 // RunAll executes every size up to maxSize (0 = all).

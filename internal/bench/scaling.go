@@ -15,23 +15,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"repro/internal/buildid"
 	"runtime"
 	"time"
 
+	"repro/internal/buildid"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/traffic"
 )
-
-// BuildID identifies the running binary: the embedded VCS revision
-// (suffixed "+dirty" for modified trees), or "dev" when the binary carries
-// no VCS metadata (go test, go run of a non-VCS tree). Recorded in every
-// benchmark artifact so a measurement can be traced back to the code that
-// produced it; the sweep checkpoints and the result store use the same key
-// to invalidate resumes and cache entries across rebuilds. It delegates to
-// internal/buildid, the shared identity every layer keys by.
-func BuildID() string { return buildid.ID() }
 
 // ScalingConfig selects one scaling measurement: a single (engine, algo,
 // dims) workload swept over a list of worker counts.
@@ -138,11 +129,9 @@ type PhaseBreakdown struct {
 type ScalingPoint struct {
 	Workers      int     `json:"workers"`
 	Cycles       int64   `json:"cycles,omitempty"`
-	Cells        int     `json:"cells,omitempty"` // sweep records: cells completed
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	CyclesPerSec float64 `json:"cycles_per_sec,omitempty"`
 	PktsPerSec   float64 `json:"pkts_per_sec,omitempty"`
-	CellsPerSec  float64 `json:"cells_per_sec,omitempty"` // sweep records
 	// Speedup is throughput relative to the run's workers=1 point;
 	// Efficiency is Speedup/Workers (1.0 = perfect linear scaling).
 	Speedup    float64 `json:"speedup"`
@@ -156,16 +145,13 @@ type ScalingPoint struct {
 type ScalingRun struct {
 	Label string `json:"label"`
 	Date  string `json:"date"`
-	// Kind is "engine" (cycles/s of one simulator workload vs Workers) or
-	// "sweep" (cells/s of a tables sweep vs -jobs).
+	// Kind is "engine": cycles/s of one simulator workload vs Workers.
 	Kind           string         `json:"kind"`
 	Engine         string         `json:"engine"`
 	Algo           string         `json:"algo,omitempty"`
 	Pattern        string         `json:"pattern,omitempty"` // empty = random
 	Dims           int            `json:"dims,omitempty"`
 	Nodes          int            `json:"nodes,omitempty"`
-	Suite          string         `json:"suite,omitempty"` // sweep records
-	MaxN           int            `json:"maxn,omitempty"`  // sweep records
 	NumCPU         int            `json:"num_cpu"`
 	GoMaxProcs     int            `json:"gomaxprocs"`
 	GoVersion      string         `json:"go_version"`
@@ -186,22 +172,21 @@ type ScalingFile struct {
 	Runs      []ScalingRun `json:"runs"`
 }
 
-const scalingWorkload = "throughput vs worker count on one host: engine curves measure cycles/s of a fixed dynamic workload per sim.Config.Workers; sweep curves measure cells/s of a tables sweep per -jobs; speedup is relative to the curve's workers=1 point"
+const scalingWorkload = "throughput vs worker count on one host: cycles/s of a fixed dynamic workload per sim.Config.Workers; speedup is relative to the curve's workers=1 point"
 
-// HostStamp fills the host/build metadata every scaling record carries;
-// exported for sweep-level callers (cmd/tables) that assemble their own runs.
-func (r *ScalingRun) HostStamp() {
+// hostStamp fills the host/build metadata every scaling record carries.
+func (r *ScalingRun) hostStamp() {
 	r.Date = time.Now().UTC().Format("2006-01-02")
 	r.NumCPU = runtime.NumCPU()
 	r.GoMaxProcs = runtime.GOMAXPROCS(0)
 	r.GoVersion = runtime.Version()
-	r.BuildID = BuildID()
+	r.BuildID = buildid.ID()
 }
 
-// FinishCurve derives the speedup/efficiency columns from the recorded
+// finishCurve derives the speedup/efficiency columns from the recorded
 // throughputs, against the curve's workers=1 point (or its first point when
 // no workers=1 measurement exists).
-func FinishCurve(points []ScalingPoint) {
+func finishCurve(points []ScalingPoint) {
 	if len(points) == 0 {
 		return
 	}
@@ -212,17 +197,12 @@ func FinishCurve(points []ScalingPoint) {
 			break
 		}
 	}
-	ref := base.CyclesPerSec
 	for i := range points {
 		p := &points[i]
-		tp, rf := p.CyclesPerSec, ref
-		if rf == 0 {
-			tp, rf = p.CellsPerSec, base.CellsPerSec
-		}
-		if rf == 0 || p.Workers == 0 {
+		if base.CyclesPerSec == 0 || p.Workers == 0 {
 			continue
 		}
-		p.Speedup = tp / rf
+		p.Speedup = p.CyclesPerSec / base.CyclesPerSec
 		p.Efficiency = p.Speedup / float64(p.Workers)
 	}
 }
@@ -249,7 +229,7 @@ func RunScaling(label string, cfg ScalingConfig) (ScalingRun, error) {
 		RebalanceEvery: cfg.RebalanceEvery,
 		Warmup:         cfg.Warmup, Measure: cfg.Measure, Seed: cfg.Seed,
 	}
-	run.HostStamp()
+	run.hostStamp()
 	for _, workers := range cfg.Workers {
 		pt := ScalingPoint{Workers: workers}
 		for rep := 0; rep < cfg.Repeat; rep++ {
@@ -303,7 +283,7 @@ func RunScaling(label string, cfg ScalingConfig) (ScalingRun, error) {
 		}
 		run.Points = append(run.Points, pt)
 	}
-	FinishCurve(run.Points)
+	finishCurve(run.Points)
 	return run, nil
 }
 
@@ -328,7 +308,7 @@ func LoadScaling(path string) (ScalingFile, error) {
 // (so re-measuring replaces the record instead of duplicating it).
 func sameCurve(a, b *ScalingRun) bool {
 	return a.Label == b.Label && a.Kind == b.Kind && a.Engine == b.Engine &&
-		a.Algo == b.Algo && a.Pattern == b.Pattern && a.Dims == b.Dims && a.Suite == b.Suite &&
+		a.Algo == b.Algo && a.Pattern == b.Pattern && a.Dims == b.Dims &&
 		a.RebalanceEvery == b.RebalanceEvery
 }
 
@@ -362,14 +342,10 @@ func AppendScaling(path string, run ScalingRun) error {
 // breakdown when recorded: percentages of the profiled run's total, then
 // nanoseconds per node-cycle by phase and packet moves per node-cycle.
 func FormatScaling(run ScalingRun) string {
-	s := fmt.Sprintf("scaling %q kind=%s engine=%s", run.Label, run.Kind, run.Engine)
-	if run.Kind == "engine" {
-		s += fmt.Sprintf(" algo=%s dims=%d nodes=%d", run.Algo, run.Dims, run.Nodes)
-		if run.Pattern != "" {
-			s += " pattern=" + run.Pattern
-		}
-	} else {
-		s += fmt.Sprintf(" suite=%s maxn=%d", run.Suite, run.MaxN)
+	s := fmt.Sprintf("scaling %q kind=%s engine=%s algo=%s dims=%d nodes=%d",
+		run.Label, run.Kind, run.Engine, run.Algo, run.Dims, run.Nodes)
+	if run.Pattern != "" {
+		s += " pattern=" + run.Pattern
 	}
 	s += fmt.Sprintf(" (ncpu=%d gomaxprocs=%d", run.NumCPU, run.GoMaxProcs)
 	if run.RebalanceEvery > 0 {
@@ -388,11 +364,7 @@ func FormatScaling(run ScalingRun) string {
 	s += "\n"
 	for i := range run.Points {
 		p := &run.Points[i]
-		tp := p.CyclesPerSec
-		if tp == 0 {
-			tp = p.CellsPerSec
-		}
-		s += fmt.Sprintf(" %7d | %12.1f  %6.2fx  %9.2f", p.Workers, tp, p.Speedup, p.Efficiency)
+		s += fmt.Sprintf(" %7d | %12.1f  %6.2fx  %9.2f", p.Workers, p.CyclesPerSec, p.Speedup, p.Efficiency)
 		if ph := p.Phases; ph != nil {
 			total := ph.InjectNs + ph.PhaseANs + ph.PhaseBNs + ph.LinkNs + ph.MergeNs + ph.OtherNs
 			if total > 0 {

@@ -192,19 +192,24 @@ func (s *Server) handleGetByFP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := strings.TrimPrefix(r.URL.Path, "/v1/sim/")
-	blob, ok := s.st.Get(fp)
-	if !ok {
+	res, ok, err := exec.Load(s.st, fp)
+	switch {
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err.Error(), "")
+	case !ok:
 		writeErr(w, http.StatusNotFound, "no stored result for fingerprint "+fp, "")
-		return
+	default:
+		writeJSON(w, http.StatusOK, Response{Result: res, Cached: true})
 	}
-	s.writeResultBlob(w, blob, true, false)
 }
 
 // handleSim is POST /v1/sim: compile (which validates), fingerprint, serve
 // from store, dedup in flight, or schedule. The spec is compiled exactly
 // once per request — a generated-graph spec's compile is its topology
 // generator plus an all-pairs BFS — and the compiled form answers every
-// later question about it (cost, worker grant, the run itself).
+// later question about it (cost, worker grant, the run itself). A spec that
+// is not Storable (a trace replay) skips the store both ways: it always
+// runs, and its result is returned but not kept.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST with a JSON RunSpec body", "")
@@ -232,13 +237,16 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
 	// Cache hit: serve the stored result, no simulation.
-	if blob, ok := s.st.Get(fp); ok {
-		if sse {
-			streamCachedResult(w, blob)
+	if compiled.Spec.Storable() {
+		res, ok, err := exec.Load(s.st, fp)
+		if err != nil {
+			fail(w, sse, http.StatusInternalServerError, err)
 			return
 		}
-		s.writeResultBlob(w, blob, true, false)
-		return
+		if ok {
+			reply(w, sse, Response{Result: res, Cached: true})
+			return
+		}
 	}
 
 	// Miss: join an identical in-flight run, or lead a new one.
@@ -264,22 +272,13 @@ func (s *Server) waitFlight(w http.ResponseWriter, r *http.Request, fl *flight, 
 	case <-r.Context().Done():
 		return // client gone; the leader's run continues
 	}
+	if fl.err != nil {
+		fail(w, sse, fl.code, fl.err)
+		return
+	}
 	resp := fl.resp
 	resp.Coalesced = true
-	if fl.err != nil {
-		if sse {
-			streamError(w, fl.err)
-			return
-		}
-		writeErr(w, fl.code, fl.err.Error(), "")
-		return
-	}
-	if sse {
-		st := newSSE(w)
-		st.event("result", mustJSON(resp))
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+	reply(w, sse, resp)
 }
 
 // lead executes the run for a fingerprint this request now owns: submit to
@@ -362,48 +361,42 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Com
 	if runErr != nil {
 		err := fmt.Errorf("simulation failed: %w", runErr)
 		finish(Response{}, err, http.StatusUnprocessableEntity)
-		if sse {
-			streamError(w, err)
-			return
-		}
-		writeErr(w, http.StatusUnprocessableEntity, err.Error(), "")
+		fail(w, sse, http.StatusUnprocessableEntity, err)
 		return
 	}
 
 	// Persist under the request fingerprint (computed with the server's
 	// build id) so the next identical spec is a pure cache hit.
 	res.FP = fp
-	blob, err := json.Marshal(res)
-	if err == nil {
-		err = s.st.Put(fp, blob)
-	}
-	if err != nil {
-		finish(Response{}, err, http.StatusInternalServerError)
-		if sse {
-			streamError(w, err)
+	if compiled.Spec.Storable() {
+		if err := exec.Save(s.st, fp, res); err != nil {
+			finish(Response{}, err, http.StatusInternalServerError)
+			fail(w, sse, http.StatusInternalServerError, err)
 			return
 		}
-		writeErr(w, http.StatusInternalServerError, err.Error(), "")
-		return
 	}
 	resp := Response{Result: res}
 	finish(resp, nil, 0)
+	reply(w, sse, resp)
+}
+
+// reply serves a result: the JSON body, or the closing event of an SSE
+// stream.
+func reply(w http.ResponseWriter, sse bool, resp Response) {
 	if sse {
-		st.event("result", mustJSON(resp))
+		newSSE(w).event("result", mustJSON(resp))
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// writeResultBlob decodes a stored result blob and serves it with the
-// envelope flags set.
-func (s *Server) writeResultBlob(w http.ResponseWriter, blob []byte, cached, coalesced bool) {
-	var res exec.Result
-	if err := json.Unmarshal(blob, &res); err != nil {
-		writeErr(w, http.StatusInternalServerError, "corrupt store entry: "+err.Error(), "")
+// fail serves an error the same two ways.
+func fail(w http.ResponseWriter, sse bool, code int, err error) {
+	if sse {
+		newSSE(w).event("error", mustJSON(errorBody{Error: err.Error()}))
 		return
 	}
-	writeJSON(w, http.StatusOK, Response{Result: res, Cached: cached, Coalesced: coalesced})
+	writeErr(w, code, err.Error(), "")
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

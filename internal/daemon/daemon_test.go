@@ -8,15 +8,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/sweep"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -520,4 +524,130 @@ func TestTrafficSpecRoundTrip(t *testing.T) {
 	if !bytes.Contains(body4, []byte("traffic")) {
 		t.Fatalf("validation error does not name the traffic field: %s", body4)
 	}
+}
+
+// A trace spec is fingerprinted by the trace's path, not its content, so
+// the store must neither keep nor serve its result: the same spec POSTed
+// again after the file changed replays the new file.
+func TestTraceSpecBypassesStore(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	spec := exec.RunSpec{Algo: "hypercube-adaptive:4", Traffic: "trace:" + trace, Seed: 1}
+	post := func(lines string) (delivered int64) {
+		t.Helper()
+		if err := os.WriteFile(trace, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postSpec(t, hs.URL, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace POST: %d %s", resp.StatusCode, body)
+		}
+		var r Response
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Cached {
+			t.Error("a trace spec was served from the store")
+		}
+		return r.Metrics.Delivered
+	}
+	one := post(`{"c":0,"s":0,"d":3}` + "\n")
+	two := post(`{"c":0,"s":0,"d":3}` + "\n" + `{"c":1,"s":5,"d":9}` + "\n")
+	if one != 1 || two != 2 {
+		t.Errorf("delivered %d then %d packets, want 1 then 2: the second POST did not replay the rewritten trace", one, two)
+	}
+
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	for _, want := range []string{"repro_store_puts_total 0", "repro_store_hits_total 0", "repro_daemon_executed_total 2"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics page missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// One store, two front ends: a cell a sweep stored is a cache hit for the
+// daemon, and a result the daemon stored is a cached cell for a sweep. The
+// store is a file, closed and reopened between the two, as it is between
+// `tables -cache f` and `routesimd -cache f`.
+func TestSweepAndDaemonShareStore(t *testing.T) {
+	opt := bench.Options{Seed: 1, Warmup: 50, Measure: 100}
+	jobs, err := sweep.BuildJobs(sweep.SuitePaper, "table9", 10, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := bench.FindTable("table9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := ex.Spec(10, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(path string) *store.Store {
+		t.Helper()
+		st, err := store.Open(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	postRow := func(url string) (Response, bench.Row) {
+		t.Helper()
+		resp, body := postSpec(t, url, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST: %d %s", resp.StatusCode, body)
+		}
+		var r Response
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r, ex.Row(10, r.Result)
+	}
+
+	t.Run("sweep then daemon", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "shared.jsonl")
+		st := open(path)
+		swept, err := sweep.Run(context.Background(), jobs, opt, sweep.Options{Store: st})
+		st.Close()
+		if err != nil || len(swept) != 1 || swept[0].Cached {
+			t.Fatalf("cold sweep: %+v, %v", swept, err)
+		}
+		srv, hs := newTestServer(t, Config{Store: open(path)})
+		r, row := postRow(hs.URL)
+		if !r.Cached || srv.executed.Load() != 0 {
+			t.Errorf("daemon over the sweep's store: cached=%v executed=%d, want a pure hit", r.Cached, srv.executed.Load())
+		}
+		if row != swept[0].Row {
+			t.Errorf("daemon served %+v, the sweep computed %+v", row, swept[0].Row)
+		}
+	})
+
+	t.Run("daemon then sweep", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "shared.jsonl")
+		st := open(path)
+		srv, hs := newTestServer(t, Config{Store: st})
+		r, row := postRow(hs.URL)
+		if r.Cached || srv.executed.Load() != 1 {
+			t.Fatalf("cold POST: cached=%v executed=%d", r.Cached, srv.executed.Load())
+		}
+		st.Close()
+		st2 := open(path)
+		defer st2.Close()
+		swept, err := sweep.Run(context.Background(), jobs, opt, sweep.Options{Store: st2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(swept) != 1 || !swept[0].Cached {
+			t.Fatalf("sweep over the daemon's store re-ran the cell: %+v", swept)
+		}
+		if swept[0].Row != row {
+			t.Errorf("sweep served %+v, the daemon computed %+v", swept[0].Row, row)
+		}
+	})
 }

@@ -1,11 +1,9 @@
 package daemon
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -99,20 +97,4 @@ func streamProgress(st *sseStream, prog *progressObserver, done <-chan struct{})
 			}
 		}
 	}
-}
-
-// streamCachedResult serves a store hit as a one-event SSE stream.
-func streamCachedResult(w http.ResponseWriter, blob []byte) {
-	st := newSSE(w)
-	var res exec.Result
-	if err := json.Unmarshal(blob, &res); err != nil {
-		st.event("error", mustJSON(errorBody{Error: "corrupt store entry: " + err.Error()}))
-		return
-	}
-	st.event("result", mustJSON(Response{Result: res, Cached: true}))
-}
-
-// streamError ends an SSE stream with a terminal error event.
-func streamError(w http.ResponseWriter, err error) {
-	newSSE(w).event("error", mustJSON(errorBody{Error: err.Error()}))
 }

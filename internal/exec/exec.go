@@ -2,11 +2,14 @@ package exec
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"time"
 
 	"repro/internal/buildid"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // simObserver is the observer type Build threads through to the engine
@@ -26,10 +29,6 @@ type Result struct {
 	ElapsedSec float64     `json:"elapsed_sec"`
 	BuildID    string      `json:"build_id"`
 }
-
-// BuildID identifies the running binary for fingerprints; see
-// bench.BuildID.
-func BuildID() string { return buildid.ID() }
 
 // Run compiles the spec and executes it with the workers it names; see
 // Compiled.Run.
@@ -67,10 +66,36 @@ func (c *Compiled) Run(ctx context.Context, workers int, o obs.Observer) (Result
 	}
 	return Result{
 		V:          SpecVersion,
-		FP:         ran.Fingerprint(BuildID()),
+		FP:         ran.Fingerprint(buildid.ID()),
 		Spec:       ran,
 		Metrics:    res.Metrics,
 		ElapsedSec: time.Since(start).Seconds(),
-		BuildID:    BuildID(),
+		BuildID:    buildid.ID(),
 	}, nil
+}
+
+// Save keeps res in the store under key, the spec's Fingerprint. This and
+// Load are the only places a Result is encoded for storage or decoded from
+// it, so every writer of a store file — the daemon, a sweep — leaves blobs
+// every reader understands.
+func Save(st *store.Store, key string, res Result) error {
+	blob, err := json.Marshal(res)
+	if err != nil {
+		return fmt.Errorf("exec: encode result %s: %w", key, err)
+	}
+	return st.Put(key, blob)
+}
+
+// Load returns the result stored under key. ok is false when the store has
+// no such entry, and also when it has one that does not decode, which err
+// then describes: a reader may re-run the spec or report the damage.
+func Load(st *store.Store, key string) (res Result, ok bool, err error) {
+	blob, found := st.Get(key)
+	if !found {
+		return Result{}, false, nil
+	}
+	if err := json.Unmarshal(blob, &res); err != nil {
+		return Result{}, false, fmt.Errorf("exec: corrupt store entry %s: %w", key, err)
+	}
+	return res, true, nil
 }

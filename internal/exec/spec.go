@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -375,6 +376,15 @@ func (s RunSpec) Fingerprint(buildID string) string {
 		c.QueueCap, c.Faults, c.HopBudget, trafficPart, buildID)
 	h := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(h[:12])
+}
+
+// Storable reports whether the spec's result may be kept under its
+// Fingerprint. A trace spec may not: the fingerprint covers the trace's
+// path, not its content, so a stored result would outlive a change to the
+// file. Every holder of a store asks this before Get and before Put.
+func (s RunSpec) Storable() bool {
+	model, _, _ := strings.Cut(s.Traffic, ":")
+	return model != "trace"
 }
 
 // Build validates the spec and constructs the selected simulation engine,

@@ -5,6 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"repro/internal/buildid"
+	"repro/internal/spec"
+	"repro/internal/store"
 )
 
 // small is a cheap, valid spec used throughout; dim-4 hypercube, static.
@@ -161,8 +165,8 @@ func TestBuildAndRun(t *testing.T) {
 	if res.Metrics.Delivered != 16 { // 16 nodes x 1 packet
 		t.Fatalf("dim-4 static-1 run delivered %d packets, want 16", res.Metrics.Delivered)
 	}
-	if res.FP != s.Fingerprint(BuildID()) {
-		t.Errorf("result fingerprint %s does not match the spec's %s", res.FP, s.Fingerprint(BuildID()))
+	if res.FP != s.Fingerprint(buildid.ID()) {
+		t.Errorf("result fingerprint %s does not match the spec's %s", res.FP, s.Fingerprint(buildid.ID()))
 	}
 	if res.Spec.Packets != 1 || res.Spec.Engine != "buffered" {
 		t.Errorf("result spec is not canonical: %+v", res.Spec)
@@ -258,5 +262,56 @@ func TestCompileOnce(t *testing.T) {
 	}
 	if _, err := Compile(RunSpec{Algo: "graph-adaptive", Topology: "graph:random-regular:n=7,k=3,seed=1"}); err == nil {
 		t.Fatal("Compile accepted an impossible topology")
+	}
+}
+
+// Save and Load are the two ends of the store's blob format: what one
+// writes the other returns whole, a key never written is a plain miss, and
+// a blob that is not a Result is an error, not a zero Result.
+func TestSaveLoadRoundTrip(t *testing.T) {
+	st, err := store.Open("", store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), small(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(st, res.FP, res); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := Load(st, res.FP)
+	if err != nil || !ok {
+		t.Fatalf("Load after Save: ok=%v err=%v", ok, err)
+	}
+	if got != res {
+		t.Errorf("loaded %+v, saved %+v", got, res)
+	}
+	if _, ok, err := Load(st, "absent"); ok || err != nil {
+		t.Errorf("absent key: ok=%v err=%v, want a plain miss", ok, err)
+	}
+	if err := st.Put("damaged", []byte(`[1,2]`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := Load(st, "damaged"); ok || err == nil {
+		t.Errorf("damaged blob: ok=%v err=%v, want an error", ok, err)
+	}
+}
+
+// Storable is false for exactly the traffic models whose input is a file:
+// the ones spec.ParseTraffic reports as not generating their own traffic.
+func TestStorableFollowsTrafficGrammar(t *testing.T) {
+	if !small().Storable() {
+		t.Error("a spec with no traffic model is not storable")
+	}
+	for _, tspec := range []string{"bernoulli", "mmpp", "mmpp:on=0.9,off=0.05", "onoff:hi=0.9,lo=0.1", "trace:run.jsonl", "trace:dir/with:colon.jsonl"} {
+		ts, err := spec.ParseTraffic(tspec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := RunSpec{Algo: "hypercube-adaptive:4", Traffic: tspec}
+		if s.Storable() != ts.Dynamic() {
+			t.Errorf("traffic %q: Storable %v, but the grammar says generated=%v", tspec, s.Storable(), ts.Dynamic())
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 // algorithm family (plus assorted option shapes) to the exact values the
 // v1 schema produced, captured before the v2 topology split. These are the
 // store keys of every result cached before the schema change: if any of
-// them moves, warmed stores and checkpoint journals silently go cold.
+// them moves, warmed stores silently go cold.
 func TestGoldenV1Fingerprints(t *testing.T) {
 	cases := []struct {
 		spec RunSpec

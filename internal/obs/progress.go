@@ -11,7 +11,7 @@ import (
 type SweepEventKind int
 
 // The sweep progress probes: a cell starting, a cell finishing, a cell
-// satisfied from the resume checkpoint, and the whole sweep completing.
+// served from the result store, and the whole sweep completing.
 const (
 	SweepJobStart SweepEventKind = iota
 	SweepJobDone
@@ -73,7 +73,7 @@ func (p *SweepProgress) OnSweepEvent(ev SweepEvent) {
 		fmt.Fprintf(p.W, "[%3d/%3d %3.0f%%] done   %-24s elapsed %s eta %s\n",
 			ev.Done, ev.Total, pct, ev.Job, fmtSec(ev.ElapsedSec), fmtSec(ev.ETASec))
 	case SweepJobCached:
-		fmt.Fprintf(p.W, "[%3d/%3d %3.0f%%] cached %-24s (resumed from checkpoint)\n",
+		fmt.Fprintf(p.W, "[%3d/%3d %3.0f%%] cached %-24s (served from the store)\n",
 			ev.Done, ev.Total, pct, ev.Job)
 	case SweepDone:
 		fmt.Fprintf(p.W, "[%3d/%3d 100%%] sweep done in %s\n",

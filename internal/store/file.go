@@ -1,26 +1,29 @@
-// Package store is the content-addressed result store behind the sweep
-// checkpoint and the routesimd daemon: a Get/Put blob store keyed by
-// fingerprint strings (sha256 of a run's identity, options and build id),
-// with an in-memory LRU tier over a JSONL append-only backing file. The
-// sweep's checkpoint journal generalized: where the journal only ever
-// replayed one sweep's cells, the store is a standing memoization layer
-// any caller with a stable fingerprint can share.
+// Package store is the content-addressed result store behind cmd/tables
+// -cache and the routesimd daemon: a Get/Put blob store keyed by
+// fingerprint strings (exec.RunSpec.Fingerprint: sha256 of a run's spec and
+// build id), with an in-memory LRU tier over a JSONL append-only backing
+// file. It is the tree's one on-disk result format: a sweep and a daemon
+// pointed at the same file serve each other's results (each sees the
+// other's writes at its next Open), and a sweep killed part-way resumes
+// from whatever it had stored.
 package store
 
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
 )
 
-// OpenAppend opens path for appending line-oriented records. With truncate
+// openAppend opens path for appending line-oriented records. With truncate
 // the file is reset to empty; otherwise existing content is preserved —
 // except a partial trailing line (the residue of a crash mid-append), which
 // is trimmed so the next appended record starts on a fresh line instead of
-// gluing itself onto the fragment and corrupting both.
-func OpenAppend(path string, truncate bool) (*os.File, error) {
-	flags := os.O_CREATE | os.O_RDWR
+// gluing itself onto the fragment and corrupting both. The file is opened
+// O_APPEND, so every record lands at the file's current end: two processes
+// holding the same path interleave whole lines instead of overwriting each
+// other at a shared offset.
+func openAppend(path string, truncate bool) (*os.File, error) {
+	flags := os.O_CREATE | os.O_RDWR | os.O_APPEND
 	if truncate {
 		flags |= os.O_TRUNC
 	}
@@ -29,10 +32,6 @@ func OpenAppend(path string, truncate bool) (*os.File, error) {
 		return nil, err
 	}
 	if err := trimPartialTail(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -74,7 +73,7 @@ func trimPartialTail(f *os.File) error {
 }
 
 // appendLine writes one record plus newline and syncs, so a kill leaves at
-// most one partial trailing line — which OpenAppend trims on reopen and
+// most one partial trailing line — which openAppend trims on reopen and
 // scanners skip on replay.
 func appendLine(f *os.File, rec []byte) error {
 	if _, err := f.Write(append(rec, '\n')); err != nil {

@@ -16,9 +16,9 @@ import (
 const entryVersion = 1
 
 // line is the on-disk form of one entry: a fingerprint key and an opaque
-// blob. The store never interprets the blob — callers own its schema and
-// are expected to fold a schema version into the fingerprint (RunSpec's
-// "v":1, the sweep journal's entry version).
+// blob. The store never interprets the blob — callers own its schema
+// (exec.Save and exec.Load for run results) and are expected to fold a
+// schema version into the fingerprint, as RunSpec.Fingerprint does.
 type line struct {
 	V    int             `json:"v"`
 	Key  string          `json:"key"`
@@ -62,7 +62,7 @@ func Open(path string, o Options) (*Store, error) {
 	if path == "" {
 		return s, nil
 	}
-	f, err := OpenAppend(path, o.Truncate)
+	f, err := openAppend(path, o.Truncate)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}

@@ -156,7 +156,7 @@ func TestReopenTrimsPartialTrailingLine(t *testing.T) {
 	}
 	defer st3.Close()
 	if st3.Len() != 2 {
-		t.Fatalf("append after trim corrupted the journal: Len = %d, want 2", st3.Len())
+		t.Fatalf("append after trim corrupted the file: Len = %d, want 2", st3.Len())
 	}
 	if got, ok := st3.Get("c"); !ok || string(got) != `{"v":3}` {
 		t.Fatalf("entry appended after trim unreadable: %q %v", got, ok)
@@ -175,5 +175,43 @@ func TestTruncateDiscardsExisting(t *testing.T) {
 	defer st2.Close()
 	if st2.Len() != 0 {
 		t.Fatalf("truncated store still holds %d entries", st2.Len())
+	}
+}
+
+// Two holders of one file — cmd/tables and routesimd sharing a -cache —
+// must not overwrite each other's lines. Before the file was opened
+// O_APPEND both wrote from the offset they had sought to at Open, and the
+// second Put landed on top of the first.
+func TestTwoWritersShareOneFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	a, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Put("from-a", []byte(`{"writer":"a"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put("from-b", []byte(`{"writer":"b","pad":"longer than a's line"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Put("from-a-again", []byte(`{"writer":"a"}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, key := range []string{"from-a", "from-b", "from-a-again"} {
+		if _, ok := c.Get(key); !ok {
+			t.Errorf("replay lost %q: one writer overwrote the other's line", key)
+		}
 	}
 }

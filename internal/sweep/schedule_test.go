@@ -26,7 +26,7 @@ func TestLPTOrderSubset(t *testing.T) {
 		{Seq: 1, Cost: 500},
 		{Seq: 2, Cost: 9000},
 	}
-	pending := []int{0, 2} // job 1 already checkpointed
+	pending := []int{0, 2} // job 1 already in the store
 	got := LPTOrder(jobs, pending)
 	want := []int{2, 0}
 	if !reflect.DeepEqual(got, want) {

@@ -3,15 +3,18 @@
 // list of independent (experiment, size) cells with per-cell cost
 // estimates, schedules them longest-processing-time-first onto a bounded
 // slot pool that splits a global worker budget between concurrent cells
-// and per-simulation Workers, and journals every completed cell to a JSONL
-// checkpoint so a killed sweep resumes instead of restarting.
+// and per-simulation Workers. Every cell is an exec.RunSpec; given a result
+// store, the sweep keeps each completed cell's exec.Result there under the
+// spec's fingerprint and serves the cells the store already holds, so a
+// killed sweep resumes instead of restarting and shares its results with
+// every other holder of the same store file (routesimd -cache).
 //
 // Determinism: every cell is an independent, bit-deterministic simulation
 // whose results do not depend on the Workers count (credited algorithms,
 // the exception, are pinned to one worker), and merged results are ordered
 // by the cells' canonical sequence — so the sweep's output is bit-identical
-// regardless of the concurrency level, scheduling interleaving, or a
-// kill/resume cycle in the middle.
+// regardless of the concurrency level, scheduling interleaving, a
+// kill/resume cycle in the middle, or which cells came from the store.
 package sweep
 
 import (
@@ -23,7 +26,10 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/buildid"
+	"repro/internal/exec"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Suite selectors accepted by BuildJobs, mirroring cmd/tables -suite.
@@ -145,28 +151,31 @@ type Result struct {
 	Job        Job
 	Row        bench.Row
 	ElapsedSec float64
-	Cached     bool // satisfied from the resume checkpoint, not re-run
+	Cached     bool // served from Options.Store, not re-run
 }
 
 // ErrStopped reports that the sweep hit Options.StopAfter and exited early
-// on purpose; the checkpoint journal holds the completed cells.
+// on purpose; Options.Store holds the completed cells.
 var ErrStopped = errors.New("sweep: stopped after requested number of cells")
 
-// Options tunes a sweep run. The zero value runs sequentially with no
-// checkpointing — the exact behavior of the old cmd/tables loop.
+// Options tunes a sweep run. The zero value runs sequentially and keeps
+// nothing — the exact behavior of the old cmd/tables loop.
 type Options struct {
 	Jobs   int // concurrent cells (default 1)
 	Budget int // total worker budget across concurrent cells (default GOMAXPROCS)
 	// FixedWorkers forces every cell to this Workers value (the -workers
 	// flag); 0 lets the scheduler split Budget cost-aware per cell.
 	FixedWorkers int
-	Checkpoint   string // JSONL journal path ("" = no checkpointing)
-	Resume       bool   // skip cells already journaled under a matching fingerprint
+	// Store, when set, is consulted for every cell before anything runs and
+	// receives every cell that does run, keyed by the cell's
+	// RunSpec.Fingerprint under this binary's build id — the key and blob
+	// internal/daemon uses, so the two share a store file. Nil keeps
+	// nothing and fingerprints nothing.
+	Store *store.Store
 	// StopAfter ends the sweep with ErrStopped once that many cells have
 	// completed in this run (0 = run to completion); the deterministic
 	// "kill" half of the kill/resume tests and CI smoke job.
 	StopAfter int
-	BuildID   string        // fingerprint build key (default BuildID())
 	Sink      obs.SweepSink // progress events (nil = none)
 	SmallCost float64       // cells cheaper than this run sequentially (default DefaultSmallCost)
 }
@@ -178,9 +187,6 @@ func (o *Options) fill() {
 	if o.Budget < 1 {
 		o.Budget = runtime.GOMAXPROCS(0)
 	}
-	if o.BuildID == "" {
-		o.BuildID = BuildID()
-	}
 	if o.SmallCost == 0 {
 		o.SmallCost = DefaultSmallCost
 	}
@@ -188,8 +194,8 @@ func (o *Options) fill() {
 
 // Run executes the jobs under the sweep options and returns one Result per
 // job, in the jobs' (canonical) order. On ErrStopped or cancellation the
-// results of unfinished cells are zero; completed cells are already in the
-// checkpoint journal when one is configured.
+// results of unfinished cells are zero; completed cells are already in
+// Options.Store when one is configured.
 func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Result, error) {
 	o.fill()
 	opt = opt.Filled()
@@ -197,33 +203,26 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 		ctx = context.Background()
 	}
 
-	var cached map[string]Entry
-	var journal *Journal
-	if o.Checkpoint != "" {
-		if o.Resume {
-			var err error
-			if cached, err = LoadJournal(o.Checkpoint); err != nil {
-				return nil, err
-			}
-		}
-		var err error
-		if journal, err = OpenJournal(o.Checkpoint, o.Resume); err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-	}
-
 	results := make([]Result, len(jobs))
 	prog := newProgress(jobs, o.Sink)
-	fps := make([]string, len(jobs))
+	cells := make([]cell, len(jobs))
 	var pending []int
 	for i, job := range jobs {
-		fps[i] = Fingerprint(job, opt, o.BuildID)
-		if e, ok := cached[fps[i]]; ok {
-			results[i] = Result{Job: job, Row: e.Row, ElapsedSec: e.ElapsedSec, Cached: true}
-			prog.cached(job)
-			continue
+		c, err := newCell(job, opt)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", job.ID, err)
 		}
+		if o.Store != nil && c.spec.Storable() {
+			c.key = c.spec.Fingerprint(buildid.ID())
+			// An entry that does not decode is a miss: the cell re-runs and
+			// its Put supersedes the damaged line.
+			if res, ok, _ := exec.Load(o.Store, c.key); ok {
+				results[i] = Result{Job: job, Row: c.row(res), ElapsedSec: res.ElapsedSec, Cached: true}
+				prog.cached(job)
+				continue
+			}
+		}
+		cells[i] = c
 		pending = append(pending, i)
 	}
 
@@ -264,20 +263,23 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			defer wg.Done()
 			defer pool.release(w)
 			prog.start(job, w)
-			jobOpt := opt
+			c := cells[idx]
 			// A one-worker grant means "run this cell sequentially": the
 			// engine's plain single-threaded path (Workers 0) computes the
 			// same results as a one-worker pool without the pool overhead.
-			jobOpt.Workers = w
+			c.spec.Workers = w
 			if w == 1 {
-				jobOpt.Workers = 0
+				c.spec.Workers = 0
 			}
 			t0 := time.Now()
-			row, err := runCell(runCtx, job, jobOpt)
+			res, err := exec.Run(runCtx, c.spec, nil)
 			elapsed := time.Since(t0).Seconds()
+			if err == nil && c.key != "" {
+				err = exec.Save(o.Store, c.key, res)
+			}
 
-			mu.Lock()
 			if err != nil {
+				mu.Lock()
 				if firstErr == nil && !errors.Is(err, context.Canceled) {
 					firstErr = fmt.Errorf("%s: %w", job.ID, err)
 				}
@@ -285,23 +287,16 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 				cancel()
 				return
 			}
-			results[idx] = Result{Job: job, Row: row, ElapsedSec: elapsed}
-			if journal != nil {
-				if jerr := journal.Append(Entry{
-					FP: fps[idx], Job: job.ID, Seq: job.Seq, ElapsedSec: elapsed, Row: row,
-				}); jerr != nil && firstErr == nil {
-					firstErr = jerr
-				}
-			}
+			results[idx] = Result{Job: job, Row: c.row(res), ElapsedSec: elapsed}
+			mu.Lock()
 			executed++
 			stopNow := o.StopAfter > 0 && executed >= o.StopAfter && !stopped
 			if stopNow {
 				stopped = true
 			}
-			failed := firstErr != nil
 			mu.Unlock()
 			prog.done(job)
-			if stopNow || failed {
+			if stopNow {
 				cancel()
 			}
 		}(idx, job, w)
@@ -320,23 +315,41 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 	return results, nil
 }
 
-// runCell executes one cell against its experiment.
-func runCell(ctx context.Context, job Job, opt bench.Options) (bench.Row, error) {
+// experiment is what the sweep needs of a bench.Experiment or a
+// bench.Extended: a cell's spec, and the row a result of that spec makes.
+type experiment interface {
+	Spec(size int, opt bench.Options) (exec.RunSpec, error)
+	Row(size int, res exec.Result) bench.Row
+}
+
+// cell is a job resolved against its experiment: the spec that runs it and
+// the store key of its result ("" = not kept: no store, or a spec that is
+// not Storable).
+type cell struct {
+	ex   experiment
+	size int
+	spec exec.RunSpec
+	key  string
+}
+
+func (c cell) row(res exec.Result) bench.Row { return c.ex.Row(c.size, res) }
+
+func newCell(job Job, opt bench.Options) (cell, error) {
+	var ex experiment
+	var err error
 	switch job.Suite {
 	case SuitePaper:
-		ex, err := bench.FindTable(job.Exp)
-		if err != nil {
-			return bench.Row{}, err
-		}
-		return ex.RunCtx(ctx, job.Size, opt)
+		ex, err = bench.FindTable(job.Exp)
 	case SuiteExtended:
-		ex, err := bench.FindExtended(job.Exp)
-		if err != nil {
-			return bench.Row{}, err
-		}
-		return ex.RunCtx(ctx, job.Size, opt)
+		ex, err = bench.FindExtended(job.Exp)
+	default:
+		err = fmt.Errorf("sweep: unknown suite %q", job.Suite)
 	}
-	return bench.Row{}, fmt.Errorf("sweep: unknown suite %q", job.Suite)
+	if err != nil {
+		return cell{}, err
+	}
+	s, err := ex.Spec(job.Size, opt)
+	return cell{ex: ex, size: job.Size, spec: s}, err
 }
 
 // progress aggregates completion state and derives the events' ETA from the

@@ -3,10 +3,13 @@ package sweep
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // testOptions keeps the simulated windows short: the determinism claims
@@ -25,6 +28,27 @@ func testJobs(t *testing.T, opt bench.Options) []Job {
 		t.Fatalf("paper suite at maxn 10 yielded only %d jobs", len(jobs))
 	}
 	return jobs
+}
+
+// openStore opens (or reopens, replaying it) the file-backed store at path.
+func openStore(t *testing.T, path string) *store.Store {
+	t.Helper()
+	st, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+func cachedCount(results []Result) int {
+	n := 0
+	for _, r := range results {
+		if r.Cached {
+			n++
+		}
+	}
+	return n
 }
 
 func rowsOf(results []Result) []bench.Row {
@@ -57,11 +81,13 @@ func TestSweepDeterminismAcrossJobs(t *testing.T) {
 }
 
 // A sweep killed after N cells and resumed must produce exactly the rows of
-// an uninterrupted run, with the first run's cells served from checkpoint.
+// an uninterrupted run, with the first run's cells served from the store.
+// The store is closed and reopened in between, as a second process would,
+// so the resumed rows are rebuilt from results replayed off the file.
 func TestSweepStopAndResume(t *testing.T) {
 	opt := testOptions()
 	jobs := testJobs(t, opt)
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
 
 	full, err := Run(context.Background(), jobs, opt, Options{Jobs: 1})
 	if err != nil {
@@ -69,29 +95,26 @@ func TestSweepStopAndResume(t *testing.T) {
 	}
 
 	const stopAfter = 4
+	st := openStore(t, path)
 	_, err = Run(context.Background(), jobs, opt, Options{
-		Jobs: 2, Budget: 2, Checkpoint: ckpt, StopAfter: stopAfter,
+		Jobs: 2, Budget: 2, Store: st, StopAfter: stopAfter,
 	})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("stop-after run returned %v, want ErrStopped", err)
 	}
+	st.Close()
 
 	resumed, err := Run(context.Background(), jobs, opt, Options{
-		Jobs: 2, Budget: 2, Checkpoint: ckpt, Resume: true,
+		Jobs: 2, Budget: 2, Store: openStore(t, path),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedCount := 0
-	for _, r := range resumed {
-		if r.Cached {
-			cachedCount++
-		}
+	cached := cachedCount(resumed)
+	if cached < stopAfter {
+		t.Errorf("resume served %d cells from the store, want >= %d", cached, stopAfter)
 	}
-	if cachedCount < stopAfter {
-		t.Errorf("resume served %d cells from checkpoint, want >= %d", cachedCount, stopAfter)
-	}
-	if cachedCount == len(resumed) {
+	if cached == len(resumed) {
 		t.Error("every cell was cached; the stop-after run did not stop early")
 	}
 	fullRows, resumedRows := rowsOf(full), rowsOf(resumed)
@@ -100,32 +123,149 @@ func TestSweepStopAndResume(t *testing.T) {
 			t.Errorf("%s: uninterrupted row %+v != resumed row %+v", jobs[i].ID, fullRows[i], resumedRows[i])
 		}
 	}
+
+	// A third run finds every cell and simulates nothing.
+	again, err := Run(context.Background(), jobs, opt, Options{Jobs: 1, Store: openStore(t, path)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := cachedCount(again); n != len(jobs) {
+		t.Errorf("warm run served %d of %d cells from the store", n, len(jobs))
+	}
+	for i, r := range rowsOf(again) {
+		if r != fullRows[i] {
+			t.Errorf("%s: warm row %+v != uninterrupted row %+v", jobs[i].ID, r, fullRows[i])
+		}
+	}
 }
 
-// A checkpoint recorded under different options must be ignored wholesale:
+// Results stored under different options must be ignored wholesale:
 // resuming with a new seed re-runs every cell.
 func TestSweepResumeIgnoresStaleCheckpoint(t *testing.T) {
 	opt := testOptions()
 	jobs := testJobs(t, opt)
-	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	path := filepath.Join(t.TempDir(), "results.jsonl")
 
-	if _, err := Run(context.Background(), jobs, opt, Options{Jobs: 1, Checkpoint: ckpt}); err != nil {
+	st := openStore(t, path)
+	if _, err := Run(context.Background(), jobs, opt, Options{Jobs: 1, Store: st}); err != nil {
 		t.Fatal(err)
 	}
+	st.Close()
 
 	newOpt := opt
 	newOpt.Seed = 42
 	newJobs := testJobs(t, newOpt)
 	resumed, err := Run(context.Background(), newJobs, newOpt, Options{
-		Jobs: 1, Checkpoint: ckpt, Resume: true,
+		Jobs: 1, Store: openStore(t, path),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range resumed {
 		if r.Cached {
-			t.Errorf("%s: cell served from a checkpoint recorded under another seed", r.Job.ID)
+			t.Errorf("%s: cell served from a result stored under another seed", r.Job.ID)
 		}
+	}
+}
+
+// The store key must change with every option that changes the rows. The
+// sweep's own fingerprint, since deleted, left out bench.Options.Traffic: a
+// table swept with -traffic mmpp and then without it printed the mmpp rows
+// both times. Cells are keyed by RunSpec.Fingerprint now, so a sweep under
+// one option value must find none of the cells stored under another, and
+// must return the rows it would have computed with no store at all.
+func TestFingerprintInvalidation(t *testing.T) {
+	base := testOptions()
+	jobs, err := BuildJobs(SuitePaper, "table12", 10, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(context.Background(), jobs, base, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, change := range map[string]func(*bench.Options){
+		"traffic":   func(o *bench.Options) { o.Traffic = "mmpp" },
+		"policy":    func(o *bench.Options) { o.Policy = sim.PolicyLastFree },
+		"queue cap": func(o *bench.Options) { o.QueueCap = 2 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := openStore(t, filepath.Join(t.TempDir(), "results.jsonl"))
+			changed := base
+			change(&changed)
+			other, err := Run(context.Background(), jobs, changed, Options{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Run(context.Background(), jobs, base, Options{Store: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := cachedCount(got); n != 0 {
+				t.Errorf("%d cells served from results stored under another %s", n, name)
+			}
+			differs := false
+			for i := range got {
+				if got[i].Row != want[i].Row {
+					t.Errorf("%s: row %+v, want the store-less row %+v", jobs[i].ID, got[i].Row, want[i].Row)
+				}
+				differs = differs || other[i].Row != want[i].Row
+			}
+			if !differs {
+				t.Errorf("changing %s moved no row; the check above proves nothing", name)
+			}
+			// Both option values now sit side by side in the one store.
+			for _, o := range []bench.Options{changed, base} {
+				warm, err := Run(context.Background(), jobs, o, Options{Store: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := cachedCount(warm); n != len(jobs) {
+					t.Errorf("rerun served %d of %d cells from the store", n, len(jobs))
+				}
+			}
+		})
+	}
+}
+
+// A trace cell is fingerprinted by its file's path, not its content, so the
+// store must neither keep nor serve it: rewriting the trace between two
+// sweeps over one store changes the second sweep's row.
+func TestSweepTraceBypassesStore(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.jsonl")
+	opt := testOptions()
+	opt.Traffic = "trace:" + trace
+	jobs, err := BuildJobs(SuitePaper, "table12", 9, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, filepath.Join(dir, "results.jsonl"))
+	sweepWith := func(lines string) Result {
+		t.Helper()
+		if err := os.WriteFile(trace, []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(context.Background(), jobs, opt, Options{Store: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 {
+			t.Fatalf("table12 at maxn 9 is %d cells, want 1", len(res))
+		}
+		return res[0]
+	}
+	one := sweepWith(`{"c":60,"s":0,"d":3}` + "\n")
+	two := sweepWith(`{"c":60,"s":0,"d":3}` + "\n" + `{"c":61,"s":5,"d":500}` + "\n")
+	if one.Cached || two.Cached {
+		t.Error("a trace cell was served from the store")
+	}
+	if one.Row.Delivered != 1 || two.Row.Delivered != 2 {
+		t.Errorf("delivered %d then %d packets, want 1 then 2: the second sweep did not replay the rewritten trace",
+			one.Row.Delivered, two.Row.Delivered)
+	}
+	if c := st.Stats().Counts(); c.Puts != 0 || c.Hits+c.Misses != 0 {
+		t.Errorf("store touched for a trace cell: %+v", c)
 	}
 }
 
