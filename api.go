@@ -60,8 +60,8 @@ type (
 	// with NewSimulator.
 	Simulator = sim.Simulator
 	// FaultPlan schedules deterministic link and node failures for a run;
-	// assign one to Config.Faults or WithFaultPlan. Build it with the
-	// FaultPlan methods or parse a textual spec with ParseFaultSpec.
+	// assign one to Config.Faults and build it with the FaultPlan methods
+	// (a RunSpec takes the textual form in its Faults field).
 	FaultPlan = fault.Plan
 	// DeadlockDump is the wait-for state captured when the deadlock watchdog
 	// fires (ErrDeadlock.Dump, and the OnDeadlock observer probe).
@@ -78,8 +78,8 @@ type (
 	// (see Simulator.Snapshot, typically called from an Observer's OnCycle).
 	QueueSnapshot = sim.QueueSnapshot
 	// Observer taps a run's deliveries, cycles, and completion; attach one
-	// with Config.Observer or WithObserver. See the internal/obs package
-	// docs for the probe contract.
+	// with Config.Observer (which also enables the metrics core). See the
+	// internal/obs package docs for the probe contract.
 	Observer = obs.Observer
 	// ObserverBase is a no-op Observer for embedding: override only the
 	// probes you need.
@@ -111,11 +111,6 @@ const (
 	PolicyStaticFirst = sim.PolicyStaticFirst
 	PolicyLastFree    = sim.PolicyLastFree
 )
-
-// ParsePolicy parses a textual policy name ("first-free", "random",
-// "static-first", "last-free"; "" means first-free) into a selection
-// policy.
-func ParsePolicy(s string) (sim.Policy, error) { return sim.ParsePolicy(s) }
 
 // The canonical RunSpec API: one serializable description of a complete
 // run — algorithm, pattern, engine kind, policy, seed, injection model,
@@ -191,6 +186,11 @@ func NewJSONLObserver(w io.Writer, every int64) *JSONLObserver {
 	return obs.NewJSONLWriter(w, every)
 }
 
+// MultiObserver composes observers into one that fans every probe out to
+// each in order. Nils are dropped; a single survivor is returned unwrapped
+// and zero survivors yield nil.
+func MultiObserver(os ...Observer) Observer { return obs.Multi(os...) }
+
 // StaticPlan returns a drain-to-completion plan with the given cycle
 // budget (0 = unbounded) for Engine.Run.
 func StaticPlan(maxCycles int64) Plan { return sim.StaticPlan(maxCycles) }
@@ -198,32 +198,20 @@ func StaticPlan(maxCycles int64) Plan { return sim.StaticPlan(maxCycles) }
 // DynamicPlan returns a fixed warmup+measure window plan for Engine.Run.
 func DynamicPlan(warmup, measure int64) Plan { return sim.DynamicPlan(warmup, measure) }
 
-// EngineNames lists the engine kinds accepted by NewSimulator.
-func EngineNames() []string { return sim.EngineKinds }
-
 // NewSimulator builds the simulation engine selected by kind — "buffered"
 // (or "") for the cycle-accurate Engine, "atomic" for the AtomicEngine —
-// behind the engine-agnostic Simulator API.
+// behind the engine-agnostic Simulator API. It is the library front door:
+// cfg is a plain struct literal whose unset fields keep the paper's
+// defaults. A run that should be serialized, cached or served is a RunSpec
+// instead (ExecuteSpec).
 func NewSimulator(kind string, cfg Config) (Simulator, error) { return sim.NewSimulator(kind, cfg) }
-
-// ParseFaultSpec parses a textual fault schedule into a FaultPlan. The spec
-// is a comma-separated list of:
-//
-//	link:<node>:<port>@<cycle>[+<dur>]   one directed link (and its reverse)
-//	node:<node>@<cycle>[+<dur>]          one node with all its links
-//	links:<frac>[:<seed>]@<cycle>[+<dur>]  a seeded random fraction of links
-//	nodes:<frac>[:<seed>]@<cycle>[+<dur>]  a seeded random fraction of nodes
-//
-// Without +<dur> the failure is permanent; with it the component revives
-// after dur cycles. Example: "links:0.05@0,node:3@100+50".
-func ParseFaultSpec(s string) (*FaultPlan, error) { return fault.ParseSpec(s) }
 
 // FaultForever marks a FaultPlan failure with no scheduled recovery.
 const FaultForever = fault.Forever
 
 // Spec grammar. Every textual spec the facade accepts is parsed by one
-// grammar, documented here once; NewAlgorithm, NewTopology and NewPattern
-// report malformed input with the same two structured error shapes — an
+// grammar, documented here once; NewAlgorithm and NewPattern report
+// malformed input with the same two structured error shapes — an
 // *UnknownNameError when the family name is not recognized (listing the
 // valid names) and a *SpecParseError when a recognized spec carries a
 // malformed or out-of-range argument — and RunSpec validation wraps either
@@ -238,7 +226,7 @@ const FaultForever = fault.Forever
 //	shuffle-eager:<dims>         ccc-adaptive:<dims>     ccc-static:<dims>
 //	graph-adaptive:<generator>
 //
-// Topology specs (NewTopology, RunSpec.Topology) name a network on its
+// Topology specs (RunSpec.Topology, TopologyNames) name a network on its
 // own — the v2 RunSpec separation, in which the algo field carries only the
 // bare family:
 //
@@ -253,8 +241,16 @@ const FaultForever = fault.Forever
 //
 // Pattern specs (NewPattern, RunSpec.Pattern): "random", "complement",
 // "transpose", "leveled", "bit-reversal", "mesh-transpose",
-// "hotspot:<fraction>". Fault specs (ParseFaultSpec, RunSpec.Faults) are
-// documented at ParseFaultSpec.
+// "hotspot:<fraction>". Traffic specs (RunSpec.Traffic) are documented on
+// that field. Fault specs (RunSpec.Faults) are a comma-separated list of:
+//
+//	link:<node>:<port>@<cycle>[+<dur>]   one directed link (and its reverse)
+//	node:<node>@<cycle>[+<dur>]          one node with all its links
+//	links:<frac>[:<seed>]@<cycle>[+<dur>]  a seeded random fraction of links
+//	nodes:<frac>[:<seed>]@<cycle>[+<dur>]  a seeded random fraction of nodes
+//
+// Without +<dur> the failure is permanent; with it the component revives
+// after dur cycles. Example: "links:0.05@0,node:3@100+50".
 type (
 	// SpecParseError reports a recognized spec with a malformed or
 	// out-of-range argument; Spec names the offending spec as given.
@@ -263,7 +259,7 @@ type (
 	// listing the accepted names.
 	UnknownNameError = spec.UnknownNameError
 	// Topology is a static interconnection network: the node/port/link
-	// structure an Algorithm routes on. Build one with NewTopology.
+	// structure an Algorithm routes on (Algorithm.Topology).
 	Topology = topology.Topology
 	// GraphTopology is an arbitrary strongly-connected digraph produced by
 	// a "graph:" generator spec, with a precomputed all-pairs distance
@@ -274,10 +270,7 @@ type (
 // AlgorithmNames lists the specs accepted by NewAlgorithm.
 func AlgorithmNames() []string { return spec.AlgorithmNames() }
 
-// PatternNames lists the specs accepted by NewPattern.
-func PatternNames() []string { return spec.PatternNames() }
-
-// TopologyNames lists the specs accepted by NewTopology.
+// TopologyNames lists the specs accepted by RunSpec.Topology.
 func TopologyNames() []string { return spec.TopologyNames() }
 
 // NewAlgorithm builds an algorithm from a textual spec such as
@@ -287,23 +280,9 @@ func TopologyNames() []string { return spec.TopologyNames() }
 // reported as errors, never panics.
 func NewAlgorithm(s string) (Algorithm, error) { return spec.Algorithm(s) }
 
-// NewTopology builds a network from a textual topology spec such as
-// "hypercube:10", "torus:8x8" or "graph:random-regular:n=256,k=4,seed=7"
-// (see TopologyNames and the Spec grammar section above). Generated
-// "graph:" networks are deterministic in their parameters and verified
-// strongly connected; errors are the same structured shapes NewAlgorithm
-// reports.
-func NewTopology(s string) (Topology, error) { return spec.Topology(s) }
-
-// TopologySpec renders the canonical spec of a topology built by
-// NewTopology, such that NewTopology(TopologySpec(t)) reconstructs an
-// equivalent network.
+// TopologySpec renders the canonical spec of a topology, the value a
+// RunSpec's Topology field takes for that network.
 func TopologySpec(t Topology) (string, error) { return spec.FormatTopology(t) }
-
-// AlgorithmSpec renders the canonical spec of an algorithm built by
-// NewAlgorithm, such that NewAlgorithm(AlgorithmSpec(a)) reconstructs an
-// equivalent algorithm.
-func AlgorithmSpec(a Algorithm) (string, error) { return spec.Format(a) }
 
 // NewPattern builds a traffic pattern from a textual spec for an algorithm's
 // topology: "random", "complement", "transpose", "leveled", "bit-reversal",
@@ -324,37 +303,6 @@ func NewStaticTraffic(p Pattern, a Algorithm, perNode int, seed int64) TrafficSo
 // each node attempts to inject with probability lambda.
 func NewDynamicTraffic(p Pattern, a Algorithm, lambda float64, seed int64) TrafficSource {
 	return traffic.NewBernoulliSource(p, a.Topology().Nodes(), lambda, seed)
-}
-
-// TrafficNames lists the traffic-model specs accepted by NewTrafficSource.
-func TrafficNames() []string { return spec.TrafficNames() }
-
-// NewTrafficSource builds a dynamic injection model from a textual traffic
-// spec: "bernoulli" (the default; rate lambda), bursty
-// "mmpp:on=0.9,off=0.05,p10=0.1,p01=0.1", square-wave
-// "onoff:hi=0.9,lo=0.1,period=64,on=32", or "trace:<path>" replaying a
-// recorded JSONL trace bit-exactly (the only model valid under a static
-// plan; a trace carries its own cycle stamps). Rate parameters documented
-// as defaulting do so from lambda; a trace path is opened here.
-func NewTrafficSource(tspec string, p Pattern, a Algorithm, lambda float64, seed int64) (TrafficSource, error) {
-	ts, err := spec.ParseTraffic(tspec)
-	if err != nil {
-		return nil, err
-	}
-	return ts.Build(p, a.Topology().Nodes(), lambda, seed)
-}
-
-// RecordingSource wraps a traffic source and records every injection;
-// with W set it streams the record as trace JSONL that NewTrafficSource's
-// "trace:" model replays bit-exactly. See NewRecordingTraffic.
-type RecordingSource = traffic.RecordingSource
-
-// NewRecordingTraffic wraps src so every injection (and, on the batched
-// path, every blocked attempt) streams to w as trace JSONL. Call Flush when
-// the run ends. The wrapper keeps only the latest record in memory, so
-// recording adds no per-packet allocation to long runs.
-func NewRecordingTraffic(src TrafficSource, w io.Writer) *RecordingSource {
-	return &RecordingSource{Inner: src, Cap: 1, W: w}
 }
 
 // VerifyDeadlockFree builds the algorithm's queue dependency graph by

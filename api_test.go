@@ -205,7 +205,7 @@ func TestLatencyObserverFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := repro.NewLatencyObserver()
-	eng, err := repro.NewSimulatorOpts("buffered", algo, repro.WithSeed(1), repro.WithObserver(col))
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, Observer: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,15 @@
 // over the algorithm, traffic and node parameters, and prints the measured
 // metrics. It is the general-purpose driver behind the paper's experiments.
 //
+// The flags of a packet run are compiled into an exec.RunSpec, so a run here
+// is the run the tables sweep and the routesimd daemon execute for the same
+// values; the printed fingerprint is that spec's result-store key. The
+// wormhole engine (wh-* specs) is driven directly.
+//
 // Examples:
 //
 //	routesim -algo hypercube-adaptive:10 -pattern random -inject dynamic -lambda 1
+//	routesim -algo hypercube-adaptive:10 -inject dynamic -lambda 1 -engine buffered:vct
 //	routesim -algo mesh-adaptive:16x16 -pattern mesh-transpose -inject static -packets 8
 //	routesim -algo shuffle-adaptive:10 -pattern random -inject static -packets 4 -engine atomic
 //	routesim -algo torus-adaptive:8x8 -pattern random -inject dynamic -lambda 0.4
@@ -20,7 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	httppprof "net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -30,6 +36,9 @@ import (
 
 	"repro"
 	"repro/internal/bench"
+	"repro/internal/buildid"
+	"repro/internal/exec"
+	"repro/internal/traffic"
 )
 
 func main() {
@@ -44,16 +53,15 @@ func main() {
 		record    = flag.String("record", "", "record the run's injections as trace JSONL to this file (replay with -traffic trace:<file>)")
 		warmup    = flag.Int64("warmup", 500, "dynamic model: warmup cycles")
 		measure   = flag.Int64("measure", 1500, "dynamic model: measured cycles")
-		seed      = flag.Int64("seed", 1, "simulation seed")
+		seed      = flag.Int64("seed", 1, "simulation seed (the RunSpec seed: pattern and traffic use seed+1 and seed+2)")
 		cap_      = flag.Int("cap", 5, "central queue capacity")
 		policy    = flag.String("policy", "first-free", "selection policy: first-free|random|static-first")
-		engine    = flag.String("engine", "buffered", "engine: buffered (Sections 6-7 node model) | atomic (Section 2 model) | wormhole (flit-level, use a wh-* algo)")
+		engine    = flag.String("engine", "buffered", "engine: buffered (Sections 6-7 node model) | buffered:vct (the same with virtual cut-through [KK79]) | atomic (Section 2 model) | wormhole (flit-level, use a wh-* algo)")
 		flits     = flag.Int("flits", 8, "wormhole engine: flits per worm")
 		vcbuf     = flag.Int("vcbuf", 2, "wormhole engine: flit buffer per virtual channel")
-		workers   = flag.Int("workers", 1, "parallel workers for the buffered engine")
+		workers   = flag.Int("workers", 1, "parallel workers for the buffered engine (the atomic engine refuses more than 1)")
 		verify    = flag.Bool("verify", false, "verify deadlock freedom via the QDG checker first (small networks only)")
 		hist      = flag.Bool("hist", false, "print a latency histogram and percentiles")
-		vct       = flag.Bool("vct", false, "virtual cut-through switching [KK79] instead of store-and-forward (buffered engine; -engine atomic refuses it)")
 		maxCyc    = flag.Int64("maxcycles", 10_000_000, "static model: abort after this many cycles")
 		faults    = flag.String("faults", "", "fault schedule, e.g. 'link:0:1@50,node:3@100+200,links:0.05@0' (packet engines only)")
 		killLinks = flag.Float64("kill-links", 0, "kill this fraction of links at cycle 0 (seeded; shorthand for -faults links:<p>@0)")
@@ -122,23 +130,6 @@ func main() {
 		runWormhole(*algoSpec, *pattern, *inject, *packets, *lambda, *warmup, *measure, *seed, *flits, *vcbuf, *verify, *maxCyc)
 		return
 	}
-	algo, err := repro.NewAlgorithm(*algoSpec)
-	fatal(err)
-	if *verify {
-		start := time.Now()
-		fatal(repro.VerifyDeadlockFree(algo))
-		fmt.Printf("qdg: %s certified deadlock-free [%s]\n", algo.Name(), time.Since(start).Round(time.Millisecond))
-	}
-	pat, err := repro.NewPattern(*pattern, algo, *seed)
-	fatal(err)
-
-	cfg := repro.Config{
-		Algorithm: algo,
-		QueueCap:  *cap_,
-		Seed:      *seed,
-		Workers:   *workers,
-	}
-	cfg.CutThrough = *vct
 
 	faultSpec := *faults
 	if *killLinks > 0 {
@@ -149,15 +140,28 @@ func main() {
 			faultSpec = spec
 		}
 	}
-	if faultSpec != "" {
-		plan, err := repro.ParseFaultSpec(faultSpec)
-		fatal(err)
-		cfg.Faults = plan
-		cfg.HopBudget = *hopBudget
-	}
+	c, err := exec.Compile(exec.RunSpec{
+		Algo:      *algoSpec,
+		Pattern:   *pattern,
+		Engine:    *engine,
+		Policy:    *policy,
+		Seed:      *seed,
+		Inject:    *inject,
+		Traffic:   *tmodel,
+		Packets:   *packets,
+		Lambda:    *lambda,
+		Warmup:    *warmup,
+		Measure:   *measure,
+		MaxCycles: *maxCyc,
+		QueueCap:  *cap_,
+		Faults:    faultSpec,
+		HopBudget: *hopBudget,
+		Workers:   *workers,
+	})
+	fatal(err)
 
-	// Observability: compose the requested observers; -http additionally
-	// enables the metrics core so the endpoint has something to serve.
+	// Observability: compose the requested observers; -http attaches a no-op
+	// one, because any observer turns on the metrics core the endpoint serves.
 	var observers []repro.Observer
 	var collector *repro.LatencyObserver
 	if *hist {
@@ -176,58 +180,34 @@ func main() {
 		jsonl = repro.NewJSONLObserver(w, *mEvery)
 		observers = append(observers, jsonl)
 	}
-	cfg.Observer = repro.MultiObserver(observers...)
 	if *httpAddr != "" {
-		cfg.Metrics = true
+		observers = append(observers, repro.ObserverBase{})
 	}
-	cfg.Policy, err = repro.ParsePolicy(*policy)
-	fatal(err)
 
 	// Build the engine up front so -http can expose its live metrics core.
-	sim, err := repro.NewSimulator(*engine, cfg)
+	sim, err := c.Build(c.Spec.Workers, repro.MultiObserver(observers...))
 	fatal(err)
+	algo := sim.Algorithm()
+	if *verify {
+		start := time.Now()
+		fatal(repro.VerifyDeadlockFree(algo))
+		fmt.Printf("qdg: %s certified deadlock-free [%s]\n", algo.Name(), time.Since(start).Round(time.Millisecond))
+	}
 	if *httpAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", sim.Obs().Handler())
-		mux.HandleFunc("/debug/pprof/", httppprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-		go func() { fatal(http.ListenAndServe(*httpAddr, mux)) }()
+		// net/http/pprof registers /debug/pprof/ on the default mux.
+		http.Handle("/metrics", sim.Obs().Handler())
+		go func() { fatal(http.ListenAndServe(*httpAddr, nil)) }()
 		fmt.Printf("serving   : http://%s/metrics and /debug/pprof/\n", *httpAddr)
 	}
 
-	plan := repro.StaticPlan(*maxCyc)
-	var src repro.TrafficSource
-	switch strings.ToLower(*inject) {
-	case "static":
-		if *tmodel != "" && !strings.HasPrefix(*tmodel, "trace:") {
-			fatal(fmt.Errorf("traffic model %q generates open-loop traffic and needs -inject dynamic (only trace:<path> replays under static)", *tmodel))
-		}
-		if strings.HasPrefix(*tmodel, "trace:") {
-			src, err = repro.NewTrafficSource(*tmodel, pat, algo, *lambda, *seed+1)
-			fatal(err)
-		} else {
-			src = repro.NewStaticTraffic(pat, algo, *packets, *seed+1)
-		}
-	case "dynamic":
-		if *tmodel != "" {
-			src, err = repro.NewTrafficSource(*tmodel, pat, algo, *lambda, *seed+1)
-			fatal(err)
-		} else {
-			src = repro.NewDynamicTraffic(pat, algo, *lambda, *seed+1)
-		}
-		plan = repro.DynamicPlan(*warmup, *measure)
-	default:
-		fatal(fmt.Errorf("unknown injection model %q", *inject))
-	}
-	var recording *repro.RecordingSource
+	src, plan, err := c.Source()
+	fatal(err)
+	var recording *traffic.RecordingSource
 	if *record != "" {
 		f, err := os.Create(*record)
 		fatal(err)
 		defer func() { fatal(f.Close()) }()
-		recording = repro.NewRecordingTraffic(src, f)
+		recording = &traffic.RecordingSource{Inner: src, Cap: 1, W: f}
 		src = recording
 	}
 
@@ -256,22 +236,25 @@ func main() {
 		fmt.Printf("interrupted after %d cycles; partial metrics follow\n", m.Cycles)
 	}
 
+	s := c.Spec
+	patternName, _, _ := strings.Cut(s.Pattern, ":")
 	fmt.Printf("algorithm : %s on %s (%d queues/node, %s engine, policy %s)\n",
-		algo.Name(), algo.Topology().Name(), algo.NumClasses(), *engine, cfg.Policy)
-	fmt.Printf("traffic   : %s, %s", pat.Name(), *inject)
+		algo.Name(), algo.Topology().Name(), algo.NumClasses(), s.Engine, s.Policy)
+	fmt.Printf("traffic   : %s, %s", patternName, s.Inject)
 	if *tmodel != "" {
 		fmt.Printf(" model=%s", *tmodel)
 	}
-	if strings.EqualFold(*inject, "dynamic") {
-		fmt.Printf(" lambda=%g warmup=%d measure=%d", *lambda, *warmup, *measure)
+	if s.Inject == "dynamic" {
+		fmt.Printf(" lambda=%g warmup=%d measure=%d", s.Lambda, s.Warmup, s.Measure)
 	} else if *tmodel == "" {
-		fmt.Printf(" packets/node=%d", *packets)
+		fmt.Printf(" packets/node=%d", s.Packets)
 	}
 	fmt.Println()
+	fmt.Printf("fingerprint: %s\n", s.Fingerprint(buildid.ID()))
 	fmt.Printf("cycles    : %d  [%s]\n", m.Cycles, elapsed)
 	fmt.Printf("packets   : injected=%d delivered=%d in-flight=%d", m.Injected, m.Delivered, m.InFlight)
-	if faultSpec != "" {
-		fmt.Printf(" dropped=%d (faults: %s)", m.Dropped, faultSpec)
+	if s.Faults != "" {
+		fmt.Printf(" dropped=%d (faults: %s)", m.Dropped, s.Faults)
 	}
 	fmt.Println()
 	fmt.Printf("latency   : avg=%.2f max=%d (over %d measured deliveries)\n", m.AvgLatency(), m.LatencyMax, m.Measured)

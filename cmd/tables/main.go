@@ -56,7 +56,7 @@ func run() int {
 		measure   = flag.Int64("measure", 1500, "dynamic runs: measured cycles")
 		policy    = flag.String("policy", "first-free", "selection policy: first-free|random|static-first|last-free")
 		workers   = flag.Int("workers", 0, "force this many workers per simulation (0 = let the scheduler decide)")
-		engine    = flag.String("engine", "buffered", "simulation model: buffered (paper's node model) | atomic (Section 2)")
+		engine    = flag.String("engine", "buffered", "simulation model: buffered (paper's node model) | buffered:vct (the same with virtual cut-through) | atomic (Section 2)")
 		jobs      = flag.Int("jobs", 1, "concurrent experiment cells")
 		budget    = flag.Int("budget", 0, "total worker budget across cells (0 = GOMAXPROCS)")
 		progress  = flag.Bool("progress", false, "live per-cell status with ETA on stderr")

@@ -27,11 +27,12 @@ func sweep(deadFrac float64) {
 	if deadFrac > 0 {
 		plan.FailRandomLinks(deadFrac, 1, 0, repro.FaultForever)
 	}
-	eng, err := repro.NewSimulatorOpts("buffered", algo,
-		repro.WithSeed(7),
-		repro.WithMetrics(),
-		repro.WithFaultPlan(plan, 0), // 0 = default misroute hop budget
-	)
+	eng, err := repro.NewSimulator("buffered", repro.Config{
+		Algorithm: algo,
+		Seed:      7,
+		Metrics:   true,
+		Faults:    plan, // HopBudget 0 = default misroute hop budget
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,9 +58,7 @@ func profile(spec string) ([]float64, int64) {
 		nodesAt[bits.OnesCount32(uint32(u))]++
 	}
 	probe := &qaProbe{sum: make([]float64, dims+1)}
-	eng, err := repro.NewSimulatorOpts("buffered", algo,
-		repro.WithSeed(17),
-		repro.WithObserver(probe))
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 17, Observer: probe})
 	if err != nil {
 		log.Fatal(err)
 	}

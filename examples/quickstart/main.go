@@ -32,17 +32,15 @@ func main() {
 	fmt.Println("qdg: hypercube-adaptive:4 certified deadlock-free")
 
 	// 2. Static injection: every node sends 4 packets to random targets.
-	// The engine is built with functional options; the latency observer
-	// collects the full per-delivery distribution (percentiles, histogram).
+	// The engine is built from a Config literal (unset fields keep the
+	// paper's defaults); the latency observer collects the full
+	// per-delivery distribution (percentiles, histogram).
 	algo, err := repro.NewAlgorithm("hypercube-adaptive:8")
 	if err != nil {
 		log.Fatal(err)
 	}
 	lat := repro.NewLatencyObserver()
-	eng, err := repro.NewSimulatorOpts("buffered", algo,
-		repro.WithSeed(1),
-		repro.WithObserver(lat),
-	)
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, Observer: lat})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,10 +63,7 @@ func main() {
 	// within one cycle if the context is canceled — pass a deadline to
 	// bound wall-clock time.
 	smp := repro.NewSampler(100)
-	eng, err = repro.NewSimulatorOpts("buffered", algo,
-		repro.WithSeed(1),
-		repro.WithObserver(smp),
-	)
+	eng, err = repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, Observer: smp})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -80,8 +80,9 @@ type Options struct {
 	// Algorithm overrides the fully-adaptive scheme for ablations:
 	// "adaptive" (default), "hung", "ecube".
 	Algorithm string
-	// Engine selects the simulation model: "buffered" (default, the paper's
-	// node model) or "atomic" (the Section 2 reference model).
+	// Engine selects the simulation model, as RunSpec.Engine: "buffered"
+	// (default, the paper's node model), "buffered:vct" (the same with
+	// virtual cut-through) or "atomic" (the Section 2 reference model).
 	Engine string
 	// RebalanceEvery forwards sim.Config.RebalanceEvery: occupancy-weighted
 	// shard re-cuts every N cycles (0 = off; only meaningful with Workers > 1

@@ -574,22 +574,32 @@ func TestTraceSpecBypassesStore(t *testing.T) {
 // One store, two front ends: a cell a sweep stored is a cache hit for the
 // daemon, and a result the daemon stored is a cached cell for a sweep. The
 // store is a file, closed and reopened between the two, as it is between
-// `tables -cache f` and `routesimd -cache f`.
+// `tables -cache f` and `routesimd -cache f`. The cut-through node model
+// takes the same path through its engine value.
 func TestSweepAndDaemonShareStore(t *testing.T) {
-	opt := bench.Options{Seed: 1, Warmup: 50, Measure: 100}
-	jobs, err := sweep.BuildJobs(sweep.SuitePaper, "table9", 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ex, err := bench.FindTable("table9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ex.Spec(10, opt)
-	if err != nil {
-		t.Fatal(err)
+	type cell struct {
+		opt  bench.Options
+		jobs []sweep.Job
+		spec exec.RunSpec
 	}
-	open := func(path string) *store.Store {
+	var cells []cell
+	for _, engine := range []string{"", "buffered:vct"} {
+		opt := bench.Options{Seed: 1, Warmup: 50, Measure: 100, Engine: engine}
+		jobs, err := sweep.BuildJobs(sweep.SuitePaper, "table9", 10, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := ex.Spec(10, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells = append(cells, cell{opt, jobs, spec})
+	}
+	open := func(t *testing.T, path string) *store.Store {
 		t.Helper()
 		st, err := store.Open(path, store.Options{})
 		if err != nil {
@@ -597,7 +607,7 @@ func TestSweepAndDaemonShareStore(t *testing.T) {
 		}
 		return st
 	}
-	postRow := func(url string) (Response, bench.Row) {
+	postRow := func(t *testing.T, url string, spec exec.RunSpec) (Response, bench.Row) {
 		t.Helper()
 		resp, body := postSpec(t, url, spec)
 		if resp.StatusCode != http.StatusOK {
@@ -611,43 +621,47 @@ func TestSweepAndDaemonShareStore(t *testing.T) {
 	}
 
 	t.Run("sweep then daemon", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "shared.jsonl")
-		st := open(path)
-		swept, err := sweep.Run(context.Background(), jobs, opt, sweep.Options{Store: st})
-		st.Close()
-		if err != nil || len(swept) != 1 || swept[0].Cached {
-			t.Fatalf("cold sweep: %+v, %v", swept, err)
-		}
-		srv, hs := newTestServer(t, Config{Store: open(path)})
-		r, row := postRow(hs.URL)
-		if !r.Cached || srv.executed.Load() != 0 {
-			t.Errorf("daemon over the sweep's store: cached=%v executed=%d, want a pure hit", r.Cached, srv.executed.Load())
-		}
-		if row != swept[0].Row {
-			t.Errorf("daemon served %+v, the sweep computed %+v", row, swept[0].Row)
+		for _, c := range cells {
+			path := filepath.Join(t.TempDir(), "shared.jsonl")
+			st := open(t, path)
+			swept, err := sweep.Run(context.Background(), c.jobs, c.opt, sweep.Options{Store: st})
+			st.Close()
+			if err != nil || len(swept) != 1 || swept[0].Cached {
+				t.Fatalf("engine %q: cold sweep: %+v, %v", c.opt.Engine, swept, err)
+			}
+			srv, hs := newTestServer(t, Config{Store: open(t, path)})
+			r, row := postRow(t, hs.URL, c.spec)
+			if !r.Cached || srv.executed.Load() != 0 {
+				t.Errorf("engine %q: daemon over the sweep's store: cached=%v executed=%d, want a pure hit", c.opt.Engine, r.Cached, srv.executed.Load())
+			}
+			if row != swept[0].Row {
+				t.Errorf("engine %q: daemon served %+v, the sweep computed %+v", c.opt.Engine, row, swept[0].Row)
+			}
 		}
 	})
 
 	t.Run("daemon then sweep", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "shared.jsonl")
-		st := open(path)
-		srv, hs := newTestServer(t, Config{Store: st})
-		r, row := postRow(hs.URL)
-		if r.Cached || srv.executed.Load() != 1 {
-			t.Fatalf("cold POST: cached=%v executed=%d", r.Cached, srv.executed.Load())
-		}
-		st.Close()
-		st2 := open(path)
-		defer st2.Close()
-		swept, err := sweep.Run(context.Background(), jobs, opt, sweep.Options{Store: st2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(swept) != 1 || !swept[0].Cached {
-			t.Fatalf("sweep over the daemon's store re-ran the cell: %+v", swept)
-		}
-		if swept[0].Row != row {
-			t.Errorf("sweep served %+v, the daemon computed %+v", swept[0].Row, row)
+		for _, c := range cells {
+			path := filepath.Join(t.TempDir(), "shared.jsonl")
+			st := open(t, path)
+			srv, hs := newTestServer(t, Config{Store: st})
+			r, row := postRow(t, hs.URL, c.spec)
+			if r.Cached || srv.executed.Load() != 1 {
+				t.Fatalf("engine %q: cold POST: cached=%v executed=%d", c.opt.Engine, r.Cached, srv.executed.Load())
+			}
+			st.Close()
+			st2 := open(t, path)
+			swept, err := sweep.Run(context.Background(), c.jobs, c.opt, sweep.Options{Store: st2})
+			st2.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(swept) != 1 || !swept[0].Cached {
+				t.Fatalf("engine %q: sweep over the daemon's store re-ran the cell: %+v", c.opt.Engine, swept)
+			}
+			if swept[0].Row != row {
+				t.Errorf("engine %q: sweep served %+v, the daemon computed %+v", c.opt.Engine, swept[0].Row, row)
+			}
 		}
 	})
 }

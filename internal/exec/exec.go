@@ -12,10 +12,6 @@ import (
 	"repro/internal/store"
 )
 
-// simObserver is the observer type Build threads through to the engine
-// config; an alias so spec.go stays free of the obs import noise.
-type simObserver = obs.Observer
-
 // Result is the serializable outcome of executing a RunSpec: what the
 // store persists under the spec's fingerprint and the daemon returns from
 // POST /v1/sim. Metrics is the deterministic payload — byte-identical for
@@ -51,11 +47,11 @@ func (c *Compiled) Run(ctx context.Context, workers int, o obs.Observer) (Result
 	if ran.Workers == 0 {
 		ran.Workers = workers
 	}
-	eng, err := c.build(ran.Workers, o)
+	eng, err := c.Build(ran.Workers, o)
 	if err != nil {
 		return Result{}, err
 	}
-	src, plan, err := c.source()
+	src, plan, err := c.Source()
 	if err != nil {
 		return Result{}, err
 	}

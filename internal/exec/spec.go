@@ -1,11 +1,12 @@
 // Package exec is the executor of the simulation-as-a-service stack: it
 // defines RunSpec, the one canonical, serializable description of a
 // simulation run, and turns specs into engine runs. Everything that used to
-// describe a run its own way — raw sim.Config assembly, the public facade's
-// functional options, the sweep's cell identities — converges here: the
-// bench harness builds RunSpecs for its cells, the routesimd daemon accepts
-// them as its request body, and the fingerprint a spec hashes to is the key
-// of the content-addressed result store (internal/store).
+// describe a run its own way — raw sim.Config assembly, routesim's flag
+// wiring, the sweep's cell identities — converges here: the bench harness
+// builds RunSpecs for its cells, routesim compiles one from its flags, the
+// routesimd daemon accepts them as its request body, and the fingerprint a
+// spec hashes to is the key of the content-addressed result store
+// (internal/store).
 package exec
 
 import (
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spec"
 	"repro/internal/traffic"
@@ -57,8 +59,10 @@ type RunSpec struct {
 	// "transpose", "leveled", "bit-reversal", "mesh-transpose",
 	// "hotspot:<frac>". Default "random".
 	Pattern string `json:"pattern,omitempty"`
-	// Engine selects the simulation model: "buffered" (default) or
-	// "atomic".
+	// Engine selects the simulation model: "buffered" (default, the node
+	// model of Sections 6-7.1), "buffered:vct" (the same node model with
+	// virtual cut-through switching [KK79]) or "atomic" (Section 2's
+	// abstract queue-to-queue model).
 	Engine string `json:"engine,omitempty"`
 	// Policy selects among admissible moves: "first-free" (default),
 	// "random", "static-first", "last-free".
@@ -269,9 +273,9 @@ func Compile(s RunSpec) (*Compiled, error) {
 		return nil, &FieldError{Field: "pattern", Err: err}
 	}
 	switch c.Engine {
-	case "buffered", "atomic":
+	case "buffered", "buffered:vct", "atomic":
 	default:
-		return nil, fieldErr("engine", "unknown engine %q, valid: %v", c.Engine, sim.EngineKinds)
+		return nil, fieldErr("engine", "unknown engine %q, valid: buffered, buffered:vct (virtual cut-through, a buffered node-model option), atomic", c.Engine)
 	}
 	policy, err := sim.ParsePolicy(c.Policy)
 	if err != nil {
@@ -396,10 +400,13 @@ func (s RunSpec) Build() (sim.Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.build(c.Spec.Workers, nil)
+	return c.Build(c.Spec.Workers, nil)
 }
 
-func (c *Compiled) build(workers int, o simObserver) (sim.Simulator, error) {
+// Build constructs the spec's engine with the given worker count and, when
+// o is non-nil, o tapping its probes. Every call returns a fresh engine.
+func (c *Compiled) Build(workers int, o obs.Observer) (sim.Simulator, error) {
+	kind, option, _ := strings.Cut(c.Spec.Engine, ":")
 	cfg := sim.Config{
 		Algorithm:      c.algo,
 		QueueCap:       c.Spec.QueueCap,
@@ -409,6 +416,8 @@ func (c *Compiled) build(workers int, o simObserver) (sim.Simulator, error) {
 		RebalanceEvery: c.Spec.RebalanceEvery,
 		Faults:         c.faults,
 		HopBudget:      c.Spec.HopBudget,
+		CutThrough:     option == "vct",
+		Observer:       o,
 	}
 	if c.algo.Props().Credits {
 		// Credited algorithms are not worker-count deterministic and the
@@ -416,10 +425,7 @@ func (c *Compiled) build(workers int, o simObserver) (sim.Simulator, error) {
 		// (sim.Config refuses the combination).
 		cfg.Workers = 1
 	}
-	if o != nil {
-		cfg.Observer = o
-	}
-	return sim.NewSimulator(c.Spec.Engine, cfg)
+	return sim.NewSimulator(kind, cfg)
 }
 
 // Source validates the spec and constructs its traffic source and run
@@ -429,12 +435,12 @@ func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
 	if err != nil {
 		return nil, sim.Plan{}, err
 	}
-	return c.source()
+	return c.Source()
 }
 
-// source builds the traffic source and plan. It can fail: a trace model
-// opens its file here, at run time.
-func (c *Compiled) source() (sim.TrafficSource, sim.Plan, error) {
+// Source builds a fresh traffic source and the run plan. It can fail: a
+// trace model opens its file here, at run time.
+func (c *Compiled) Source() (sim.TrafficSource, sim.Plan, error) {
 	nodes := c.algo.Topology().Nodes()
 	plan := sim.StaticPlan(c.Spec.MaxCycles)
 	if c.Spec.Inject == "dynamic" {

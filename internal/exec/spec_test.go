@@ -43,6 +43,9 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"unknown algo", func(s *RunSpec) { s.Algo = "ring-adaptive:8" }, "algo"},
 		{"bad pattern", func(s *RunSpec) { s.Pattern = "zigzag" }, "pattern"},
 		{"bad engine", func(s *RunSpec) { s.Engine = "quantum" }, "engine"},
+		{"atomic cut-through", func(s *RunSpec) { s.Engine = "atomic:vct" }, "engine"},
+		{"empty engine option", func(s *RunSpec) { s.Engine = "buffered:" }, "engine"},
+		{"unknown engine option", func(s *RunSpec) { s.Engine = "buffered:nope" }, "engine"},
 		{"bad policy", func(s *RunSpec) { s.Policy = "best-fit" }, "policy"},
 		{"bad inject", func(s *RunSpec) { s.Inject = "burst" }, "inject"},
 		{"bad packets", func(s *RunSpec) { s.Packets = -1 }, "packets"},

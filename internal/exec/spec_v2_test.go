@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -154,6 +155,46 @@ func TestTrafficFingerprints(t *testing.T) {
 	}
 	if got := mmpp.Fingerprint("golden-build"); got == want {
 		t.Error("mmpp traffic did not change the fingerprint")
+	}
+}
+
+// TestCutThroughEngine pins the one engine value with a node-model option:
+// "buffered:vct" has its own stable store key, apart from plain "buffered"
+// (whose golden key it must not move), and it builds the cut-through node
+// model. Worker-count determinism of that model at 2 and 7 workers is
+// sim's TestDeterminismAcrossWorkers; here the spec path is checked at 1
+// and 2, because the fingerprint excludes Workers.
+func TestCutThroughEngine(t *testing.T) {
+	plain := RunSpec{Algo: "hypercube-adaptive:10", Pattern: "transpose", Inject: "dynamic", Seed: 7}
+	const want = "6e69f36aadd1b07d5cdd14d8" // golden v1 value, pinned above
+	vct := plain
+	vct.Engine = "buffered:vct"
+	const wantVCT = "6c4ed4c9080ded9ca0ea5475"
+	if got := plain.Fingerprint("golden-build"); got != want {
+		t.Fatalf("plain buffered fingerprint drifted: %s", got)
+	}
+	if got := vct.Fingerprint("golden-build"); got != wantVCT {
+		t.Errorf("buffered:vct fingerprint drifted: got %s, want %s", got, wantVCT)
+	}
+
+	small := RunSpec{Algo: "hypercube-adaptive:5", Inject: "dynamic", Lambda: 0.6, Warmup: 50, Measure: 150, Seed: 3}
+	base, err := Run(context.Background(), small, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.Engine = "buffered:vct"
+	var runs [2]Result
+	for i := range runs {
+		small.Workers = i + 1
+		if runs[i], err = Run(context.Background(), small, nil); err != nil {
+			t.Fatalf("workers %d: %v", i+1, err)
+		}
+	}
+	if runs[0].Metrics != runs[1].Metrics || runs[0].FP != runs[1].FP {
+		t.Errorf("buffered:vct differs across workers:\n 1: %+v\n 2: %+v", runs[0].Metrics, runs[1].Metrics)
+	}
+	if runs[0].Metrics == base.Metrics || runs[0].Metrics.AvgLatency() >= base.Metrics.AvgLatency() {
+		t.Errorf("buffered:vct ran store-and-forward: L_avg %.2f, plain %.2f", runs[0].Metrics.AvgLatency(), base.Metrics.AvgLatency())
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // Observer receives the three probes of a simulation run — the one tap the
-// engines offer: attach one via Config.Observer (or the repro.WithObserver
-// option) and the engine enables its metrics core for the run.
+// engines offer: attach one via Config.Observer and the engine enables its
+// metrics core for the run.
 //
 // Contract:
 //
