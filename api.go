@@ -280,10 +280,6 @@ func TopologyNames() []string { return spec.TopologyNames() }
 // reported as errors, never panics.
 func NewAlgorithm(s string) (Algorithm, error) { return spec.Algorithm(s) }
 
-// TopologySpec renders the canonical spec of a topology, the value a
-// RunSpec's Topology field takes for that network.
-func TopologySpec(t Topology) (string, error) { return spec.FormatTopology(t) }
-
 // NewPattern builds a traffic pattern from a textual spec for an algorithm's
 // topology: "random", "complement", "transpose", "leveled", "bit-reversal",
 // "mesh-transpose" and "hotspot:<fraction>". Hypercube-address patterns

@@ -146,43 +146,6 @@ func TestVerifyAllPublicAlgorithms(t *testing.T) {
 	}
 }
 
-func TestWormholeFacade(t *testing.T) {
-	for _, tmpl := range repro.WormholeRouteNames() {
-		name := strings.SplitN(tmpl, ":", 2)[0]
-		r, err := repro.NewWormholeRoute(name + ":4")
-		if err != nil {
-			t.Errorf("NewWormholeRoute(%q:4): %v", name, err)
-			continue
-		}
-		if r.NumVCs() < 1 {
-			t.Errorf("%s: NumVCs = %d", name, r.NumVCs())
-		}
-	}
-	for _, bad := range []string{"", "wh-nope:4", "wh-torus-dor", "wh-torus-dor:x"} {
-		if _, err := repro.NewWormholeRoute(bad); err == nil {
-			t.Errorf("NewWormholeRoute(%q) accepted", bad)
-		}
-	}
-	// End-to-end through the facade.
-	r, err := repro.NewWormholeRoute("wh-hypercube-adaptive:5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := repro.NewWormholeEngine(repro.WormholeConfig{Route: r, Flits: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	algoLike, _ := repro.NewAlgorithm("hypercube-adaptive:5")
-	pat, _ := repro.NewPattern("random", algoLike, 3)
-	m, err := e.RunStatic(repro.NewStaticTraffic(pat, algoLike, 2, 7), 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Delivered != 64 {
-		t.Fatalf("delivered %d, want 64", m.Delivered)
-	}
-}
-
 func TestDescribeNodeFacade(t *testing.T) {
 	algo, err := repro.NewAlgorithm("hypercube-adaptive:3")
 	if err != nil {

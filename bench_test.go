@@ -259,52 +259,6 @@ func BenchmarkTorusRandom(b *testing.B) {
 	runOnce(b, "torus-adaptive:8x8", "random", 8, repro.Config{})
 }
 
-// Wormhole extension benches: the [GPS91] direction (flit-level engine).
-// Adaptive-with-escape vs dateline dimension-order on the torus, and
-// adaptive vs oblivious e-cube on the hypercube, under their adversarial
-// permutations.
-func BenchmarkWormhole(b *testing.B) {
-	cases := []struct {
-		spec, algoLike, pattern string
-		perNode                 int
-	}{
-		{"wh-torus-adaptive:12", "torus-adaptive:12x12", "mesh-transpose", 6},
-		{"wh-torus-dor:12", "torus-adaptive:12x12", "mesh-transpose", 6},
-		{"wh-hypercube-adaptive:8", "hypercube-adaptive:8", "transpose", 8},
-		{"wh-hypercube-ecube:8", "hypercube-adaptive:8", "transpose", 8},
-	}
-	for _, c := range cases {
-		b.Run(c.spec, func(b *testing.B) {
-			route, err := repro.NewWormholeRoute(c.spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng, err := repro.NewWormholeEngine(repro.WormholeConfig{Route: route, Flits: 8, Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			algoLike, err := repro.NewAlgorithm(c.algoLike)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pat, err := repro.NewPattern(c.pattern, algoLike, 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var m repro.WormholeMetrics
-			for i := 0; i < b.N; i++ {
-				m, err = eng.RunStatic(repro.NewStaticTraffic(pat, algoLike, c.perNode, 9), 5_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(m.AvgLatency(), "Lavg")
-			b.ReportMetric(m.AvgHeaderLatency(), "Lheader")
-			b.ReportMetric(float64(m.Cycles), "cycles")
-		})
-	}
-}
-
 // CCC: the "other networks" extension, adaptive vs static under random load.
 func BenchmarkCCC(b *testing.B) {
 	for _, spec := range []string{"ccc-adaptive:6", "ccc-static:6"} {
@@ -321,7 +275,7 @@ func BenchmarkEngineBuffered(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	eng, err := repro.NewSimulator("buffered", repro.Config{Algorithm: algo, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +297,7 @@ func BenchmarkEngineAtomic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, err := repro.NewSimulator("atomic", repro.Config{Algorithm: algo, Seed: 1, DisableInvariantChecks: true})
+	eng, err := repro.NewSimulator("atomic", repro.Config{Algorithm: algo, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

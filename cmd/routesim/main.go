@@ -4,8 +4,7 @@
 //
 // The flags of a packet run are compiled into an exec.RunSpec, so a run here
 // is the run the tables sweep and the routesimd daemon execute for the same
-// values; the printed fingerprint is that spec's result-store key. The
-// wormhole engine (wh-* specs) is driven directly.
+// values; the printed fingerprint is that spec's result-store key.
 //
 // Examples:
 //
@@ -38,6 +37,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/buildid"
 	"repro/internal/exec"
+	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -55,10 +55,8 @@ func main() {
 		measure   = flag.Int64("measure", 1500, "dynamic model: measured cycles")
 		seed      = flag.Int64("seed", 1, "simulation seed (the RunSpec seed: pattern and traffic use seed+1 and seed+2)")
 		cap_      = flag.Int("cap", 5, "central queue capacity")
-		policy    = flag.String("policy", "first-free", "selection policy: first-free|random|static-first")
-		engine    = flag.String("engine", "buffered", "engine: buffered (Sections 6-7 node model) | buffered:vct (the same with virtual cut-through [KK79]) | atomic (Section 2 model) | wormhole (flit-level, use a wh-* algo)")
-		flits     = flag.Int("flits", 8, "wormhole engine: flits per worm")
-		vcbuf     = flag.Int("vcbuf", 2, "wormhole engine: flit buffer per virtual channel")
+		policy    = flag.String("policy", "first-free", "selection policy: "+strings.Join(sim.PolicyNames, "|"))
+		engine    = flag.String("engine", "buffered", "engine: buffered (Sections 6-7 node model) | buffered:vct (the same with virtual cut-through [KK79]) | atomic (Section 2 model)")
 		workers   = flag.Int("workers", 1, "parallel workers for the buffered engine (the atomic engine refuses more than 1)")
 		verify    = flag.Bool("verify", false, "verify deadlock freedom via the QDG checker first (small networks only)")
 		hist      = flag.Bool("hist", false, "print a latency histogram and percentiles")
@@ -101,10 +99,6 @@ func main() {
 		for _, s := range repro.AlgorithmNames() {
 			fmt.Println("  " + s)
 		}
-		fmt.Println("wormhole route specs (flit-level engine):")
-		for _, s := range repro.WormholeRouteNames() {
-			fmt.Println("  " + s)
-		}
 		return
 	}
 
@@ -126,11 +120,6 @@ func main() {
 		fmt.Print(bench.FormatAdversary(res))
 		return
 	}
-	if *engine == "wormhole" || strings.HasPrefix(*algoSpec, "wh-") {
-		runWormhole(*algoSpec, *pattern, *inject, *packets, *lambda, *warmup, *measure, *seed, *flits, *vcbuf, *verify, *maxCyc)
-		return
-	}
-
 	faultSpec := *faults
 	if *killLinks > 0 {
 		spec := fmt.Sprintf("links:%g@0", *killLinks)
@@ -185,9 +174,9 @@ func main() {
 	}
 
 	// Build the engine up front so -http can expose its live metrics core.
-	sim, err := c.Build(c.Spec.Workers, repro.MultiObserver(observers...))
+	eng, err := c.Build(c.Spec.Workers, repro.MultiObserver(observers...))
 	fatal(err)
-	algo := sim.Algorithm()
+	algo := eng.Algorithm()
 	if *verify {
 		start := time.Now()
 		fatal(repro.VerifyDeadlockFree(algo))
@@ -195,7 +184,7 @@ func main() {
 	}
 	if *httpAddr != "" {
 		// net/http/pprof registers /debug/pprof/ on the default mux.
-		http.Handle("/metrics", sim.Obs().Handler())
+		http.Handle("/metrics", eng.Obs().Handler())
 		go func() { fatal(http.ListenAndServe(*httpAddr, nil)) }()
 		fmt.Printf("serving   : http://%s/metrics and /debug/pprof/\n", *httpAddr)
 	}
@@ -217,7 +206,7 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	res, err := sim.Run(ctx, src, plan)
+	res, err := eng.Run(ctx, src, plan)
 	if !res.Canceled {
 		if derr := (*repro.ErrDeadlock)(nil); errors.As(err, &derr) && derr.Dump != nil {
 			fmt.Fprintln(os.Stderr, derr.Dump)
@@ -273,61 +262,6 @@ func main() {
 	if recording != nil {
 		fmt.Printf("recorded  : %d injections -> %s\n", recording.TotalTaken(), *record)
 	}
-}
-
-// runWormhole drives the flit-level engine for wh-* algorithm specs.
-func runWormhole(algoSpec, pattern, inject string, packets int, lambda float64, warmup, measure, seed int64, flits, vcbuf int, verify bool, maxCyc int64) {
-	route, err := repro.NewWormholeRoute(algoSpec)
-	fatal(err)
-	if verify {
-		fatal(repro.VerifyWormholeDeadlockFree(route))
-		fmt.Printf("cdg: %s certified deadlock-free\n", route.Name())
-	}
-	// Patterns are built against a packet algorithm on the route's own
-	// topology, so the two can never disagree on the node count.
-	like, err := likeAlgorithm(route)
-	fatal(err)
-	pat, err := repro.NewPattern(pattern, like, seed)
-	fatal(err)
-	eng, err := repro.NewWormholeEngine(repro.WormholeConfig{Route: route, Flits: flits, VCBuf: vcbuf, Seed: seed})
-	fatal(err)
-	var m repro.WormholeMetrics
-	start := time.Now()
-	if strings.EqualFold(inject, "dynamic") {
-		m, err = eng.RunDynamic(repro.NewDynamicTraffic(pat, like, lambda, seed+1), warmup, measure)
-	} else {
-		m, err = eng.RunStatic(repro.NewStaticTraffic(pat, like, packets, seed+1), maxCyc)
-	}
-	fatal(err)
-	fmt.Printf("route     : %s on %s (%d VCs/link, %d flits/worm, vcbuf %d)\n",
-		route.Name(), route.Topology().Name(), route.NumVCs(), flits, vcbuf)
-	fmt.Printf("cycles    : %d  [%s]\n", m.Cycles, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("worms     : injected=%d delivered=%d in-flight=%d\n", m.Injected, m.Delivered, m.InFlight)
-	fmt.Printf("latency   : full avg=%.2f max=%d, header avg=%.2f\n", m.AvgLatency(), m.LatencyMax, m.AvgHeaderLatency())
-	if strings.EqualFold(inject, "dynamic") && m.Attempts > 0 {
-		fmt.Printf("inj. rate : %.1f%%\n", 100*m.InjectionRate())
-	}
-	fmt.Printf("channels  : %d adaptive / %d escape allocations, %d flit moves\n",
-		m.AdaptAlloc, m.EscapeAlloc, m.FlitMoves)
-}
-
-// likeAlgorithm returns the fully-adaptive packet algorithm over the
-// wormhole route's topology: traffic patterns and sources take an Algorithm,
-// and the wormhole engine uses it only for its network.
-func likeAlgorithm(route repro.WormholeRoute) (repro.Algorithm, error) {
-	tspec, err := repro.TopologySpec(route.Topology())
-	if err != nil {
-		return nil, err
-	}
-	kind, size, _ := strings.Cut(tspec, ":")
-	like, err := repro.NewAlgorithm(kind + "-adaptive:" + size)
-	if err != nil {
-		return nil, err
-	}
-	if got, want := like.Topology().Nodes(), route.Topology().Nodes(); got != want {
-		return nil, fmt.Errorf("pattern network %s has %d nodes, %s routes %d", like.Topology().Name(), got, route.Name(), want)
-	}
-	return like, nil
 }
 
 func pct(a, b int64) float64 {

@@ -9,9 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro"
 	"repro/internal/buildid"
 	"repro/internal/exec"
+	"repro/internal/sim"
 )
 
 // TestMain lets a test run this binary as routesim itself: with
@@ -34,16 +34,21 @@ func routesim(args ...string) (string, error) {
 
 // TestAtomicEngineRefusesVCT: a flag set the atomic engine cannot honour
 // used to run and ignore it. Cut-through and worker counts above one are
-// now refused with the spec's field error, and routesim exits 1.
+// now refused with the spec's field error, and routesim exits 1. So are the
+// engine and algorithm names of the flit-level wormhole engine, which once
+// ran outside the spec.
 func TestAtomicEngineRefusesVCT(t *testing.T) {
+	const cube = "hypercube-adaptive:4"
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-engine", "atomic:vct"}, `routesim: runspec: field "engine"`},
-		{[]string{"-engine", "atomic", "-workers", "4"}, `routesim: runspec: field "workers"`},
+		{[]string{"-engine", "atomic:vct", "-algo", cube}, `routesim: runspec: field "engine"`},
+		{[]string{"-engine", "atomic", "-workers", "4", "-algo", cube}, `routesim: runspec: field "workers"`},
+		{[]string{"-engine", "wormhole", "-algo", cube}, `routesim: runspec: field "engine"`},
+		{[]string{"-algo", "wh-torus-adaptive:4"}, `routesim: runspec: field "algo"`},
 	} {
-		out, err := routesim(append(tc.args, "-algo", "hypercube-adaptive:4")...)
+		out, err := routesim(tc.args...)
 		var exit *osexec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("%v: err = %v, want exit status 1; output:\n%s", tc.args, err, out)
@@ -51,6 +56,20 @@ func TestAtomicEngineRefusesVCT(t *testing.T) {
 		}
 		if !strings.Contains(out, tc.want) {
 			t.Errorf("%v: output does not name the field (%s):\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestHelpNamesEveryPolicy: the -policy help once listed three of the four
+// policies the spec accepts; it is now built from sim.PolicyNames.
+func TestHelpNamesEveryPolicy(t *testing.T) {
+	out, _ := routesim("-h")
+	if !strings.Contains(out, "-policy") {
+		t.Fatalf("routesim -h does not describe -policy:\n%s", out)
+	}
+	for _, name := range sim.PolicyNames {
+		if !strings.Contains(out, name) {
+			t.Errorf("routesim -h does not name policy %q", name)
 		}
 	}
 }
@@ -106,32 +125,6 @@ func TestRoutesimIsARunSpec(t *testing.T) {
 			if got != line {
 				t.Errorf("%v: %s line\n got  %q\n want %q", tc.args, label, got, line)
 			}
-		}
-	}
-}
-
-// TestLikeAlgorithmMatchesRoute: the packet algorithm patterns are built on
-// must live on the wormhole route's own network. Deriving it from the spec
-// string once turned side "8x8" into a 4096-node torus-adaptive:8x8x8x8.
-func TestLikeAlgorithmMatchesRoute(t *testing.T) {
-	for spec, nodes := range map[string]int{
-		"wh-torus-dor:8x8":          64,
-		"wh-torus-dor:8":            64,
-		"wh-torus-adaptive:4x5x3":   60,
-		"wh-hypercube-adaptive:6":   64,
-		"wh-hypercube-nonminimal:5": 32,
-	} {
-		route, err := repro.NewWormholeRoute(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		like, err := likeAlgorithm(route)
-		if err != nil {
-			t.Errorf("%s: %v", spec, err)
-			continue
-		}
-		if got := like.Topology().Nodes(); got != nodes || got != route.Topology().Nodes() {
-			t.Errorf("%s: pattern network has %d nodes, route %d, want %d", spec, got, route.Topology().Nodes(), nodes)
 		}
 	}
 }

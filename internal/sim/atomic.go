@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"errors"
 	"math/bits"
 
 	"repro/internal/core"
@@ -50,16 +50,12 @@ type AtomicEngine struct {
 }
 
 // NewAtomicEngine builds an atomic engine for the configuration. Workers is
-// ignored: atomic semantics are inherently sequential. CutThrough and
-// RemoteLookahead are refused: they change what the buffered node simulates
-// and have no meaning in a model without link buffers.
+// ignored: atomic semantics are inherently sequential. CutThrough is
+// refused: it changes what the buffered node simulates and has no meaning in
+// a model without link buffers.
 func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
-	const refused = "sim: Config.%s does not apply to the atomic engine: the Section 2 model has no link buffers"
 	if cfg.CutThrough {
-		return nil, fmt.Errorf(refused, "CutThrough")
-	}
-	if cfg.RemoteLookahead {
-		return nil, fmt.Errorf(refused, "RemoteLookahead")
+		return nil, errors.New("sim: Config.CutThrough does not apply to the atomic engine: the Section 2 model has no link buffers")
 	}
 	cfg.Workers = 1
 	if err := cfg.fill(); err != nil {

@@ -411,17 +411,16 @@ func TestAtomicInNeighbors(t *testing.T) {
 	}
 }
 
-// TestAtomicRefusesBufferedOptions: the two options that change what the
-// buffered node simulates are errors on the atomic engine, not silently
-// ignored; the execution knobs, which cannot change a result, stay accepted.
+// TestAtomicRefusesBufferedOptions: the option that changes what the
+// buffered node simulates, cut-through, is an error on the atomic engine,
+// not silently ignored; the execution knobs, which cannot change a result,
+// stay accepted.
 func TestAtomicRefusesBufferedOptions(t *testing.T) {
 	for _, tc := range []struct {
 		field string // "" = accepted
 		cfg   Config
 	}{
 		{"CutThrough", Config{CutThrough: true}},
-		{"RemoteLookahead", Config{RemoteLookahead: true}},
-		{"CutThrough", Config{CutThrough: true, RemoteLookahead: true}},
 		{"", Config{Workers: 4}},
 		{"", Config{RebalanceEvery: 16}},
 		{"", Config{HeadOnly: true}},

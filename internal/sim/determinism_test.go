@@ -12,8 +12,8 @@ import (
 
 // TestDeterminismAcrossWorkers pins the engine's bit-determinism contract:
 // for a fixed seed, every Metrics field must be identical regardless of the
-// worker count, across topologies, injection models, and the switching /
-// lookahead variants. The worker counts are chosen to exercise sequential
+// worker count, across topologies, injection models, and both switching
+// modes (store-and-forward and cut-through). The worker counts are chosen to exercise sequential
 // mode, an even shard split, and a ragged split (7 workers over a
 // power-of-two node count).
 func TestDeterminismAcrossWorkers(t *testing.T) {
@@ -28,12 +28,9 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	variants := []struct {
 		name string
 		ct   bool
-		rl   bool
 	}{
-		{"plain", false, false},
-		{"cutthrough", true, false},
-		{"lookahead", false, true},
-		{"cutthrough+lookahead", true, true},
+		{"plain", false},
+		{"cutthrough", true},
 	}
 	for _, al := range algos {
 		for _, inject := range []string{"static", "dynamic"} {
@@ -44,11 +41,10 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 						a := al.mk()
 						nodes := a.Topology().Nodes()
 						cfg := Config{
-							Algorithm:       a,
-							Seed:            12345,
-							Workers:         workers,
-							CutThrough:      v.ct,
-							RemoteLookahead: v.rl,
+							Algorithm:  a,
+							Seed:       12345,
+							Workers:    workers,
+							CutThrough: v.ct,
 						}
 						e, err := NewEngine(cfg)
 						if err != nil {

@@ -63,10 +63,9 @@ import (
 //     exactly one worker between barriers.
 //
 // Determinism: for a fixed seed the engine is bit-deterministic and
-// independent of Workers. Every cross-shard interaction is either
-// barrier-ordered (mail lanes, input buffers) or reads the previous cycle's
-// snapshot (occSnap under RemoteLookahead), so node order within a phase
-// cannot influence the outcome. The one exception is credited moves
+// independent of Workers. Every cross-shard interaction is barrier-ordered
+// (mail lanes, input buffers), so node order within a phase cannot
+// influence the outcome. The one exception is credited moves
 // (shuffle-exchange bubble rings): their commit CAS reads live occupancy, so
 // a sharded run could tie-break differently from the sequential one. Such
 // algorithms (Props().Credits) therefore run on one worker only: Config
@@ -87,7 +86,6 @@ type Engine struct {
 
 	occ     []int32 // atomic occupancy mirror of the queues
 	inbound []int32 // committed-but-not-delivered packets per queue (credit accounting)
-	occSnap []int32 // cycle-start copy of occ; only under RemoteLookahead
 
 	// Output buffers, structure of arrays, indexed by sender:
 	// [(node*ports+port)*bufClasses+bc].
@@ -123,9 +121,9 @@ type Engine struct {
 	atomicOcc bool
 	// waitFast enables the blocked-packet wait-mask cache. It requires a
 	// node's output buffers to fit one word, and failure causes beyond
-	// "that buffer is full" (credit reservations, remote lookahead, link
-	// liveness) to be absent, because those can clear without any local
-	// buffer changing — which is why fault-enabled engines run without it.
+	// "that buffer is full" (credit reservations, link liveness) to be
+	// absent, because those can clear without any local buffer changing —
+	// which is why fault-enabled engines run without it.
 	waitFast bool
 	slotPort [64]uint8 // waitFast: outMask bit -> port (avoids a division)
 	owner    []int32   // node -> owning worker (avoids a division per transfer)
@@ -210,9 +208,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	nQueues := e.nodes * e.classes
 	e.occ = make([]int32, nQueues)
 	e.inbound = make([]int32, nQueues)
-	if cfg.RemoteLookahead {
-		e.occSnap = make([]int32, nQueues)
-	}
 	nLinks := e.nodes * e.ports
 	e.outPkt = make([]core.Packet, nLinks*e.bufClasses)
 	e.outFull = make([]uint8, nLinks*e.bufClasses)
@@ -253,7 +248,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
 	e.atomicOcc = a.Props().Credits
-	e.waitFast = e.ports*e.bufClasses <= 64 && !e.atomicOcc && !cfg.RemoteLookahead && e.flt == nil
+	e.waitFast = e.ports*e.bufClasses <= 64 && !e.atomicOcc && e.flt == nil
 	if e.waitFast {
 		e.qwait = make([]uint64, len(e.qbuf))
 		e.outMask = make([]uint64, e.nodes)
@@ -268,7 +263,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.bounds = make([]int32, e.workers+1)
 	e.owner = make([]int32, e.nodes)
 	e.uniformBounds()
-	e.fuseOK = !cfg.RemoteLookahead && !e.atomicOcc
+	e.fuseOK = !e.atomicOcc
 	e.scratch = make([]workerScratch, e.workers)
 	for i := range e.scratch {
 		e.scratch[i].cand = make([]core.Move, 0, 64)
@@ -299,7 +294,6 @@ func (e *Engine) stopPool() {
 func (e *Engine) begin() func(cycle int64) {
 	clear(e.occ)
 	clear(e.inbound)
-	clear(e.occSnap)
 	clear(e.qwait)
 	clear(e.outMask)
 	clear(e.outFull)
@@ -547,9 +541,10 @@ func (e *Engine) effectiveFree(qi int) int32 {
 }
 
 // tryReserve atomically reserves one inbound slot at queue qi, succeeding
-// only while effectiveFree >= need. Several nodes may race for the same
-// queue under RemoteLookahead; the CAS keeps occupancy+inbound <= capacity,
-// so a reserved packet's eventual push can never find the queue full.
+// only while effectiveFree >= need. Only credited moves reserve, and each
+// credited target has a unique upstream claimer; the CAS keeps
+// occupancy+inbound <= capacity machine-checked regardless, so a reserved
+// packet's eventual push can never find the queue full.
 func (e *Engine) tryReserve(qi int, need int32) bool {
 	for {
 		in := atomic.LoadInt32(&e.inbound[qi])
@@ -585,7 +580,6 @@ func (e *Engine) exec(fn func(int)) {
 // workerInject is the injection phase over one shard. It first folds in the
 // arrival mail posted by the previous cycle's link phase (worklist and
 // inbound-counter maintenance for packets that crossed a shard boundary),
-// then snapshots the shard's queue occupancy when RemoteLookahead needs it,
 // then lets every source-active node attempt one injection.
 func (e *Engine) workerInject(w int) {
 	nw := e.workers
@@ -603,9 +597,6 @@ func (e *Engine) workerInject(w int) {
 	lo, hi := e.shard(w)
 	if lo >= hi {
 		return
-	}
-	if e.occSnap != nil {
-		copy(e.occSnap[lo*e.classes:hi*e.classes], e.occ[lo*e.classes:hi*e.classes])
 	}
 	e.inject(w, lo, hi)
 	// A node with an occupied injection queue holds a packet, so the word-wise
@@ -645,18 +636,16 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 	on := e.obsOn
 	pol := e.cfg.Policy
 	headOnly := e.cfg.HeadOnly
-	// fastAdm marks configurations whose remote uncredited moves are decided
-	// by the output-buffer flag alone (no lookahead), letting the FirstFree
-	// scan below probe the flag inline instead of calling admissibleA.
-	fastAdm := e.occSnap == nil
-	// fastFF additionally requires the FirstFree policy and a PortMaskRouter
+	// A remote uncredited move is decided by its output-buffer flag alone,
+	// so the FirstFree scan below probes the flag inline instead of calling
+	// admissibleA. fastFF requires the FirstFree policy and a PortMaskRouter
 	// algorithm (unless Config.DisablePortMask cleared e.pmr): eligible
 	// packets then route without materializing Moves. These are the only
 	// per-run conditions; per-state eligibility is PortMask's ok result
 	// below, so a partial implementor that declines some (or even most)
 	// states simply routes those packets through the Candidates scan within
 	// the same cycle — the fallback is per packet, not per run.
-	fastFF := fastAdm && e.pmr != nil && pol == PolicyFirstFree
+	fastFF := e.pmr != nil && pol == PolicyFirstFree
 	lbase := int(u) * e.ports
 	obase := lbase * e.bufClasses
 	qi0 := int(u) * e.classes
@@ -872,7 +861,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 							i -= len(moves)
 						}
 						m := &moves[i]
-						if fastAdm && m.Port >= 0 && m.Credit == 0 {
+						if m.Port >= 0 && m.Credit == 0 {
 							bc := int(m.Class)
 							if m.Kind == core.Dynamic {
 								bc = e.classes
@@ -894,7 +883,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 				}
 				for i := range moves {
 					m := &moves[i]
-					if fastAdm && m.Port >= 0 && m.Credit == 0 {
+					if m.Port >= 0 && m.Credit == 0 {
 						bc := int(m.Class)
 						if m.Kind == core.Dynamic {
 							bc = e.classes
@@ -1048,19 +1037,6 @@ func (e *Engine) admissibleA(u int32, class core.QueueClass, mv *core.Move, sc *
 		}
 		if mv.Credit > 0 {
 			if e.effectiveFree(e.queueIndex(mv.Node, mv.Class)) >= int32(mv.Credit) {
-				return true
-			}
-			sc.failOK = false
-			return false
-		}
-		if e.occSnap != nil {
-			// Advisory lookahead: only commit toward a queue that had room
-			// at the start of the cycle. The snapshot (not the live
-			// occupancy) keeps the decision independent of the node
-			// processing order, hence of the worker count. No reservation
-			// is taken; transient overcommit simply waits in the link
-			// buffers as under plain buffered flow control.
-			if e.occSnap[e.queueIndex(mv.Node, mv.Class)] < int32(e.queueCap) {
 				return true
 			}
 			sc.failOK = false

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -106,27 +107,35 @@ func TestAtomicDynamicRun(t *testing.T) {
 	}
 }
 
-// TestRemoteLookahead exercises the advisory lookahead mode end to end: it
-// must deliver everything and stay deadlock-free (reservations are released
-// on delivery too).
-func TestRemoteLookahead(t *testing.T) {
-	for _, a := range []core.Algorithm{
-		core.NewHypercubeAdaptive(5),
-		core.NewShuffleExchangeAdaptive(4), // mixes credits with lookahead
-	} {
-		nodes := a.Topology().Nodes()
-		e, err := NewEngine(Config{Algorithm: a, Seed: 1, RemoteLookahead: true, QueueCap: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 6, 2)
-		m, err := runStatic(e, src, 1_000_000)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if m.Delivered != int64(nodes*6) {
-			t.Errorf("%s: delivered %d, want %d", a.Name(), m.Delivered, nodes*6)
-		}
+// shortHops claims one hop less than the distance for every pair, so each
+// delivery breaks the bound the kernel asserts.
+type shortHops struct{ core.Algorithm }
+
+func (a shortHops) MaxHops(src, dst int32) int {
+	return a.Topology().Distance(int(src), int(dst)) - 1
+}
+
+// TestDeliverAssertsHopBound: delivery checks every packet against the
+// algorithm's MaxHops, on both engines, with no switch to turn it off. One
+// worker, so the panic is raised on the test's goroutine.
+func TestDeliverAssertsHopBound(t *testing.T) {
+	for _, kind := range EngineKinds {
+		t.Run(kind, func(t *testing.T) {
+			a := shortHops{core.NewHypercubeAdaptive(4)}
+			e, err := NewSimulator(kind, Config{Algorithm: a, Seed: 1, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := traffic.NewStaticSource(traffic.Random{Nodes: 16}, 16, 1, 2)
+			msg := func() (msg string) {
+				defer func() { msg, _ = recover().(string) }()
+				runStatic(e, src, 10_000)
+				return ""
+			}()
+			if !strings.Contains(msg, " took ") || !strings.Contains(msg, " hops from ") {
+				t.Errorf("run did not panic on the hop bound; recovered %q", msg)
+			}
+		})
 	}
 }
 

@@ -671,7 +671,7 @@ func (k *kernel) injectNode(u int32, cycle int64, src TrafficSource, win runWind
 func (k *kernel) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleStats) {
 	// Misrouted packets left the minimal path to dodge a fault; their hop
 	// bound is the misroute budget, enforced at misroute time instead.
-	if !k.cfg.DisableInvariantChecks && !pkt.Misrouted() {
+	if !pkt.Misrouted() {
 		bound := k.algo.MaxHops(pkt.Src, pkt.Dst)
 		if pkt.HopCount() > bound {
 			panic(fmt.Sprintf("sim: %s: packet %d took %d hops from %d to %d, bound %d",

@@ -156,9 +156,6 @@ type Config struct {
 	// movement (while packets remain in the network) after which the run
 	// aborts with ErrDeadlock. Default 1000.
 	DeadlockWindow int
-	// DisableInvariantChecks turns off per-delivery hop assertions (used
-	// only by tests that measure raw speed).
-	DisableInvariantChecks bool
 	// CutThrough enables virtual cut-through switching [KK79], the hybrid
 	// between packet routing and wormhole the paper's introduction names: a
 	// packet arriving at a node may proceed straight from the input buffer
@@ -205,14 +202,6 @@ type Config struct {
 	// costs nothing per cycle — the engines simply skip the interface
 	// assertion at the start of the run.
 	DisableBatchInject bool
-	// RemoteLookahead makes a packet commit to an output buffer only when
-	// the target queue currently has room for every packet already headed
-	// its way plus this one (occupancy + inbound < capacity). This realizes
-	// the abstract Route(q) of Section 2 — "select q' : not Full(q')" —
-	// over the buffered node model: the adaptive choice is made against the
-	// state of the target queues rather than only the local buffers. The
-	// atomic engine is that Route(q) already and refuses the option.
-	RemoteLookahead bool
 	// Observer, if set, receives the run's delivery, per-cycle, and
 	// end-of-run probes together with the merged metric snapshots; compose
 	// several with obs.Multi. Attaching an observer enables the metrics

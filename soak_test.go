@@ -79,58 +79,3 @@ func TestSoakRandomConfigurations(t *testing.T) {
 		})
 	}
 }
-
-// TestSoakWormhole does the same for the flit-level engine.
-func TestSoakWormhole(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test skipped in -short mode")
-	}
-	routes := []string{
-		"wh-hypercube-ecube:5", "wh-hypercube-adaptive:5",
-		"wh-hypercube-nonminimal:5,2", "wh-torus-dor:5",
-		"wh-torus-adaptive:5", "wh-torus-adaptive:4x3x3",
-	}
-	likes := map[string]string{
-		"wh-hypercube-ecube:5":        "hypercube-adaptive:5",
-		"wh-hypercube-adaptive:5":     "hypercube-adaptive:5",
-		"wh-hypercube-nonminimal:5,2": "hypercube-adaptive:5",
-		"wh-torus-dor:5":              "torus-adaptive:5x5",
-		"wh-torus-adaptive:5":         "torus-adaptive:5x5",
-		"wh-torus-adaptive:4x3x3":     "torus-adaptive:4x3x3",
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 24; i++ {
-		spec := routes[rng.Intn(len(routes))]
-		flits := 1 + rng.Intn(12)
-		vcbuf := 1 + rng.Intn(3)
-		perNode := 1 + rng.Intn(5)
-		seed := rng.Int63()
-		t.Run(fmt.Sprintf("%02d/%s/flits=%d/vcbuf=%d/per=%d", i, spec, flits, vcbuf, perNode), func(t *testing.T) {
-			route, err := repro.NewWormholeRoute(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			like, err := repro.NewAlgorithm(likes[spec])
-			if err != nil {
-				t.Fatal(err)
-			}
-			pat, err := repro.NewPattern("random", like, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng, err := repro.NewWormholeEngine(repro.WormholeConfig{
-				Route: route, Flits: flits, VCBuf: vcbuf, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := eng.RunStatic(repro.NewStaticTraffic(pat, like, perNode, seed+1), 3_000_000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := int64(route.Topology().Nodes() * perNode); m.Delivered != want {
-				t.Fatalf("delivered %d of %d", m.Delivered, want)
-			}
-		})
-	}
-}
