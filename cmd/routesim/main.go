@@ -16,6 +16,7 @@
 //	routesim -algo hypercube-adaptive:8 -inject dynamic -traffic mmpp:on=0.9,off=0.05
 //	routesim -algo hypercube-adaptive:6 -inject dynamic -record run.jsonl
 //	routesim -algo hypercube-adaptive:6 -inject dynamic -traffic trace:run.jsonl
+//	routesim -algo hypercube-adaptive:10 -inject dynamic -workers 2 -phaseprof
 //	routesim -algo hypercube-adaptive:6 -advsearch -lambda 0.5 -adviters 40
 package main
 
@@ -34,7 +35,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/bench"
 	"repro/internal/buildid"
 	"repro/internal/exec"
 	"repro/internal/sim"
@@ -66,7 +66,8 @@ func main() {
 		hopBudget = flag.Int("hop-budget", 0, "extra hops a fault-misrouted packet may take before being dropped (0 = default)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		advsearch = flag.Bool("advsearch", false, "adversarial mode: hill-climb over fixed permutations for the worst-case p99 latency of -algo, then exit")
+		phaseprof = flag.Bool("phaseprof", false, "time each engine phase and print ns per node-cycle by phase (results are unchanged)")
+		advsearch = flag.Bool("advsearch", false, "adversarial mode: hill-climb over fixed permutations for the worst-case p99 latency of the dynamic run the flags describe, then exit")
 		adviters  = flag.Int("adviters", 40, "adversarial mode: hill-climb iterations")
 		advswaps  = flag.Int("advswaps", 0, "adversarial mode: transpositions per mutation (0 = nodes/64)")
 		metrics   = flag.String("metrics", "", "write metric snapshots as JSON lines to this file ('-' for stdout)")
@@ -102,24 +103,6 @@ func main() {
 		return
 	}
 
-	if *advsearch {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-		defer stop()
-		res, err := bench.RunAdversary(ctx, bench.AdversaryConfig{
-			AlgoSpec: *algoSpec,
-			Engine:   *engine,
-			Lambda:   *lambda,
-			Warmup:   *warmup,
-			Measure:  *measure,
-			Workers:  *workers,
-			Iters:    *adviters,
-			Swaps:    *advswaps,
-			Seed:     *seed,
-		})
-		fatal(err)
-		fmt.Print(bench.FormatAdversary(res))
-		return
-	}
 	faultSpec := *faults
 	if *killLinks > 0 {
 		spec := fmt.Sprintf("links:%g@0", *killLinks)
@@ -129,7 +112,7 @@ func main() {
 			faultSpec = spec
 		}
 	}
-	c, err := exec.Compile(exec.RunSpec{
+	rs := exec.RunSpec{
 		Algo:      *algoSpec,
 		Pattern:   *pattern,
 		Engine:    *engine,
@@ -146,8 +129,27 @@ func main() {
 		Faults:    faultSpec,
 		HopBudget: *hopBudget,
 		Workers:   *workers,
-	})
+	}
+	if *advsearch {
+		if *tmodel != "" && *tmodel != "bernoulli" {
+			fatal(errors.New("-advsearch scores Bernoulli traffic; drop -traffic"))
+		}
+		rs.Inject = "dynamic"
+	}
+	c, err := exec.Compile(rs)
 	fatal(err)
+
+	// Ctrl-C cancels the run within one cycle; the partial metrics of the
+	// completed cycles are still printed.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	if *advsearch {
+		res, err := advSearch(ctx, c, *adviters, *advswaps)
+		fatal(err)
+		fmt.Print(formatAdv(*algoSpec, c, res))
+		return
+	}
 
 	// Observability: compose the requested observers; -http attaches a no-op
 	// one, because any observer turns on the metrics core the endpoint serves.
@@ -174,7 +176,9 @@ func main() {
 	}
 
 	// Build the engine up front so -http can expose its live metrics core.
-	eng, err := c.Build(c.Spec.Workers, repro.MultiObserver(observers...))
+	kind, cfg := c.Config(c.Spec.Workers, repro.MultiObserver(observers...))
+	cfg.PhaseProf = *phaseprof
+	eng, err := repro.NewSimulator(kind, cfg)
 	fatal(err)
 	algo := eng.Algorithm()
 	if *verify {
@@ -199,11 +203,6 @@ func main() {
 		recording = &traffic.RecordingSource{Inner: src, Cap: 1, W: f}
 		src = recording
 	}
-
-	// Ctrl-C cancels the run within one cycle; the partial metrics of the
-	// completed cycles are still printed.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	start := time.Now()
 	res, err := eng.Run(ctx, src, plan)
@@ -252,6 +251,14 @@ func main() {
 	}
 	fmt.Printf("movement  : %d moves, %d over dynamic links (%.1f%%), max queue occupancy %d\n",
 		m.Moves, m.DynamicMoves, pct(m.DynamicMoves, m.Moves), m.MaxQueue)
+	if *phaseprof {
+		t := eng.PhaseTimes()
+		nc := float64(t.Cycles) * float64(algo.Topology().Nodes())
+		perNC := func(v int64) float64 { return float64(v) / nc }
+		fmt.Printf("phases    : ns/node-cycle inject=%.2f a=%.2f b=%.2f link=%.2f merge=%.2f other=%.2f, moves/node-cycle=%.3f\n",
+			perNC(t.InjectNs), perNC(t.PhaseANs), perNC(t.PhaseBNs), perNC(t.LinkNs),
+			perNC(t.MergeNs), perNC(t.OtherNs), perNC(m.Moves))
+	}
 	if collector != nil {
 		fmt.Printf("histogram : %s\n%s", collector.Summary(), collector.Histogram(16))
 	}

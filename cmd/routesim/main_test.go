@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	osexec "os/exec"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/buildid"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -36,7 +38,8 @@ func routesim(args ...string) (string, error) {
 // used to run and ignore it. Cut-through and worker counts above one are
 // now refused with the spec's field error, and routesim exits 1. So are the
 // engine and algorithm names of the flit-level wormhole engine, which once
-// ran outside the spec.
+// ran outside the spec, and a traffic model the adversarial search would
+// apply to its baseline but not to its candidates.
 func TestAtomicEngineRefusesVCT(t *testing.T) {
 	const cube = "hypercube-adaptive:4"
 	for _, tc := range []struct {
@@ -47,6 +50,7 @@ func TestAtomicEngineRefusesVCT(t *testing.T) {
 		{[]string{"-engine", "atomic", "-workers", "4", "-algo", cube}, `routesim: runspec: field "workers"`},
 		{[]string{"-engine", "wormhole", "-algo", cube}, `routesim: runspec: field "engine"`},
 		{[]string{"-algo", "wh-torus-adaptive:4"}, `routesim: runspec: field "algo"`},
+		{[]string{"-advsearch", "-traffic", "mmpp", "-algo", cube}, "routesim: -advsearch scores Bernoulli traffic"},
 	} {
 		out, err := routesim(tc.args...)
 		var exit *osexec.ExitError
@@ -77,7 +81,8 @@ func TestHelpNamesEveryPolicy(t *testing.T) {
 // TestRoutesimIsARunSpec: routesim's metric lines for a flag set are the
 // metrics exec.Run produces for the equivalent spec, and its fingerprint is
 // that spec's. Both once differed: routesim seeded the pattern and traffic
-// with seed and seed+1 where a spec uses seed+1 and seed+2.
+// with seed and seed+1 where a spec uses seed+1 and seed+2. -phaseprof adds
+// a phases line and changes nothing else.
 func TestRoutesimIsARunSpec(t *testing.T) {
 	dyn := []string{"-algo", "hypercube-adaptive:6", "-inject", "dynamic", "-lambda", "0.6", "-warmup", "100", "-measure", "400"}
 	dynSpec := exec.RunSpec{Algo: "hypercube-adaptive:6", Inject: "dynamic", Lambda: 0.6, Warmup: 100, Measure: 400, Seed: 1}
@@ -93,10 +98,14 @@ func TestRoutesimIsARunSpec(t *testing.T) {
 			exec.RunSpec{Algo: "hypercube-adaptive:6", Packets: 2, Faults: "links:0.05@0", Seed: 42}},
 		{append([]string{"-engine", "buffered:vct"}, dyn...), vct},
 		{append([]string{"-traffic", "mmpp:on=0.9,off=0.05"}, dyn...), mmpp},
+		{append([]string{"-phaseprof", "-workers", "2"}, dyn...), dynSpec},
 	} {
 		out, err := routesim(tc.args...)
 		if err != nil {
 			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		if slices.Contains(tc.args, "-phaseprof") && !strings.Contains(out, "\nphases    : ") {
+			t.Errorf("%v: no phases line:\n%s", tc.args, out)
 		}
 		res, err := exec.Run(context.Background(), tc.spec, nil)
 		if err != nil {
@@ -126,5 +135,69 @@ func TestRoutesimIsARunSpec(t *testing.T) {
 				t.Errorf("%v: %s line\n got  %q\n want %q", tc.args, label, got, line)
 			}
 		}
+	}
+}
+
+// TestRunAdversary smoke-runs the permutation search on a tiny hypercube and
+// checks determinism and the shape of the result.
+func TestRunAdversary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs several simulations")
+	}
+	c, err := exec.Compile(exec.RunSpec{
+		Algo: "hypercube-adaptive:4", Inject: "dynamic", Lambda: 0.4,
+		Warmup: 20, Measure: 100, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := advSearch(context.Background(), c, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Nodes != 16 || len(a.Sigma) != 16 || len(a.Evals) != 5 {
+		t.Fatalf("unexpected shape: nodes=%d sigma=%d evals=%d", a.Nodes, len(a.Sigma), len(a.Evals))
+	}
+	seen := make([]bool, 16)
+	for _, d := range a.Sigma {
+		seen[d] = true
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("Sigma is not a permutation: %d missing", i)
+		}
+	}
+	if a.Best.P99 < a.Evals[0].P99 {
+		t.Errorf("best p99 %d below the initial permutation's %d", a.Best.P99, a.Evals[0].P99)
+	}
+	b, err := advSearch(context.Background(), c, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Best != a.Best || b.Baseline != a.Baseline {
+		t.Errorf("search is not deterministic: %+v/%+v vs %+v/%+v", a.Best, a.Baseline, b.Best, b.Baseline)
+	}
+}
+
+// TestAdvsearchIsARunSpec: the search's baseline is the run routesim's flags
+// describe. It once ignored -cap and -policy (and -faults) and scored the
+// paper's defaults instead.
+func TestAdvsearchIsARunSpec(t *testing.T) {
+	out, err := routesim("-algo", "hypercube-adaptive:6", "-advsearch", "-adviters", "0",
+		"-lambda", "1", "-warmup", "100", "-measure", "300", "-cap", "2", "-policy", "random")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	lat := obs.NewLatency()
+	_, err = exec.Run(context.Background(), exec.RunSpec{
+		Algo: "hypercube-adaptive:6", Inject: "dynamic", Lambda: 1, Warmup: 100, Measure: 300,
+		QueueCap: 2, Policy: "random", Seed: 1,
+	}, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("  random baseline: p50=%d p99=%d\n", lat.Percentile(50), lat.Percentile(99))
+	if !strings.Contains(out, want) {
+		t.Errorf("report lacks %q:\n%s", want, out)
 	}
 }

@@ -406,6 +406,13 @@ func (s RunSpec) Build() (sim.Simulator, error) {
 // Build constructs the spec's engine with the given worker count and, when
 // o is non-nil, o tapping its probes. Every call returns a fresh engine.
 func (c *Compiled) Build(workers int, o obs.Observer) (sim.Simulator, error) {
+	return sim.NewSimulator(c.Config(workers, o))
+}
+
+// Config returns the engine kind and the sim.Config that Build hands to
+// sim.NewSimulator, for a caller that sets a probe (PhaseProf) the spec
+// does not carry before building the engine itself.
+func (c *Compiled) Config(workers int, o obs.Observer) (string, sim.Config) {
 	kind, option, _ := strings.Cut(c.Spec.Engine, ":")
 	cfg := sim.Config{
 		Algorithm:      c.algo,
@@ -425,7 +432,7 @@ func (c *Compiled) Build(workers int, o obs.Observer) (sim.Simulator, error) {
 		// (sim.Config refuses the combination).
 		cfg.Workers = 1
 	}
-	return sim.NewSimulator(kind, cfg)
+	return kind, cfg
 }
 
 // Source validates the spec and constructs its traffic source and run

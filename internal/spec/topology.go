@@ -1,7 +1,6 @@
 package spec
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -194,26 +193,6 @@ func parseKV(spec, arg string, keys ...string) (map[string]int64, error) {
 		}
 	}
 	return kv, nil
-}
-
-// FormatTopology renders the canonical spec of a topology built by this
-// package: Topology(FormatTopology(t)) reconstructs an equivalent network.
-func FormatTopology(t topology.Topology) (string, error) {
-	switch t := t.(type) {
-	case *topology.Hypercube:
-		return "hypercube:" + strconv.Itoa(t.Dims()), nil
-	case *topology.Mesh:
-		return "mesh:" + joinShape(t.Shape()), nil
-	case *topology.Torus:
-		return "torus:" + joinShape(t.Shape()), nil
-	case *topology.ShuffleExchange:
-		return "shuffle:" + strconv.Itoa(t.Dims()), nil
-	case *topology.CCC:
-		return "ccc:" + strconv.Itoa(t.Dims()), nil
-	case *topology.Graph:
-		return "graph:" + t.Spec(), nil
-	}
-	return "", fmt.Errorf("spec: no spec syntax for topology %s", t.Name())
 }
 
 // impliedKind maps an algorithm family to the topology kind it runs on,
