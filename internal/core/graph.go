@@ -29,24 +29,30 @@ import (
 // The routing relation over a static digraph is a pure function of
 // (node, destination) and of one table, the all-pairs BFS distances, so
 // that table is all the algorithm keeps: decisions are read off it when
-// they are made. With row the n distances to dst (the table is
-// destination-major, see topology.AllPairsBFS), port p of node u is a
-// candidate iff row[nbr[u*ports+p]] == row[u]-1 — one load for the node
-// and one per port, all inside one 2n-byte row that a run toward dst keeps
-// in cache. Nothing is derived per pair: a next-hop table costs n^2 x ports
-// to fill against the few decisions per node a run makes, and at the sizes
-// where it would pay per decision it no longer fits the cache the row does
-// (EXPERIMENTS.md, "What a graph spec costs").
+// they are made. Port p of node u is a candidate iff its endpoint v has
+// d(v, dst) == d(u, dst)-1. The table is bit-sliced (topology.DistTable):
+// dst's block holds, for every node, P = bits.Len(diameter) words whose bit
+// dst&63 spells that node's distance to dst, so a decision reads the node's
+// P words and each neighbour's, all inside one n·P-word block that every
+// packet toward one of its 64 destinations shares. The node's P words are
+// decremented in place, borrow by borrow, for all 64 destinations at once,
+// and each neighbour's P words are XORed with the result: a port is minimal
+// iff bit dst&63 of that is clear. No distance is ever decoded and no
+// branch depends on the data. Nothing is derived per pair: a next-hop
+// table costs n^2 x ports to fill against the few decisions per node a run
+// makes, and at the sizes where it would pay per decision it no longer
+// fits the cache the distance table does (EXPERIMENTS.md, "What a graph
+// spec costs").
 type GraphAdaptive struct {
 	t     topology.Topology
 	diam  int
 	n     int
 	ports int
 	// nbr and dist are the flat adjacency (node-major, None-padded) and
-	// all-pairs distance (destination-major) tables; for a *topology.Graph
-	// they are the topology's own backing store, costing nothing extra.
+	// all-pairs distance tables; for a *topology.Graph they are the
+	// topology's own backing store, costing nothing extra.
 	nbr  []int32
-	dist []int16
+	dist topology.DistTable
 }
 
 // NewGraphAdaptive builds the generic minimal-adaptive algorithm over any
@@ -96,7 +102,7 @@ func (a *GraphAdaptive) Props() Props {
 }
 
 func (a *GraphAdaptive) MaxHops(src, dst int32) int {
-	return int(a.dist[int(dst)*a.n+int(src)])
+	return a.dist.At(int(src), int(dst))
 }
 
 func (a *GraphAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
@@ -104,24 +110,106 @@ func (a *GraphAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
 }
 
 // hops returns what a decision at node toward dst reads: the node's port
-// row of the adjacency, the row of distances to dst, and the distance a
-// minimal next hop must have.
-func (a *GraphAdaptive) hops(node, dst int32) (nbr []int32, row []int16, closer int16) {
-	nbr = a.nbr[int(node)*a.ports : (int(node)+1)*a.ports]
-	row = a.dist[int(dst)*a.n : (int(dst)+1)*a.n]
-	return nbr, row, row[node] - 1
+// row of the adjacency, dst's block of the distance table, and dst's bit in
+// each of the block's words.
+func (a *GraphAdaptive) hops(node, dst int32) (nbr []int32, blk []uint64, sh uint) {
+	return a.nbr[int(node)*a.ports : (int(node)+1)*a.ports], a.dist.Block(int(dst)), uint(dst) & 63
+}
+
+// closer returns the mask of the ports in nbr (at most 64) whose endpoint
+// is one hop closer than node to the destination at bit sh of blk. The
+// wanted distance d(node)-1 is w, the node's P words decremented: plane b
+// flips where every lower plane is 0. A port is minimal iff its endpoint's
+// words XOR w are 0 at bit sh. Ports are walked from the last, shifting
+// each one's miss bit in at the bottom, and a None pad misses. Every plane
+// count of the generated families (diameter below 16) has a loop of its
+// own, reading plane b of endpoint v as pb[P*v] with pb = blk[b:] cut to
+// one length, so that the unsigned compare that rejects a None pad also
+// proves every load in range.
+func (a *GraphAdaptive) closer(nbr []int32, blk []uint64, node int32, sh uint) uint64 {
+	sh &= 63 // so the shifts below need no range check
+	miss := uint64(0)
+	switch p := uint(a.dist.Planes()); p {
+	case 1:
+		w0 := ^blk[node]
+		for k := len(nbr) - 1; k >= 0; k-- {
+			x := uint64(1)
+			if i := uint(nbr[k]); i < uint(len(blk)) {
+				x = (blk[i] ^ w0) >> sh & 1
+			}
+			miss = miss<<1 | x
+		}
+	case 2:
+		m := len(blk) - 1
+		p0, p1 := blk[:m], blk[1:][:m]
+		j := 2 * uint(node)
+		u0, u1 := p0[j], p1[j]
+		w0, w1 := ^u0, u1^^u0
+		for k := len(nbr) - 1; k >= 0; k-- {
+			x := uint64(1)
+			if i := 2 * uint(nbr[k]); i < uint(m) {
+				x = ((p0[i] ^ w0) | (p1[i] ^ w1)) >> sh & 1
+			}
+			miss = miss<<1 | x
+		}
+	case 3:
+		m := len(blk) - 2
+		p0, p1, p2 := blk[:m], blk[1:][:m], blk[2:][:m]
+		j := 3 * uint(node)
+		u0, u1, u2 := p0[j], p1[j], p2[j]
+		w0, w1, w2 := ^u0, u1^^u0, u2^^(u0|u1)
+		for k := len(nbr) - 1; k >= 0; k-- {
+			x := uint64(1)
+			if i := 3 * uint(nbr[k]); i < uint(m) {
+				x = ((p0[i] ^ w0) | (p1[i] ^ w1) | (p2[i] ^ w2)) >> sh & 1
+			}
+			miss = miss<<1 | x
+		}
+	case 4:
+		m := len(blk) - 3
+		p0, p1, p2, p3 := blk[:m], blk[1:][:m], blk[2:][:m], blk[3:][:m]
+		j := 4 * uint(node)
+		u0, u1, u2, u3 := p0[j], p1[j], p2[j], p3[j]
+		w0, w1, w2, w3 := ^u0, u1^^u0, u2^^(u0|u1), u3^^(u0|u1|u2)
+		for k := len(nbr) - 1; k >= 0; k-- {
+			x := uint64(1)
+			if i := 4 * uint(nbr[k]); i < uint(m) {
+				x = ((p0[i] ^ w0) | (p1[i] ^ w1) | (p2[i] ^ w2) | (p3[i] ^ w3)) >> sh & 1
+			}
+			miss = miss<<1 | x
+		}
+	default: // at most 8 planes: NewGraphAdaptive refuses a diameter above 254
+		var w [8]uint64
+		borrow := ^uint64(0)
+		for b, x := range blk[p*uint(node) : p*uint(node)+p] {
+			w[b] = x ^ borrow
+			borrow &^= x
+		}
+		for k := len(nbr) - 1; k >= 0; k-- {
+			x := uint64(1)
+			if i := p * uint(nbr[k]); i < uint(len(blk)) {
+				m := uint64(0)
+				for b, v := range blk[i : i+p] {
+					m |= v ^ w[b]
+				}
+				x = m >> sh & 1
+			}
+			miss = miss<<1 | x
+		}
+	}
+	return ^miss & (1<<uint(len(nbr)) - 1)
 }
 
 func (a *GraphAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
 	if node == dst {
 		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
 	}
-	nbr, row, closer := a.hops(node, dst)
-	for p, v := range nbr {
-		// One unsigned compare rejects a None pad and proves i in range.
-		if i := int(v); uint(i) < uint(len(row)) && row[i] == closer {
+	nbr, blk, sh := a.hops(node, dst)
+	for p0 := 0; p0 < len(nbr); p0 += 64 {
+		for m := a.closer(nbr[p0:min(p0+64, len(nbr))], blk, node, sh); m != 0; m &= m - 1 {
+			p := p0 + bits.TrailingZeros64(m)
 			buf = append(buf, Move{
-				Node: v, Port: int16(p), Class: class + 1, Kind: Static, MinFree: 1,
+				Node: nbr[p], Port: int16(p), Class: class + 1, Kind: Static, MinFree: 1,
 			})
 		}
 	}
@@ -139,21 +227,8 @@ func (a *GraphAdaptive) PortMask(node int32, class QueueClass, work uint32, dst 
 	if a.ports > 32 || node == dst {
 		return false
 	}
-	nbr, row, closer := a.hops(node, dst)
-	mask := uint32(0)
-	bit := uint32(1) // of the port being tested
-	for _, v := range nbr {
-		if i := int(v); uint(i) < uint(len(row)) { // not a None pad
-			// Written so the compiler emits SETcc, not a branch: which ports
-			// are minimal is data-dependent and mispredicts.
-			b := uint32(0)
-			if row[i] == closer {
-				b = 1
-			}
-			mask |= bit & -b
-		}
-		bit <<= 1
-	}
+	nbr, blk, sh := a.hops(node, dst)
+	mask := uint32(a.closer(nbr, blk, node, sh))
 	pm.PerPort = true
 	pm.StaticMask = mask
 	pm.Dyn = 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -373,5 +374,72 @@ func TestGraphAdaptiveBorrowsTables(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("NewGraphAdaptive over a *topology.Graph allocates %.0f times, want at most 1", allocs)
+	}
+}
+
+// ring is the bidirectional ring on n nodes, port 0 leading to u-1 and port
+// 1 to u+1; its diameter is n/2.
+func ring(t *testing.T, n int) *topology.Graph {
+	t.Helper()
+	adj := make([][]int32, n)
+	for u := range adj {
+		adj[u] = []int32{int32((u + n - 1) % n), int32((u + 1) % n)}
+	}
+	g, err := topology.NewGraph(fmt.Sprintf("ring-%d", n), adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGraphAdaptiveManyPlanes: the decision read has a loop of its own for
+// each plane count up to four and a general one above, which no generated
+// family of TestGraphAdaptiveMatchesBruteForce reaches. Rings of diameter
+// 17, 65 and 254 (five, seven and eight planes) check PortMask, Candidates
+// and MaxHops against the ring's closed-form distance for every (node, dst);
+// the even ring offers both ports at its antipode.
+func TestGraphAdaptiveManyPlanes(t *testing.T) {
+	for _, n := range []int{34, 130, 509} {
+		a, err := core.NewGraphAdaptive(ring(t, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist := func(u, v int) int { return min((u-v+n)%n, (v-u+n)%n) }
+		var pm core.PortMasks
+		var got []core.Move
+		for node := 0; node < n; node++ {
+			for dst := 0; dst < n; dst++ {
+				d := dist(node, dst)
+				if h := a.MaxHops(int32(node), int32(dst)); h != d {
+					t.Fatalf("ring-%d: MaxHops(%d,%d) = %d, want %d", n, node, dst, h, d)
+				}
+				if node == dst {
+					continue
+				}
+				var want []core.Move
+				wantMask := uint32(0)
+				for p, v := range []int{(node + n - 1) % n, (node + 1) % n} {
+					if dist(v, dst) == d-1 {
+						want = append(want, core.Move{Node: int32(v), Port: int16(p), Class: 1, Kind: core.Static, MinFree: 1})
+						wantMask |= 1 << p
+					}
+				}
+				got = a.Candidates(int32(node), 0, 0, int32(dst), got[:0])
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("ring-%d (%d)->%d: Candidates %+v, want %+v", n, node, dst, got, want)
+				}
+				if !a.PortMask(int32(node), 0, 0, int32(dst), &pm) || pm.StaticMask != wantMask {
+					t.Fatalf("ring-%d (%d)->%d: mask %032b, want %032b", n, node, dst, pm.StaticMask, wantMask)
+				}
+			}
+		}
+	}
+}
+
+// TestGraphAdaptiveRefusesLongDiameter: a network of diameter 255 needs a
+// hop class the 8-bit queue classes do not have.
+func TestGraphAdaptiveRefusesLongDiameter(t *testing.T) {
+	if _, err := core.NewGraphAdaptive(ring(t, 510)); err == nil || !strings.Contains(err.Error(), "has diameter 255, above the 254 hop-class limit") {
+		t.Errorf("ring of diameter 255: got error %v, want the hop-class refusal", err)
 	}
 }

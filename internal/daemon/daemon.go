@@ -207,9 +207,10 @@ func (s *Server) handleGetByFP(w http.ResponseWriter, r *http.Request) {
 // from store, dedup in flight, or schedule. The spec is compiled exactly
 // once per request — a generated-graph spec's compile is its topology
 // generator plus an all-pairs BFS — and the compiled form answers every
-// later question about it (cost, worker grant, the run itself). A spec that
-// is not Storable (a trace replay) skips the store both ways: it always
-// runs, and its result is returned but not kept.
+// later question about it (cost, worker grant, the run itself). A trace
+// replay is refused before Compile opens anything: its traffic is a path on
+// this server's filesystem, which a client has no business naming, and
+// every spec the daemon does run is Storable.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST with a JSON RunSpec body", "")
@@ -220,6 +221,11 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var spec exec.RunSpec
 	if err := dec.Decode(&spec); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad RunSpec JSON: "+err.Error(), "")
+		return
+	}
+	if !spec.Storable() {
+		err := &exec.FieldError{Field: "traffic", Reason: "trace replay reads a file on the server and is not served over HTTP; run it with routesim -traffic"}
+		writeErr(w, http.StatusBadRequest, err.Error(), err.Field)
 		return
 	}
 	compiled, err := exec.Compile(spec)
@@ -237,16 +243,14 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 
 	// Cache hit: serve the stored result, no simulation.
-	if compiled.Spec.Storable() {
-		res, ok, err := exec.Load(s.st, fp)
-		if err != nil {
-			fail(w, sse, http.StatusInternalServerError, err)
-			return
-		}
-		if ok {
-			reply(w, sse, Response{Result: res, Cached: true})
-			return
-		}
+	res, ok, err := exec.Load(s.st, fp)
+	if err != nil {
+		fail(w, sse, http.StatusInternalServerError, err)
+		return
+	}
+	if ok {
+		reply(w, sse, Response{Result: res, Cached: true})
+		return
 	}
 
 	// Miss: join an identical in-flight run, or lead a new one.
@@ -368,12 +372,10 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Com
 	// Persist under the request fingerprint (computed with the server's
 	// build id) so the next identical spec is a pure cache hit.
 	res.FP = fp
-	if compiled.Spec.Storable() {
-		if err := exec.Save(s.st, fp, res); err != nil {
-			finish(Response{}, err, http.StatusInternalServerError)
-			fail(w, sse, http.StatusInternalServerError, err)
-			return
-		}
+	if err := exec.Save(s.st, fp, res); err != nil {
+		finish(Response{}, err, http.StatusInternalServerError)
+		fail(w, sse, http.StatusInternalServerError, err)
+		return
 	}
 	resp := Response{Result: res}
 	finish(resp, nil, 0)

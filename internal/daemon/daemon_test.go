@@ -526,35 +526,29 @@ func TestTrafficSpecRoundTrip(t *testing.T) {
 	}
 }
 
-// A trace spec is fingerprinted by the trace's path, not its content, so
-// the store must neither keep nor serve its result: the same spec POSTed
-// again after the file changed replays the new file.
-func TestTraceSpecBypassesStore(t *testing.T) {
+// A trace spec names a file on the server, so the daemon refuses it with a
+// FieldError on traffic before Compile opens anything: a path outside any
+// directory, a relative one, and a real, well-formed trace file alike. The
+// message is the refusal's own, not a parse error of the file, and nothing
+// runs or is stored.
+func TestTraceSpecRefused(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
-	spec := exec.RunSpec{Algo: "hypercube-adaptive:4", Traffic: "trace:" + trace, Seed: 1}
-	post := func(lines string) (delivered int64) {
-		t.Helper()
-		if err := os.WriteFile(trace, []byte(lines), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		resp, body := postSpec(t, hs.URL, spec)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("trace POST: %d %s", resp.StatusCode, body)
-		}
-		var r Response
-		if err := json.Unmarshal(body, &r); err != nil {
-			t.Fatal(err)
-		}
-		if r.Cached {
-			t.Error("a trace spec was served from the store")
-		}
-		return r.Metrics.Delivered
+	if err := os.WriteFile(trace, []byte(`{"c":0,"s":0,"d":3}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	one := post(`{"c":0,"s":0,"d":3}` + "\n")
-	two := post(`{"c":0,"s":0,"d":3}` + "\n" + `{"c":1,"s":5,"d":9}` + "\n")
-	if one != 1 || two != 2 {
-		t.Errorf("delivered %d then %d packets, want 1 then 2: the second POST did not replay the rewritten trace", one, two)
+	for _, path := range []string{"/etc/passwd", "../x", trace} {
+		resp, body := postSpec(t, hs.URL, exec.RunSpec{Algo: "hypercube-adaptive:4", Traffic: "trace:" + path, Seed: 1})
+		var e struct {
+			Error string `json:"error"`
+			Field string `json:"field"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("trace:%s: %d %s", path, resp.StatusCode, body)
+		}
+		if resp.StatusCode != http.StatusBadRequest || e.Field != "traffic" || !strings.Contains(e.Error, "not served over HTTP") {
+			t.Errorf("trace:%s: status %d body %+v, want 400 refusing the traffic field", path, resp.StatusCode, e)
+		}
 	}
 
 	resp, err := http.Get(hs.URL + "/metrics")
@@ -564,7 +558,7 @@ func TestTraceSpecBypassesStore(t *testing.T) {
 	defer resp.Body.Close()
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
-	for _, want := range []string{"repro_store_puts_total 0", "repro_store_hits_total 0", "repro_daemon_executed_total 2"} {
+	for _, want := range []string{"repro_store_puts_total 0", "repro_daemon_executed_total 0"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics page missing %q:\n%s", want, buf.String())
 		}

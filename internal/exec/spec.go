@@ -385,7 +385,8 @@ func (s RunSpec) Fingerprint(buildID string) string {
 // Storable reports whether the spec's result may be kept under its
 // Fingerprint. A trace spec may not: the fingerprint covers the trace's
 // path, not its content, so a stored result would outlive a change to the
-// file. Every holder of a store asks this before Get and before Put.
+// file. A sweep asks this before Get and before Put; routesimd refuses such
+// a spec outright, since its path names a file on the server.
 func (s RunSpec) Storable() bool {
 	model, _, _ := strings.Cut(s.Traffic, ":")
 	return model != "trace"

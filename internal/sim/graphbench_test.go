@@ -10,12 +10,13 @@ import (
 )
 
 // BenchmarkGraphStep measures one Step of a warmed graph-adaptive run, per
-// engine and generator family. A routing decision reads 1 + ports distances
-// out of the destination's row of the BFS table, so the families span what
-// that costs: the high-radix ones (hyperx at 30 ports, fat-tree at 32) pay
-// the most loads per decision, and random-regular-4096 has the largest rows
-// (8 KB each, 32 MB of table) at the smallest radix. `-cpuprofile` on one
-// cell shows the routing share.
+// engine and generator family. A routing decision reads the P bit-plane
+// words of the node and of each of its neighbours out of the destination's
+// block of the BFS table, so the families span what that costs: the
+// high-radix ones (hyperx at 30 ports, fat-tree at 32) pay the most loads
+// per decision, and random-regular-4096 has the largest blocks (128 KB
+// each, four planes, 8 MB of table) at the smallest radix. `-cpuprofile`
+// on one cell shows the routing share.
 func BenchmarkGraphStep(b *testing.B) {
 	families := []struct {
 		name   string

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -275,6 +276,52 @@ func TestAllPairsBFSLateBatchFailure(t *testing.T) {
 	_, err := NewGraph("late-trap", adj)
 	if want := "no path 138 -> 0"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("got error %v, want substring %q", err, want)
+	}
+}
+
+// directedCycle is the directed ring 0 -> 1 -> ... -> n-1 -> 0, whose
+// diameter is n-1.
+func directedCycle(t *testing.T, n int) *Graph {
+	t.Helper()
+	adj := make([][]int32, n)
+	for u := range adj {
+		adj[u] = []int32{int32((u + 1) % n)}
+	}
+	return mustGraph(t)(NewGraph(fmt.Sprintf("ring%d", n), adj))
+}
+
+// TestDistTablePlaneBoundaries: the table starts on one plane and grows one
+// at a time as the search's levels cross a power of two, so a diameter on
+// either side of 2, 4, 8, 16, 32 and 256 must still read back every
+// distance the scalar BFS finds, on exactly bits.Len(diameter) planes.
+func TestDistTablePlaneBoundaries(t *testing.T) {
+	for _, diam := range []int{1, 2, 3, 4, 7, 8, 14, 15, 16, 17, 30, 31, 32, 33, 254, 255, 256} {
+		g := directedCycle(t, diam+1)
+		if g.Diameter() != diam {
+			t.Fatalf("ring of %d: Diameter() = %d, want %d", diam+1, g.Diameter(), diam)
+		}
+		if got, want := g.Distances().Planes(), bits.Len(uint(diam)); got != want {
+			t.Errorf("diameter %d: %d planes, want %d", diam, got, want)
+		}
+		for a := 0; a < g.Nodes(); a++ {
+			for b := 0; b < g.Nodes(); b++ {
+				if got, want := g.Distance(a, b), BFSDistance(g, a, b); got != want {
+					t.Fatalf("diameter %d: Distance(%d,%d) = %d, scalar BFS says %d", diam, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDistTableSize pins the table's memory: n²·P/8 bytes with P the
+// fewest planes that hold the diameter, so the largest random-regular spec
+// (diameter 15, four planes) takes n²/2 bytes, and a table of a byte or an
+// int16 per pair (n² or 2n²) fails.
+func TestDistTableSize(t *testing.T) {
+	g := mustGraph(t)(NewRandomRegular(MaxGraphNodes, 3, 1))
+	n := g.Nodes()
+	if got, limit := 8*cap(g.Distances().words), n*n/2; got > limit {
+		t.Errorf("n=%d diameter %d: distance table holds %d bytes, want at most n²/2 = %d", n, g.Diameter(), got, limit)
 	}
 }
 
