@@ -9,11 +9,11 @@
 //
 //   - the Algorithm interface shared by the simulators, the QDG verifier and
 //     the experiment harness;
-//   - the fully-adaptive minimal hypercube algorithm of Section 3 and its
-//     ablations (hung DAG without dynamic links, oblivious e-cube);
 //   - the fully-adaptive minimal mesh algorithm of Section 4 (generalized to
 //     k dimensions) and its ablations (two-phase without dynamic links,
-//     dimension-order with directional queues);
+//     dimension-order with directional queues); on the mesh whose sides are
+//     all 2 the first two are the hypercube algorithm of Section 3 and its
+//     hung-DAG ablation, and the oblivious e-cube baseline joins them;
 //   - the adaptive shuffle-exchange algorithm of Section 5 (4 queues,
 //     dateline cycle breaking, dynamic 1->0 exchanges in phase 1);
 //   - the 4-queue fully-adaptive minimal torus algorithm the paper sketches
@@ -149,7 +149,7 @@ type Algorithm interface {
 // MinFree-1 remote move per set bit — exactly the moves Candidates emits, in
 // ascending port order. Two encodings share the struct:
 //
-//   - Grouped (PerPort false; the hypercube fast case): bit t of Static[c]
+//   - Grouped (PerPort false; the two-phase mesh schemes): bit t of Static[c]
 //     is a static move through port t into class c. Usable when the
 //     algorithm has at most 4 central queues and its static moves cluster
 //     by target class; consumers recover the class by scanning the four

@@ -13,78 +13,27 @@ const (
 	ClassB QueueClass = 1 // phase B: ascending to the destination
 )
 
-// HypercubeAdaptive is the fully-adaptive minimal deadlock-free hypercube
-// algorithm of Section 3. The cube is hung from node 0...0; phase A packets
-// (queue q_A) correct incorrect 0s into 1s through static links and may
-// additionally correct incorrect 1s into 0s through dynamic links whenever
-// space is found; once no incorrect 0 remains a packet changes to phase B
-// (queue q_B) and corrects the remaining incorrect 1s through static links.
-// Two central queues per node, plus injection and delivery.
-type HypercubeAdaptive struct {
-	cube *topology.Hypercube
+// NewHypercubeAdaptive returns the fully-adaptive minimal deadlock-free
+// hypercube algorithm of Section 3 on an n-dimensional hypercube. It is the
+// Section 4 mesh algorithm on the mesh whose sides are all 2: the cube is
+// hung from node 0...0; phase A packets (queue q_A) correct incorrect 0s
+// into 1s through static links and may additionally correct incorrect 1s
+// into 0s through dynamic links whenever space is found; once no incorrect
+// 0 remains a packet changes to phase B (queue q_B) and corrects the
+// remaining incorrect 1s through static links.
+func NewHypercubeAdaptive(dims int) *MeshAdaptive {
+	a := hung("hypercube-adaptive", topology.NewHypercube(dims))
+	return &a
 }
 
-// NewHypercubeAdaptive returns the Section 3 algorithm on an n-dimensional
-// hypercube.
-func NewHypercubeAdaptive(dims int) *HypercubeAdaptive {
-	return &HypercubeAdaptive{cube: topology.NewHypercube(dims)}
-}
-
-func (h *HypercubeAdaptive) Name() string                { return "hypercube-adaptive" }
-func (h *HypercubeAdaptive) Topology() topology.Topology { return h.cube }
-func (h *HypercubeAdaptive) NumClasses() int             { return 2 }
-func (h *HypercubeAdaptive) ClassName(c QueueClass) string {
-	if c == ClassA {
-		return "qA"
-	}
-	return "qB"
-}
-
-func (h *HypercubeAdaptive) Props() Props {
-	return Props{Minimal: true, FullyAdaptive: true}
-}
-
-func (h *HypercubeAdaptive) MaxHops(src, dst int32) int {
-	return h.cube.Distance(int(src), int(dst))
-}
-
-func (h *HypercubeAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
-	// R~(i_s, d_m): q_A if some incorrect bit of s is 0, else q_B.
-	if incorrectZeros(src, dst) != 0 {
-		return ClassA, 0
-	}
-	return ClassB, 0
-}
-
-// PortMask implements the PortMaskRouter fast path. Phase B is one static
-// q_B move per incorrect 1; phase A is one static move per incorrect 0
-// (into q_B when it is the last one, q_A otherwise — all zeros share a
-// target, so the two cases never mix) plus one dynamic q_A move per
-// incorrect 1. Only the internal phase change (no incorrect 0 left in q_A,
-// unreachable in normal operation) falls back to Candidates.
-func (h *HypercubeAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
-	if node == dst {
-		return false
-	}
-	switch class {
-	case ClassB:
-		*pm = PortMasks{}
-		pm.Static[ClassB] = incorrectOnes(node, dst)
-		return true
-	case ClassA:
-		zeros := incorrectZeros(node, dst)
-		if zeros == 0 {
-			return false
-		}
-		*pm = PortMasks{Dyn: incorrectOnes(node, dst), DynClass: ClassA}
-		if zeros&(zeros-1) == 0 {
-			pm.Static[ClassB] = zeros // the last 0->1 correction enters q_B
-		} else {
-			pm.Static[ClassA] = zeros
-		}
-		return true
-	}
-	return false
+// NewHypercubeHung returns the underlying acyclic scheme of Section 3
+// *without* dynamic links (the routing obtained by hanging the cube from
+// 0...0, as in [BGSS89]/[Kon90]): phase A corrects only incorrect 0s, so
+// adaptivity is limited and traffic concentrates near node 1...1. It is the
+// paper's implicit ablation baseline for the dynamic links, and the mesh
+// two-phase scheme on the mesh whose sides are all 2.
+func NewHypercubeHung(dims int) *MeshTwoPhase {
+	return &MeshTwoPhase{inner: hung("hypercube-hung", topology.NewHypercube(dims))}
 }
 
 // incorrectZeros returns the mask of dimensions where cur has a 0 that must
@@ -95,148 +44,6 @@ func incorrectZeros(cur, dst int32) uint32 { return uint32(^cur & dst) }
 // become a 0 to reach dst.
 func incorrectOnes(cur, dst int32) uint32 { return uint32(cur &^ dst) }
 
-func (h *HypercubeAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
-	}
-	switch class {
-	case ClassA:
-		zeros := incorrectZeros(node, dst)
-		if zeros == 0 {
-			// Unreachable in normal operation (a packet performing its last
-			// 0->1 correction enters q_B directly on arrival), but kept as
-			// the Section 4 routing function's internal phase change for
-			// robustness.
-			return append(buf, Move{Node: node, Port: PortInternal, Class: ClassB, Kind: Static, MinFree: 1})
-		}
-		// R~(q_A,n, d_m) = { q_A at E^t(n) : n_t != m_t }. Corrections 0->1
-		// descend the hung cube (static); corrections 1->0 are the added
-		// dynamic links. Emitted in low-to-high dimension order. "After
-		// performing the last 0 to 1 correction, the message will enter the
-		// q_B queue of the corresponding node" (Section 3): a move that
-		// removes the last incorrect 0 targets q_B directly.
-		diff := uint32(node ^ dst)
-		for d := diff; d != 0; d &= d - 1 {
-			t := bits.TrailingZeros32(d)
-			kind := Static
-			target := ClassA
-			if node&(1<<t) != 0 {
-				kind = Dynamic
-			} else if zeros == 1<<t {
-				target = ClassB
-			}
-			buf = append(buf, Move{
-				Node: node ^ 1<<t, Port: int16(t), Class: target, Kind: kind, MinFree: 1,
-			})
-		}
-		return buf
-	case ClassB:
-		// Only incorrect 1s remain; ascend toward the destination.
-		for d := incorrectOnes(node, dst); d != 0; d &= d - 1 {
-			t := bits.TrailingZeros32(d)
-			buf = append(buf, Move{
-				Node: node ^ 1<<t, Port: int16(t), Class: ClassB, Kind: Static, MinFree: 1,
-			})
-		}
-		return buf
-	}
-	panic(fmt.Sprintf("hypercube-adaptive: invalid queue class %d", class))
-}
-
-// HypercubeHung is the underlying acyclic scheme of Section 3 *without*
-// dynamic links (the routing obtained by hanging the cube from 0...0, as in
-// [BGSS89]/[Kon90]): phase A corrects only incorrect 0s, so adaptivity is
-// limited and traffic concentrates near node 1...1. It is the paper's
-// implicit ablation baseline for the dynamic links.
-type HypercubeHung struct {
-	cube *topology.Hypercube
-}
-
-// NewHypercubeHung returns the hung-DAG hypercube scheme without dynamic links.
-func NewHypercubeHung(dims int) *HypercubeHung {
-	return &HypercubeHung{cube: topology.NewHypercube(dims)}
-}
-
-func (h *HypercubeHung) Name() string                { return "hypercube-hung" }
-func (h *HypercubeHung) Topology() topology.Topology { return h.cube }
-func (h *HypercubeHung) NumClasses() int             { return 2 }
-func (h *HypercubeHung) ClassName(c QueueClass) string {
-	if c == ClassA {
-		return "qA"
-	}
-	return "qB"
-}
-
-func (h *HypercubeHung) Props() Props { return Props{Minimal: true} }
-
-func (h *HypercubeHung) MaxHops(src, dst int32) int {
-	return h.cube.Distance(int(src), int(dst))
-}
-
-func (h *HypercubeHung) Inject(src, dst int32) (QueueClass, uint32) {
-	if incorrectZeros(src, dst) != 0 {
-		return ClassA, 0
-	}
-	return ClassB, 0
-}
-
-// PortMask is the adaptive hypercube's mask without the dynamic links,
-// mirroring the Candidates ablation.
-func (h *HypercubeHung) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
-	if node == dst {
-		return false
-	}
-	switch class {
-	case ClassB:
-		*pm = PortMasks{}
-		pm.Static[ClassB] = incorrectOnes(node, dst)
-		return true
-	case ClassA:
-		zeros := incorrectZeros(node, dst)
-		if zeros == 0 {
-			return false
-		}
-		*pm = PortMasks{}
-		if zeros&(zeros-1) == 0 {
-			pm.Static[ClassB] = zeros
-		} else {
-			pm.Static[ClassA] = zeros
-		}
-		return true
-	}
-	return false
-}
-
-func (h *HypercubeHung) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
-	}
-	switch class {
-	case ClassA:
-		zeros := incorrectZeros(node, dst)
-		if zeros == 0 {
-			// Unreachable fallback; see HypercubeAdaptive.Candidates.
-			return append(buf, Move{Node: node, Port: PortInternal, Class: ClassB, Kind: Static, MinFree: 1})
-		}
-		for d := zeros; d != 0; d &= d - 1 {
-			t := bits.TrailingZeros32(d)
-			target := ClassA
-			if zeros == 1<<t {
-				target = ClassB // last 0->1 correction: enter q_B on arrival
-			}
-			buf = append(buf, Move{Node: node ^ 1<<t, Port: int16(t), Class: target, Kind: Static, MinFree: 1})
-		}
-		return buf
-	case ClassB:
-		for d := incorrectOnes(node, dst); d != 0; d &= d - 1 {
-			t := bits.TrailingZeros32(d)
-			buf = append(buf, Move{Node: node ^ 1<<t, Port: int16(t), Class: ClassB, Kind: Static, MinFree: 1})
-		}
-		return buf
-	}
-	panic(fmt.Sprintf("hypercube-hung: invalid queue class %d", class))
-}
-
 // HypercubeECube is the oblivious dimension-order baseline: every packet
 // corrects its incorrect dimensions from low to high, with no adaptivity at
 // all. Store-and-forward dimension-order routing with a single central queue
@@ -245,9 +52,11 @@ func (h *HypercubeHung) Candidates(node int32, class QueueClass, work uint32, ds
 // queue class h, and every hop moves it to class h+1 — the queue dependency
 // graph is trivially acyclic, at the cost of dims+1 queues per node. This is
 // exactly the "excessive amount of hardware" trade-off the paper criticizes,
-// which makes it the fair oblivious comparator.
+// which makes it the fair oblivious comparator. Unlike the two schemes
+// above it is not a mesh scheme on the side-2 mesh: mesh-xy there would use
+// 2*dims direction classes, not dims+1 hop classes.
 type HypercubeECube struct {
-	cube *topology.Hypercube
+	cube *topology.Mesh
 }
 
 // NewHypercubeECube returns the oblivious dimension-order hypercube baseline.

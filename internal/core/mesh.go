@@ -14,17 +14,26 @@ import (
 // long as it still has some ascending correction left (the static escape
 // path required by Section 2); once only descending corrections remain it
 // changes to phase B, which descends statically. Two central queues per
-// node, plus injection and delivery.
+// node, plus injection and delivery. On the mesh whose sides are all 2 it is
+// the hypercube algorithm of Section 3 (NewHypercubeAdaptive).
 type MeshAdaptive struct {
-	mesh *topology.Mesh
+	mesh   *topology.Mesh
+	name   string
+	binary bool // every side is 2: coordinates are address bits, port i is dimension i
+}
+
+// hung returns the two-phase scheme hung from node 0 on mesh, under name.
+func hung(name string, mesh *topology.Mesh) MeshAdaptive {
+	return MeshAdaptive{mesh: mesh, name: name, binary: mesh.Binary()}
 }
 
 // NewMeshAdaptive returns the Section 4 algorithm on a k-dimensional mesh.
 func NewMeshAdaptive(shape ...int) *MeshAdaptive {
-	return &MeshAdaptive{mesh: topology.NewMesh(shape...)}
+	a := hung("mesh-adaptive", topology.NewMesh(shape...))
+	return &a
 }
 
-func (m *MeshAdaptive) Name() string                { return "mesh-adaptive" }
+func (m *MeshAdaptive) Name() string                { return m.name }
 func (m *MeshAdaptive) Topology() topology.Topology { return m.mesh }
 func (m *MeshAdaptive) NumClasses() int             { return 2 }
 func (m *MeshAdaptive) ClassName(c QueueClass) string {
@@ -40,8 +49,10 @@ func (m *MeshAdaptive) MaxHops(src, dst int32) int {
 	return m.mesh.Distance(int(src), int(dst))
 }
 
+// Inject is R~(i_s, d_m): q_A if some correction ascends (on the binary
+// mesh, some incorrect bit of s is 0), else q_B.
 func (m *MeshAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
-	if m.hasAscending(int(src), int(dst)) {
+	if m.binary && incorrectZeros(src, dst) != 0 || !m.binary && m.hasAscending(int(src), int(dst)) {
 		return ClassA, 0
 	}
 	return ClassB, 0
@@ -70,6 +81,30 @@ func (m *MeshAdaptive) PortMask(node int32, class QueueClass, work uint32, dst i
 	if node == dst {
 		return false
 	}
+	if m.binary {
+		// Incorrect 0s ascend and incorrect 1s descend, one step each, so
+		// a single incorrect 0 is the last phase-A correction. Each class
+		// computes only the masks it offers.
+		switch class {
+		case ClassA:
+			zeros := incorrectZeros(node, dst)
+			if zeros == 0 {
+				return false
+			}
+			*pm = PortMasks{Dyn: incorrectOnes(node, dst), DynClass: ClassA}
+			if zeros&(zeros-1) == 0 {
+				pm.Static[ClassB] = zeros
+			} else {
+				pm.Static[ClassA] = zeros
+			}
+			return true
+		case ClassB:
+			*pm = PortMasks{}
+			pm.Static[ClassB] = incorrectOnes(node, dst)
+			return true
+		}
+		return false
+	}
 	n, d := int(node), int(dst)
 	var asc, desc uint32
 	ascDims, gapOne := 0, false
@@ -77,11 +112,11 @@ func (m *MeshAdaptive) PortMask(node int32, class QueueClass, work uint32, dst i
 		cn, cd := m.mesh.Coord(n, i), m.mesh.Coord(d, i)
 		switch {
 		case cd > cn:
-			asc |= 1 << uint(2*i)
+			asc |= 1 << uint(m.mesh.UpPort(i))
 			ascDims++
 			gapOne = cd-cn == 1
 		case cd < cn:
-			desc |= 1 << uint(2*i+1)
+			desc |= 1 << uint(m.mesh.DownPort(i))
 		}
 	}
 	switch class {
@@ -125,18 +160,20 @@ func (m *MeshAdaptive) Candidates(node int32, class QueueClass, work uint32, dst
 			cn, cd := m.mesh.Coord(n, i), m.mesh.Coord(d, i)
 			switch {
 			case cd > cn: // ascend: static link of the hung mesh
-				next := m.mesh.Neighbor(n, 2*i)
+				port := m.mesh.UpPort(i)
+				next := m.mesh.Neighbor(n, port)
 				target := ClassA
 				if !m.hasAscending(next, d) {
 					target = ClassB // nothing left to correct in phase A
 				}
 				buf = append(buf, Move{
-					Node: int32(next), Port: int16(2 * i),
+					Node: int32(next), Port: int16(port),
 					Class: target, Kind: Static, MinFree: 1,
 				})
 			case cd < cn: // descend while in phase A: dynamic link
+				port := m.mesh.DownPort(i)
 				buf = append(buf, Move{
-					Node: int32(m.mesh.Neighbor(n, 2*i+1)), Port: int16(2*i + 1),
+					Node: int32(m.mesh.Neighbor(n, port)), Port: int16(port),
 					Class: ClassA, Kind: Dynamic, MinFree: 1,
 				})
 			}
@@ -145,32 +182,34 @@ func (m *MeshAdaptive) Candidates(node int32, class QueueClass, work uint32, dst
 	case ClassB:
 		for i := 0; i < m.mesh.Dims(); i++ {
 			if m.mesh.Coord(d, i) < m.mesh.Coord(n, i) {
+				port := m.mesh.DownPort(i)
 				buf = append(buf, Move{
-					Node: int32(m.mesh.Neighbor(n, 2*i+1)), Port: int16(2*i + 1),
+					Node: int32(m.mesh.Neighbor(n, port)), Port: int16(port),
 					Class: ClassB, Kind: Static, MinFree: 1,
 				})
 			}
 		}
 		return buf
 	}
-	panic(fmt.Sprintf("mesh-adaptive: invalid queue class %d", class))
+	panic(fmt.Sprintf("%s: invalid queue class %d", m.name, class))
 }
 
 // MeshTwoPhase is the first scheme of Section 4: the same two hung phases
 // but without dynamic links. Phase A only ascends, so a packet whose
 // destination is entirely "below" its source along one dimension and "above"
 // along another has partial adaptivity, and a packet with only descending
-// corrections has a single path. Ablation baseline for the dynamic links.
+// corrections has a single path. Ablation baseline for the dynamic links;
+// on the mesh whose sides are all 2 it is NewHypercubeHung.
 type MeshTwoPhase struct {
 	inner MeshAdaptive
 }
 
 // NewMeshTwoPhase returns the static two-phase mesh scheme.
 func NewMeshTwoPhase(shape ...int) *MeshTwoPhase {
-	return &MeshTwoPhase{inner: MeshAdaptive{mesh: topology.NewMesh(shape...)}}
+	return &MeshTwoPhase{inner: hung("mesh-twophase", topology.NewMesh(shape...))}
 }
 
-func (m *MeshTwoPhase) Name() string                  { return "mesh-twophase" }
+func (m *MeshTwoPhase) Name() string                  { return m.inner.name }
 func (m *MeshTwoPhase) Topology() topology.Topology   { return m.inner.mesh }
 func (m *MeshTwoPhase) NumClasses() int               { return 2 }
 func (m *MeshTwoPhase) ClassName(c QueueClass) string { return m.inner.ClassName(c) }
@@ -265,9 +304,9 @@ func (m *MeshXY) Candidates(node int32, class QueueClass, work uint32, dst int32
 		if cn == cd {
 			continue
 		}
-		port := 2 * i
+		port := m.mesh.UpPort(i)
 		if cd < cn {
-			port++
+			port = m.mesh.DownPort(i)
 		}
 		next := m.mesh.Neighbor(n, port)
 		nextClass := m.classFor(next, d)

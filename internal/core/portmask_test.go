@@ -108,7 +108,9 @@ type maskState struct {
 // only when the candidate set contains an internal, delivery, or credited
 // move) or reproduce the Candidates output move-by-move. Both engines rely on
 // this equivalence for bit-determinism, since a run routes each packet
-// through whichever path its state selects.
+// through whichever path its state selects. The hypercube entries check the
+// mesh schemes' bit path (every side 2) against the per-dimension loop of
+// Candidates; the other meshes check the loop path.
 func TestPortMaskMatchesCandidatesReachable(t *testing.T) {
 	algos := []Algorithm{
 		NewHypercubeAdaptive(4),
@@ -116,7 +118,10 @@ func TestPortMaskMatchesCandidatesReachable(t *testing.T) {
 		NewHypercubeECube(4), // no PortMask: covered as the non-implementor control
 		NewMeshAdaptive(4, 4),
 		NewMeshAdaptive(3, 3, 3),
+		NewMeshAdaptive(3, 4, 2), // side-2 dimension: one port, loop path
+		NewMeshAdaptive(1, 2, 3), // side-1 dimension: no port
 		NewMeshTwoPhase(4, 4),
+		NewMeshTwoPhase(2, 5),
 		NewMeshXY(4, 4), // no PortMask
 		NewTorusAdaptive(4, 4),
 		NewTorusAdaptive(3, 5),

@@ -34,11 +34,15 @@ type TorusAdaptive struct {
 	torus *topology.Torus
 }
 
+// MaxTorusDims is the most dimensions TorusAdaptive supports; it keeps
+// 2^(k+1) queue classes per node.
+const MaxTorusDims = 6
+
 // NewTorusAdaptive returns the wrap-class torus algorithm.
 func NewTorusAdaptive(shape ...int) *TorusAdaptive {
 	t := &TorusAdaptive{torus: topology.NewTorus(shape...)}
-	if t.torus.Dims() > 6 {
-		panic("core: torus-adaptive supports at most 6 dimensions")
+	if t.torus.Dims() > MaxTorusDims {
+		panic(fmt.Sprintf("core: torus-adaptive supports at most %d dimensions", MaxTorusDims))
 	}
 	return t
 }

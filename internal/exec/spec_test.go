@@ -176,6 +176,22 @@ func TestBuildAndRun(t *testing.T) {
 	}
 }
 
+// A side-1 mesh dimension has no port, so this 2-node mesh has one port.
+// When every dimension carried two port slots, its only link was port 32,
+// past the 32-bit port mask, and the buffered engine reported a deadlock.
+func TestDegenerateMeshDelivers(t *testing.T) {
+	for _, engine := range []string{"buffered", "atomic"} {
+		s := RunSpec{Algo: "mesh-adaptive:1x1x1x1x1x1x1x1x1x1x1x1x1x1x1x1x2", Engine: engine, Seed: 1}
+		res, err := Run(context.Background(), s, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		if res.Metrics.Delivered != 2 {
+			t.Errorf("%s: delivered %d packets, want 2", engine, res.Metrics.Delivered)
+		}
+	}
+}
+
 // Two executions of the same spec must produce identical Metrics — the
 // invariant that makes the fingerprint a content address.
 func TestRunDeterministic(t *testing.T) {

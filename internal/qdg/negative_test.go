@@ -54,7 +54,7 @@ func TestVerifierRejectsStaticCycle(t *testing.T) {
 // noEscape is a hypercube scheme whose packets, once every remaining
 // correction is 1->0, are offered only *dynamic* moves: the Section 2
 // escape condition is violated even though every individual move is fine.
-type noEscape struct{ cube *topology.Hypercube }
+type noEscape struct{ cube *topology.Mesh }
 
 func (n *noEscape) Name() string                                    { return "broken-no-escape" }
 func (n *noEscape) Topology() topology.Topology                     { return n.cube }
@@ -113,7 +113,7 @@ func TestVerifierRejectsMissingEscape(t *testing.T) {
 // queue the only static option loops between two helper classes that never
 // deliver. CheckDynamicEscape (one step) passes — the trap has a static
 // move — but CheckStaticProgress must catch it.
-type trapDoor struct{ cube *topology.Hypercube }
+type trapDoor struct{ cube *topology.Mesh }
 
 func (tr *trapDoor) Name() string                                    { return "broken-trap-door" }
 func (tr *trapDoor) Topology() topology.Topology                     { return tr.cube }

@@ -163,14 +163,14 @@ func TestPortMaskFaultDeterminism(t *testing.T) {
 // declined packets through Candidates within the same cycle and produce
 // metrics identical to a run with the mask path disabled entirely.
 type halfMaskHypercube struct {
-	*core.HypercubeAdaptive
+	*core.MeshAdaptive
 }
 
 func (h halfMaskHypercube) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if node&1 == 1 {
 		return false
 	}
-	return h.HypercubeAdaptive.PortMask(node, class, work, dst, pm)
+	return h.MeshAdaptive.PortMask(node, class, work, dst, pm)
 }
 
 // TestPortMaskPartialImplementorFallback pins the per-state fallback on both

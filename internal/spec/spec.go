@@ -75,129 +75,30 @@ func PatternNames() []string {
 const maxNodes = 1 << 24
 
 // Algorithm builds a routing algorithm from a textual spec such as
-// "hypercube-adaptive:10", "mesh-adaptive:16x16" or "torus-adaptive:8x8".
-// Malformed or out-of-range sizes (e.g. "hypercube-adaptive:-1",
-// "mesh-adaptive:0x5") are reported as errors, never panics: each family's
-// topology bounds — hypercube and shuffle-exchange dimension, CCC order,
-// minimum mesh/torus sides — are validated here before construction.
+// "hypercube-adaptive:10", "mesh-adaptive:16x16" or "torus-adaptive:8x8":
+// the topology its family implies (SplitAlgo), built by Topology, under
+// AlgorithmOn. Malformed or out-of-range sizes (e.g.
+// "hypercube-adaptive:-1", "mesh-adaptive:0x5") are reported as errors
+// naming the spec, never panics: Topology validates each family's bounds —
+// hypercube and shuffle-exchange dimension, CCC order, minimum mesh/torus
+// sides — before construction.
 func Algorithm(spec string) (core.Algorithm, error) {
-	name, arg, ok := strings.Cut(spec, ":")
-	if !ok {
+	if !strings.Contains(spec, ":") {
 		return nil, badSpec(spec, "algorithm spec needs a size, e.g. %q", "hypercube-adaptive:10")
 	}
-	dims := func(lo, hi int) (int, error) {
-		d, err := strconv.Atoi(arg)
-		if err != nil {
-			return 0, badSpec(spec, "bad dimension %q", arg)
-		}
-		if d < lo || d > hi {
-			return 0, badSpec(spec, "dimension %d out of range [%d,%d]", d, lo, hi)
-		}
-		return d, nil
+	family, topoSpec, err := SplitAlgo(spec)
+	if err != nil {
+		return nil, err
 	}
-	shape := func(minSide int) ([]int, error) {
-		parts := strings.Split(arg, "x")
-		out := make([]int, len(parts))
-		nodes := 1
-		for i, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, badSpec(spec, "bad shape %q", arg)
-			}
-			if v < minSide {
-				return nil, badSpec(spec, "side %d must be >= %d, got %d", i, minSide, v)
-			}
-			if nodes > maxNodes/v {
-				return nil, badSpec(spec, "more than %d nodes", maxNodes)
-			}
-			nodes *= v
-			out[i] = v
-		}
-		return out, nil
+	t, err := Topology(topoSpec)
+	if err != nil {
+		return nil, renameSpecErr(err, spec)
 	}
-	switch name {
-	case "hypercube-adaptive":
-		d, err := dims(1, 30)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewHypercubeAdaptive(d), nil
-	case "hypercube-hung":
-		d, err := dims(1, 30)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewHypercubeHung(d), nil
-	case "hypercube-ecube":
-		d, err := dims(1, 30)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewHypercubeECube(d), nil
-	case "mesh-adaptive":
-		s, err := shape(1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMeshAdaptive(s...), nil
-	case "mesh-twophase":
-		s, err := shape(1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMeshTwoPhase(s...), nil
-	case "mesh-xy":
-		s, err := shape(1)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewMeshXY(s...), nil
-	case "shuffle-adaptive":
-		d, err := dims(1, 26)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewShuffleExchangeAdaptive(d), nil
-	case "shuffle-static":
-		d, err := dims(1, 26)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewShuffleExchangeStatic(d), nil
-	case "shuffle-eager":
-		d, err := dims(1, 26)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewShuffleExchangeEager(d), nil
-	case "ccc-adaptive":
-		d, err := dims(2, 16)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCCCAdaptive(d), nil
-	case "ccc-static":
-		d, err := dims(2, 16)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewCCCStatic(d), nil
-	case "torus-adaptive":
-		s, err := shape(3)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewTorusAdaptive(s...), nil
-	case "graph-adaptive":
-		// The argument is a generator spec as accepted by the "graph:"
-		// topology kind, e.g. "graph-adaptive:dragonfly:a=4,g=9".
-		t, err := Topology("graph:" + arg)
-		if err != nil {
-			return nil, renameSpecErr(err, spec)
-		}
-		return AlgorithmOn(name, t)
+	a, err := AlgorithmOn(family, t)
+	if err != nil {
+		return nil, renameSpecErr(err, spec)
 	}
-	return nil, &UnknownNameError{Kind: "algorithm", Name: name, Valid: AlgorithmNames()}
+	return a, nil
 }
 
 // Format renders the canonical spec of an algorithm built by this package:
@@ -206,14 +107,15 @@ func Algorithm(spec string) (core.Algorithm, error) {
 func Format(a core.Algorithm) (string, error) {
 	var arg string
 	switch t := a.Topology().(type) {
-	case *topology.Hypercube:
-		arg = strconv.Itoa(t.Dims())
 	case *topology.ShuffleExchange:
 		arg = strconv.Itoa(t.Dims())
 	case *topology.CCC:
 		arg = strconv.Itoa(t.Dims())
 	case *topology.Mesh:
 		arg = joinShape(t.Shape())
+		if t.Cube() {
+			arg = strconv.Itoa(t.Dims())
+		}
 	case *topology.Torus:
 		arg = joinShape(t.Shape())
 	case *topology.Graph:

@@ -92,10 +92,11 @@ func Topology(tspec string) (topology.Topology, error) {
 }
 
 // generate runs the irregular-network generator named by a "graph:" spec
-// argument such as "dragonfly:a=4,g=9".
-func generate(tspec, arg string) (*topology.Graph, error) {
+// argument such as "dragonfly:a=4,g=9". It returns the interface, so a
+// failed spec yields an untyped nil rather than a nil *topology.Graph.
+func generate(tspec, arg string) (topology.Topology, error) {
 	gen, params, _ := strings.Cut(arg, ":")
-	wrap := func(g *topology.Graph, err error) (*topology.Graph, error) {
+	wrap := func(g *topology.Graph, err error) (topology.Topology, error) {
 		if err != nil {
 			return nil, &ParseError{Spec: tspec, Reason: err.Error()}
 		}
@@ -261,25 +262,20 @@ func AlgorithmOn(family string, t topology.Topology) (core.Algorithm, error) {
 			return nil, &ParseError{Spec: family, Reason: err.Error()}
 		}
 		return a, nil
-	case "hypercube-adaptive", "hypercube-hung", "hypercube-ecube":
-		h, ok := t.(*topology.Hypercube)
-		if !ok {
+	case "hypercube-adaptive", "hypercube-hung", "hypercube-ecube", "mesh-adaptive", "mesh-twophase", "mesh-xy":
+		// A hypercube is the side-2 mesh, but the kinds stay apart:
+		// hypercube-* runs on "hypercube:<dims>", mesh-* on "mesh:<shape>".
+		m, ok := t.(*topology.Mesh)
+		if !ok || m.Cube() != (impliedKind(family) == "hypercube") {
 			return nil, mismatch()
 		}
 		switch family {
 		case "hypercube-adaptive":
-			return core.NewHypercubeAdaptive(h.Dims()), nil
+			return core.NewHypercubeAdaptive(m.Dims()), nil
 		case "hypercube-hung":
-			return core.NewHypercubeHung(h.Dims()), nil
-		default:
-			return core.NewHypercubeECube(h.Dims()), nil
-		}
-	case "mesh-adaptive", "mesh-twophase", "mesh-xy":
-		m, ok := t.(*topology.Mesh)
-		if !ok {
-			return nil, mismatch()
-		}
-		switch family {
+			return core.NewHypercubeHung(m.Dims()), nil
+		case "hypercube-ecube":
+			return core.NewHypercubeECube(m.Dims()), nil
 		case "mesh-adaptive":
 			return core.NewMeshAdaptive(m.Shape()...), nil
 		case "mesh-twophase":
@@ -291,6 +287,9 @@ func AlgorithmOn(family string, t topology.Topology) (core.Algorithm, error) {
 		to, ok := t.(*topology.Torus)
 		if !ok {
 			return nil, mismatch()
+		}
+		if to.Dims() > core.MaxTorusDims {
+			return nil, badSpec(family, "at most %d dimensions, %s has %d", core.MaxTorusDims, t.Name(), to.Dims())
 		}
 		return core.NewTorusAdaptive(to.Shape()...), nil
 	case "shuffle-adaptive", "shuffle-static", "shuffle-eager":

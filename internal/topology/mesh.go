@@ -1,16 +1,28 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Mesh is a k-dimensional mesh with side lengths Shape. Node coordinates are
 // mixed-radix: node id = c[0] + c[1]*Shape[0] + c[2]*Shape[0]*Shape[1] + ...
-// Ports are ordered low dimension first; within a dimension the increasing
-// direction comes first: port 2*i is +1 in dimension i, port 2*i+1 is -1.
-// Border ports report Neighbor == None.
+// A dimension has min(side-1, 2) ports, numbered low dimension first: a
+// dimension of side 3 or more has a +1 port followed by a -1 port, a side-2
+// dimension one port leading to the other coordinate, and a side-1
+// dimension none. Border ports report Neighbor == None.
+//
+// The mesh whose sides are all 2 is the binary hypercube: node ids are
+// address bit vectors, port i flips bit i, and distances and levels are
+// popcounts.
 type Mesh struct {
 	shape  []int
 	stride []int
+	up     []int // up[i] is dimension i's +1 port
+	dim    []int // dim[p] is the dimension port p moves along
 	nodes  int
+	binary bool // every side is 2
+	cube   bool // built by NewHypercube
 }
 
 // NewMesh returns the mesh with the given per-dimension side lengths.
@@ -18,13 +30,19 @@ func NewMesh(shape ...int) *Mesh {
 	if len(shape) == 0 {
 		panic("topology: mesh needs at least one dimension")
 	}
-	m := &Mesh{shape: append([]int(nil), shape...), stride: make([]int, len(shape)), nodes: 1}
+	m := &Mesh{shape: append([]int(nil), shape...), stride: make([]int, len(shape)),
+		up: make([]int, len(shape)), nodes: 1, binary: true}
 	for i, s := range shape {
 		if s < 1 {
 			panic(fmt.Sprintf("topology: mesh side %d must be >= 1, got %d", i, s))
 		}
 		m.stride[i] = m.nodes
 		m.nodes *= s
+		m.up[i] = len(m.dim)
+		for p := 0; p < min(s-1, 2); p++ {
+			m.dim = append(m.dim, i)
+		}
+		m.binary = m.binary && s == 2
 	}
 	return m
 }
@@ -33,13 +51,38 @@ func NewMesh(shape ...int) *Mesh {
 // Section 4 of the paper.
 func NewMesh2D(side int) *Mesh { return NewMesh(side, side) }
 
+// NewHypercube returns the binary hypercube with the given number of
+// dimensions (1 <= dims <= 30): the mesh whose sides are all 2, named
+// hypercube(dims).
+func NewHypercube(dims int) *Mesh {
+	if dims < 1 || dims > 30 {
+		panic(fmt.Sprintf("topology: hypercube dimension %d out of range [1,30]", dims))
+	}
+	shape := make([]int, dims)
+	for i := range shape {
+		shape[i] = 2
+	}
+	m := NewMesh(shape...)
+	m.cube = true
+	return m
+}
+
 // Dims returns the number of dimensions.
 func (m *Mesh) Dims() int { return len(m.shape) }
 
 // Shape returns the per-dimension side lengths. The caller must not modify it.
 func (m *Mesh) Shape() []int { return m.shape }
 
+// Binary reports whether every side is 2, so that port i flips bit i.
+func (m *Mesh) Binary() bool { return m.binary }
+
+// Cube reports whether m was built by NewHypercube.
+func (m *Mesh) Cube() bool { return m.cube }
+
 func (m *Mesh) Name() string {
+	if m.cube {
+		return fmt.Sprintf("hypercube(%d)", len(m.shape))
+	}
 	s := "mesh("
 	for i, d := range m.shape {
 		if i > 0 {
@@ -51,7 +94,19 @@ func (m *Mesh) Name() string {
 }
 
 func (m *Mesh) Nodes() int { return m.nodes }
-func (m *Mesh) Ports() int { return 2 * len(m.shape) }
+func (m *Mesh) Ports() int { return len(m.dim) }
+
+// UpPort returns the port that moves +1 along dimension i (side >= 2).
+func (m *Mesh) UpPort(i int) int { return m.up[i] }
+
+// DownPort returns the port that moves -1 along dimension i (side >= 2): a
+// side-2 dimension's one port serves both directions.
+func (m *Mesh) DownPort(i int) int {
+	if m.shape[i] == 2 {
+		return m.up[i]
+	}
+	return m.up[i] + 1
+}
 
 // Coord returns the coordinate of u along dimension i.
 func (m *Mesh) Coord(u, i int) int { return u / m.stride[i] % m.shape[i] }
@@ -72,22 +127,34 @@ func (m *Mesh) NodeAt(coord ...int) int {
 }
 
 func (m *Mesh) Neighbor(u, p int) int {
-	if p < 0 || p >= 2*len(m.shape) {
+	if p < 0 || p >= len(m.dim) {
 		return None
 	}
-	dim, dir := p/2, 1-2*(p&1) // +1 for even ports, -1 for odd
-	c := m.Coord(u, dim) + dir
-	if c < 0 || c >= m.shape[dim] {
+	if m.binary {
+		// Engine construction calls Neighbor for every node and port; on
+		// the hypercube the coordinate divisions below double its cost.
+		return u ^ (1 << p)
+	}
+	i := m.dim[p]
+	c, dir := m.Coord(u, i), 1
+	if p != m.up[i] || m.shape[i] == 2 && c == 1 {
+		dir = -1
+	}
+	c += dir
+	if c < 0 || c >= m.shape[i] {
 		return None
 	}
-	return u + dir*m.stride[dim]
+	return u + dir*m.stride[i]
 }
 
+// ReversePort swaps a dimension's +1 and -1 ports; a side-2 dimension's
+// port is its own reverse.
 func (m *Mesh) ReversePort(u, p int) int {
 	if m.Neighbor(u, p) == None {
 		return None
 	}
-	return p ^ 1 // +1 and -1 ports of the same dimension are adjacent numbers
+	i := m.dim[p]
+	return m.UpPort(i) + m.DownPort(i) - p
 }
 
 func (m *Mesh) PortTo(u, v int) int {
@@ -99,8 +166,12 @@ func (m *Mesh) PortTo(u, v int) int {
 	return None
 }
 
-// Distance is the Manhattan distance between the two nodes.
+// Distance is the Manhattan distance between the two nodes: the Hamming
+// distance of their addresses when every side is 2.
 func (m *Mesh) Distance(a, b int) int {
+	if m.binary {
+		return bits.OnesCount32(uint32(a ^ b))
+	}
 	d := 0
 	for i := range m.shape {
 		ca, cb := m.Coord(a, i), m.Coord(b, i)
@@ -114,7 +185,7 @@ func (m *Mesh) Distance(a, b int) int {
 }
 
 // Level returns the coordinate sum of u: the level of u when the mesh is
-// hung from node (0,...,0) as in Section 4 of the paper.
+// hung from node (0,...,0) as in Sections 3 and 4 of the paper.
 func (m *Mesh) Level(u int) int {
 	l := 0
 	for i := range m.shape {

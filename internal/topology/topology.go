@@ -1,6 +1,7 @@
 // Package topology provides the static interconnection networks used by the
-// routing algorithms and the simulator: binary hypercubes, k-dimensional
-// meshes, 2-dimensional tori, and shuffle-exchange networks.
+// routing algorithms and the simulator: k-dimensional meshes (the binary
+// hypercube is the mesh whose sides are all 2), k-dimensional tori,
+// shuffle-exchange networks, cube-connected cycles and generated graphs.
 //
 // Nodes are numbered 0..Nodes()-1. Every node exposes a fixed list of
 // directed output ports, enumerated "from low to high dimensions" exactly as

@@ -97,7 +97,7 @@ func TestMeshBasics(t *testing.T) {
 
 func TestMeshKDimensional(t *testing.T) {
 	m := NewMesh(3, 4, 2)
-	if m.Nodes() != 24 || m.Ports() != 6 {
+	if m.Nodes() != 24 || m.Ports() != 5 { // the side-2 dimension has one port
 		t.Fatalf("nodes=%d ports=%d", m.Nodes(), m.Ports())
 	}
 	if err := Validate(m); err != nil {

@@ -3,8 +3,7 @@ package topology
 import "fmt"
 
 // Torus is a k-dimensional torus: a mesh whose borders wrap around. Port
-// numbering matches Mesh: port 2*i moves +1 (mod side) in dimension i, port
-// 2*i+1 moves -1.
+// 2*i moves +1 (mod side) in dimension i, port 2*i+1 moves -1.
 type Torus struct {
 	shape  []int
 	stride []int
