@@ -62,20 +62,18 @@ func run() int {
 		progress  = flag.Bool("progress", false, "live per-cell status with ETA on stderr")
 		stopAfter = flag.Int("stop-after", 0, "stop (exit 3) after completing this many cells; for kill-and-rerun testing with -cache")
 		cache     = flag.String("cache", "", "result store file: completed cells are kept here and cells it already holds are not simulated again (same seed/options/build only; shared with routesimd -cache)")
-		rebalance = flag.Int("rebalance", 0, "occupancy-weighted shard re-cut period in cycles (0 = off; buffered cells with workers > 1)")
 		tmodel    = flag.String("traffic", "", "override the injection model of dynamic cells for ablations: mmpp[:...]|onoff[:...] (default: the paper's Bernoulli process); static cells are unaffected")
 	)
 	flag.Parse()
 
 	opt := bench.Options{
-		Seed:           *seed,
-		QueueCap:       *cap_,
-		Warmup:         *warmup,
-		Measure:        *measure,
-		Algorithm:      *algo,
-		Engine:         *engine,
-		RebalanceEvery: *rebalance,
-		Traffic:        *tmodel,
+		Seed:      *seed,
+		QueueCap:  *cap_,
+		Warmup:    *warmup,
+		Measure:   *measure,
+		Algorithm: *algo,
+		Engine:    *engine,
+		Traffic:   *tmodel,
 	}
 	p, err := sim.ParsePolicy(*policy)
 	if err != nil {

@@ -117,12 +117,11 @@ func TestConfigOptions(t *testing.T) {
 		t.Errorf("observed two-worker metrics differ from the plain engine's:\n%+v\n%+v", res.Metrics, res2.Metrics)
 	}
 
-	// Atomic engine with a composed observer and a watchdog window.
+	// Atomic engine with a composed observer.
 	smp := repro.NewSampler(50)
 	ae, err := repro.NewSimulator("atomic", repro.Config{
 		Algorithm: algo, Seed: 11,
-		Observer:       repro.MultiObserver(nil, smp),
-		DeadlockWindow: 500,
+		Observer: repro.MultiObserver(nil, smp),
 	})
 	if err != nil {
 		t.Fatal(err)

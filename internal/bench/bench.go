@@ -84,11 +84,6 @@ type Options struct {
 	// (default, the paper's node model), "buffered:vct" (the same with
 	// virtual cut-through) or "atomic" (the Section 2 reference model).
 	Engine string
-	// RebalanceEvery forwards sim.Config.RebalanceEvery: occupancy-weighted
-	// shard re-cuts every N cycles (0 = off; only meaningful with Workers > 1
-	// on the buffered engine). Results are identical either way; the knob
-	// only trades re-cut cost against better load balance.
-	RebalanceEvery int
 	// Traffic overrides the injection model of dynamic cells for ablations:
 	// a RunSpec traffic spec such as "mmpp" or "onoff:hi=0.9,lo=0.1" (empty
 	// = the paper's Bernoulli process). Static cells ignore it.
@@ -241,15 +236,14 @@ func (ex Experiment) Run(dims int, opt Options) (Row, error) {
 func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 	opt.fill()
 	s := exec.RunSpec{
-		V:              exec.SpecVersion,
-		Algo:           fmt.Sprintf("hypercube-%s:%d", opt.Algorithm, dims),
-		Pattern:        string(ex.Pattern),
-		Engine:         opt.Engine,
-		Policy:         opt.Policy.String(),
-		Seed:           opt.Seed,
-		QueueCap:       opt.QueueCap,
-		Workers:        opt.Workers,
-		RebalanceEvery: opt.RebalanceEvery,
+		V:        exec.SpecVersion,
+		Algo:     fmt.Sprintf("hypercube-%s:%d", opt.Algorithm, dims),
+		Pattern:  string(ex.Pattern),
+		Engine:   opt.Engine,
+		Policy:   opt.Policy.String(),
+		Seed:     opt.Seed,
+		QueueCap: opt.QueueCap,
+		Workers:  opt.Workers,
 	}
 	switch ex.Injection {
 	case Static1:

@@ -134,15 +134,14 @@ func (ex Extended) Spec(size int, opt Options) (exec.RunSpec, error) {
 		return exec.RunSpec{}, fmt.Errorf("bench: %s %s=%d: %w", ex.ID, ex.SizeLabel, size, err)
 	}
 	s := exec.RunSpec{
-		V:              exec.SpecVersion,
-		Algo:           algoSpec,
-		Pattern:        ex.Pattern,
-		Engine:         opt.Engine,
-		Policy:         opt.Policy.String(),
-		Seed:           opt.Seed,
-		QueueCap:       opt.QueueCap,
-		Workers:        opt.Workers,
-		RebalanceEvery: opt.RebalanceEvery,
+		V:        exec.SpecVersion,
+		Algo:     algoSpec,
+		Pattern:  ex.Pattern,
+		Engine:   opt.Engine,
+		Policy:   opt.Policy.String(),
+		Seed:     opt.Seed,
+		QueueCap: opt.QueueCap,
+		Workers:  opt.Workers,
 	}
 	switch ex.Injection {
 	case Static1:

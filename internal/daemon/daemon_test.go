@@ -192,16 +192,22 @@ func TestValidationError(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldRejected: a misspelled field, and the retired
+// rebalance_every, are a 400.
 func TestUnknownFieldRejected(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
-	resp, err := http.Post(hs.URL+"/v1/sim", "application/json",
-		strings.NewReader(`{"algo":"hypercube-adaptive:4","seeds":7}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("misspelled field accepted: status %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"algo":"hypercube-adaptive:4","seeds":7}`,
+		`{"algo":"hypercube-adaptive:4","rebalance_every":16}`,
+	} {
+		resp, err := http.Post(hs.URL+"/v1/sim", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

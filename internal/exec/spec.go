@@ -36,10 +36,10 @@ const SpecVersion = 2
 // RunSpec is the canonical description of one simulation run — the single
 // source of truth the engines, the bench harness, the sweep, and the
 // routesimd HTTP API all build from. The zero value of every optional
-// field selects the paper's defaults (Canon documents each). Workers and
-// RebalanceEvery are execution knobs, not identity: results are
-// bit-deterministic across both (the engines' documented invariant), so
-// Fingerprint deliberately excludes them.
+// field selects the paper's defaults (Canon documents each). Workers is an
+// execution knob, not identity: results are bit-deterministic across it
+// (the engines' documented invariant), so Fingerprint deliberately
+// excludes it.
 type RunSpec struct {
 	// V is the spec schema version; 0 is treated as the current version,
 	// and v1 specs are accepted and canonicalized to v2.
@@ -103,10 +103,6 @@ type RunSpec struct {
 	// The atomic engine is inherently sequential: Validate rejects
 	// Workers > 1 with Engine "atomic" instead of silently ignoring it.
 	Workers int `json:"workers,omitempty"`
-	// RebalanceEvery forwards sim.Config.RebalanceEvery (occupancy-weighted
-	// shard re-cuts; results identical either way, excluded from
-	// Fingerprint).
-	RebalanceEvery int `json:"rebalance_every,omitempty"`
 }
 
 // FieldError reports a RunSpec field that failed validation — the
@@ -344,8 +340,7 @@ func Compile(s RunSpec) (*Compiled, error) {
 // canonical spec fields plus the build identity — into the store key for
 // its result. The recipe is an explicit field-ordered string, so the hash
 // is stable across JSON field reordering and Go struct changes; Workers
-// and RebalanceEvery are excluded because results are bit-deterministic
-// across both. The spec version is folded in, so a schema change
+// is excluded because results are bit-deterministic across it. The spec version is folded in, so a schema change
 // invalidates stored entries instead of misreading them, and so does
 // buildID, so a rebuilt binary re-simulates rather than trusting results
 // of different code.
@@ -416,16 +411,15 @@ func (c *Compiled) Build(workers int, o obs.Observer) (sim.Simulator, error) {
 func (c *Compiled) Config(workers int, o obs.Observer) (string, sim.Config) {
 	kind, option, _ := strings.Cut(c.Spec.Engine, ":")
 	cfg := sim.Config{
-		Algorithm:      c.algo,
-		QueueCap:       c.Spec.QueueCap,
-		Policy:         c.policy,
-		Seed:           c.Spec.Seed,
-		Workers:        workers,
-		RebalanceEvery: c.Spec.RebalanceEvery,
-		Faults:         c.faults,
-		HopBudget:      c.Spec.HopBudget,
-		CutThrough:     option == "vct",
-		Observer:       o,
+		Algorithm:  c.algo,
+		QueueCap:   c.Spec.QueueCap,
+		Policy:     c.policy,
+		Seed:       c.Spec.Seed,
+		Workers:    workers,
+		Faults:     c.faults,
+		HopBudget:  c.Spec.HopBudget,
+		CutThrough: option == "vct",
+		Observer:   o,
 	}
 	if c.algo.Props().Credits {
 		// Credited algorithms are not worker-count deterministic and the

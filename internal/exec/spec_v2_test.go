@@ -29,7 +29,7 @@ func TestGoldenV1Fingerprints(t *testing.T) {
 		{RunSpec{Algo: "shuffle-eager:4", Seed: 11}, "189bf533ff8f7684502c9c58"},
 		{RunSpec{Algo: "ccc-adaptive:4", Pattern: "hotspot:0.3", Seed: 12}, "657713edb15ee404dd3b84d4"},
 		{RunSpec{Algo: "ccc-static:3", MaxCycles: 12345, Seed: 13}, "46ca73b0ba08ad251f098eb3"},
-		{RunSpec{Algo: "torus-adaptive:4x3x3", Workers: 8, RebalanceEvery: 64, Seed: 14}, "9c7805cdc040c203cd9710ea"},
+		{RunSpec{Algo: "torus-adaptive:4x3x3", Workers: 8, Seed: 14}, "9c7805cdc040c203cd9710ea"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Fingerprint("golden-build"); got != c.want {

@@ -74,11 +74,6 @@ const (
 	// CInjRetries counts injections deferred by retry-with-backoff because
 	// the node's queue pool was saturated under faults.
 	CInjRetries
-	// CShardRebalances counts shard-boundary recomputations (occupancy-
-	// weighted rebalancing, Config.RebalanceEvery). Like CMailPosts it
-	// describes the parallel machinery (zero with Workers <= 1); see
-	// Canonical.
-	CShardRebalances
 
 	// The phase-time counters accumulate wall-clock nanoseconds per engine
 	// phase, measured at the cycle barrier. They are populated only under
@@ -100,7 +95,7 @@ var counterNames = [NumCounters]string{
 	"inj_attempts", "inj_backpressure", "injected", "delivered",
 	"moves", "dynamic_moves", "link_transfers", "output_stalls",
 	"wait_parked", "mail_posts", "cutthrough_moves",
-	"misrouted", "fault_drops", "inj_retries", "shard_rebalances",
+	"misrouted", "fault_drops", "inj_retries",
 	"phase_inject_ns", "phase_a_ns", "phase_b_ns", "phase_link_ns",
 	"phase_merge_ns", "phase_other_ns",
 }
@@ -219,13 +214,11 @@ func (s *Snapshot) HistMean(h HistID) float64 {
 }
 
 // Canonical returns the snapshot with the worker-layout-dependent metrics
-// (CMailPosts, CShardRebalances, GLiveNodes) and the wall-clock phase-time
-// counters zeroed. Two runs that differ only in Config.Workers (or in
-// Config.RebalanceEvery / Config.PhaseProf) produce bit-identical canonical
-// snapshots.
+// (CMailPosts, GLiveNodes) and the wall-clock phase-time counters zeroed.
+// Two runs that differ only in Config.Workers (or Config.PhaseProf) produce
+// bit-identical canonical snapshots.
 func (s Snapshot) Canonical() Snapshot {
 	s.Counters[CMailPosts] = 0
-	s.Counters[CShardRebalances] = 0
 	for c := CPhaseInjectNs; c <= CPhaseOtherNs; c++ {
 		s.Counters[c] = 0
 	}

@@ -23,7 +23,6 @@ var (
 		"Non-minimal moves taken because faults emptied the candidate set",
 		"Packets dropped by fault handling",
 		"Injections deferred by retry-with-backoff under faults",
-		"Shard-boundary recomputations (occupancy-weighted rebalancing)",
 		"Wall-clock ns in the injection phase (PhaseProf only)",
 		"Wall-clock ns in node phase (a) (PhaseProf only)",
 		"Wall-clock ns in node phase (b) (PhaseProf only)",

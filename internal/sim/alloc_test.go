@@ -36,8 +36,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{engine: "atomic", algo: "hypercube", workers: 1},
 		{engine: "atomic", algo: "hypercube", workers: 1, metrics: true},
 		// The sources implement BatchSource, so the cases above exercise the
-		// batched injection path; DisableBatchInject keeps the scalar path
-		// covered too.
+		// batched injection path; noBatch hides FillCycle (scalarOnly) to
+		// keep the scalar path covered too.
 		{engine: "buffered", algo: "hypercube", workers: 1, noBatch: true},
 		{engine: "buffered", algo: "hypercube", workers: 2, noBatch: true},
 		{engine: "atomic", algo: "hypercube", workers: 1, noBatch: true},
@@ -90,11 +90,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 				lambda = 0.3 // below saturation, matching the bench rates
 			}
 			eng, err := NewSimulator(tc.engine, Config{
-				Algorithm:          algo,
-				Seed:               1,
-				Workers:            tc.workers,
-				Metrics:            tc.metrics,
-				DisableBatchInject: tc.noBatch,
+				Algorithm: algo,
+				Seed:      1,
+				Workers:   tc.workers,
+				Metrics:   tc.metrics,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -111,9 +110,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 			case "trace":
 				src = traffic.NewTraceSource(openAllocTrace(t, tc.engine, nodes), nodes)
 			}
+			if tc.noBatch {
+				src = scalarOnly{src}
+			}
 			// A plan far longer than the test steps, so Step never completes
 			// (completion tears down run state, which is not the steady state).
 			eng.Start(src, DynamicPlan(0, 1<<30))
+			if tc.noBatch && kernelOf(eng).rs.batch != nil {
+				t.Fatal("the scalarOnly source took the batched path")
+			}
 			for i := 0; i < 200 && !tc.cold; i++ {
 				if done, err := eng.Step(); done {
 					t.Fatalf("warmup finished early: %v", err)

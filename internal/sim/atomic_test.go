@@ -176,8 +176,8 @@ func stepTwins(t *testing.T, a, b *AtomicEngine) (parkedCycles int) {
 }
 
 // TestAtomicParkDifferential holds the parking sweep to the plain one: an
-// engine that parks blocked heads and its DisablePortMask twin, which routes
-// every head through Candidates every cycle and so never parks, must agree
+// engine that parks blocked heads and its maskless twin, which routes every
+// head through Candidates every cycle and so never parks, must agree
 // on the whole network state after every single cycle — including the
 // metrics core, whose COutputStalls counts parked heads the sweep never
 // visits.
@@ -193,10 +193,13 @@ func TestAtomicParkDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.DisablePortMask = true
+					cfg.Algorithm = maskless{cfg.Algorithm}
 					b, err := NewAtomicEngine(cfg)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if b.pmr != nil {
+						t.Fatal("the maskless twin took the port-mask path")
 					}
 					if want := c.policy == PolicyFirstFree; a.park != want || b.park {
 						t.Fatalf("park = %v, twin %v; want %v and false", a.park, b.park, want)
@@ -236,10 +239,13 @@ func TestAtomicParkFaultsOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Algorithm, cfg.Faults, cfg.DisablePortMask = mk(), plan(), true
+		cfg.Algorithm, cfg.Faults = maskless{mk()}, plan()
 		b, err := NewAtomicEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if b.pmr != nil {
+			t.Fatal("the maskless twin took the port-mask path")
 		}
 		if a.park {
 			t.Fatalf("%s: a faulted engine parks", cfg.Algorithm.Name())
@@ -422,7 +428,6 @@ func TestAtomicRefusesBufferedOptions(t *testing.T) {
 	}{
 		{"CutThrough", Config{CutThrough: true}},
 		{"", Config{Workers: 4}},
-		{"", Config{RebalanceEvery: 16}},
 		{"", Config{HeadOnly: true}},
 	} {
 		tc.cfg.Algorithm = core.NewHypercubeAdaptive(4)

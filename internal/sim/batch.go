@@ -8,9 +8,7 @@ import "repro/internal/core"
 // worker shard per cycle: the source writes the cycle's injections into a
 // flat buffer and the engine commits them in a tight loop with no interface
 // calls inside. Both engines detect the interface at the start of a run;
-// Config.DisableBatchInject forces the scalar path as a same-binary
-// baseline (mirroring DisablePortMask), and runs with fault injection
-// always use the scalar path.
+// runs with fault injection always use the scalar path.
 //
 // The contract makes the two paths bit-identical, which the determinism
 // tests pin:

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -31,6 +30,38 @@ func mkTrafficSource(t *testing.T, kind string, nodes int, seed int64) TrafficSo
 	}
 }
 
+// scalarOnly hides a source's FillCycle, so the engines inject through the
+// per-node Wants/Take path: the reference the batched path is held to.
+type scalarOnly struct{ TrafficSource }
+
+// kernelOf returns the kernel a simulator embeds.
+func kernelOf(s Simulator) *kernel {
+	switch e := s.(type) {
+	case *Engine:
+		return &e.kernel
+	case *AtomicEngine:
+		return &e.kernel
+	}
+	panic(fmt.Sprintf("sim: unknown simulator %T", s))
+}
+
+// runInjecting runs src on e to the end of plan and fails tb unless the
+// run took the batched injection path exactly when batched is set.
+func runInjecting(tb testing.TB, e Simulator, src TrafficSource, plan Plan, batched bool) Metrics {
+	tb.Helper()
+	e.Start(src, plan)
+	if got := kernelOf(e).rs.batch != nil; got != batched {
+		tb.Fatalf("batched injection path taken = %v, want %v", got, batched)
+	}
+	for done := false; !done; done, _ = e.Step() {
+	}
+	res, err := e.Result()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Metrics
+}
+
 // TestBatchInjectParity pins the tentpole contract: the batched injection
 // path (BatchSource.FillCycle) must produce bit-identical Metrics to the
 // scalar Wants/Take path, for every source that implements it, on both
@@ -53,25 +84,19 @@ func TestBatchInjectParity(t *testing.T) {
 					run := func(noBatch bool) Metrics {
 						a := core.NewHypercubeAdaptive(6)
 						nodes := a.Topology().Nodes()
-						e, err := NewSimulator(eng.kind, Config{
-							Algorithm:          a,
-							Seed:               7,
-							Workers:            workers,
-							DisableBatchInject: noBatch,
-						})
+						e, err := NewSimulator(eng.kind, Config{Algorithm: a, Seed: 7, Workers: workers})
 						if err != nil {
 							t.Fatal(err)
 						}
 						src := mkTrafficSource(t, srcKind, nodes, 99)
+						if noBatch {
+							src = scalarOnly{src}
+						}
 						plan := DynamicPlan(50, 200)
 						if srcKind == "static" {
 							plan = StaticPlan(1_000_000)
 						}
-						res, err := e.Run(context.Background(), src, plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return res.Metrics
+						return runInjecting(t, e, src, plan, !noBatch)
 					}
 					batch, scalar := run(false), run(true)
 					if batch != scalar {

@@ -10,7 +10,7 @@ import (
 // BenchmarkHotPathDim10 times the buffered engine's no-fault hot path on
 // the paper's λ=1 dynamic random workload (dim-10 hypercube, 500 cycles),
 // once with batched injection (batch) and once on the scalar per-node path
-// (scalar, Config.DisableBatchInject): a same-binary A/B pair. Use it with
+// (scalar, the source wrapped in scalarOnly): a same-binary A/B pair. Use it with
 // -count and a fastest-of or median comparison when checking a hot-loop
 // change, since single runs on a shared host swing several percent.
 func BenchmarkHotPathDim10(b *testing.B) {
@@ -22,14 +22,15 @@ func BenchmarkHotPathDim10(b *testing.B) {
 	}{{"batch", false}, {"scalar", true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			for b.Loop() {
-				e, err := NewEngine(Config{Algorithm: a, Seed: 1, DisableBatchInject: tc.noBatch})
+				e, err := NewEngine(Config{Algorithm: a, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
-				src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 1.0, 7)
-				if _, err := runDynamic(e, src, 50, 450); err != nil {
-					b.Fatal(err)
+				var src TrafficSource = traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 1.0, 7)
+				if tc.noBatch {
+					src = scalarOnly{src}
 				}
+				runInjecting(b, e, src, DynamicPlan(50, 450), !tc.noBatch)
 			}
 		})
 	}

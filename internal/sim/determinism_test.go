@@ -75,41 +75,36 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDeterminismRebalance pins the shard-layout-independence contract the
-// occupancy-weighted rebalancer relies on: re-cutting the boundaries mid-run
-// must leave every Metrics field bit-identical to the sequential run, for
-// any worker count, re-cut period, and pipeline (fused or split). The
-// hotspot pattern concentrates queue population on one node, so the re-cut
-// actually moves boundaries instead of reproducing the uniform split.
-func TestDeterminismRebalance(t *testing.T) {
-	run := func(workers, rebalance int, disableFusion bool) Metrics {
+// TestDeterminismShardsAndPipelines pins the shard-layout independence of
+// the buffered engine: every Metrics field must be bit-identical to the
+// sequential run for any worker count, on the fused pipeline and on the
+// split one PhaseProf selects. The hotspot pattern concentrates queue
+// population on one node, so the shards carry very uneven work.
+func TestDeterminismShardsAndPipelines(t *testing.T) {
+	run := func(workers int, prof bool) Metrics {
 		a := core.NewHypercubeAdaptive(6)
 		nodes := a.Topology().Nodes()
-		e, err := NewEngine(Config{
-			Algorithm:      a,
-			Seed:           12345,
-			Workers:        workers,
-			RebalanceEvery: rebalance,
-			DisableFusion:  disableFusion,
-		})
+		e, err := NewEngine(Config{Algorithm: a, Seed: 12345, Workers: workers, PhaseProf: prof})
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := traffic.NewBernoulliSource(traffic.Hotspot{Nodes: nodes, Hot: 3, Fraction: 0.5}, nodes, 0.5, 99)
 		m, err := runDynamic(e, src, 50, 150)
 		if err != nil {
-			t.Fatalf("workers=%d rebalance=%d: %v", workers, rebalance, err)
+			t.Fatalf("workers=%d phaseprof=%v: %v", workers, prof, err)
+		}
+		// The fused pipeline times no phase of its own; the split one times
+		// phases (a) and (b) separately.
+		if pt := e.PhaseTimes(); !e.fuseOK || (pt.PhaseANs > 0 && pt.PhaseBNs > 0) != prof {
+			t.Fatalf("workers=%d phaseprof=%v: fuseOK=%v, phase times %+v", workers, prof, e.fuseOK, pt)
 		}
 		return m
 	}
-	want := run(1, 0, false)
+	want := run(1, false)
 	for _, workers := range []int{2, 7} {
-		for _, rebalance := range []int{0, 8, 64} {
-			for _, df := range []bool{false, true} {
-				if got := run(workers, rebalance, df); got != want {
-					t.Errorf("workers=%d rebalance=%d disableFusion=%v diverged:\n got  %+v\n want %+v",
-						workers, rebalance, df, got, want)
-				}
+		for _, prof := range []bool{false, true} {
+			if got := run(workers, prof); got != want {
+				t.Errorf("workers=%d phaseprof=%v diverged:\n got  %+v\n want %+v", workers, prof, got, want)
 			}
 		}
 	}
@@ -117,18 +112,12 @@ func TestDeterminismRebalance(t *testing.T) {
 
 // TestDeterminismCanonicalSnapshot extends the contract to the metrics core:
 // the Canonical() view of the final snapshot must be identical across worker
-// counts and rebalancing, so observability artifacts diff clean in CI.
+// counts, so observability artifacts diff clean in CI.
 func TestDeterminismCanonicalSnapshot(t *testing.T) {
-	run := func(workers, rebalance int) [obs.NumCounters]int64 {
+	run := func(workers int) [obs.NumCounters]int64 {
 		a := core.NewHypercubeAdaptive(6)
 		nodes := a.Topology().Nodes()
-		e, err := NewEngine(Config{
-			Algorithm:      a,
-			Seed:           7,
-			Workers:        workers,
-			RebalanceEvery: rebalance,
-			Metrics:        true,
-		})
+		e, err := NewEngine(Config{Algorithm: a, Seed: 7, Workers: workers, Metrics: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,11 +128,10 @@ func TestDeterminismCanonicalSnapshot(t *testing.T) {
 		snap := e.Obs().Latest().Canonical()
 		return snap.Counters
 	}
-	want := run(1, 0)
-	for _, tc := range []struct{ workers, rebalance int }{{2, 0}, {2, 8}, {7, 16}} {
-		if got := run(tc.workers, tc.rebalance); got != want {
-			t.Errorf("workers=%d rebalance=%d: canonical counters diverged:\n got  %v\n want %v",
-				tc.workers, tc.rebalance, got, want)
+	want := run(1)
+	for _, workers := range []int{2, 7} {
+		if got := run(workers); got != want {
+			t.Errorf("workers=%d: canonical counters diverged:\n got  %v\n want %v", workers, got, want)
 		}
 	}
 }

@@ -148,17 +148,10 @@ func TestDriverContract(t *testing.T) {
 				}()
 				e.Run(context.Background(), dynamic(), DynamicPlan(10, 10))
 			}()
-			var k *kernel
-			switch e := e.(type) {
-			case *Engine:
-				k = &e.kernel
-				if e.pool.fn != nil {
-					t.Error("pool still holds a phase closure")
-				}
-			case *AtomicEngine:
-				k = &e.kernel
+			if e, ok := e.(*Engine); ok && e.pool.fn != nil {
+				t.Error("pool still holds a phase closure")
 			}
-			if k.rs.src != nil || k.rs.batch != nil || k.rs.body != nil {
+			if k := kernelOf(e); k.rs.src != nil || k.rs.batch != nil || k.rs.body != nil {
 				t.Error("traffic source or cycle body retained after the panic")
 			}
 			// The engine must be reusable afterwards.
@@ -171,7 +164,7 @@ func TestDriverContract(t *testing.T) {
 			src := traffic.NewStaticSource(&traffic.Permutation{Label: "shift3", Sigma: sigma}, 6, 10, 1)
 			catcher := &dumpCatcher{}
 			e := build(t, kind, Config{
-				Algorithm: &brokenRing{torus: topology.NewTorus(6)}, QueueCap: 1, DeadlockWindow: 50,
+				Algorithm: &brokenRing{torus: topology.NewTorus(6)}, QueueCap: 1,
 				Observer: catcher,
 			})
 			_, err := e.Run(context.Background(), src, StaticPlan(1_000_000))

@@ -131,11 +131,8 @@ type Engine struct {
 	workers int
 	// bounds holds the shard boundaries: worker w owns nodes
 	// [bounds[w], bounds[w+1]). Always 64-aligned (except the final bound,
-	// the node count) so every liveBits/injBits word has exactly one writer;
-	// uniform at reset, re-cut by rebalance when Config.RebalanceEvery asks
-	// for occupancy-weighted sharding.
+	// the node count) so every liveBits/injBits word has exactly one writer.
 	bounds  []int32
-	rebW    []int64         // rebalance scratch: per-64-node-block occupancy weights
 	scratch []workerScratch // one per worker
 	// mail holds the workers*workers cross-shard arrival lanes, src-major:
 	// lane srcWorker*workers+dstWorker. See mailLane.
@@ -144,7 +141,7 @@ type Engine struct {
 	// fuseOK records that the inject/(a)/(b) phases touch only shard-owned
 	// state (no occupancy snapshot, no credited occupancy probes), so one
 	// worker may run them back-to-back and a cycle needs two barriers
-	// instead of four; begin honors Config.DisableFusion/PhaseProf.
+	// instead of four; begin splits them again under Config.PhaseProf.
 	fuseOK bool
 }
 
@@ -271,9 +268,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.scratch[i].lens = make([]int32, e.classes)
 	}
 	e.mail = make([]mailLane, e.workers*e.workers)
-	if e.workers > 1 && cfg.RebalanceEvery > 0 {
-		e.rebW = make([]int64, (e.nodes+63)/64)
-	}
 	if e.workers > 1 {
 		e.pool = newPhasePool(e.workers)
 		runtime.SetFinalizer(e, (*Engine).stopPool)
@@ -308,16 +302,12 @@ func (e *Engine) begin() func(cycle int64) {
 	for i := range e.mail {
 		e.mail[i].buf = e.mail[i].buf[:0]
 	}
-	if e.cfg.RebalanceEvery > 0 {
-		// A previous run may have left occupancy-weighted boundaries behind.
-		e.uniformBounds()
-	}
 	inject := func(w int) { e.workerInject(w) }
 	phaseA := func(w int) { e.workerPhaseA(w) }
 	phaseB := func(w int) { e.workerPhaseB(w) }
 	link := func(w int) { e.workerLink(w) }
 	var fused func(int)
-	if e.fuseOK && !e.cfg.DisableFusion && !e.cfg.PhaseProf {
+	if e.fuseOK && !e.cfg.PhaseProf {
 		// Inject/(a)/(b) touch only shard-owned state here (no occupancy
 		// snapshot, no credited probes), so one worker can run them
 		// back-to-back: the cycle pays two barriers instead of four. The
@@ -330,11 +320,7 @@ func (e *Engine) begin() func(cycle int64) {
 			e.workerPhaseB(w)
 		}
 	}
-	every := int64(e.cfg.RebalanceEvery)
 	return func(cycle int64) {
-		if e.workers > 1 && every > 0 && cycle > 0 && cycle%every == 0 {
-			e.rebalance()
-		}
 		if fused != nil {
 			e.exec(fused)
 		} else {
@@ -365,8 +351,8 @@ func (e *Engine) shard(w int) (lo, hi int) {
 	return int(e.bounds[w]), int(e.bounds[w+1])
 }
 
-// uniformBounds cuts the node range into equal 64-aligned shards (the reset
-// layout) and refreshes the owner table.
+// uniformBounds cuts the node range into equal 64-aligned shards and fills
+// the owner table.
 func (e *Engine) uniformBounds() {
 	chunk := (((e.nodes+e.workers-1)/e.workers + 63) / 64) * 64
 	for w := 0; w <= e.workers; w++ {
@@ -376,77 +362,11 @@ func (e *Engine) uniformBounds() {
 		}
 		e.bounds[w] = int32(b)
 	}
-	e.setOwners()
-}
-
-// setOwners rebuilds the node -> worker table from the current bounds.
-func (e *Engine) setOwners() {
 	for w := 0; w < e.workers; w++ {
 		lo, hi := e.bounds[w], e.bounds[w+1]
 		for u := lo; u < hi; u++ {
 			e.owner[u] = int32(w)
 		}
-	}
-}
-
-// rebalance re-cuts the shard boundaries so every worker owns roughly the
-// same packet population, at 64-node block granularity (preserving the
-// one-writer-per-bitmap-word invariant). It runs sequentially at the cycle
-// boundary; because no phase ever lets the shard layout influence routing
-// decisions, moving a boundary cannot change the simulation's results — only
-// which worker performs which node's work.
-func (e *Engine) rebalance() {
-	// Pending mail lanes were addressed to the old owners; fold them here so
-	// the coming injection phase finds them empty and no worker updates
-	// counters outside its new shard.
-	for i := range e.mail {
-		for _, v := range e.mail[i].buf {
-			e.inCount[v]++
-			e.setLive(v)
-		}
-		e.mail[i].buf = e.mail[i].buf[:0]
-	}
-	// weight(u) = 1 + qTotal[u]: the constant term keeps empty regions from
-	// collapsing into one shard (every node still costs a worklist probe),
-	// while the queue population tracks where the phase (a)/(b) scans
-	// concentrate.
-	nb := len(e.rebW)
-	total := int64(0)
-	for b := 0; b < nb; b++ {
-		lo := b * 64
-		hi := lo + 64
-		if hi > e.nodes {
-			hi = e.nodes
-		}
-		wt := int64(hi - lo)
-		for u := lo; u < hi; u++ {
-			wt += int64(e.qTotal[u])
-		}
-		e.rebW[b] = wt
-		total += wt
-	}
-	// Boundary w sits at the first block edge whose weight prefix reaches
-	// total*w/workers; successive targets are nondecreasing, so the scan
-	// resumes where the previous boundary left off.
-	prefix := int64(0)
-	b := 0
-	for w := 1; w < e.workers; w++ {
-		target := total * int64(w) / int64(e.workers)
-		for b < nb && prefix < target {
-			prefix += e.rebW[b]
-			b++
-		}
-		bound := b * 64
-		if bound > e.nodes {
-			bound = e.nodes
-		}
-		e.bounds[w] = int32(bound)
-	}
-	e.bounds[0] = 0
-	e.bounds[e.workers] = int32(e.nodes)
-	e.setOwners()
-	if e.obsOn {
-		e.statsBuf[0].obs.Inc(obs.CShardRebalances)
 	}
 }
 
@@ -639,7 +559,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 	// A remote uncredited move is decided by its output-buffer flag alone,
 	// so the FirstFree scan below probes the flag inline instead of calling
 	// admissibleA. fastFF requires the FirstFree policy and a PortMaskRouter
-	// algorithm (unless Config.DisablePortMask cleared e.pmr): eligible
+	// algorithm (with at most 32 ports, see kernel.pmr): eligible
 	// packets then route without materializing Moves. These are the only
 	// per-run conditions; per-state eligibility is PortMask's ok result
 	// below, so a partial implementor that declines some (or even most)

@@ -145,7 +145,7 @@ func TestWatchdogDumpReportsWaits(t *testing.T) {
 	for _, engine := range []string{"buffered", "atomic"} {
 		catcher := &dumpCatcher{}
 		eng, err := NewSimulator(engine, Config{
-			Algorithm: ring, QueueCap: 1, DeadlockWindow: 200, Observer: catcher,
+			Algorithm: ring, QueueCap: 1, Observer: catcher,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -35,7 +35,8 @@ type kernel struct {
 	// not pay an interface call.
 	minimal bool
 	// pmr is the algorithm's optional PortMaskRouter fast path; nil when not
-	// implemented or Config.DisablePortMask is set.
+	// implemented or when a node has more than 32 ports, which a PortMasks
+	// word cannot hold.
 	pmr core.PortMaskRouter
 	nbr []int32 // neighbor table [node*ports+port]; -1 for missing links
 
@@ -70,8 +71,8 @@ type kernel struct {
 	observer obs.Observer
 
 	// statsBuf and batchBuf hold one entry per worker shard (one in all for
-	// the atomic engine). Each batch buffer is sized to the node count so any
-	// shard fits after a rebalance; allocated on the first batched run.
+	// the atomic engine). Each batch buffer is sized to the node count;
+	// allocated on the first batched run.
 	statsBuf []cycleStats
 	batchBuf [][]core.PendingInject
 
@@ -195,7 +196,7 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 			k.nbr[u*k.ports+p] = int32(v)
 		}
 	}
-	if !cfg.DisablePortMask {
+	if k.ports <= 32 {
 		k.pmr, _ = a.(core.PortMaskRouter)
 	}
 	nWords := (k.nodes + 63) / 64
@@ -333,7 +334,7 @@ func (k *kernel) Start(src TrafficSource, plan Plan) {
 	}
 	// Fault backoff and dead-node gating are interleaved per node in the
 	// scalar path, so faulted runs never batch.
-	if !k.cfg.DisableBatchInject && k.flt == nil {
+	if k.flt == nil {
 		rs.batch, _ = src.(BatchSource)
 	}
 	if rs.batch != nil && k.batchBuf == nil {
@@ -497,7 +498,7 @@ func (k *kernel) Step() (done bool, err error) {
 		return false, nil
 	}
 	rs.idle++
-	if rs.idle < k.cfg.DeadlockWindow {
+	if rs.idle < deadlockWindow {
 		return false, nil
 	}
 	derr := &ErrDeadlock{Cycle: cycle, InFlight: int(m.InFlight), Algorithm: k.algo.Name(), Dump: k.deadlockDump(cycle)}
@@ -792,7 +793,7 @@ func choose(pol Policy, r *xrand.RNG, moves []core.Move, adm []int) int {
 // entry per non-empty central queue head, with the outputs its candidates
 // wait on.
 func (k *kernel) deadlockDump(cycle int64) *obs.DeadlockDump {
-	d := &obs.DeadlockDump{Cycle: cycle, Window: int64(k.cfg.DeadlockWindow), InFlight: k.rs.m.InFlight}
+	d := &obs.DeadlockDump{Cycle: cycle, Window: deadlockWindow, InFlight: k.rs.m.InFlight}
 	var cand []core.Move
 	for qi, qlen := range k.qlen {
 		if qlen == 0 {

@@ -11,7 +11,7 @@ package sim
 // parallel phase's figure includes its barrier (release, spin, wake): the
 // breakdown deliberately charges synchronization to the phase that paid it.
 type PhaseTimes struct {
-	InjectNs int64 // injection phase (incl. mail-lane fold and shard rebalance)
+	InjectNs int64 // injection phase (incl. mail-lane fold)
 	PhaseANs int64 // node phase (a): queues -> output buffers
 	PhaseBNs int64 // node phase (b): input buffers -> queues
 	LinkNs   int64 // link phase (0 for the atomic engine, which has no links)

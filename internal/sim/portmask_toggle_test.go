@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -28,44 +29,37 @@ var portMaskAlgos = []struct {
 	{"ccc", func() core.Algorithm { return core.NewCCCAdaptive(3) }},
 }
 
-// runToggled runs one (engine, algorithm, traffic) combination with the
-// port-mask path enabled or disabled and returns the metrics.
+// maskless hides the algorithm's PortMask method, so the engines route
+// every decision through Candidates: the reference path a PortMaskRouter
+// twin is held to.
+type maskless struct{ core.Algorithm }
+
+// runToggled runs one (engine, algorithm, traffic) combination on the
+// port-mask path or, with disable, on its maskless twin, and returns the
+// metrics.
 func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable bool,
 	inject string, faults *fault.Plan, workers int) Metrics {
 	t.Helper()
-	a := mk()
-	nodes := a.Topology().Nodes()
-	cfg := Config{
-		Algorithm:       a,
-		Seed:            12345,
-		Workers:         workers,
-		DisablePortMask: disable,
-		Faults:          faults,
-	}
-	var (
-		m   Metrics
-		err error
-	)
-	runEither := func(e Simulator) (Metrics, error) {
-		if inject == "static" {
-			src := traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 3, 99)
-			return runStatic(e, src, 1_000_000)
-		}
-		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.2, 99)
-		return runDynamic(e, src, 50, 150)
+	a, kind := mk(), "buffered"
+	if disable {
+		a = maskless{a}
 	}
 	if atomic {
-		e, nerr := NewAtomicEngine(cfg)
-		if nerr != nil {
-			t.Fatal(nerr)
-		}
-		m, err = runEither(e)
+		kind = "atomic"
+	}
+	e, err := NewSimulator(kind, Config{Algorithm: a, Seed: 12345, Workers: workers, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if disable && kernelOf(e).pmr != nil {
+		t.Fatalf("%s: the maskless twin took the port-mask path", a.Name())
+	}
+	nodes := a.Topology().Nodes()
+	var m Metrics
+	if inject == "static" {
+		m, err = runStatic(e, traffic.NewStaticSource(traffic.Random{Nodes: nodes}, nodes, 3, 99), 1_000_000)
 	} else {
-		e, nerr := NewEngine(cfg)
-		if nerr != nil {
-			t.Fatal(nerr)
-		}
-		m, err = runEither(e)
+		m, err = runDynamic(e, traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.2, 99), 50, 150)
 	}
 	if err != nil {
 		t.Fatalf("mask-disabled=%v: %v", disable, err)
@@ -193,5 +187,69 @@ func TestPortMaskPartialImplementorFallback(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// completeGraph is the complete digraph on n nodes: port p of node u leads
+// to the p-th other node in ascending order, so every node has n-1 ports.
+type completeGraph struct{ n int }
+
+func (g completeGraph) Name() string { return fmt.Sprintf("complete(%d)", g.n) }
+func (g completeGraph) Nodes() int   { return g.n }
+func (g completeGraph) Ports() int   { return g.n - 1 }
+func (g completeGraph) Neighbor(u, p int) int {
+	if p >= u {
+		return p + 1
+	}
+	return p
+}
+func (g completeGraph) ReversePort(u, p int) int { return g.PortTo(g.Neighbor(u, p), u) }
+func (g completeGraph) PortTo(u, v int) int {
+	switch {
+	case u == v:
+		return topology.None
+	case v > u:
+		return v - 1
+	}
+	return v
+}
+func (g completeGraph) Distance(a, b int) int {
+	if a == b {
+		return 0
+	}
+	return 1
+}
+
+// wideGraphAdaptive is graph-adaptive routing that fails the test if an
+// engine ever asks it for a port mask: a PortMasks word holds 32 ports.
+type wideGraphAdaptive struct {
+	*core.GraphAdaptive
+	t *testing.T
+}
+
+func (a wideGraphAdaptive) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
+	a.t.Errorf("PortMask called at node %d of a %d-port network", node, a.Topology().Ports())
+	return false
+}
+
+// TestWideNodesSkipPortMask runs both engines to full delivery on a
+// 34-node complete graph, whose 33 ports do not fit a 32-bit mask: the
+// kernel must route every decision through Candidates.
+func TestWideNodesSkipPortMask(t *testing.T) {
+	g, err := core.NewGraphAdaptive(completeGraph{n: 34})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := wideGraphAdaptive{g, t}
+	for _, engine := range []string{"buffered", "atomic"} {
+		e, err := NewSimulator(engine, Config{Algorithm: a, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := traffic.NewStaticSource(traffic.Random{Nodes: 34}, 34, 4, 99)
+		m, err := runStatic(e, src, 1_000_000)
+		if err != nil || m.Delivered != 4*34 {
+			t.Errorf("%s: delivered %d of %d: %v", engine, m.Delivered, 4*34, err)
+		}
 	}
 }

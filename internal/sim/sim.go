@@ -128,16 +128,6 @@ type Config struct {
 	// credited moves (Props().Credits) are refused with Workers > 1, because
 	// their results would depend on it; the atomic engine ignores Workers.
 	Workers int
-	// RebalanceEvery > 0 recomputes the worker-shard boundaries every that
-	// many cycles, weighting nodes by their central-queue occupancy (the
-	// barrier-merged qTotal counters), so a congestion hot spot does not
-	// leave most workers idle behind one overloaded shard. Boundaries stay
-	// 64-aligned (the single-writer bitmap invariant), the recomputation
-	// runs in the sequential section of the cycle, and its input is
-	// simulation state only — results remain bit-identical for any worker
-	// count, with rebalancing on or off. Ignored with Workers <= 1.
-	// 0 disables rebalancing.
-	RebalanceEvery int
 	// PhaseProf measures the wall-clock time of each engine phase (inject,
 	// node (a), node (b), link, stats merge) at the cycle barrier,
 	// accumulated into PhaseTimes and — when the metrics core is on — the
@@ -146,16 +136,6 @@ type Config struct {
 	// percent of overhead. Off by default: the hot loop then pays one
 	// predictable branch per phase.
 	PhaseProf bool
-	// DisableFusion forces a barrier between every phase of a cycle even
-	// when the configuration would allow the inject/(a)/(b) phases to run
-	// back-to-back per worker (see Engine docs). Fusion never changes
-	// results; the switch exists for the determinism tests that pin that
-	// claim and for before/after benchmarking of the barrier cost.
-	DisableFusion bool
-	// DeadlockWindow is the number of consecutive cycles without any packet
-	// movement (while packets remain in the network) after which the run
-	// aborts with ErrDeadlock. Default 1000.
-	DeadlockWindow int
 	// CutThrough enables virtual cut-through switching [KK79], the hybrid
 	// between packet routing and wormhole the paper's introduction names: a
 	// packet arriving at a node may proceed straight from the input buffer
@@ -185,23 +165,6 @@ type Config struct {
 	// fault-misrouted packet may take before it is dropped. 0 selects the
 	// plan's budget, or 64 when the plan sets none. Ignored without Faults.
 	HopBudget int
-	// DisablePortMask forces every routing decision through
-	// Algorithm.Candidates even when the algorithm implements
-	// core.PortMaskRouter. Routing is bit-identical either way (the
-	// determinism tests pin this); the switch exists for those tests and for
-	// same-host before/after benchmarking of the mask fast path. Disabling
-	// costs nothing per cycle: the engines simply skip the interface
-	// assertion at construction.
-	DisablePortMask bool
-	// DisableBatchInject forces the per-node scalar injection path
-	// (Wants/Take per node per cycle) even when the traffic source
-	// implements BatchSource. Metrics are bit-identical either way (the
-	// batch determinism tests pin this); the switch mirrors
-	// DisablePortMask: it exists for those tests and for same-binary
-	// before/after benchmarking of the batched injection fast path, and
-	// costs nothing per cycle — the engines simply skip the interface
-	// assertion at the start of the run.
-	DisableBatchInject bool
 	// Observer, if set, receives the run's delivery, per-cycle, and
 	// end-of-run probes together with the merged metric snapshots; compose
 	// several with obs.Multi. Attaching an observer enables the metrics
@@ -236,17 +199,16 @@ func (c *Config) fill() error {
 		return fmt.Errorf("sim: Workers must be 1 for %s: its credited moves are not worker-count deterministic, got %d",
 			c.Algorithm.Name(), c.Workers)
 	}
-	if c.RebalanceEvery < 0 {
-		return fmt.Errorf("sim: RebalanceEvery must be >= 0, got %d", c.RebalanceEvery)
-	}
-	if c.DeadlockWindow == 0 {
-		c.DeadlockWindow = 1000
-	}
 	return nil
 }
 
+// deadlockWindow is the number of consecutive cycles without any packet
+// movement (while packets remain in the network) after which a run aborts
+// with ErrDeadlock.
+const deadlockWindow = 1000
+
 // ErrDeadlock is returned when the watchdog observes no packet movement for
-// DeadlockWindow consecutive cycles while undelivered packets remain. The
+// deadlockWindow consecutive cycles while undelivered packets remain. The
 // verified algorithms never trigger it; tests use it with adversarial
 // configurations to prove the watchdog works.
 type ErrDeadlock struct {

@@ -192,7 +192,7 @@ func TestWatchdogCatchesDeadlock(t *testing.T) {
 		}
 		return traffic.NewStaticSource(&traffic.Permutation{Label: "shift3", Sigma: sigma}, 6, 10, 1)
 	}
-	cfg := Config{Algorithm: ring, QueueCap: 1, DeadlockWindow: 200}
+	cfg := Config{Algorithm: ring, QueueCap: 1}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
