@@ -328,6 +328,12 @@ func Compile(s RunSpec) (*Compiled, error) {
 		if err != nil {
 			return nil, &FieldError{Field: "faults", Err: err}
 		}
+		// Refuse a node or port the network does not have here and not at
+		// Build. Check costs O(items); the random selections are resolved at
+		// Build, after the daemon's admission check.
+		if err := plan.Check(algo.Topology()); err != nil {
+			return nil, &FieldError{Field: "faults", Err: err}
+		}
 		out.faults = plan
 	}
 	if c.HopBudget < 0 {

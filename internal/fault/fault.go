@@ -104,6 +104,48 @@ type Schedule struct {
 // Empty reports whether the schedule contains no events.
 func (s *Schedule) Empty() bool { return s == nil || len(s.Events) == 0 }
 
+// Check reports the first item of the plan that Compile would refuse on
+// topology t: a negative fail cycle, a non-positive duration, a fraction
+// outside [0,1], or an explicit node or link that t does not have. It costs
+// O(items), never a walk over the network, so a caller can refuse a bad plan
+// before it pays for the probabilistic selections.
+func (p *Plan) Check(t topology.Topology) error {
+	if p == nil {
+		return nil
+	}
+	n, ports := t.Nodes(), t.Ports()
+	for _, it := range p.items {
+		if it.at < 0 {
+			return fmt.Errorf("fault: negative fail cycle %d", it.at)
+		}
+		if it.dur != Forever && it.dur <= 0 {
+			return fmt.Errorf("fault: non-positive fail duration %d", it.dur)
+		}
+		switch it.kind {
+		case itemLink:
+			if it.node < 0 || it.node >= n || it.port < 0 || it.port >= ports {
+				return fmt.Errorf("fault: link %d:%d out of range for %s", it.node, it.port, t.Name())
+			}
+			if t.Neighbor(it.node, it.port) == topology.None {
+				return fmt.Errorf("fault: link %d:%d of %s is not connected", it.node, it.port, t.Name())
+			}
+		case itemNode:
+			if it.node < 0 || it.node >= n {
+				return fmt.Errorf("fault: node %d out of range for %s", it.node, t.Name())
+			}
+		case itemRandLinks, itemRandNodes:
+			if it.frac < 0 || it.frac > 1 {
+				what := "link"
+				if it.kind == itemRandNodes {
+					what = "node"
+				}
+				return fmt.Errorf("fault: %s fraction %g outside [0,1]", what, it.frac)
+			}
+		}
+	}
+	return nil
+}
+
 // Compile resolves the plan against a topology into a sorted Schedule.
 // Explicit link failures take the reverse direction down with them when one
 // exists; probabilistic selections enumerate links in canonical (node, port)
@@ -114,58 +156,39 @@ func (p *Plan) Compile(t topology.Topology) (*Schedule, error) {
 	if p == nil {
 		return s, nil
 	}
+	if err := p.Check(t); err != nil {
+		return nil, err
+	}
 	s.HopBudget = p.HopBudget
 	n, ports := t.Nodes(), t.Ports()
-	addLink := func(u, port int, at, dur int64) error {
-		if u < 0 || u >= n || port < 0 || port >= ports {
-			return fmt.Errorf("fault: link %d:%d out of range for %s", u, port, t.Name())
-		}
+	// Check has vouched for every explicit node and link, and a link drawn
+	// below is connected by construction.
+	addLink := func(u, port int, at, dur int64) {
 		v := t.Neighbor(u, port)
-		if v == topology.None {
-			return fmt.Errorf("fault: link %d:%d of %s is not connected", u, port, t.Name())
+		s.Events = append(s.Events, Event{At: at, Node: int32(u), Port: int16(port)})
+		if dur != Forever {
+			s.Events = append(s.Events, Event{At: at + dur, Node: int32(u), Port: int16(port), Up: true})
 		}
-		dirs := [][2]int{{u, port}}
 		if rp := t.ReversePort(u, port); rp != topology.None {
-			dirs = append(dirs, [2]int{v, rp})
-		}
-		for _, d := range dirs {
-			s.Events = append(s.Events, Event{At: at, Node: int32(d[0]), Port: int16(d[1])})
+			s.Events = append(s.Events, Event{At: at, Node: int32(v), Port: int16(rp)})
 			if dur != Forever {
-				s.Events = append(s.Events, Event{At: at + dur, Node: int32(d[0]), Port: int16(d[1]), Up: true})
+				s.Events = append(s.Events, Event{At: at + dur, Node: int32(v), Port: int16(rp), Up: true})
 			}
 		}
-		return nil
 	}
-	addNode := func(u int, at, dur int64) error {
-		if u < 0 || u >= n {
-			return fmt.Errorf("fault: node %d out of range for %s", u, t.Name())
-		}
+	addNode := func(u int, at, dur int64) {
 		s.Events = append(s.Events, Event{At: at, Node: int32(u), Port: -1})
 		if dur != Forever {
 			s.Events = append(s.Events, Event{At: at + dur, Node: int32(u), Port: -1, Up: true})
 		}
-		return nil
 	}
 	for _, it := range p.items {
-		if it.at < 0 {
-			return nil, fmt.Errorf("fault: negative fail cycle %d", it.at)
-		}
-		if it.dur != Forever && it.dur <= 0 {
-			return nil, fmt.Errorf("fault: non-positive fail duration %d", it.dur)
-		}
 		switch it.kind {
 		case itemLink:
-			if err := addLink(it.node, it.port, it.at, it.dur); err != nil {
-				return nil, err
-			}
+			addLink(it.node, it.port, it.at, it.dur)
 		case itemNode:
-			if err := addNode(it.node, it.at, it.dur); err != nil {
-				return nil, err
-			}
+			addNode(it.node, it.at, it.dur)
 		case itemRandLinks:
-			if it.frac < 0 || it.frac > 1 {
-				return nil, fmt.Errorf("fault: link fraction %g outside [0,1]", it.frac)
-			}
 			rng := xrand.New(it.seed, -2)
 			for u := 0; u < n; u++ {
 				for port := 0; port < ports; port++ {
@@ -182,22 +205,15 @@ func (p *Plan) Compile(t topology.Topology) (*Schedule, error) {
 						}
 					}
 					if rng.Coin(it.frac) {
-						if err := addLink(u, port, it.at, it.dur); err != nil {
-							return nil, err
-						}
+						addLink(u, port, it.at, it.dur)
 					}
 				}
 			}
 		case itemRandNodes:
-			if it.frac < 0 || it.frac > 1 {
-				return nil, fmt.Errorf("fault: node fraction %g outside [0,1]", it.frac)
-			}
 			rng := xrand.New(it.seed, -3)
 			for u := 0; u < n; u++ {
 				if rng.Coin(it.frac) {
-					if err := addNode(u, it.at, it.dur); err != nil {
-						return nil, err
-					}
+					addNode(u, it.at, it.dur)
 				}
 			}
 		}

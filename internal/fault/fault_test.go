@@ -123,6 +123,34 @@ func TestCompileValidation(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesWhatCompileRefuses pins Check as Compile's refusal without
+// its cost: the invalid plans above fail Check, and a plan that selects every
+// link of a 2^24-node network passes it without a walk over those links.
+func TestCheckRefusesWhatCompileRefuses(t *testing.T) {
+	topo := topology.NewHypercube(3)
+	for i, mk := range []func(p *Plan){
+		func(p *Plan) { p.FailLink(99, 0, 0, Forever) },
+		func(p *Plan) { p.FailLink(0, 7, 0, Forever) },
+		func(p *Plan) { p.FailNode(8, 0, Forever) },
+		func(p *Plan) { p.FailRandomNodes(-0.5, 1, 0, Forever) },
+		func(p *Plan) { p.FailRandomLinks(0.5, 1, 0, 0) },
+	} {
+		var p Plan
+		mk(&p)
+		if p.Check(topo) == nil {
+			t.Errorf("case %d: Check accepted a plan Compile refuses", i)
+		}
+		if _, err := p.Compile(topo); err == nil {
+			t.Errorf("case %d: Compile accepted an invalid plan", i)
+		}
+	}
+	var p Plan
+	p.FailRandomLinks(1, 1, 0, Forever).FailNode(1<<24-1, 0, Forever)
+	if err := p.Check(topology.NewHypercube(24)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestParseSpecRoundTrip(t *testing.T) {
 	plan, err := ParseSpec("link:0:1@50+10,node:3@100,links:0.05:7@0,nodes:0.1@20+5")
 	if err != nil {

@@ -43,10 +43,12 @@ type AtomicEngine struct {
 	// (not nbr: shuffle links are one-way). Built when the first head parks.
 	inOff, inNbr []int32
 
-	// Route(q) scratch, overwritten per queue.
-	cand [64]core.Move
-	adm  [64]int
-	pm   core.PortMasks
+	// Route(q) scratch, overwritten per queue; touch sinks the loads that
+	// warm the next head's record.
+	cand  [64]core.Move
+	adm   [64]int
+	pm    core.PortMasks
+	touch int32
 }
 
 // NewAtomicEngine builds an atomic engine for the configuration. Workers is
@@ -95,8 +97,8 @@ func (e *AtomicEngine) purgeNode(u int32, cycle int64, st *cycleStats) {
 // purgeLink: links carry no state in the atomic model.
 func (e *AtomicEngine) purgeLink(int, int64, *cycleStats) {}
 
-// qPush appends the packet to queue qi and returns the new length.
-func (e *AtomicEngine) qPush(qi int, pkt *core.Packet) int {
+// qPush appends packet reference r to queue qi and returns the new length.
+func (e *AtomicEngine) qPush(qi int, r int32) int {
 	n := e.qlen[qi]
 	if int(n) == e.queueCap {
 		panic("sim: push into a full queue (admissibility bug)")
@@ -105,24 +107,29 @@ func (e *AtomicEngine) qPush(qi int, pkt *core.Packet) int {
 	if pos >= int32(e.queueCap) {
 		pos -= int32(e.queueCap)
 	}
-	e.qbuf[qi*e.queueCap+int(pos)] = *pkt
+	e.qref[qi*e.queueCap+int(pos)] = r
 	e.qlen[qi] = n + 1
 	e.occ[qi>>6] |= 1 << (uint(qi) & 63)
 	return int(n + 1)
 }
 
-// qPop removes and returns the head packet of queue qi.
-func (e *AtomicEngine) qPop(qi int) core.Packet {
+// qPop removes the head of queue qi and returns its reference.
+func (e *AtomicEngine) qPop(qi int) int32 {
 	k := &e.kernel // one selector: keeps the body within the inlining budget
 	head := k.qhead[qi]
-	pkt := k.qbuf[qi*k.queueCap+int(head)]
+	r := k.qref[qi*k.queueCap+int(head)]
 	head++
 	if head >= int32(k.queueCap) {
 		head = 0
 	}
 	k.qhead[qi] = head
 	k.qlen[qi]--
-	return pkt
+	return r
+}
+
+// qHead returns the head reference of the non-empty queue qi.
+func (e *AtomicEngine) qHead(qi int) int32 {
+	return e.qref[qi*e.queueCap+int(e.qhead[qi])]
 }
 
 // qFree returns the free capacity of queue qi.
@@ -133,7 +140,7 @@ func (e *AtomicEngine) qFree(qi int) int {
 // sweep is the atomic model's per-cycle body: injection draws, the
 // injection-queue drain, then Route(q) over every queue.
 func (e *AtomicEngine) sweep(cycle int64) {
-	st := &e.statsBuf[0]
+	st, t := &e.statsBuf[0], &e.tabs[0]
 	win := e.rs.win
 	f := e.flt
 	e.inject(0, 0, e.nodes)
@@ -166,17 +173,19 @@ func (e *AtomicEngine) sweep(cycle int64) {
 			if w&1 == 0 {
 				continue
 			}
-			sl := &e.injQ[u]
-			if sl.pkt.Dst == u {
-				e.deliver(sl.pkt, cycle, win, st)
-				sl.full = false
-				e.injFull[wi] &^= 1 << (uint(u) & 63)
-				continue
+			r, c := e.injRef[u], e.injClass[u]
+			if c == injByRecord {
+				if t.pkts[r].Dst == u {
+					e.deliver(t, r, cycle, win, st)
+					e.injFull[wi] &^= 1 << (uint(u) & 63)
+					continue
+				}
+				c = t.pkts[r].Class
 			}
-			qi := e.queueIndex(u, sl.pkt.Class)
+			qi := e.queueIndex(u, c)
 			if e.qFree(qi) >= 1 {
-				sl.pkt.InjectedAt = cycle // latency runs from network entry
-				l := e.qPush(qi, &sl.pkt)
+				t.pkts[r].InjectedAt = cycle // latency runs from network entry
+				l := e.qPush(qi, r)
 				if l > st.maxQueue {
 					st.maxQueue = l
 				}
@@ -184,7 +193,6 @@ func (e *AtomicEngine) sweep(cycle int64) {
 					st.obs.GaugeAdd(obs.GQueueOccupancy, 1)
 					st.obs.Observe(obs.HQueueLen, int64(l))
 				}
-				sl.full = false
 				e.injFull[wi] &^= 1 << (uint(u) & 63)
 				st.moves++
 			}
@@ -201,9 +209,17 @@ func (e *AtomicEngine) sweep(cycle int64) {
 		for b := uint(0); e.snap[wi]>>b != 0; b++ {
 			b += uint(bits.TrailingZeros64(e.snap[wi] >> b))
 			qi := wi<<6 + int(b)
+			if next := e.snap[wi] >> b >> 1; next != 0 {
+				// Load the next listed head's record now: heads are records
+				// anywhere in the table, and this way the cache miss overlaps
+				// the routing of this one. Only Route(q) pops q, so the next
+				// listed queue is not empty.
+				e.touch += t.pkts[e.qHead(qi+1+bits.TrailingZeros64(next))].Dst
+			}
 			u := int32(qi / classes)
 			c := qi - int(u)*classes
-			pkt := *e.qAt(qi, 0)
+			r := e.qHead(qi)
+			pkt := &t.pkts[r]
 			if e.maskFF && pkt.Dst != u {
 				// Port-mask fast path: identical move-by-move to running the
 				// FirstFree selection over Candidates (including the hashed
@@ -276,7 +292,7 @@ func (e *AtomicEngine) sweep(cycle int64) {
 						tc = int(pm.StaticClass(sel))
 					}
 					e.wake(qi)
-					pkt = e.qPop(qi)
+					e.qPop(qi)
 					pkt.Hops++
 					pkt.Class = core.QueueClass(tc)
 					if dyn {
@@ -284,7 +300,7 @@ func (e *AtomicEngine) sweep(cycle int64) {
 					} else {
 						pkt.Work = pm.Work
 					}
-					l := e.qPush(int(e.nbr[nbase+sel])*e.classes+tc, &pkt)
+					l := e.qPush(int(e.nbr[nbase+sel])*e.classes+tc, r)
 					if l > st.maxQueue {
 						st.maxQueue = l
 					}
@@ -334,25 +350,24 @@ func (e *AtomicEngine) sweep(cycle int64) {
 			switch {
 			case mv.Deliver:
 				e.wake(qi)
-				pkt = e.qPop(qi)
+				e.qPop(qi)
 				if e.obsOn {
 					st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
 				}
-				e.deliver(pkt, cycle, win, st)
+				e.deliver(t, r, cycle, win, st)
 			case mv.Node == u && mv.Class == core.QueueClass(c) && mv.Port == core.PortInternal:
 				pkt.Work = mv.Work
-				*e.qAt(qi, 0) = pkt
 				st.moves++
 			default:
 				e.wake(qi)
-				pkt = e.qPop(qi)
+				e.qPop(qi)
 				if mv.Port != core.PortInternal {
 					pkt.Hops++
 				}
 				pkt.Class = mv.Class
 				pkt.Work = mv.Work
 				qi2 := e.queueIndex(mv.Node, mv.Class)
-				l := e.qPush(qi2, &pkt)
+				l := e.qPush(qi2, r)
 				if l > st.maxQueue {
 					st.maxQueue = l
 				}
@@ -445,15 +460,16 @@ func (e *AtomicEngine) invertNbr() {
 // surviving neighbor's queue (re-entering it as a fresh injection with the
 // misroute flag set) or is dropped once its hop budget runs out.
 func (e *AtomicEngine) misroute(u int32, qi int, cycle int64, st *cycleStats) {
-	f := e.flt
-	pkt := *e.qAt(qi, 0)
+	f, t := e.flt, &e.tabs[0]
+	r := e.qHead(qi)
+	pkt := &t.pkts[r]
 	lp := f.livePorts[u]
 	if lp == 0 || pkt.HopCount() >= e.algo.MaxHops(pkt.Src, pkt.Dst)+f.hopBudget {
-		dropped := e.qPop(qi)
+		e.qPop(qi)
 		if e.obsOn {
 			st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
 		}
-		e.faultDrop(&dropped, cycle, st)
+		e.dropRef(t, r, cycle, st)
 		return
 	}
 	// Hashed start port, not a (cycle+hops) rotation: see Engine.misroute
@@ -473,12 +489,12 @@ func (e *AtomicEngine) misroute(u int32, qi int, cycle int64, st *cycleStats) {
 			if e.qFree(qi2) < 1 {
 				continue
 			}
-			pkt = e.qPop(qi)
+			e.qPop(qi)
 			pkt.Hops++
 			pkt.MarkMisrouted()
 			pkt.Class = class
 			pkt.Work = work
-			l := e.qPush(qi2, &pkt)
+			l := e.qPush(qi2, r)
 			if l > st.maxQueue {
 				st.maxQueue = l
 			}

@@ -33,12 +33,18 @@ import (
 //
 // The hot loop is organized for throughput:
 //
-//   - the central queues are one contiguous packet slab with per-queue
+//   - a packet lives in one record of its shard's packet table (kernel.tabs)
+//     from injection to delivery; queue slots and link buffers hold 4-byte
+//     references to it, so a hop, a queue shift and a link transfer move a
+//     reference, and engine memory follows the packets in flight, not the
+//     slot count;
+//   - the central queues are one contiguous reference array with per-queue
 //     head/length arrays (structure of arrays), so queue scans stay in
 //     cache and need no per-queue ring allocations;
-//   - link buffers split their occupancy flags from the packet payloads, so
-//     the admissibility probes and the link/drain scans touch a compact flag
-//     array instead of striding through packet-sized slots;
+//   - link buffers keep their occupancy flags apart from their references,
+//     so the admissibility probes and the link/drain scans touch a compact
+//     flag array; a flag is the packet's arrival code (see arriveByRecord),
+//     so phase (b) queues most arrivals without reading their record;
 //   - per-node and per-link occupancy counters (qTotal, inCount, outCount,
 //     outLink) let every phase exit its scans as soon as the remaining work
 //     is known to be zero;
@@ -57,9 +63,10 @@ import (
 //     only nodes that currently hold a packet and the drain tail of a
 //     static run costs O(active), not O(N);
 //   - with Workers > 1 the phases run on a persistent worker pool (pool.go)
-//     sharded by contiguous, 64-aligned node ranges; packets crossing a
-//     shard boundary are posted to per-worker-pair mail lanes and folded in
-//     at the next cycle's injection phase, which keeps every array owned by
+//     sharded by contiguous, 64-aligned node ranges; the link phase posts a
+//     packet crossing a shard boundary, record and all, to a per-worker-pair
+//     mail lane, and the receiver copies it into its own table in the fold
+//     phase that follows, which keeps every array and every table owned by
 //     exactly one worker between barriers.
 //
 // Determinism: for a fixed seed the engine is bit-deterministic and
@@ -75,7 +82,7 @@ type Engine struct {
 	bufClasses int
 
 	// Blocked-packet wait masks (waitFast engines only). qwait parallels
-	// qbuf: a non-zero mask records the node-local output-buffer slots
+	// qref: a non-zero mask records the node-local output-buffer slots
 	// (bit p*bufClasses+bc) a fully-blocked packet is waiting on, and
 	// outMask[u] mirrors u's outFull flags as a bitset. While every masked
 	// slot stays full, re-running the candidate scan provably fails the
@@ -88,18 +95,20 @@ type Engine struct {
 	inbound []int32 // committed-but-not-delivered packets per queue (credit accounting)
 
 	// Output buffers, structure of arrays, indexed by sender:
-	// [(node*ports+port)*bufClasses+bc].
-	outPkt  []core.Packet
+	// [(node*ports+port)*bufClasses+bc]. outFull is 0 while the buffer is
+	// empty and the packet's arrival code while it holds one; outRef is the
+	// packet's reference.
+	outRef  []int32
 	outFull []uint8
 	outLink []uint8 // per directed link: number of occupied output buffers
 	dnFull  []uint8 // downstream-full mirror: 1 while the slot's far-end input buffer is occupied
 
 	// Input buffers, indexed by *receiver*: node v's buffers occupy
-	// inPkt[inBase[v] : inBase[v]+inDeg[v]], ordered by (sending node,
+	// inRef[inBase[v] : inBase[v]+inDeg[v]], ordered by (sending node,
 	// port, buffer class) ascending, so the phase (b) drain scans a
-	// contiguous flag range — and reads payloads from adjacent cache
-	// lines — instead of chasing per-link indices.
-	inPkt   []core.Packet
+	// contiguous flag range instead of chasing per-link indices. inFull
+	// holds arrival codes like outFull.
+	inRef   []int32
 	inFull  []uint8
 	inBase  []int32
 	inDeg   []int32
@@ -126,7 +135,6 @@ type Engine struct {
 	// which is why fault-enabled engines run without it.
 	waitFast bool
 	slotPort [64]uint8 // waitFast: outMask bit -> port (avoids a division)
-	owner    []int32   // node -> owning worker (avoids a division per transfer)
 
 	workers int
 	// bounds holds the shard boundaries: worker w owns nodes
@@ -135,27 +143,37 @@ type Engine struct {
 	bounds  []int32
 	scratch []workerScratch // one per worker
 	// mail holds the workers*workers cross-shard arrival lanes, src-major:
-	// lane srcWorker*workers+dstWorker. See mailLane.
+	// lane srcWorker*workers+dstWorker. See mailLane. The owner table
+	// (node -> worker) is the kernel's.
 	mail []mailLane
 	pool *phasePool
 	// fuseOK records that the inject/(a)/(b) phases touch only shard-owned
 	// state (no occupancy snapshot, no credited occupancy probes), so one
-	// worker may run them back-to-back and a cycle needs two barriers
-	// instead of four; begin splits them again under Config.PhaseProf.
+	// worker may run them back-to-back and a cycle needs three barriers
+	// instead of five; begin splits them again under Config.PhaseProf.
 	fuseOK bool
 }
 
-// mailLane is one cross-shard arrival lane: the nodes of dstWorker's shard
-// that received a packet from srcWorker's link phase this cycle, folded into
-// dstWorker's worklist at the next cycle's injection phase. Lanes are stored
-// src-major (lane srcWorker*workers+dstWorker), so all the lanes a worker
-// appends to during its link phase are contiguous memory it owns; the pad
-// keeps each slice header on its own cache line, so the appends of adjacent
-// workers (and the fold's header reset in the injection phase) never share a
-// line.
+// mailLane is one cross-shard arrival lane from srcWorker to dstWorker: the
+// packets srcWorker's link phase moved into input buffers of dstWorker's
+// shard this cycle, copied out of srcWorker's table, which takes their
+// references back. dstWorker's fold phase, right after the link phase,
+// copies each into a record of its own table, so a worker allocates from
+// and frees into its own table only, and the records cross between the
+// cores as one sequential array. Lanes are stored src-major (lane
+// srcWorker*workers+dstWorker), so all the lanes a worker appends to during
+// its link phase are contiguous memory it owns; the pad keeps each slice
+// header on its own cache line.
 type mailLane struct {
-	buf []int32
+	arr []arrival
 	_   [40]byte // slice header (24 bytes on 64-bit) padded to a cache line
+}
+
+// arrival is one packet in a mail lane, bound for input buffer di of node v.
+type arrival struct {
+	pkt   core.Packet
+	v, di int32
+	code  uint8
 }
 
 // workerScratch holds per-worker reusable buffers so the hot loop does not
@@ -178,6 +196,9 @@ type workerScratch struct {
 	// failure was of that kind (the precondition for caching the mask).
 	failMask uint64
 	failOK   bool
+
+	// touch sinks the record loads of loadRecords.
+	touch int32
 
 	// Tail pad: scratches live one-per-worker in a contiguous slice, and a
 	// trailing cache line guarantees no two workers' written fields ever
@@ -206,7 +227,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.occ = make([]int32, nQueues)
 	e.inbound = make([]int32, nQueues)
 	nLinks := e.nodes * e.ports
-	e.outPkt = make([]core.Packet, nLinks*e.bufClasses)
+	e.outRef = make([]int32, nLinks*e.bufClasses)
 	e.outFull = make([]uint8, nLinks*e.bufClasses)
 	e.dnFull = make([]uint8, nLinks*e.bufClasses)
 	e.outLink = make([]uint8, nLinks)
@@ -241,13 +262,13 @@ func NewEngine(cfg Config) (*Engine, error) {
 		}
 	}
 	nIn := nInLinks * bc
-	e.inPkt = make([]core.Packet, nIn)
+	e.inRef = make([]int32, nIn)
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
 	e.atomicOcc = a.Props().Credits
 	e.waitFast = e.ports*e.bufClasses <= 64 && !e.atomicOcc && e.flt == nil
 	if e.waitFast {
-		e.qwait = make([]uint64, len(e.qbuf))
+		e.qwait = make([]uint64, len(e.qref))
 		e.outMask = make([]uint64, e.nodes)
 		for b := 0; b < e.ports*e.bufClasses; b++ {
 			e.slotPort[b] = uint8(b / e.bufClasses)
@@ -258,7 +279,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.inCount = make([]int32, e.nodes)
 	e.outCount = make([]int32, e.nodes)
 	e.bounds = make([]int32, e.workers+1)
-	e.owner = make([]int32, e.nodes)
 	e.uniformBounds()
 	e.fuseOK = !e.atomicOcc
 	e.scratch = make([]workerScratch, e.workers)
@@ -300,20 +320,21 @@ func (e *Engine) begin() func(cycle int64) {
 	clear(e.outCount)
 	clear(e.liveBits)
 	for i := range e.mail {
-		e.mail[i].buf = e.mail[i].buf[:0]
+		e.mail[i].arr = e.mail[i].arr[:0]
 	}
 	inject := func(w int) { e.workerInject(w) }
 	phaseA := func(w int) { e.workerPhaseA(w) }
 	phaseB := func(w int) { e.workerPhaseB(w) }
 	link := func(w int) { e.workerLink(w) }
+	fold := func(w int) { e.workerFold(w) }
 	var fused func(int)
 	if e.fuseOK && !e.cfg.PhaseProf {
 		// Inject/(a)/(b) touch only shard-owned state here (no occupancy
 		// snapshot, no credited probes), so one worker can run them
-		// back-to-back: the cycle pays two barriers instead of four. The
-		// link phase still needs its own barrier — it writes remote input
-		// buffers and their inFull flags. PhaseProf forces the split
-		// pipeline so each phase is individually timed.
+		// back-to-back: the cycle pays three barriers instead of five. The
+		// link phase and the fold still need their own: the link phase
+		// writes the senders' lanes, which the fold reads. PhaseProf forces
+		// the split pipeline so each phase is individually timed.
 		fused = func(w int) {
 			e.workerInject(w)
 			e.workerPhaseA(w)
@@ -332,6 +353,9 @@ func (e *Engine) begin() func(cycle int64) {
 			e.lap(phB)
 		}
 		e.exec(link)
+		if e.workers > 1 {
+			e.exec(fold)
+		}
 		e.lap(phLink)
 		if e.obsOn {
 			e.obsCore.SetGauge(obs.GLiveNodes, e.liveCount())
@@ -376,9 +400,8 @@ func (e *Engine) setLive(u int32) {
 
 // qPush and qDrop route every central-queue mutation through the atomic
 // occupancy mirror (read by credited claims from other nodes) and the
-// per-node worklist total. qPush takes the packet by pointer so the hot
-// paths copy it from its previous resting place straight into the slab.
-func (e *Engine) qPush(u int32, qi int, pkt *core.Packet) int {
+// per-node worklist total. qPush appends packet reference r to queue qi.
+func (e *Engine) qPush(u int32, qi int, r int32) int {
 	n := e.qlen[qi]
 	if int(n) == e.queueCap {
 		panic("sim: push into a full queue (admissibility bug)")
@@ -387,7 +410,7 @@ func (e *Engine) qPush(u int32, qi int, pkt *core.Packet) int {
 	if pos >= int32(e.queueCap) {
 		pos -= int32(e.queueCap)
 	}
-	e.qbuf[qi*e.queueCap+int(pos)] = *pkt
+	e.qref[qi*e.queueCap+int(pos)] = r
 	if e.waitFast {
 		e.qwait[qi*e.queueCap+int(pos)] = 0
 	}
@@ -406,10 +429,9 @@ func (e *Engine) qPush(u int32, qi int, pkt *core.Packet) int {
 	return int(n + 1)
 }
 
-// qDrop removes the idx-th packet (FIFO order) of queue qi without
-// materializing a copy: the phase (a) commit paths read the packet in place
-// (qAt) and write its successor buffer directly, so the removal itself only
-// has to shift and account.
+// qDrop removes the idx-th entry (FIFO order) of queue qi: the phase (a)
+// commit paths have already handed its reference on, so the removal itself
+// only has to shift references and account.
 func (e *Engine) qDrop(u int32, qi int, idx int32) {
 	cap32 := int32(e.queueCap)
 	base := qi * e.queueCap
@@ -425,7 +447,7 @@ func (e *Engine) qDrop(u int32, qi int, idx int32) {
 		if src >= cap32 {
 			src -= cap32
 		}
-		e.qbuf[base+int(dst)] = e.qbuf[base+int(src)]
+		e.qref[base+int(dst)] = e.qref[base+int(src)]
 		if e.waitFast {
 			e.qwait[base+int(dst)] = e.qwait[base+int(src)]
 		}
@@ -497,23 +519,30 @@ func (e *Engine) exec(fn func(int)) {
 	e.pool.run(fn)
 }
 
-// workerInject is the injection phase over one shard. It first folds in the
-// arrival mail posted by the previous cycle's link phase (worklist and
-// inbound-counter maintenance for packets that crossed a shard boundary),
-// then lets every source-active node attempt one injection.
-func (e *Engine) workerInject(w int) {
-	nw := e.workers
+// workerFold takes in the packets the link phase moved into worker w's
+// shard from other shards: each gets a record of w's table and its input
+// buffer's reference, and its node the worklist and counter updates a
+// same-shard arrival gets in linkMove.
+func (e *Engine) workerFold(w int) {
+	nw, t := e.workers, &e.tabs[w]
 	for src := 0; src < nw; src++ {
 		lane := &e.mail[src*nw+w]
-		if len(lane.buf) == 0 {
-			continue
+		for i := range lane.arr {
+			a := &lane.arr[i]
+			r := t.alloc()
+			t.pkts[r] = a.pkt
+			e.inRef[a.di] = r
+			e.inFull[a.di] = a.code
+			e.inCount[a.v]++
+			e.setLive(a.v)
 		}
-		for _, v := range lane.buf {
-			e.inCount[v]++
-			e.setLive(v)
-		}
-		lane.buf = lane.buf[:0]
+		lane.arr = lane.arr[:0]
 	}
+}
+
+// workerInject is the injection phase over one shard: every source-active
+// node attempts one injection.
+func (e *Engine) workerInject(w int) {
 	lo, hi := e.shard(w)
 	if lo >= hi {
 		return
@@ -534,24 +563,70 @@ func (e *Engine) workerPhaseA(w int) {
 	}
 	st := &e.statsBuf[w]
 	sc := &e.scratch[w]
+	t := &e.tabs[w]
 	cycle, win := e.rs.m.Cycles, e.rs.win
+	// The class scan starts at cycle mod classes on every node (see
+	// nodePhaseA), one division per call.
+	rot := int(cycle % int64(e.classes))
+	// Each node's records are loaded one node ahead of its scan: they are
+	// wherever their references were last freed, and this way the cache
+	// misses of one node overlap the routing of the one before.
 	base := lo >> 6
+	prev := int32(-1)
 	for wi, word := range e.liveBits[base : (hi+63)>>6] {
 		for ; word != 0; word &= word - 1 {
 			u := int32((base+wi)*64 + bits.TrailingZeros64(word))
 			if e.qTotal[u] != 0 {
-				e.nodePhaseA(u, cycle, win, st, sc)
+				sc.touch += e.loadRecords(u, t.pkts)
+				if prev >= 0 {
+					e.nodePhaseA(prev, rot, cycle, win, st, sc, t)
+				}
+				prev = u
 			}
 		}
 	}
+	if prev >= 0 {
+		e.nodePhaseA(prev, rot, cycle, win, st, sc, t)
+	}
+}
+
+// parked reports whether a packet waiting on the output buffers wmask is
+// still blocked: every one of them is full in outMask.
+func parked(wmask, outMask uint64) bool { return wmask != 0 && outMask&wmask == wmask }
+
+// loadRecords reads the destination of every packet in u's central queues
+// that phase (a) will route (not parked, see qwait), so its record is in
+// cache when nodePhaseA reaches it, and returns their sum for the caller to
+// sink.
+func (e *Engine) loadRecords(u int32, pkts []core.Packet) int32 {
+	var sum int32
+	qi0 := int(u) * e.classes
+	for qi := qi0; qi < qi0+e.classes; qi++ {
+		n, pos := e.qlen[qi], e.qhead[qi]
+		if e.cfg.HeadOnly && n > 1 {
+			n = 1
+		}
+		for ; n > 0; n-- {
+			pi := qi*e.queueCap + int(pos)
+			if !e.waitFast || !parked(e.qwait[pi], e.outMask[u]) {
+				sum += pkts[e.qref[pi]].Dst
+			}
+			if pos++; pos == int32(e.queueCap) {
+				pos = 0
+			}
+		}
+	}
+	return sum
 }
 
 // nodePhaseA moves packets from u's central queues into output buffers and
 // internal targets. Packets are scanned in FIFO order per queue (classes in
 // ascending order), so the first packet in FIFO order wins any contended
-// buffer, as Section 7.1 prescribes.
-func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats, sc *workerScratch) {
+// buffer, as Section 7.1 prescribes. The packets are records of t, u's
+// shard table; rot is cycle mod classes.
+func (e *Engine) nodePhaseA(u int32, rot int, cycle int64, win runWindow, st *cycleStats, sc *workerScratch, t *pktTable) {
 	r := &e.rngs[u]
+	pkts := t.pkts // phase (a) takes no reference, so the table cannot grow
 	wf := e.waitFast
 	on := e.obsOn
 	pol := e.cfg.Policy
@@ -584,7 +659,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 	// correction and a phase-B packet share the B buffer of a link), and a
 	// fixed scan order would let one class starve the other indefinitely.
 	for off := 0; off < e.classes; off++ {
-		c := off + int(cycle)%e.classes
+		c := off + rot
 		if c >= e.classes {
 			c -= e.classes
 		}
@@ -599,12 +674,12 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 				pos -= int32(e.queueCap)
 			}
 			pi := qi*e.queueCap + int(pos)
-			pkt := &e.qbuf[pi]
+			pkt := &pkts[e.qref[pi]]
 			if wf {
 				// Blocked-packet fast path: if every buffer the packet was
 				// waiting on is still full, the candidate scan is known to
 				// fail and is skipped outright.
-				if wmask := e.qwait[pi]; wmask != 0 && e.outMask[u]&wmask == wmask {
+				if parked(e.qwait[pi], e.outMask[u]) {
 					if on {
 						st.obs.Inc(obs.CWaitParked)
 					}
@@ -661,7 +736,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 						pm.Dyn &= lp
 						union := pm.StaticUnion() | pm.Dyn
 						if union == 0 {
-							if !e.misroute(u, qi, idx, pkt, cycle, st) {
+							if !e.misroute(u, qi, idx, t, cycle, st) {
 								idx++
 							}
 							continue
@@ -725,18 +800,17 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 						continue
 					}
 					si := obase + found
-					out := &e.outPkt[si]
-					*out = *pkt
-					out.Class = core.QueueClass(tgt)
+					pkt.Class = core.QueueClass(tgt)
 					if dyn {
-						out.Work = pm.DynWork
+						pkt.Work = pm.DynWork
 					} else {
-						out.Work = pm.Work
+						pkt.Work = pm.Work
 					}
-					out.MinFree = 1
-					out.Hops++
+					pkt.MinFree = 1
+					pkt.Hops++
+					e.outRef[si] = e.qref[pi]
 					e.qDrop(u, qi, idx)
-					e.outFull[si] = 1
+					e.outFull[si] = e.arrivalCode(lbase+port, pkt)
 					if wf {
 						e.outMask[u] |= 1 << uint(found&63)
 					}
@@ -756,7 +830,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 				if len(moves) == 0 {
 					// Faults removed every candidate (deliveries and internal
 					// moves always survive the filter): misroute or drop.
-					if !e.misroute(u, qi, idx, pkt, cycle, st) {
+					if !e.misroute(u, qi, idx, t, cycle, st) {
 						idx++
 					}
 					continue
@@ -860,7 +934,7 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 			mv := &moves[mvi]
 			switch {
 			case mv.Deliver:
-				e.deliver(*pkt, cycle, win, st)
+				e.deliver(t, e.qref[pi], cycle, win, st)
 				e.qDrop(u, qi, idx)
 			case mv.Port == core.PortInternal && mv.Node == u && mv.Class == core.QueueClass(c):
 				// Self-spin: advance bookkeeping in place.
@@ -868,13 +942,13 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 				idx++
 				st.moves++
 			case mv.Port == core.PortInternal:
-				// The slot is edited in place, pushed slab-to-slab, then
-				// dropped; the target queue is a different region of the
-				// slab (the in-place case above caught class == c).
+				// The record is edited in place and its reference pushed to
+				// the target queue, then dropped here; the in-place case
+				// above caught class == c.
 				pkt.Class = mv.Class
 				pkt.Work = mv.Work
 				pkt.MinFree = 1
-				if l := e.qPush(u, qi0+int(mv.Class), pkt); l > st.maxQueue {
+				if l := e.qPush(u, qi0+int(mv.Class), e.qref[pi]); l > st.maxQueue {
 					st.maxQueue = l
 				}
 				e.qDrop(u, qi, idx)
@@ -895,23 +969,21 @@ func (e *Engine) nodePhaseA(u int32, cycle int64, win runWindow, st *cycleStats,
 				}
 				link := int(u)*e.ports + int(mv.Port)
 				si := link*e.bufClasses + bc
-				out := &e.outPkt[si]
-				*out = *pkt
-				out.Class = mv.Class
-				out.Work = mv.Work
+				pkt.Class = mv.Class
+				pkt.Work = mv.Work
 				if mv.Credit > 0 {
-					out.MinFree = 0 // marks the reservation for the drain
+					pkt.MinFree = 0 // marks the reservation for the drain
 				} else {
-					out.MinFree = mv.MinFree
+					pkt.MinFree = mv.MinFree
 				}
 				// The hop is counted at commit time rather than at transfer:
 				// a packet is never observed while it waits in the link
 				// buffers, so charging the traversal early is equivalent and
-				// keeps the link phase free of read-modify-write traffic on
-				// the payload.
-				out.Hops++
+				// the link phase never touches a record.
+				pkt.Hops++
+				e.outRef[si] = e.qref[pi]
 				e.qDrop(u, qi, idx)
-				e.outFull[si] = 1
+				e.outFull[si] = e.arrivalCode(link, pkt)
 				if wf {
 					e.outMask[u] |= 1 << uint((int(mv.Port)*e.bufClasses+bc)&63)
 				}
@@ -974,6 +1046,7 @@ func (e *Engine) workerPhaseB(w int) {
 	}
 	st := &e.statsBuf[w]
 	sc := &e.scratch[w]
+	t := &e.tabs[w]
 	cycle, win := e.rs.m.Cycles, e.rs.win
 	base := lo >> 6
 	for wi, word := range e.liveBits[base : (hi+63)>>6] {
@@ -982,7 +1055,7 @@ func (e *Engine) workerPhaseB(w int) {
 			b := bits.TrailingZeros64(word)
 			u := int32((base+wi)*64 + b)
 			if full := inj>>uint(b)&1 != 0; full || e.inCount[u] != 0 {
-				e.nodePhaseB(u, full, cycle, win, st, sc)
+				e.nodePhaseB(u, full, cycle, win, st, sc, t)
 			}
 		}
 	}
@@ -992,8 +1065,9 @@ func (e *Engine) workerPhaseB(w int) {
 // packet) into the central queues under a rotating fair order, consuming
 // packets that reached their destination directly from the buffer. nextDrain
 // finds the occupied slots eight flags at a time, and the occupancy counters
-// end the scan as soon as every occupied buffer has been considered.
-func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *cycleStats, sc *workerScratch) {
+// end the scan as soon as every occupied buffer has been considered. The
+// packets are records of t, u's shard table.
+func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *cycleStats, sc *workerScratch, t *pktTable) {
 	deg := int(e.inDeg[u])
 	base := e.inBase[u]
 	flags := e.inFull[base : base+int32(deg)]
@@ -1027,21 +1101,35 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 			// injection queue is charged to the effective injection rate,
 			// not to latency, matching Section 7's bounded L_max under
 			// saturation.
-			sl := &e.injQ[u]
-			qi := e.queueIndex(u, sl.pkt.Class)
-			if e.effectiveFree(qi) >= int32(sl.pkt.MinFree) {
-				sl.pkt.InjectedAt = cycle
-				if l := e.qPush(u, qi, &sl.pkt); l > st.maxQueue {
+			r, c := e.injRef[u], e.injClass[u]
+			if c == injByRecord {
+				c = t.pkts[r].Class
+			}
+			qi := e.queueIndex(u, c)
+			if e.effectiveFree(qi) >= 1 { // a fresh packet's MinFree (enqueue)
+				t.pkts[r].InjectedAt = cycle
+				if l := e.qPush(u, qi, r); l > st.maxQueue {
 					st.maxQueue = l
 				}
-				sl.full = false
 				e.injFull[u>>6] &^= 1 << (uint(u) & 63)
 				st.moves++
 			}
 			continue
 		}
 		si := base + int32(s)
-		pkt := &e.inPkt[si]
+		r := e.inRef[si]
+		if code := flags[s]; code != arriveByRecord && !ct {
+			// The arrival code names the queue, so the record is not read.
+			if qi := int(u)*e.classes + int(code) - 1; e.qlen[qi] < int32(e.queueCap) {
+				if l := e.qPush(u, qi, r); l > st.maxQueue {
+					st.maxQueue = l
+				}
+				e.inFree(u, si)
+				st.moves++
+			}
+			continue
+		}
+		pkt := &t.pkts[r]
 		if ct && pkt.Dst != u && pkt.MinFree != 0 && e.cutThrough(u, si, pkt, st, sc) {
 			continue
 		}
@@ -1051,17 +1139,16 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 				// straight from the input buffer.
 				atomic.AddInt32(&e.inbound[e.queueIndex(u, pkt.Class)], -1)
 			}
-			e.deliver(*pkt, cycle, win, st)
+			e.deliver(t, r, cycle, win, st)
 			e.inFree(u, si)
 			continue
 		}
 		qi := e.queueIndex(u, pkt.Class)
 		if pkt.MinFree == 0 {
 			// Credited packet: its slot was reserved at claim time, so the
-			// push cannot fail; release the reservation. The buffer slot is
-			// edited in place (it is cleared right after).
+			// push cannot fail; release the reservation.
 			pkt.MinFree = 1
-			if l := e.qPush(u, qi, pkt); l > st.maxQueue {
+			if l := e.qPush(u, qi, r); l > st.maxQueue {
 				st.maxQueue = l
 			}
 			atomic.AddInt32(&e.inbound[qi], -1)
@@ -1070,13 +1157,29 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 			continue
 		}
 		if int32(e.queueCap)-e.qlen[qi] >= int32(pkt.MinFree) {
-			if l := e.qPush(u, qi, pkt); l > st.maxQueue {
+			if l := e.qPush(u, qi, r); l > st.maxQueue {
 				st.maxQueue = l
 			}
 			e.inFree(u, si)
 			st.moves++
 		}
 	}
+}
+
+// arriveByRecord is the arrival code of a packet that phase (b) must read
+// the record of to drain: one that is delivered at the far end, a credited
+// packet, one whose move needs MinFree other than 1, or one whose class does
+// not fit the code. Any other packet's code is its queue class plus one,
+// which is all phase (b) needs to queue it; phase (a) at the sender, where
+// the record was just written, sets it.
+const arriveByRecord = 255
+
+// arrivalCode returns the buffer flag of pkt, committed to link l.
+func (e *Engine) arrivalCode(l int, pkt *core.Packet) uint8 {
+	if pkt.MinFree != 1 || pkt.Dst == e.nbr[l] || int(pkt.Class) >= arriveByRecord-1 {
+		return arriveByRecord
+	}
+	return uint8(pkt.Class) + 1
 }
 
 // inFree marks u's input buffer si empty, at the receiver and in the
@@ -1130,12 +1233,12 @@ func nextDrain(flags []uint8, inj bool, start, i int) int {
 	return nextFull(flags[:start], i-k-1) + k + 1
 }
 
-// cutThrough attempts to forward an input-buffer packet straight to a free
-// output buffer (virtual cut-through). It must not be used for credited
-// packets (their reservation is tied to the queue they bypass). Reports
-// whether the packet moved.
-func (e *Engine) cutThrough(u int32, si int32, src *core.Packet, st *cycleStats, sc *workerScratch) bool {
-	pkt := *src
+// cutThrough attempts to forward pkt, the packet in input buffer si,
+// straight to a free output buffer (virtual cut-through), editing its record
+// only once a buffer is found. It must not be used for credited packets
+// (their reservation is tied to the queue they bypass). Reports whether the
+// packet moved.
+func (e *Engine) cutThrough(u int32, si int32, pkt *core.Packet, st *cycleStats, sc *workerScratch) bool {
 	sc.cand = e.algo.Candidates(u, pkt.Class, pkt.Work, pkt.Dst, sc.cand[:0])
 	for i := range sc.cand {
 		mv := &sc.cand[i]
@@ -1162,8 +1265,8 @@ func (e *Engine) cutThrough(u int32, si int32, src *core.Packet, st *cycleStats,
 		pkt.Work = mv.Work
 		pkt.MinFree = mv.MinFree
 		pkt.Hops++ // charged at commit time, as in phase (a)
-		e.outPkt[so] = pkt
-		e.outFull[so] = 1
+		e.outRef[so] = e.inRef[si]
+		e.outFull[so] = e.arrivalCode(link, pkt)
 		if e.waitFast {
 			e.outMask[u] |= 1 << uint((int(mv.Port)*e.bufClasses+bc)&63)
 		}
@@ -1285,15 +1388,14 @@ func rrNext(rr uint32, n int) uint32 {
 
 // linkMove transfers the packet in output buffer bc of the directed link l
 // (port p of node u) into its far-end input buffer, which is known empty.
-// The arrival is recorded on the destination's worklist directly when it
-// lives on the same shard, or posted to the owner's mail lane for the next
-// cycle otherwise. Hops was already charged at commit time; the transfer is
-// a plain copy plus flag updates.
+// When the destination lives on the same shard, the transfer moves the
+// reference and records the arrival on its worklist; otherwise the packet's
+// record is posted to the owner's mail lane for the fold phase and its
+// reference given back. Hops was already charged at commit time.
 func (e *Engine) linkMove(u int32, l, p, bc, w int, st *cycleStats) {
 	si := l*e.bufClasses + bc
 	di := e.linkDst[l] + int32(bc)
-	e.inPkt[di] = e.outPkt[si]
-	e.inFull[di] = 1
+	code := e.outFull[si]
 	e.dnFull[si] = 1
 	e.outFull[si] = 0
 	if e.waitFast {
@@ -1308,11 +1410,15 @@ func (e *Engine) linkMove(u int32, l, p, bc, w int, st *cycleStats) {
 	}
 	v := e.nbr[l]
 	if dw := e.owner[v]; int(dw) == w {
+		e.inRef[di] = e.outRef[si]
+		e.inFull[di] = code
 		e.inCount[v]++
 		e.setLive(v)
 	} else {
 		lane := &e.mail[w*e.workers+int(dw)]
-		lane.buf = append(lane.buf, v)
+		t := &e.tabs[w]
+		lane.arr = append(lane.arr, arrival{pkt: t.pkts[e.outRef[si]], v: v, di: di, code: code})
+		t.release(e.outRef[si])
 		if e.obsOn {
 			st.obs.Inc(obs.CMailPosts)
 		}

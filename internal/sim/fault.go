@@ -101,17 +101,18 @@ func (f *faultState) backoff(u int32, cycle int64) {
 // buffers at the far end keep their packets — those already crossed.
 func (e *Engine) purgeLink(l int, cycle int64, st *cycleStats) {
 	u := int32(l / e.ports)
+	t := &e.tabs[e.owner[u]]
 	base := l * e.bufClasses
 	for bc := 0; bc < e.bufClasses; bc++ {
 		if e.outFull[base+bc] == 0 {
 			continue
 		}
-		pkt := &e.outPkt[base+bc]
-		if pkt.MinFree == 0 {
+		r := e.outRef[base+bc]
+		if pkt := &t.pkts[r]; pkt.MinFree == 0 {
 			// Credited packet: release its reservation at the target queue.
 			atomic.AddInt32(&e.inbound[e.queueIndex(e.nbr[l], pkt.Class)], -1)
 		}
-		e.faultDrop(pkt, cycle, st)
+		e.dropRef(t, r, cycle, st)
 		e.outFull[base+bc] = 0
 		e.outLink[l]--
 		e.outCount[u]--
@@ -139,13 +140,13 @@ func (e *Engine) purgeNode(u int32, cycle int64, st *cycleStats) {
 	}
 	e.qTotal[u] = 0
 	base, deg := e.inBase[u], e.inDeg[u]
+	t := &e.tabs[e.owner[u]]
 	for si := base; si < base+deg; si++ {
 		if e.inFull[si] == 0 {
 			continue
 		}
-		// inCount is decremented per buffer, never reset: an arrival still in
-		// a mail lane is counted at the next fold, which must land on zero.
-		e.faultDrop(&e.inPkt[si], cycle, st)
+		// inCount is decremented per buffer (inFree), never reset.
+		e.dropRef(t, e.inRef[si], cycle, st)
 		e.inFree(u, si)
 	}
 	lbase := int(u) * e.ports
@@ -169,16 +170,19 @@ func misrouteHash(cycle, id int64, hops int) uint32 {
 }
 
 // misroute is the degraded-routing fallback: every minimal candidate of the
-// packet at FIFO position idx of queue qi was removed by faults. The packet
-// is re-routed through any surviving link's shared dynamic buffer — it
-// re-enters the neighbor as a fresh injection (class and scratch from
-// Inject) with the misroute flag set — or dropped once its hop budget is
-// exhausted. Reports whether the packet left the queue.
-func (e *Engine) misroute(u int32, qi int, idx int32, pkt *core.Packet, cycle int64, st *cycleStats) bool {
+// packet at FIFO position idx of queue qi (a record of t, u's shard table)
+// was removed by faults. The packet is re-routed through any surviving
+// link's shared dynamic buffer — it re-enters the neighbor as a fresh
+// injection (class and scratch from Inject) with the misroute flag set — or
+// dropped once its hop budget is exhausted. Reports whether the packet left
+// the queue.
+func (e *Engine) misroute(u int32, qi int, idx int32, t *pktTable, cycle int64, st *cycleStats) bool {
 	f := e.flt
+	r := e.qref[e.qSlot(qi, idx)]
+	pkt := &t.pkts[r]
 	lp := f.livePorts[u]
 	if lp == 0 || pkt.HopCount() >= e.algo.MaxHops(pkt.Src, pkt.Dst)+f.hopBudget {
-		e.faultDrop(pkt, cycle, st)
+		e.dropRef(t, r, cycle, st)
 		e.qDrop(u, qi, idx)
 		return true
 	}
@@ -204,15 +208,14 @@ func (e *Engine) misroute(u int32, qi int, idx int32, pkt *core.Packet, cycle in
 			}
 			v := e.nbr[lbase+p]
 			class, work := e.algo.Inject(v, pkt.Dst)
-			out := &e.outPkt[si]
-			*out = *pkt
-			out.Class = class
-			out.Work = work
-			out.MinFree = 1
-			out.Hops++
-			out.MarkMisrouted()
+			pkt.Class = class
+			pkt.Work = work
+			pkt.MinFree = 1
+			pkt.Hops++
+			pkt.MarkMisrouted()
+			e.outRef[si] = r
 			e.qDrop(u, qi, idx)
-			e.outFull[si] = 1
+			e.outFull[si] = e.arrivalCode(lbase+p, pkt)
 			e.outLink[lbase+p]++
 			e.outCount[u]++
 			st.moves++

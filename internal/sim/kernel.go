@@ -13,11 +13,12 @@ import (
 )
 
 // kernel is everything a packet engine needs that is not its node model:
-// the central-queue slab, the injection queues and their traffic-source
-// plumbing, delivery and fault-drop accounting, fault-event replay, the
-// metrics core, and the Start/Step/Run driver with its watchdog. Engine
-// (the buffered node of Sections 6-7.1) and AtomicEngine (Route(q) of
-// Section 2) embed it by value and add only their per-cycle body.
+// the packet tables, the central queues, the injection queues and their
+// traffic-source plumbing, delivery and fault-drop accounting, fault-event
+// replay, the metrics core, and the Start/Step/Run driver with its
+// watchdog. Engine (the buffered node of Sections 6-7.1) and AtomicEngine
+// (Route(q) of Section 2) embed it by value and add only their per-cycle
+// body.
 //
 // Per-packet and per-node kernel code is called directly as concrete
 // methods; the one indirection is the per-cycle body the model hands over at
@@ -40,26 +41,36 @@ type kernel struct {
 	pmr core.PortMaskRouter
 	nbr []int32 // neighbor table [node*ports+port]; -1 for missing links
 
-	// Central queues: fixed-capacity FIFO rings over one packet slab. Queue
-	// qi = node*classes+class occupies qbuf[qi*queueCap:(qi+1)*queueCap] with
+	// tabs holds one packet table per worker shard and owner maps a node to
+	// its shard. Every packet slot of a node — central queue, injection
+	// queue, link buffer — holds a 4-byte reference into its owner's table,
+	// so a worker touches only its own table during the parallel phases.
+	tabs  []pktTable
+	owner []int32
+
+	// Central queues: fixed-capacity FIFO rings of packet references. Queue
+	// qi = node*classes+class occupies qref[qi*queueCap:(qi+1)*queueCap] with
 	// head qhead[qi] and length qlen[qi], so queue scans stay on sequential
 	// memory and need no per-queue ring allocations.
-	qbuf  []core.Packet
+	qref  []int32
 	qhead []int32
 	qlen  []int32
 
-	injQ []injSlot // per-node injection queue (size 1)
-	// injFull mirrors injQ[u].full as a bitmap (bit u of word u/64), handed
-	// to BatchSource.FillCycle so the source can fail blocked attempts
-	// without a per-node engine call. It is maintained unconditionally — one
-	// masked OR per event — so scalar and batched runs on the same engine
-	// never see a stale word. injBits marks nodes whose traffic source is not
-	// yet exhausted, so drained sources cost nothing. Shards are 64-aligned:
-	// every word of either bitmap has exactly one writer between barriers.
-	injFull []uint64
-	injBits []uint64
-	rngs    []xrand.RNG
-	nextID  []int64 // per-node packet id counters (determinism)
+	// injRef is each node's injection queue (size 1): the reference of the
+	// packet waiting there while bit u of injFull (word u/64) is set, and
+	// injClass its class, so that the engines test whether it can enter its
+	// central queue without reading its record (injByRecord there sends them
+	// to the record). injFull is handed to BatchSource.FillCycle so the
+	// source can fail blocked attempts without a per-node engine call.
+	// injBits marks nodes whose traffic source is not yet exhausted, so
+	// drained sources cost nothing. Shards are 64-aligned: every word of
+	// either bitmap has exactly one writer between barriers.
+	injRef   []int32
+	injClass []uint8
+	injFull  []uint64
+	injBits  []uint64
+	rngs     []xrand.RNG
+	nextID   []int64 // per-node packet id counters (determinism)
 
 	// flt is the fault-injection machinery; nil when Config.Faults is unset,
 	// so the no-fault hot path pays one pointer test per guarded site.
@@ -92,11 +103,38 @@ type nodeModel interface {
 	purgeLink(l int, cycle int64, st *cycleStats)
 }
 
-// injSlot is the per-node injection queue (size 1).
-type injSlot struct {
-	pkt  core.Packet
-	full bool
+// pktTable is one shard's packet records. A reference is taken when a
+// packet enters its injection queue and given back when it is delivered or
+// dropped, so the table holds the packets in flight, not one record per
+// slot. Only the shard's worker reads it, allocates from it and frees into
+// it (a packet that crosses to another shard is copied out, see mailLane),
+// so the table grows in alloc, in its owner's phase, and no other worker
+// observes it.
+type pktTable struct {
+	pkts []core.Packet
+	free []int32  // released references, reused last-in first-out
+	_    [16]byte // two slice headers (48 bytes on 64-bit) padded to a cache line
 }
+
+// alloc returns an unused reference, growing the table when none is free.
+func (t *pktTable) alloc() int32 {
+	if n := len(t.free) - 1; n >= 0 {
+		r := t.free[n]
+		t.free = t.free[:n]
+		return r
+	}
+	t.pkts = append(t.pkts, core.Packet{})
+	return int32(len(t.pkts) - 1)
+}
+
+// release gives reference r back.
+func (t *pktTable) release(r int32) { t.free = append(t.free, r) }
+
+// injByRecord is the injClass of a packet the engines read the record of
+// before it enters its queue: one addressed to its own node (the atomic
+// engine delivers it from the injection queue), or one whose class is the
+// sentinel itself.
+const injByRecord = 255
 
 // runWindow holds the measurement bounds of a run.
 type runWindow struct {
@@ -183,7 +221,7 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 		queueCap: cfg.QueueCap, minimal: a.Props().Minimal,
 	}
 	nQueues := k.nodes * k.classes
-	k.qbuf = make([]core.Packet, nQueues*k.queueCap)
+	k.qref = make([]int32, nQueues*k.queueCap)
 	k.qhead = make([]int32, nQueues)
 	k.qlen = make([]int32, nQueues)
 	k.nbr = make([]int32, k.nodes*k.ports)
@@ -200,7 +238,16 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 		k.pmr, _ = a.(core.PortMaskRouter)
 	}
 	nWords := (k.nodes + 63) / 64
-	k.injQ = make([]injSlot, k.nodes)
+	k.injRef = make([]int32, k.nodes)
+	k.injClass = make([]uint8, k.nodes)
+	k.owner = make([]int32, k.nodes)
+	// A table starts with room for one packet per node of its shard and
+	// grows with the packets in flight.
+	k.tabs = make([]pktTable, shards)
+	n := (k.nodes + shards - 1) / shards
+	for i := range k.tabs {
+		k.tabs[i] = pktTable{pkts: make([]core.Packet, 0, n), free: make([]int32, 0, n)}
+	}
 	k.injFull = make([]uint64, nWords)
 	k.injBits = make([]uint64, nWords)
 	k.rngs = make([]xrand.RNG, k.nodes)
@@ -228,8 +275,10 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 func (k *kernel) reset() {
 	clear(k.qlen)
 	clear(k.qhead)
-	clear(k.injQ)
 	clear(k.injFull)
+	for i := range k.tabs {
+		k.tabs[i].pkts, k.tabs[i].free = k.tabs[i].pkts[:0], k.tabs[i].free[:0]
+	}
 	clear(k.statsBuf)
 	for u := range k.rngs {
 		k.rngs[u] = xrand.New(k.cfg.Seed, int32(u))
@@ -253,13 +302,21 @@ func (k *kernel) queueIndex(node int32, class core.QueueClass) int {
 	return int(node)*k.classes + int(class)
 }
 
-// qAt returns the i-th packet (FIFO order) of queue qi, in place.
-func (k *kernel) qAt(qi int, i int32) *core.Packet {
+// qSlot returns the index in qref of the i-th entry (FIFO order) of queue qi.
+func (k *kernel) qSlot(qi int, i int32) int {
 	pos := k.qhead[qi] + i
 	if pos >= int32(k.queueCap) {
 		pos -= int32(k.queueCap)
 	}
-	return &k.qbuf[qi*k.queueCap+int(pos)]
+	return qi*k.queueCap + int(pos)
+}
+
+// pkt returns the record that reference r of a slot of node u points to.
+func (k *kernel) pkt(u, r int32) *core.Packet { return &k.tabs[k.owner[u]].pkts[r] }
+
+// qAt returns the i-th packet (FIFO order) of queue qi, in place.
+func (k *kernel) qAt(qi int, i int32) *core.Packet {
+	return k.pkt(int32(qi/k.classes), k.qref[k.qSlot(qi, i)])
 }
 
 // Algorithm returns the routing algorithm the engine simulates.
@@ -310,10 +367,8 @@ func (k *kernel) InNetwork() int {
 	for _, l := range k.qlen {
 		total += int(l)
 	}
-	for i := range k.injQ {
-		if k.injQ[i].full {
-			total++
-		}
+	for _, w := range k.injFull {
+		total += bits.OnesCount64(w)
 	}
 	return total
 }
@@ -565,7 +620,7 @@ func (k *kernel) allExhausted(src TrafficSource) bool {
 // round per source-active node otherwise. The two paths account attempts,
 // successes and the obs counters identically.
 func (k *kernel) inject(w, lo, hi int) {
-	st := &k.statsBuf[w]
+	st, t := &k.statsBuf[w], &k.tabs[w]
 	cycle, win := k.rs.m.Cycles, k.rs.win
 	if bs := k.rs.batch; bs != nil {
 		buf := k.batchBuf[w]
@@ -575,7 +630,7 @@ func (k *kernel) inject(w, lo, hi int) {
 			st.obs.Add(obs.CInjBackpressure, int64(blocked))
 		}
 		for i := range buf[:n] {
-			k.enqueue(buf[i].Node, buf[i].Dst, cycle)
+			k.enqueue(t, buf[i].Node, buf[i].Dst, cycle)
 		}
 		st.injected += int64(n)
 		if win.contains(cycle) {
@@ -588,27 +643,31 @@ func (k *kernel) inject(w, lo, hi int) {
 	base := lo >> 6
 	for wi, word := range k.injBits[base : (hi+63)>>6] {
 		for ; word != 0; word &= word - 1 {
-			k.injectNode(int32((base+wi)*64+bits.TrailingZeros64(word)), cycle, src, win, st)
+			k.injectNode(t, int32((base+wi)*64+bits.TrailingZeros64(word)), cycle, src, win, st)
 		}
 	}
 }
 
-// enqueue places a fresh packet from u to dst in u's injection queue.
-func (k *kernel) enqueue(u, dst int32, cycle int64) {
+// enqueue places a fresh packet from u to dst, a record of u's table t, in
+// u's injection queue.
+func (k *kernel) enqueue(t *pktTable, u, dst int32, cycle int64) {
 	class, work := k.algo.Inject(u, dst)
 	k.nextID[u]++
-	k.injQ[u] = injSlot{
-		pkt: core.Packet{
-			ID: k.nextID[u], Src: u, Dst: dst, InjectedAt: cycle,
-			Class: class, MinFree: 1, Work: work,
-		},
-		full: true,
+	r := t.alloc()
+	t.pkts[r] = core.Packet{
+		ID: k.nextID[u], Src: u, Dst: dst, InjectedAt: cycle,
+		Class: class, MinFree: 1, Work: work,
+	}
+	k.injRef[u] = r
+	k.injClass[u] = class
+	if dst == u || class == injByRecord {
+		k.injClass[u] = injByRecord
 	}
 	k.injFull[u>>6] |= 1 << (uint(u) & 63)
 }
 
 // injectNode lets node u attempt one injection into its injection queue.
-func (k *kernel) injectNode(u int32, cycle int64, src TrafficSource, win runWindow, st *cycleStats) {
+func (k *kernel) injectNode(t *pktTable, u int32, cycle int64, src TrafficSource, win runWindow, st *cycleStats) {
 	if src.Exhausted(u) {
 		k.injBits[u>>6] &^= 1 << (uint(u) & 63)
 		return
@@ -637,7 +696,7 @@ func (k *kernel) injectNode(u int32, cycle int64, src TrafficSource, win runWind
 	if k.obsOn {
 		st.obs.Inc(obs.CInjAttempts)
 	}
-	if k.injQ[u].full {
+	if k.injFull[u>>6]>>(uint(u)&63)&1 != 0 {
 		// Injection queue occupied: the attempt fails.
 		if k.obsOn {
 			st.obs.Inc(obs.CInjBackpressure)
@@ -663,13 +722,14 @@ func (k *kernel) injectNode(u int32, cycle int64, src TrafficSource, win runWind
 			return
 		}
 	}
-	k.enqueue(u, dst, cycle)
+	k.enqueue(t, u, dst, cycle)
 }
 
-// deliver consumes a packet at its destination and updates statistics,
-// asserting the livelock-freedom hop bound (and exact minimality for
-// minimal algorithms).
-func (k *kernel) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleStats) {
+// deliver consumes packet r of table t at its destination, gives the
+// reference back and updates statistics, asserting the livelock-freedom hop
+// bound (and exact minimality for minimal algorithms).
+func (k *kernel) deliver(t *pktTable, r int32, cycle int64, win runWindow, st *cycleStats) {
+	pkt := &t.pkts[r]
 	// Misrouted packets left the minimal path to dodge a fault; their hop
 	// bound is the misroute budget, enforced at misroute time instead.
 	if !pkt.Misrouted() {
@@ -687,7 +747,7 @@ func (k *kernel) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleS
 	st.moves++
 	lat := cycle - pkt.InjectedAt + 1
 	if k.observer != nil {
-		k.observer.OnDeliver(pkt, lat)
+		k.observer.OnDeliver(*pkt, lat)
 	}
 	if k.obsOn {
 		st.obs.Observe(obs.HLatency, lat)
@@ -699,6 +759,7 @@ func (k *kernel) deliver(pkt core.Packet, cycle int64, win runWindow, st *cycleS
 			st.latencyMax = lat
 		}
 	}
+	t.release(r)
 }
 
 // faultDrop accounts one packet lost to faults. The drop itself (removing
@@ -711,14 +772,21 @@ func (k *kernel) faultDrop(pkt *core.Packet, cycle int64, st *cycleStats) {
 	}
 }
 
+// dropRef is faultDrop for packet r of table t, giving the reference back.
+func (k *kernel) dropRef(t *pktTable, r int32, cycle int64, st *cycleStats) {
+	k.faultDrop(&t.pkts[r], cycle, st)
+	t.release(r)
+}
+
 // purgeQueues drops everything dead node u holds in its central queues and
 // its injection queue; the models add what else they keep at a node.
 func (k *kernel) purgeQueues(u int32, cycle int64, st *cycleStats) {
+	t := &k.tabs[k.owner[u]]
 	for c := 0; c < k.classes; c++ {
 		qi := int(u)*k.classes + c
 		n := k.qlen[qi]
 		for i := int32(0); i < n; i++ {
-			k.faultDrop(k.qAt(qi, i), cycle, st)
+			k.dropRef(t, k.qref[k.qSlot(qi, i)], cycle, st)
 		}
 		k.qlen[qi] = 0
 		k.qhead[qi] = 0
@@ -726,9 +794,8 @@ func (k *kernel) purgeQueues(u int32, cycle int64, st *cycleStats) {
 			st.obs.GaugeAdd(obs.GQueueOccupancy, -int64(n))
 		}
 	}
-	if k.injQ[u].full {
-		k.faultDrop(&k.injQ[u].pkt, cycle, st)
-		k.injQ[u] = injSlot{}
+	if k.injFull[u>>6]>>(uint(u)&63)&1 != 0 {
+		k.dropRef(t, k.injRef[u], cycle, st)
 		k.injFull[u>>6] &^= 1 << (uint(u) & 63)
 	}
 }

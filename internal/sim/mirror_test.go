@@ -13,17 +13,14 @@ import (
 
 // checkLinkState asserts, between two cycles, everything the link and drain
 // phases take on trust: the downstream-full mirror equals the receivers'
-// flags through inSrc, outMask equals the packed outFull flags, and the
-// occupancy counters equal the flag counts (arrivals still in a mail lane
-// are counted at the next injection phase, so they are added here).
+// occupancy through inSrc, outMask equals the packed outFull occupancy, the
+// occupancy counters equal the flag counts (the fold phase has taken in
+// every arrival that crossed a shard cut, see engineRefs), every buffer flag
+// is the arrival code of the packet it holds, and every buffered reference
+// is a live record of its node's table (checkRefs).
 func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 	t.Helper()
-	pending := make([]int32, e.nodes)
-	for i := range e.mail {
-		for _, v := range e.mail[i].buf {
-			pending[v]++
-		}
-	}
+	checkRefs(t, &e.kernel, engineRefs(t, e, cycle), engineSlots(e), cycle)
 	mirrored := 0
 	for v := 0; v < e.nodes; v++ {
 		full := int32(0)
@@ -33,16 +30,21 @@ func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 			if l := int(so) / e.bufClasses; e.nbr[l] != int32(v) || e.linkDst[l]+bc != si {
 				t.Fatalf("cycle %d: inSrc maps node %d's buffer %d to slot %d, not its sender", cycle, v, si, so)
 			}
-			if e.dnFull[so] != e.inFull[si] {
+			if e.dnFull[so] != occupied(e.inFull[si]) {
 				t.Fatalf("cycle %d: node %d input slot %d: inFull %d, sender mirror dnFull[%d] %d",
 					cycle, v, si, e.inFull[si], so, e.dnFull[so])
 			}
-			full += int32(e.inFull[si])
+			if f := e.inFull[si]; f != 0 {
+				if code := e.arrivalCode(int(so)/e.bufClasses, e.pkt(int32(v), e.inRef[si])); f != code {
+					t.Fatalf("cycle %d: node %d input slot %d: flag %d, arrival code %d", cycle, v, si, f, code)
+				}
+			}
+			full += int32(occupied(e.inFull[si]))
 		}
 		mirrored += int(full)
-		if e.inCount[v]+pending[v] != full {
-			t.Fatalf("cycle %d: node %d: inCount %d + %d in the mail != %d occupied input buffers",
-				cycle, v, e.inCount[v], pending[v], full)
+		if e.inCount[v] != full {
+			t.Fatalf("cycle %d: node %d: inCount %d != %d occupied input buffers",
+				cycle, v, e.inCount[v], full)
 		}
 	}
 	set := 0
@@ -54,12 +56,19 @@ func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 	}
 	ns := e.ports * e.bufClasses
 	for u := 0; u < e.nodes; u++ {
-		out := e.outFull[u*ns : (u+1)*ns]
+		out := make([]uint8, ns)
 		full := int32(0)
 		for p := 0; p < e.ports; p++ {
 			onLink := uint8(0)
-			for _, f := range out[p*e.bufClasses : (p+1)*e.bufClasses] {
-				onLink += f
+			for bc := 0; bc < e.bufClasses; bc++ {
+				si := (u*e.ports+p)*e.bufClasses + bc
+				if f := e.outFull[si]; f != 0 {
+					if code := e.arrivalCode(u*e.ports+p, e.pkt(int32(u), e.outRef[si])); f != code {
+						t.Fatalf("cycle %d: node %d output slot %d: flag %d, arrival code %d", cycle, u, si, f, code)
+					}
+				}
+				out[p*e.bufClasses+bc] = occupied(e.outFull[si])
+				onLink += out[p*e.bufClasses+bc]
 			}
 			if e.outLink[u*e.ports+p] != onLink {
 				t.Fatalf("cycle %d: node %d port %d: outLink %d != %d occupied", cycle, u, p, e.outLink[u*e.ports+p], onLink)
@@ -73,6 +82,14 @@ func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 			t.Fatalf("cycle %d: node %d: outMask %#x != packed outFull %#x", cycle, u, e.outMask[u], packFlags(out))
 		}
 	}
+}
+
+// occupied is a buffer flag as 0 or 1.
+func occupied(f uint8) uint8 {
+	if f != 0 {
+		return 1
+	}
+	return 0
 }
 
 // TestLinkMirrorInvariant steps loaded runs and checks the link state after

@@ -11,10 +11,10 @@ package sim
 // parallel phase's figure includes its barrier (release, spin, wake): the
 // breakdown deliberately charges synchronization to the phase that paid it.
 type PhaseTimes struct {
-	InjectNs int64 // injection phase (incl. mail-lane fold)
+	InjectNs int64 // injection phase
 	PhaseANs int64 // node phase (a): queues -> output buffers
 	PhaseBNs int64 // node phase (b): input buffers -> queues
-	LinkNs   int64 // link phase (0 for the atomic engine, which has no links)
+	LinkNs   int64 // link phase and mail-lane fold (0 for the atomic engine, which has no links)
 	MergeNs  int64 // sequential per-cycle stats/metric merge
 	OtherNs  int64 // rest of the cycle: watchdog, observer probes, fault replay
 	Cycles   int64 // cycles the breakdown covers

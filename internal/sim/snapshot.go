@@ -15,10 +15,14 @@ type QueueSnapshot struct {
 func (e *Engine) InNetwork() int {
 	total := e.kernel.InNetwork()
 	for _, f := range e.outFull {
-		total += int(f)
+		if f != 0 {
+			total++
+		}
 	}
 	for _, f := range e.inFull {
-		total += int(f)
+		if f != 0 {
+			total++
+		}
 	}
 	return total
 }

@@ -11,7 +11,9 @@ import (
 // spec keeps — graph-adaptive routing reads its decisions straight off it —
 // so the memory cost is Nodes()^2 x bits.Len(Diameter())/8 bytes (see
 // DistTable); 4096 nodes of diameter at most 15 is an 8 MiB table, the
-// largest we let a spec ask for.
+// largest we let a spec ask for. An engine on it adds about 8 MB: its
+// diameter+1 hop classes multiply the queue and link slots, but each slot
+// holds a 4-byte packet reference.
 const MaxGraphNodes = 4096
 
 // MaxGraphPorts caps the per-node port count of a generated network at the
