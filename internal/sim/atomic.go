@@ -67,6 +67,7 @@ func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
 	if err := e.kernel.init(cfg, e, 1); err != nil {
 		return nil, err
 	}
+	e.sizeTables(func(int) int { return 0 })
 	e.maskFF = e.pmr != nil && cfg.Policy == PolicyFirstFree
 	// Parking needs "admissible" to mean "some target queue is not full" and
 	// no more: the mask path, no faults. wake takes a node's queues to fit two

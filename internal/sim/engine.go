@@ -280,6 +280,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.outCount = make([]int32, e.nodes)
 	e.bounds = make([]int32, e.workers+1)
 	e.uniformBounds()
+	e.sizeTables(func(u int) int { return e.ports*e.bufClasses + int(e.inDeg[u]) })
 	e.fuseOK = !e.atomicOcc
 	e.scratch = make([]workerScratch, e.workers)
 	for i := range e.scratch {

@@ -109,11 +109,14 @@ type nodeModel interface {
 // slot. Only the shard's worker reads it, allocates from it and frees into
 // it (a packet that crosses to another shard is copied out, see mailLane),
 // so the table grows in alloc, in its owner's phase, and no other worker
-// observes it.
+// observes it. Every record in use is held by one of the shard's slots, so
+// neither the table nor free ever needs room for more than slots entries
+// (see grow).
 type pktTable struct {
-	pkts []core.Packet
-	free []int32  // released references, reused last-in first-out
-	_    [16]byte // two slice headers (48 bytes on 64-bit) padded to a cache line
+	pkts  []core.Packet
+	free  []int32 // released references, reused last-in first-out
+	slots int     // the places a packet can wait in the shard
+	_     [8]byte // two slice headers and slots (56 bytes on 64-bit) padded to a cache line
 }
 
 // alloc returns an unused reference, growing the table when none is free.
@@ -123,12 +126,45 @@ func (t *pktTable) alloc() int32 {
 		t.free = t.free[:n]
 		return r
 	}
+	if len(t.pkts) == cap(t.pkts) {
+		t.pkts = grow(t.pkts, t.slots)
+	}
 	t.pkts = append(t.pkts, core.Packet{})
 	return int32(len(t.pkts) - 1)
 }
 
 // release gives reference r back.
-func (t *pktTable) release(r int32) { t.free = append(t.free, r) }
+func (t *pktTable) release(r int32) {
+	if len(t.free) == cap(t.free) {
+		t.free = grow(t.free, t.slots)
+	}
+	t.free = append(t.free, r)
+}
+
+// grow returns the full slice s with room for more: append's growth, but
+// never past limit, which append's rounding to a size class can pass.
+func grow[E any](s []E, limit int) []E {
+	if g := append(s, *new(E))[:len(s)]; cap(g) <= limit {
+		return g
+	}
+	return append(make([]E, 0, limit), s...)
+}
+
+// sizeTables gives each shard's table its slot count, the queue slots and
+// injection queue of each of its nodes plus linkSlots(u), and room for one
+// packet per node.
+func (k *kernel) sizeTables(linkSlots func(u int) int) {
+	nodes := make([]int, len(k.tabs))
+	for u := 0; u < k.nodes; u++ {
+		w := k.owner[u]
+		nodes[w]++
+		k.tabs[w].slots += k.classes*k.queueCap + 1 + linkSlots(u)
+	}
+	for w := range k.tabs {
+		k.tabs[w].pkts = make([]core.Packet, 0, nodes[w])
+		k.tabs[w].free = make([]int32, 0, nodes[w])
+	}
+}
 
 // injByRecord is the injClass of a packet the engines read the record of
 // before it enters its queue: one addressed to its own node (the atomic
@@ -241,13 +277,8 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 	k.injRef = make([]int32, k.nodes)
 	k.injClass = make([]uint8, k.nodes)
 	k.owner = make([]int32, k.nodes)
-	// A table starts with room for one packet per node of its shard and
-	// grows with the packets in flight.
+	// The model sizes the tables once it has cut the shards (sizeTables).
 	k.tabs = make([]pktTable, shards)
-	n := (k.nodes + shards - 1) / shards
-	for i := range k.tabs {
-		k.tabs[i] = pktTable{pkts: make([]core.Packet, 0, n), free: make([]int32, 0, n)}
-	}
 	k.injFull = make([]uint64, nWords)
 	k.injBits = make([]uint64, nWords)
 	k.rngs = make([]xrand.RNG, k.nodes)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -70,15 +71,17 @@ func engineRefs(t *testing.T, e *Engine, cycle int64) [][]int32 {
 // checkRefs asserts, between two cycles, that every record of a shard's
 // table is exactly one of free or held by a slot — no reference leaked, none
 // freed or held twice — that the held
-// records are the packets in flight, and that no table is longer than slots,
-// the number of places a packet can wait.
-func checkRefs(t *testing.T, k *kernel, held [][]int32, slots int, cycle int64) {
+// records are the packets in flight, and that no table, by length or by
+// capacity, and no free list outgrows slots[w], the number of places a
+// packet can wait in shard w.
+func checkRefs(t *testing.T, k *kernel, held [][]int32, slots []int, cycle int64) {
 	t.Helper()
 	live := 0
 	for w := range k.tabs {
 		tab := &k.tabs[w]
-		if len(tab.pkts) > slots {
-			t.Fatalf("cycle %d: table %d holds %d records, more than the %d slots", cycle, w, len(tab.pkts), slots)
+		if len(tab.pkts) > slots[w] || cap(tab.pkts) > slots[w] || cap(tab.free) > slots[w] {
+			t.Fatalf("cycle %d: table %d holds %d records (capacity %d, free list capacity %d), more than the shard's %d slots",
+				cycle, w, len(tab.pkts), cap(tab.pkts), cap(tab.free), slots[w])
 		}
 		state := make([]string, len(tab.pkts))
 		mark := func(refs []int32, as string) {
@@ -107,16 +110,28 @@ func checkRefs(t *testing.T, k *kernel, held [][]int32, slots int, cycle int64) 
 	}
 }
 
-// engineSlots and atomicSlots count the places a packet can wait.
-func engineSlots(e *Engine) int { return len(e.qref) + e.nodes + len(e.outRef) + len(e.inRef) }
+// engineSlots and atomicSlots count, per shard, the places a packet can
+// wait: a node's central-queue slots and injection queue, and on the
+// buffered engine its output buffers and the input buffers of its in-links.
+func engineSlots(e *Engine) []int {
+	slots := make([]int, len(e.tabs))
+	for u := 0; u < e.nodes; u++ {
+		slots[e.owner[u]] += e.classes*e.queueCap + 1 + e.ports*e.bufClasses + int(e.inDeg[u])
+	}
+	return slots
+}
 
-func atomicSlots(e *AtomicEngine) int { return len(e.qref) + e.nodes }
+func atomicSlots(e *AtomicEngine) []int { return []int{len(e.qref) + e.nodes} }
 
 // TestPacketRefAccounting steps hotspot runs on both engines and checks the
 // reference accounting after every cycle: sharded runs, where packets cross
 // tables at every shard boundary (Workers 7 cuts the 256 nodes into four
-// 64-node shards), cut-through, and faults that purge queues and buffers
-// mid-run, so the drop paths give references back.
+// 64-node shards and leaves three empty), cut-through, and faults that
+// purge queues and buffers mid-run, so the drop paths give references back.
+// The saturated case, random traffic at λ=1 on the atomic engine with
+// one-slot queues (it gridlocks there), fills its table to three quarters
+// of the slot count, where growth by append overshot the slot count (852
+// records for 768 slots).
 func TestPacketRefAccounting(t *testing.T) {
 	a := core.NewHypercubeAdaptive(8)
 	nodes := a.Topology().Nodes()
@@ -128,20 +143,25 @@ func TestPacketRefAccounting(t *testing.T) {
 		return p
 	}
 	cases := []struct {
-		engine string
-		cfg    Config
+		engine    string
+		cfg       Config
+		saturated bool
 	}{
-		{"buffered", Config{Workers: 1}},
-		{"buffered", Config{Workers: 2}},
-		{"buffered", Config{Workers: 7}},
-		{"buffered", Config{Workers: 2, CutThrough: true}},
-		{"buffered", Config{Workers: 1, Faults: faults()}},
-		{"buffered", Config{Workers: 7, Faults: faults()}},
-		{"atomic", Config{}},
-		{"atomic", Config{Faults: faults()}},
+		{"buffered", Config{Workers: 1}, false},
+		{"buffered", Config{Workers: 2}, false},
+		{"buffered", Config{Workers: 7}, false},
+		{"buffered", Config{Workers: 2, CutThrough: true}, false},
+		{"buffered", Config{Workers: 1, Faults: faults()}, false},
+		{"buffered", Config{Workers: 7, Faults: faults()}, false},
+		{"atomic", Config{}, false},
+		{"atomic", Config{Faults: faults()}, false},
+		{"atomic", Config{QueueCap: 1}, true},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%s/w%d/vct=%v/faults=%v", tc.engine, tc.cfg.Workers, tc.cfg.CutThrough, tc.cfg.Faults != nil)
+		if tc.saturated {
+			name += "/saturated"
+		}
 		t.Run(name, func(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Algorithm, cfg.Seed = a, 5
@@ -150,7 +170,11 @@ func TestPacketRefAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := traffic.NewBernoulliSource(traffic.Hotspot{Nodes: nodes, Hot: 77, Fraction: 0.3}, nodes, 0.6, 9)
-			eng.Start(src, DynamicPlan(0, 200))
+			cycles := int64(200)
+			if tc.saturated {
+				src, cycles = traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 1, 9), 600
+			}
+			eng.Start(src, DynamicPlan(0, cycles))
 			for {
 				done, err := eng.Step()
 				if err != nil {
@@ -175,5 +199,26 @@ func TestPacketRefAccounting(t *testing.T) {
 				t.Fatalf("the faults dropped nothing, so no purge gave a reference back: %+v", m)
 			}
 		})
+	}
+}
+
+// TestPacketTableGrowth: a full table and a full free list grow as append
+// grows them and stop exactly at the slot count, where append would have
+// gone on to 32.
+func TestPacketTableGrowth(t *testing.T) {
+	const slots = 21
+	tab := pktTable{pkts: make([]core.Packet, 0, 4), free: make([]int32, 0, 4), slots: slots}
+	var caps []int
+	for i := 0; i < slots; i++ {
+		tab.alloc()
+		if c := cap(tab.pkts); len(caps) == 0 || caps[len(caps)-1] != c {
+			caps = append(caps, c)
+		}
+	}
+	for r := int32(0); r < slots; r++ {
+		tab.release(r)
+	}
+	if want := []int{4, 8, 16, slots}; !slices.Equal(caps, want) || cap(tab.free) != slots {
+		t.Fatalf("table capacities %v, want %v; free list capacity %d, want %d", caps, want, cap(tab.free), slots)
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,10 @@ import (
 // entryVersion is bumped whenever the on-disk entry schema changes; lines
 // of another version are skipped on replay, never trusted.
 const entryVersion = 1
+
+// maxLine is the longest line, newline excluded, that Put writes and
+// replay reads; replay skips a longer one as damaged.
+const maxLine = 16 << 20
 
 // line is the on-disk form of one entry: a fingerprint key and an opaque
 // blob. The store never interprets the blob — callers own its schema
@@ -78,7 +83,8 @@ func Open(path string, o Options) (*Store, error) {
 
 // replay loads the backing file into the in-memory tier. Malformed lines —
 // including the partial trailing line a crash mid-append can leave behind —
-// and entries of another schema version are skipped.
+// lines longer than maxLine, and entries of another schema version are
+// skipped.
 func (s *Store) replay(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -86,7 +92,22 @@ func (s *Store) replay(path string) error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Buffer(make([]byte, 0, 64*1024), maxLine+1)
+	skipping := false // inside a line longer than maxLine
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		i := bytes.IndexByte(data, '\n')
+		switch {
+		case skipping && i < 0:
+			return len(data), nil, nil
+		case skipping:
+			skipping = false
+			return i + 1, nil, nil
+		case i < 0 && len(data) > maxLine:
+			skipping = true
+			return len(data), nil, nil
+		}
+		return bufio.ScanLines(data, atEOF)
+	})
 	for sc.Scan() {
 		var l line
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
@@ -145,6 +166,9 @@ func (s *Store) Put(key string, blob []byte) error {
 	rec, err := json.Marshal(line{V: entryVersion, Key: key, Blob: blob})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
+	}
+	if len(rec) > maxLine {
+		return fmt.Errorf("store: entry of %d bytes is longer than the %d-byte line limit", len(rec), maxLine)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -213,5 +214,25 @@ func TestTwoWritersShareOneFile(t *testing.T) {
 		if _, ok := c.Get(key); !ok {
 			t.Errorf("replay lost %q: one writer overwrote the other's line", key)
 		}
+	}
+}
+
+// A line longer than maxLine is one replay skips, so Put refuses to write
+// one: the entry would read back as missing after a reopen.
+func TestPutRefusesOverlongEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.jsonl")
+	st, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Put("big", []byte(`"`+strings.Repeat("x", maxLine)+`"`)); err == nil || !strings.Contains(err.Error(), "line limit") {
+		t.Fatalf("Put of an entry over %d bytes: got %v, want a line-limit error", maxLine, err)
+	}
+	if _, ok := st.Get("big"); ok {
+		t.Fatal("a refused entry is resident")
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+		t.Fatalf("a refused entry reached the file: %v, %v", fi, err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -217,65 +218,180 @@ func TestGraphDistanceMatchesBFS(t *testing.T) {
 	}
 }
 
+// randomDigraph is a seeded random digraph with None-padded ports: a
+// directed Hamiltonian cycle through a random node order keeps it strongly
+// connected, and up to three random extra out-links per node (duplicates
+// and self-loops left as None) shorten some paths.
+func randomDigraph(t *testing.T, n int) *Graph {
+	t.Helper()
+	rng := xrand.New(int64(n), 0)
+	order := make([]int32, n)
+	rng.Perm(order)
+	adj := make([][]int32, n)
+	for i, u := range order {
+		row := []int32{order[(i+1)%n], None, None, None}
+		for p := 1; p < len(row); p++ {
+			v := int32(rng.Intn(n))
+			if v != u && rng.Coin(0.6) && !slices.Contains(row, v) {
+				row[p] = v
+			}
+		}
+		adj[u] = row
+	}
+	return mustGraph(t)(NewGraph(fmt.Sprintf("random-digraph-%d", n), adj))
+}
+
+// allPairsDigraphSizes put the last batch of 64 sources at 2, 63, 64, 1 and
+// 2 wide.
+var allPairsDigraphSizes = []int{2, 63, 64, 65, 130}
+
+// checkScalar compares every distance and the diameter against the scalar
+// per-pair BFS.
+func checkScalar(t *testing.T, g *Graph) {
+	t.Helper()
+	diam := 0
+	for a := 0; a < g.Nodes(); a++ {
+		for b := 0; b < g.Nodes(); b++ {
+			want := BFSDistance(g, a, b)
+			if got := g.Distance(a, b); got != want {
+				t.Fatalf("%s: Distance(%d,%d) = %d, scalar BFS says %d", g.Name(), a, b, got, want)
+			}
+			diam = max(diam, want)
+		}
+	}
+	if g.Diameter() != diam {
+		t.Errorf("%s: Diameter() = %d, largest scalar distance is %d", g.Name(), g.Diameter(), diam)
+	}
+}
+
 // TestAllPairsBFSMatchesScalar checks the bit-parallel kernel against the
-// scalar per-pair BFS on seeded random directed graphs with None-padded
-// ports: distances are asymmetric, and the sizes put the last batch of 64
-// sources at 2, 63, 64, 1 and 2 wide.
+// scalar per-pair BFS on seeded random directed graphs: distances are
+// asymmetric.
 func TestAllPairsBFSMatchesScalar(t *testing.T) {
-	for _, n := range []int{2, 63, 64, 65, 130} {
-		rng := xrand.New(int64(n), 0)
-		// A directed Hamiltonian cycle through a random node order keeps the
-		// digraph strongly connected; up to three random extra out-links per
-		// node (duplicates and self-loops left as None) shorten some paths.
-		order := make([]int32, n)
-		rng.Perm(order)
-		adj := make([][]int32, n)
-		for i, u := range order {
-			row := []int32{order[(i+1)%n], None, None, None}
-			for p := 1; p < len(row); p++ {
-				v := int32(rng.Intn(n))
-				if v != u && rng.Coin(0.6) && !slices.Contains(row, v) {
-					row[p] = v
-				}
+	for _, n := range allPairsDigraphSizes {
+		checkScalar(t, randomDigraph(t, n))
+	}
+}
+
+// distDigest is a digest of a graph's distance table: its words, plane
+// count and diameter.
+func distDigest(g *Graph) string {
+	h := sha256.New()
+	d := g.Distances()
+	binary.Write(h, binary.LittleEndian, []int64{int64(d.Planes()), int64(g.Diameter())})
+	binary.Write(h, binary.LittleEndian, d.words)
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// TestAllPairsBFSAnyProcs: the blocks after the first are searched on
+// min(GOMAXPROCS, blocks-1) goroutines, so the table must be the same word
+// for word at one, two and three. The digests were recorded with the
+// serial, push-only search the parallel one replaced. The random digraphs
+// are the scalar-checked ones above; the directed ring of 1100 nodes keeps
+// a frontier of at most 64 < 1100/16 nodes, so every level pushes, while
+// the random-regular graphs pull their middle levels.
+func TestAllPairsBFSAnyProcs(t *testing.T) {
+	type spec struct {
+		name  string
+		build func() *Graph
+		pin   string
+	}
+	specs := []spec{
+		{"random-regular-512", func() *Graph { return mustGraph(t)(NewRandomRegular(512, 3, 1)) }, "db3a8011460d7feb"},
+		{"random-regular-1024", func() *Graph { return mustGraph(t)(NewRandomRegular(1024, 3, 1)) }, "12b4b1fa94050c29"},
+		{"random-regular-4096", func() *Graph { return mustGraph(t)(NewRandomRegular(MaxGraphNodes, 3, 1)) }, "273f83f0fe7fd87d"},
+		{"ring-1100", func() *Graph { return directedCycle(t, 1100) }, "37974201f40b69a1"},
+	}
+	for i, n := range allPairsDigraphSizes {
+		specs = append(specs, spec{fmt.Sprintf("random-digraph-%d", n), func() *Graph { return randomDigraph(t, n) },
+			[]string{"8f143a07e2aa249c", "886378f9c6516ce3", "076156f8ed4d31ad", "21c5d5527372bbbf", "db9c5c51fe7a1681"}[i]})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, sp := range specs {
+		for _, procs := range []int{1, 2, 3} {
+			runtime.GOMAXPROCS(procs)
+			if got := distDigest(sp.build()); got != sp.pin {
+				t.Errorf("%s at GOMAXPROCS=%d: table digest %s, pinned %s", sp.name, procs, got, sp.pin)
 			}
-			adj[u] = row
-		}
-		g := mustGraph(t)(NewGraph(fmt.Sprintf("random-digraph-%d", n), adj))
-		diam := 0
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				want := BFSDistance(g, a, b)
-				if got := g.Distance(a, b); got != want {
-					t.Fatalf("n=%d: Distance(%d,%d) = %d, scalar BFS says %d", n, a, b, got, want)
-				}
-				if want > diam {
-					diam = want
-				}
-			}
-		}
-		if g.Diameter() != diam {
-			t.Errorf("n=%d: Diameter() = %d, largest scalar distance is %d", n, g.Diameter(), diam)
 		}
 	}
 }
 
+// TestAllPairsBFSLaterBlockNeedsMorePlanes: the full table is allocated at
+// the planes of block 0, so a later block that reaches 2^Planes() must
+// still get every distance. Every node but 0 links to node 0, which links
+// to nodes 1..31 and to the head of the chain 64 -> 65 -> ... -> 199; node
+// i in 1..31 links on to 31+i, and node 1 also to 63. A node of block 0 is
+// at most three hops from anywhere (two planes), while chain node 64+j is
+// 2+j hops from node 1: blocks 1, 2 and 3 need seven, eight and eight
+// planes.
+func TestAllPairsBFSLaterBlockNeedsMorePlanes(t *testing.T) {
+	const n = 200
+	adj := make([][]int32, n)
+	for v := int32(1); v < 32; v++ {
+		adj[0] = append(adj[0], v)
+	}
+	adj[0] = append(adj[0], 64)
+	for u := 1; u < n; u++ {
+		adj[u] = []int32{0, None, None}
+		switch {
+		case u < 32:
+			adj[u][1] = int32(31 + u)
+		case u >= 64 && u < n-1:
+			adj[u][1] = int32(u + 1)
+		}
+	}
+	adj[1][2] = 63
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		g := mustGraph(t)(NewGraph(fmt.Sprintf("hub-chain@%d", procs), adj))
+		if g.Diameter() != 137 || g.Distances().Planes() != 8 {
+			t.Fatalf("GOMAXPROCS=%d: diameter %d on %d planes, want 137 on 8", procs, g.Diameter(), g.Distances().Planes())
+		}
+		checkScalar(t, g)
+	}
+}
+
 // TestAllPairsBFSLateBatchFailure: when every source of the first two
-// batches reaches every node, the third batch must still find the pair.
+// batches reaches every node, the third batch must still find the pair;
+// and when every node reaches the first destination block but not a later
+// one, the goroutines searching the later blocks must refuse the graph
+// with the same pair at any GOMAXPROCS.
 func TestAllPairsBFSLateBatchFailure(t *testing.T) {
 	// Nodes 0..137 form a directed ring, node 0 also feeds the two-node
 	// trap 138 <-> 139, so 138 is the lowest source with an unreachable
 	// destination and 0 the lowest such destination.
 	const ring = 138
-	adj := make([][]int32, ring+2)
+	trap := make([][]int32, ring+2)
 	for u := 0; u < ring; u++ {
-		adj[u] = []int32{int32((u + 1) % ring), None}
+		trap[u] = []int32{int32((u + 1) % ring), None}
 	}
-	adj[0][1] = ring
-	adj[ring] = []int32{ring + 1}
-	adj[ring+1] = []int32{ring}
-	_, err := NewGraph("late-trap", adj)
-	if want := "no path 138 -> 0"; err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("got error %v, want substring %q", err, want)
+	trap[0][1] = ring
+	trap[ring] = []int32{ring + 1}
+	trap[ring+1] = []int32{ring}
+	// Nodes 0..63 form a directed ring that nodes 64..199 all feed into
+	// through node 0 but never hear from: block 0 is reached from
+	// everywhere, and 0 -> 64 is the lowest pair with no path.
+	feed := make([][]int32, 200)
+	for u := range feed {
+		feed[u] = []int32{0}
+		if u < 64 {
+			feed[u][0] = int32((u + 1) % 64)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			name string
+			adj  [][]int32
+			want string
+		}{{"late-trap", trap, "no path 138 -> 0"}, {"feed", feed, "no path 0 -> 64"}} {
+			if _, err := NewGraph(c.name, c.adj); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s at GOMAXPROCS=%d: got error %v, want substring %q", c.name, procs, err, c.want)
+			}
+		}
 	}
 }
 
