@@ -39,18 +39,21 @@ const (
 // shuffle-exchange). Six central queues per node, plus injection and
 // delivery; at most 4n-3 hops per packet.
 type CCCAdaptive struct {
+	Derived
 	net     *topology.CCC
 	dynamic bool
 }
 
 // NewCCCAdaptive returns the adaptive CCC scheme of order dims.
-func NewCCCAdaptive(dims int) *CCCAdaptive {
-	return &CCCAdaptive{net: topology.NewCCC(dims), dynamic: true}
-}
+func NewCCCAdaptive(dims int) *CCCAdaptive { return newCCC(dims, true) }
 
 // NewCCCStatic returns the scheme without the phase-1 dynamic 1->0 links.
-func NewCCCStatic(dims int) *CCCAdaptive {
-	return &CCCAdaptive{net: topology.NewCCC(dims), dynamic: false}
+func NewCCCStatic(dims int) *CCCAdaptive { return newCCC(dims, false) }
+
+func newCCC(dims int, dynamic bool) *CCCAdaptive {
+	c := &CCCAdaptive{net: topology.NewCCC(dims), dynamic: dynamic}
+	c.Derived = Derive(c)
+	return c
 }
 
 func (c *CCCAdaptive) Name() string {
@@ -97,146 +100,74 @@ func (c *CCCAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
 	return c.entryClass(w, wd), 0
 }
 
-// ringMove builds the forward ring step for the given phase base class,
-// handling the dateline: the edge entering position 0 moves the packet from
-// channel 0 to channel 1. A packet stays fewer than n steps per ring visit,
-// so a second crossing cannot occur.
-func (c *CCCAdaptive) ringMove(node int32, base, cur QueueClass) Move {
-	next := c.net.Neighbor(int(node), topology.CCCRingPlus)
-	channel := cur - base
-	if c.net.Position(next) == 0 {
-		channel = 1
-	}
-	return Move{
-		Node: int32(next), Port: topology.CCCRingPlus,
-		Class: base + channel, Kind: Static, MinFree: 1,
-	}
-}
-
-// PortMask implements the PortMaskRouter fast path with the per-port
-// encoding (six classes outgrow the grouped shape). Every CCC candidate set
-// without an internal move is mask-eligible: a forced cube hop (whose target
-// class folds the phase change via entryClass), a ring step (dateline channel
-// via ringClass) optionally paired with the phase-1 dynamic cube link, or the
-// phase-3 ring alignment. The unreachable internal phase changes decline to
-// Candidates.
+// PortMask states the scheme in the per-port encoding (six classes outgrow
+// the grouped shape). Phase 1 takes a 0->1 correction the moment its
+// position comes up (a forced cube hop, whose target class folds the phase
+// change via entryClass: entering a new vertex cycle resets the channel,
+// and the last 0->1 fix proceeds straight into the next phase's queue);
+// otherwise it rides the cycle forward, and may fix an incorrect 1 early
+// through the dynamic cube link. Phase 2 does the same for the 1->0
+// corrections, and phase 3 rides the correct vertex's cycle to the target
+// position. The phase changes in place are unreachable fallbacks: phase
+// changes fold into cube hops.
 func (c *CCCAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
+		pm.Deliver = true
 		return false
 	}
 	w := int32(c.net.Vertex(int(node)))
 	i := c.net.Position(int(node))
 	wd := int32(c.net.Vertex(int(dst)))
 	bit := uint32(1) << uint(i)
-
+	pm.perPort(0)
 	switch class {
 	case ClassCCCP1C0, ClassCCCP1C1:
 		zeros := incorrectZeros(w, wd)
 		switch {
 		case zeros&bit != 0:
-			nw := w ^ int32(bit)
-			*pm = PortMasks{PerPort: true, StaticMask: 1 << topology.CCCCube}
-			pm.PortClass[topology.CCCCube] = c.entryClass(nw, wd)
-			return true
+			pm.StaticMask = 1 << topology.CCCCube
+			pm.PortClass[topology.CCCCube] = c.entryClass(w^int32(bit), wd)
 		case zeros != 0:
-			*pm = PortMasks{PerPort: true, StaticMask: 1 << topology.CCCRingPlus}
+			pm.StaticMask = 1 << topology.CCCRingPlus
 			pm.PortClass[topology.CCCRingPlus] = c.ringClass(node, ClassCCCP1C0, class)
 			if c.dynamic && incorrectOnes(w, wd)&bit != 0 {
 				pm.Dyn = 1 << topology.CCCCube
 				pm.DynClass = ClassCCCP1C0
 			}
-			return true
 		default:
-			return false // internal phase change
+			pm.only(ClassCCCP2C0, 0)
+			return false
 		}
 	case ClassCCCP2C0, ClassCCCP2C1:
 		ones := incorrectOnes(w, wd)
 		switch {
 		case ones&bit != 0:
-			nw := w ^ int32(bit)
-			*pm = PortMasks{PerPort: true, StaticMask: 1 << topology.CCCCube}
-			pm.PortClass[topology.CCCCube] = c.entryClass(nw, wd)
-			return true
+			pm.StaticMask = 1 << topology.CCCCube
+			pm.PortClass[topology.CCCCube] = c.entryClass(w^int32(bit), wd)
 		case ones != 0:
-			*pm = PortMasks{PerPort: true, StaticMask: 1 << topology.CCCRingPlus}
+			pm.StaticMask = 1 << topology.CCCRingPlus
 			pm.PortClass[topology.CCCRingPlus] = c.ringClass(node, ClassCCCP2C0, class)
-			return true
 		default:
-			return false // internal phase change
+			pm.only(ClassCCCP3C0, 0)
+			return false
 		}
 	case ClassCCCP3C0, ClassCCCP3C1:
-		*pm = PortMasks{PerPort: true, StaticMask: 1 << topology.CCCRingPlus}
+		pm.StaticMask = 1 << topology.CCCRingPlus
 		pm.PortClass[topology.CCCRingPlus] = c.ringClass(node, ClassCCCP3C0, class)
-		return true
+	default:
+		panic(fmt.Sprintf("ccc: invalid queue class %d", class))
 	}
-	return false
+	return true
 }
 
-// ringClass mirrors ringMove for the mask path: the class of the forward
-// ring step, accounting for the dateline crossing into channel 1.
+// ringClass returns the class of the forward ring step for the phase base
+// class and current channel, handling the dateline: the edge entering
+// position 0 moves the packet from channel 0 to channel 1. A packet stays
+// fewer than n steps per ring visit, so a second crossing cannot occur.
 func (c *CCCAdaptive) ringClass(node int32, base, cur QueueClass) QueueClass {
 	channel := cur - base
 	if c.net.Position(c.net.Neighbor(int(node), topology.CCCRingPlus)) == 0 {
 		channel = 1
 	}
 	return base + channel
-}
-
-func (c *CCCAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
-	}
-	w := int32(c.net.Vertex(int(node)))
-	i := c.net.Position(int(node))
-	wd := int32(c.net.Vertex(int(dst)))
-	bit := int32(1) << i
-
-	switch class {
-	case ClassCCCP1C0, ClassCCCP1C1:
-		zeros := incorrectZeros(w, wd)
-		switch {
-		case zeros&uint32(bit) != 0:
-			// Dimension i needs its 0->1 fix and this is the only position
-			// that can perform it: forced cube hop. Entering a new vertex
-			// cycle resets the channel; if this was the last 0->1 fix the
-			// packet proceeds straight into the next phase's queue.
-			nw := w ^ bit
-			return append(buf, Move{
-				Node: int32(c.net.NodeAt(int(nw), i)), Port: topology.CCCCube,
-				Class: c.entryClass(nw, wd), Kind: Static, MinFree: 1,
-			})
-		case zeros != 0:
-			// More 0->1 fixes ahead: ride the cycle forward; optionally fix
-			// an incorrect 1 early through the dynamic cube link.
-			buf = append(buf, c.ringMove(node, ClassCCCP1C0, class))
-			if c.dynamic && incorrectOnes(w, wd)&uint32(bit) != 0 {
-				buf = append(buf, Move{
-					Node: int32(c.net.NodeAt(int(w^bit), i)), Port: topology.CCCCube,
-					Class: ClassCCCP1C0, Kind: Dynamic, MinFree: 1,
-				})
-			}
-			return buf
-		default:
-			// Unreachable fallback: phase changes fold into cube hops.
-			return append(buf, Move{Node: node, Port: PortInternal, Class: ClassCCCP2C0, Kind: Static, MinFree: 1})
-		}
-	case ClassCCCP2C0, ClassCCCP2C1:
-		ones := incorrectOnes(w, wd)
-		switch {
-		case ones&uint32(bit) != 0:
-			nw := w ^ bit
-			return append(buf, Move{
-				Node: int32(c.net.NodeAt(int(nw), i)), Port: topology.CCCCube,
-				Class: c.entryClass(nw, wd), Kind: Static, MinFree: 1,
-			})
-		case ones != 0:
-			return append(buf, c.ringMove(node, ClassCCCP2C0, class))
-		default:
-			return append(buf, Move{Node: node, Port: PortInternal, Class: ClassCCCP3C0, Kind: Static, MinFree: 1})
-		}
-	case ClassCCCP3C0, ClassCCCP3C1:
-		// Vertex correct; ride forward to the destination position.
-		return append(buf, c.ringMove(node, ClassCCCP3C0, class))
-	}
-	panic(fmt.Sprintf("ccc: invalid queue class %d", class))
 }

@@ -67,11 +67,11 @@ func TestCCCRideAndDynamic(t *testing.T) {
 func TestCCCDateline(t *testing.T) {
 	c := NewCCCAdaptive(4)
 	net := c.net
-	mv := c.ringMove(int32(net.NodeAt(5, 3)), ClassCCCP2C0, ClassCCCP2C0)
+	mv := ringMove(c, int32(net.NodeAt(5, 3)), ClassCCCP2C0, ClassCCCP2C0)
 	if mv.Node != int32(net.NodeAt(5, 0)) || mv.Class != ClassCCCP2C1 {
 		t.Errorf("dateline crossing: %+v", mv)
 	}
-	mv = c.ringMove(int32(net.NodeAt(5, 1)), ClassCCCP2C0, ClassCCCP2C1)
+	mv = ringMove(c, int32(net.NodeAt(5, 1)), ClassCCCP2C0, ClassCCCP2C1)
 	if mv.Node != int32(net.NodeAt(5, 2)) || mv.Class != ClassCCCP2C1 {
 		t.Errorf("channel must persist off the dateline: %+v", mv)
 	}
@@ -123,5 +123,13 @@ func TestCCCHopBound(t *testing.T) {
 	c := NewCCCAdaptive(5)
 	if got := c.MaxHops(0, 1); got != 20 {
 		t.Errorf("MaxHops = %d, want 4n = 20", got)
+	}
+}
+
+// ringMove is the forward ring step of the given phase as a Move.
+func ringMove(c *CCCAdaptive, node int32, base, cur QueueClass) Move {
+	return Move{
+		Node: int32(c.net.Neighbor(int(node), topology.CCCRingPlus)), Port: topology.CCCRingPlus,
+		Class: c.ringClass(node, base, cur),
 	}
 }

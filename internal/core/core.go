@@ -8,7 +8,8 @@
 // The package provides:
 //
 //   - the Algorithm interface shared by the simulators, the QDG verifier and
-//     the experiment harness;
+//     the experiment harness, whose one statement of an algorithm's moves is
+//     PortMask, and the Move listing Candidates derives from it;
 //   - the fully-adaptive minimal mesh algorithm of Section 4 (generalized to
 //     k dimensions) and its ablations (two-phase without dynamic links,
 //     dimension-order with directional queues); on the mesh whose sides are
@@ -21,7 +22,11 @@
 //     flow control.
 package core
 
-import "repro/internal/topology"
+import (
+	"math/bits"
+
+	"repro/internal/topology"
+)
 
 // QueueClass identifies one of a node's central routing queues. Classes are
 // numbered 0..NumClasses-1; injection and delivery queues are handled
@@ -54,16 +59,20 @@ func (k LinkKind) String() string {
 // changes, delivery, and self-loop shuffle steps).
 const PortInternal = -1
 
-// Move is one candidate next placement for a packet, as produced by
-// Algorithm.Candidates. A remote move names the physical output port; an
-// internal move (Port == PortInternal) transfers the packet between queues
-// of the same node without using a link.
+// MaxPorts is the most ports per node an algorithm can route: one bit of a
+// PortMasks word each.
+const MaxPorts = 64
+
+// Move is one candidate next placement for a packet, as listed by
+// Candidates. A remote move names the physical output port; an internal
+// move (Port == PortInternal) transfers the packet between queues of the
+// same node without using a link. Every move needs one free slot in its
+// target queue; a credited move needs Credit (see below).
 type Move struct {
 	Node    int32      // node holding the target queue
 	Port    int16      // output port from the current node, or PortInternal
 	Class   QueueClass // target queue class (meaningless when Deliver)
 	Kind    LinkKind   // static or dynamic transition
-	MinFree uint8      // free slots required in the target queue (>= 1)
 	Credit  uint8      // credited flow control (see below); 0 for normal moves
 	Deliver bool       // consume the packet at Node instead of queueing it
 	Work    uint32     // packet scratch state after taking this move
@@ -89,22 +98,18 @@ type Props struct {
 	// FullyAdaptive algorithms offer, at injection time, every minimal
 	// first hop as a candidate (the paper's definition of full adaptivity).
 	FullyAdaptive bool
-	// AtomicOnly algorithms rely on MinFree > 1 conditions (bubble flow
-	// control) whose check-then-move must be atomic; they run on the atomic
-	// engine only.
-	AtomicOnly bool
-	// Credits marks algorithms that emit credited moves (Move.Credit > 0,
-	// the buffered-engine form of bubble reservations). Their target-queue
-	// occupancy is read remotely at claim time, so the buffered engine must
-	// maintain it with atomics; credit-free algorithms get plain counters.
+	// Credits marks algorithms that emit credited moves (PortMasks.Credit,
+	// the buffered-engine form of bubble reservations). A credited claim
+	// reads the occupancy of a queue at another node, so the buffered
+	// engine runs such algorithms on one worker.
 	Credits bool
 }
 
 // Algorithm is a routing function in the sense of Section 2, expressed
-// operationally: given a packet's current queue and destination, Candidates
-// enumerates the legal next placements. Implementations must be stateless
-// with respect to packets (all per-packet state lives in the Work word) and
-// safe for concurrent use.
+// operationally: given a packet's current queue and destination, PortMask
+// states the legal next placements. Implementations must be stateless with
+// respect to packets (all per-packet state lives in the Work word) and safe
+// for concurrent use.
 type Algorithm interface {
 	// Name returns a short identifier such as "hypercube-adaptive".
 	Name() string
@@ -124,17 +129,15 @@ type Algorithm interface {
 	// routing function applied to the injection queue.
 	Inject(src, dst int32) (QueueClass, uint32)
 
-	// Candidates appends to buf the legal moves for a packet in queue
-	// (node, class) with scratch work, destined to dst, and returns the
-	// extended slice. The engines guarantee buf has length 0; Candidates
-	// must not retain it. Moves must be emitted in low-to-high port order
-	// among remote moves, so the FirstFree selection policy matches the
-	// paper's "fills its output buffers from low to high dimensions".
-	//
-	// The returned set must be non-empty (possibly a Deliver move) for any
-	// state reachable from an Inject result, and must contain at least one
-	// Static move: the routing-function constraint that guarantees every
-	// packet can always progress through the underlying DAG.
+	// PortMask is the routing function itself: the one statement of an
+	// algorithm's moves, which the engines run and Candidates lists.
+	PortMaskRouter
+
+	// Candidates appends to buf the moves PortMask encodes and returns the
+	// extended slice. Every implementation gets it by embedding Derived,
+	// which runs the package function Candidates; it stays a method because
+	// code outside this module's packages (the benchmark's layer loops)
+	// calls it on an Algorithm.
 	Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move
 
 	// MaxHops bounds the number of link traversals a packet from src to dst
@@ -145,19 +148,20 @@ type Algorithm interface {
 	Props() Props
 }
 
-// PortMasks describes a candidate set as port bitmasks: one uncredited,
-// MinFree-1 remote move per set bit — exactly the moves Candidates emits, in
-// ascending port order. Two encodings share the struct:
+// PortMasks is the candidate set of a packet in one state: one remote move
+// per set port bit, in ascending port order, preceded by the internal moves
+// or replaced by delivery. Two encodings share the port fields:
 //
-//   - Grouped (PerPort false; the two-phase mesh schemes): bit t of Static[c]
-//     is a static move through port t into class c. Usable when the
-//     algorithm has at most 4 central queues and its static moves cluster
-//     by target class; consumers recover the class by scanning the four
-//     masks, which for the two-class schemes is a one-probe loop.
+//   - Grouped (PerPort false; the two-phase mesh schemes and the
+//     shuffle-exchange): bit t of Static[c] is a static move through port t
+//     into class c. Usable when the algorithm has at most 4 central queues;
+//     consumers recover the class by scanning the four masks, which for the
+//     two-class schemes is a one-probe loop.
 //   - Per-port (PerPort true): bit t of StaticMask is a static move through
 //     port t into PortClass[t]. Used when the class structure outgrows the
 //     grouped shape (the torus's 2^(k+1) wrap classes, the CCC's six phase
-//     classes).
+//     classes, the hop classes of e-cube and graph-adaptive, mesh-xy's
+//     direction classes).
 //
 // In both encodings bit t of Dyn is a dynamic move through port t into
 // DynClass; the static masks and Dyn must be pairwise disjoint. Work is the
@@ -166,22 +170,35 @@ type Algorithm interface {
 // work-free hypercube and mesh schemes); they differ for the
 // shuffle-exchange, whose deferred 1->0 corrections advance the shuffle
 // count on the static shuffle step but not on the dynamic exchange.
+//
+// A set whose moves are all remote and uncredited is plain, and PortMask
+// reports it as such: the special fields below are then left unwritten.
+// Otherwise Deliver says the packet has arrived (delivery is its only move,
+// and no other field is read), or Internal counts the internal moves that
+// precede the port moves and Credit is the credit of every static port move.
 type PortMasks struct {
-	Static   [4]uint32 // grouped encoding: static moves into class c
-	Dyn      uint32    // dynamic moves (through the shared dynamic buffer)
-	DynClass QueueClass
+	Static     [4]uint64 // grouped encoding: static moves into class c
+	Dyn        uint64    // dynamic moves (through the shared dynamic buffer)
+	StaticMask uint64    // per-port encoding: union of static move ports
+	Work       uint32    // scratch after a static move
+	DynWork    uint32    // scratch after a dynamic move
+	DynClass   QueueClass
 	// PerPort selects the per-port encoding: static moves come from
 	// StaticMask/PortClass and the Static array is ignored.
-	PerPort    bool
-	Work       uint32         // scratch after a static move
-	DynWork    uint32         // scratch after a dynamic move
-	StaticMask uint32         // per-port encoding: union of static move ports
-	PortClass  [32]QueueClass // per-port encoding: target class per port
+	PerPort bool
+
+	Deliver  bool          // the packet is at its destination
+	Credit   uint8         // credited flow control of the static port moves
+	Internal uint8         // internal moves, at most 2
+	IntClass [2]QueueClass // target of internal move i; the current class for an in-place step
+	IntWork  [2]uint32     // scratch after internal move i
+
+	PortClass [MaxPorts]QueueClass // per-port encoding: target class per port
 }
 
 // StaticUnion returns the union of the static port masks under either
 // encoding.
-func (pm *PortMasks) StaticUnion() uint32 {
+func (pm *PortMasks) StaticUnion() uint64 {
 	if pm.PerPort {
 		return pm.StaticMask
 	}
@@ -201,25 +218,108 @@ func (pm *PortMasks) StaticClass(t int) QueueClass {
 	return c
 }
 
-// PortMaskRouter is an optional fast path for Algorithm implementations
-// whose candidate sets from some states have the PortMasks shape (no
-// internal, credited, or delivery moves, at most one scratch value per link
-// kind). For every other state PortMask reports ok == false and the caller
-// must fall back to Candidates. The fallback is per state, not per run: a
-// partial implementor may decline any subset of states and the engines
-// route exactly those packets through Candidates within the same cycle, so
-// declining is always safe (the engine tests pin this with an implementor
-// that declines half its states).
-//
-// The simulators use the interface to route their hottest scan without
-// materializing Move values; implementations must keep it exactly
-// consistent with Candidates, which the portmask property tests and the
-// engine determinism tests cross-check. The result is written through pm
-// (caller-owned scratch that the implementation fully overwrites on a true
-// return) rather than returned, keeping the per-packet call free of a
-// by-value struct copy.
+// Class returns the target class of the move through port t, static or
+// dynamic, and whether it is dynamic.
+func (pm *PortMasks) Class(t int) (QueueClass, bool) {
+	if pm.Dyn>>uint(t)&1 != 0 {
+		return pm.DynClass, true
+	}
+	return pm.StaticClass(t), false
+}
+
+// grouped starts a plain grouped set with no static move yet, the dynamic
+// moves dyn into dynClass, and zero scratch.
+func (pm *PortMasks) grouped(dyn uint64, dynClass QueueClass) {
+	pm.Static = [4]uint64{}
+	pm.Dyn, pm.DynClass = dyn, dynClass
+	pm.PerPort = false
+	pm.Work, pm.DynWork = 0, 0
+}
+
+// perPort starts a plain per-port set with no static move yet, no dynamic
+// move, and scratch work after every move.
+func (pm *PortMasks) perPort(work uint32) {
+	pm.StaticMask, pm.Dyn = 0, 0
+	pm.PerPort = true
+	pm.Work, pm.DynWork = work, work
+}
+
+// special clears the special fields, for a set PortMask reports as not
+// plain.
+func (pm *PortMasks) special() {
+	pm.Deliver, pm.Credit, pm.Internal = false, 0, 0
+}
+
+// internal appends an internal move into class with scratch work.
+func (pm *PortMasks) internal(class QueueClass, work uint32) {
+	pm.IntClass[pm.Internal], pm.IntWork[pm.Internal] = class, work
+	pm.Internal++
+}
+
+// only makes pm the single internal move into class with scratch work.
+func (pm *PortMasks) only(class QueueClass, work uint32) {
+	pm.perPort(0)
+	pm.special()
+	pm.internal(class, work)
+}
+
+// PortMaskRouter is the routing function as port bitmasks.
 type PortMaskRouter interface {
+	// PortMask writes the candidate set of a packet in queue (node, class)
+	// with scratch work, destined to dst, to pm (caller-owned scratch; the
+	// result is written through it rather than returned, keeping the
+	// per-packet call free of a by-value struct copy) and reports whether
+	// the set is plain. The set must be non-empty for any state reachable
+	// from an Inject result, and must contain at least one static move (or
+	// delivery): the routing-function constraint that guarantees every
+	// packet can always progress through the underlying DAG. Ports come in
+	// ascending order, so the FirstFree selection policy matches the paper's
+	// "fills its output buffers from low to high dimensions".
 	PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool
+}
+
+// Candidates lists, appended to buf, the moves PortMask encodes for a
+// packet in queue (node, class) with scratch work, destined to dst: the
+// delivery alone, or the internal moves followed by one remote move per
+// port in ascending port order. It is the Move-level view of the routing
+// function, which the QDG verifier certifies and diagnostics print; since
+// it is derived from PortMask and nothing else, the certificate covers the
+// moves the engines run.
+func Candidates(a Algorithm, node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
+	var pm PortMasks
+	credit := uint8(0)
+	if !a.PortMask(node, class, work, dst, &pm) {
+		if pm.Deliver {
+			return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, Deliver: true, Work: work})
+		}
+		for i := 0; i < int(pm.Internal); i++ {
+			buf = append(buf, Move{Node: node, Port: PortInternal, Class: pm.IntClass[i], Kind: Static, Work: pm.IntWork[i]})
+		}
+		credit = pm.Credit
+	}
+	t := a.Topology()
+	for m := pm.StaticUnion() | pm.Dyn; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		mv := Move{Node: int32(t.Neighbor(int(node), p)), Port: int16(p), Class: pm.DynClass, Kind: Dynamic, Work: pm.DynWork}
+		if pm.Dyn>>uint(p)&1 == 0 {
+			mv.Class, mv.Kind, mv.Work, mv.Credit = pm.StaticClass(p), Static, pm.Work, credit
+		}
+		buf = append(buf, mv)
+	}
+	return buf
+}
+
+// Derived gives an algorithm its Candidates method, the package function
+// Candidates over the algorithm's own PortMask. An algorithm embeds it and
+// sets it to Derive(itself) when it is built.
+type Derived struct{ a Algorithm }
+
+// Derive returns the Derived of a.
+func Derive(a Algorithm) Derived { return Derived{a} }
+
+// Candidates lists the moves of a's PortMask (see the package function).
+func (d Derived) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
+	return Candidates(d.a, node, class, work, dst, buf)
 }
 
 // Packet is a message in flight. Engines copy packets by value; the struct

@@ -24,7 +24,8 @@ import (
 //
 // All candidates are static, so every state is already maximally adaptive;
 // there is no room for dynamic links without widening the per-hop class
-// fan-out beyond what PortMasks can encode.
+// fan-out beyond what PortMasks can encode. A node has at most MaxPorts
+// ports.
 //
 // The routing relation over a static digraph is a pure function of
 // (node, destination) and of one table, the all-pairs BFS distances, so
@@ -44,6 +45,7 @@ import (
 // fits the cache the distance table does (EXPERIMENTS.md, "What a graph
 // spec costs").
 type GraphAdaptive struct {
+	Derived
 	t     topology.Topology
 	diam  int
 	n     int
@@ -65,11 +67,15 @@ func NewGraphAdaptive(t topology.Topology) (*GraphAdaptive, error) {
 	if t == nil {
 		return nil, fmt.Errorf("core: graph-adaptive: nil topology")
 	}
+	if t.Ports() > MaxPorts {
+		return nil, fmt.Errorf("core: graph-adaptive: %s has %d ports, above the %d a port mask holds", t.Name(), t.Ports(), MaxPorts)
+	}
 	a := &GraphAdaptive{
 		t:     t,
 		n:     t.Nodes(),
 		ports: t.Ports(),
 	}
+	a.Derived = Derive(a)
 	if g, ok := t.(*topology.Graph); ok {
 		a.diam = g.Diameter()
 		a.nbr = g.FlatNeighbors()
@@ -116,7 +122,7 @@ func (a *GraphAdaptive) hops(node, dst int32) (nbr []int32, blk []uint64, sh uin
 	return a.nbr[int(node)*a.ports : (int(node)+1)*a.ports], a.dist.Block(int(dst)), uint(dst) & 63
 }
 
-// closer returns the mask of the ports in nbr (at most 64) whose endpoint
+// closer returns the mask of the ports in nbr (at most MaxPorts) whose endpoint
 // is one hop closer than node to the destination at bit sh of blk. The
 // wanted distance d(node)-1 is w, the node's P words decremented: plane b
 // flips where every lower plane is 0. A port is minimal iff its endpoint's
@@ -200,43 +206,23 @@ func (a *GraphAdaptive) closer(nbr []int32, blk []uint64, node int32, sh uint) u
 	return ^miss & (1<<uint(len(nbr)) - 1)
 }
 
-func (a *GraphAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
-	}
-	nbr, blk, sh := a.hops(node, dst)
-	for p0 := 0; p0 < len(nbr); p0 += 64 {
-		for m := a.closer(nbr[p0:min(p0+64, len(nbr))], blk, node, sh); m != 0; m &= m - 1 {
-			p := p0 + bits.TrailingZeros64(m)
-			buf = append(buf, Move{
-				Node: nbr[p], Port: int16(p), Class: class + 1, Kind: Static, MinFree: 1,
-			})
-		}
-	}
-	return buf
-}
-
-// PortMask implements PortMaskRouter with the per-port encoding: every
-// state except delivery is mask-shaped (uncredited static moves only, one
-// shared target class per hop layer), as long as the ports fit the 32-bit
-// masks; a wider topology routes through Candidates. Only the fields the
-// per-port encoding defines are written (StaticMask, Dyn, Work, PerPort,
-// and PortClass at set bits — everything a consumer of a PerPort mask with
-// Dyn == 0 reads).
+// PortMask states the scheme in the per-port encoding: every state but
+// delivery is plain (static moves only, one shared target class per hop
+// layer). Only the fields the per-port encoding defines are written
+// (StaticMask, Dyn, Work, PerPort, and PortClass at set bits — everything a
+// consumer of a PerPort mask with Dyn == 0 reads).
 func (a *GraphAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
-	if a.ports > 32 || node == dst {
+	if node == dst {
+		pm.Deliver = true
 		return false
 	}
 	nbr, blk, sh := a.hops(node, dst)
-	mask := uint32(a.closer(nbr, blk, node, sh))
-	pm.PerPort = true
+	mask := a.closer(nbr, blk, node, sh)
+	pm.perPort(0)
 	pm.StaticMask = mask
-	pm.Dyn = 0
-	pm.Work = 0
-	pm.DynWork = 0
 	nc := class + 1
 	for m := mask; m != 0; m &= m - 1 {
-		pm.PortClass[bits.TrailingZeros32(m)] = nc
+		pm.PortClass[bits.TrailingZeros64(m)] = nc
 	}
 	return true
 }

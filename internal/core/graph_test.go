@@ -108,7 +108,8 @@ func TestGraphAdaptiveMinimalAndFullyAdaptive(t *testing.T) {
 }
 
 // TestGraphAdaptivePortMaskConsistency: PortMask must describe exactly the
-// Candidates set for every state it accepts, and decline delivery states.
+// Candidates set for every routable state, and report delivery states as
+// not plain.
 func TestGraphAdaptivePortMaskConsistency(t *testing.T) {
 	df, dferr := topology.NewDragonfly(4, 9)
 	a := graphAlgo(t, df, dferr)
@@ -121,21 +122,21 @@ func TestGraphAdaptivePortMaskConsistency(t *testing.T) {
 			for class := core.QueueClass(0); int(class) < a.NumClasses()-1; class++ {
 				ok := a.PortMask(int32(node), class, 0, int32(dst), &pm)
 				if node == dst {
-					if ok {
-						t.Fatalf("PortMask accepted delivery state at node %d", node)
+					if ok || !pm.Deliver {
+						t.Fatalf("PortMask does not deliver at node %d: plain=%v %+v", node, ok, pm)
 					}
 					continue
 				}
 				if !ok {
-					t.Fatalf("PortMask declined routable state (%d,c%d)->%d", node, class, dst)
+					t.Fatalf("PortMask reports routable state (%d,c%d)->%d as not plain", node, class, dst)
 				}
 				buf = a.Candidates(int32(node), class, 0, int32(dst), buf[:0])
-				var want uint32
+				var want uint64
 				for _, m := range buf {
 					want |= 1 << uint(m.Port)
 				}
 				if pm.StaticMask != want || pm.Dyn != 0 || !pm.PerPort {
-					t.Fatalf("state (%d,c%d)->%d: mask %032b, want %032b dyn=0 perport", node, class, dst, pm.StaticMask, want)
+					t.Fatalf("state (%d,c%d)->%d: mask %064b, want %064b dyn=0 perport", node, class, dst, pm.StaticMask, want)
 				}
 				for _, m := range buf {
 					if pm.PortClass[m.Port] != m.Class {
@@ -268,9 +269,9 @@ func (c complete) Distance(a, b int) int {
 // over Neighbor. For every (node, class, dst), PortMask, Candidates and
 // MaxHops must equal the reference exactly — on the undirected seed grid,
 // on directed graphs with asymmetric distances and None-padded ports (a
-// transposed table index passes the former and fails the latter), and on a
-// topology wider than 32 ports, where PortMask must decline and Candidates
-// alone carries the routing.
+// transposed table index passes the former and fails the latter), and on
+// topologies wider than 32 ports, whose masks need the upper half of the
+// word, up to all 64 bits.
 func TestGraphAdaptiveMatchesBruteForce(t *testing.T) {
 	grid := seedGrid(t)
 	directed := map[string]bool{}
@@ -280,6 +281,7 @@ func TestGraphAdaptiveMatchesBruteForce(t *testing.T) {
 		directed[g.Spec()] = true
 	}
 	grid["complete(40)"] = complete(40)
+	grid["complete(65)"] = complete(65) // 64 ports: the whole mask word
 	for name, top := range grid {
 		t.Run(name, func(t *testing.T) {
 			a, err := core.NewGraphAdaptive(top)
@@ -317,17 +319,17 @@ func TestGraphAdaptiveMatchesBruteForce(t *testing.T) {
 					}
 					for class := core.QueueClass(0); int(class) < a.NumClasses()-1; class++ {
 						want = want[:0]
-						wantMask := uint32(0)
+						wantMask := uint64(0)
 						if node == dst {
-							want = append(want, core.Move{Node: int32(node), Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+							want = append(want, core.Move{Node: int32(node), Port: core.PortInternal, Kind: core.Static, Deliver: true})
 						} else {
 							for p := 0; p < ports; p++ {
 								v := top.Neighbor(node, p)
 								if v == topology.None || dist[v][dst] != dist[node][dst]-1 {
 									continue
 								}
-								want = append(want, core.Move{Node: int32(v), Port: int16(p), Class: class + 1, Kind: core.Static, MinFree: 1})
-								wantMask |= 1 << (uint(p) % 32)
+								want = append(want, core.Move{Node: int32(v), Port: int16(p), Class: class + 1, Kind: core.Static})
+								wantMask |= 1 << uint(p)
 							}
 							if len(want) == 0 {
 								t.Fatalf("reference has no minimal hop at (%d)->%d", node, dst)
@@ -338,14 +340,14 @@ func TestGraphAdaptiveMatchesBruteForce(t *testing.T) {
 							t.Fatalf("state (%d,c%d)->%d: Candidates %+v, reference %+v", node, class, dst, got, want)
 						}
 						ok := a.PortMask(int32(node), class, 0, int32(dst), &pm)
-						if wantOK := ports <= 32 && node != dst; ok != wantOK {
+						if wantOK := node != dst; ok != wantOK {
 							t.Fatalf("state (%d,c%d)->%d: PortMask returned %v, want %v", node, class, dst, ok, wantOK)
 						}
 						if !ok {
 							continue
 						}
 						if !pm.PerPort || pm.StaticMask != wantMask || pm.Dyn != 0 || pm.Work != 0 {
-							t.Fatalf("state (%d,c%d)->%d: mask %+v, reference static mask %032b", node, class, dst, pm, wantMask)
+							t.Fatalf("state (%d,c%d)->%d: mask %+v, reference static mask %064b", node, class, dst, pm, wantMask)
 						}
 						for _, m := range want {
 							if pm.PortClass[m.Port] != m.Class {
@@ -417,10 +419,10 @@ func TestGraphAdaptiveManyPlanes(t *testing.T) {
 					continue
 				}
 				var want []core.Move
-				wantMask := uint32(0)
+				wantMask := uint64(0)
 				for p, v := range []int{(node + n - 1) % n, (node + 1) % n} {
 					if dist(v, dst) == d-1 {
-						want = append(want, core.Move{Node: int32(v), Port: int16(p), Class: 1, Kind: core.Static, MinFree: 1})
+						want = append(want, core.Move{Node: int32(v), Port: int16(p), Class: 1, Kind: core.Static})
 						wantMask |= 1 << p
 					}
 				}
@@ -429,10 +431,18 @@ func TestGraphAdaptiveManyPlanes(t *testing.T) {
 					t.Fatalf("ring-%d (%d)->%d: Candidates %+v, want %+v", n, node, dst, got, want)
 				}
 				if !a.PortMask(int32(node), 0, 0, int32(dst), &pm) || pm.StaticMask != wantMask {
-					t.Fatalf("ring-%d (%d)->%d: mask %032b, want %032b", n, node, dst, pm.StaticMask, wantMask)
+					t.Fatalf("ring-%d (%d)->%d: mask %064b, want %064b", n, node, dst, pm.StaticMask, wantMask)
 				}
 			}
 		}
+	}
+}
+
+// TestGraphAdaptiveRefusesWideNodes: a node of 65 ports does not fit a
+// port mask.
+func TestGraphAdaptiveRefusesWideNodes(t *testing.T) {
+	if _, err := core.NewGraphAdaptive(complete(66)); err == nil || !strings.Contains(err.Error(), "has 65 ports, above the 64 a port mask holds") {
+		t.Errorf("complete(66): got error %v, want the port-mask refusal", err)
 	}
 }
 

@@ -22,8 +22,7 @@ const (
 // 0 remains a packet changes to phase B (queue q_B) and corrects the
 // remaining incorrect 1s through static links.
 func NewHypercubeAdaptive(dims int) *MeshAdaptive {
-	a := hung("hypercube-adaptive", topology.NewHypercube(dims))
-	return &a
+	return hungAdaptive("hypercube-adaptive", topology.NewHypercube(dims))
 }
 
 // NewHypercubeHung returns the underlying acyclic scheme of Section 3
@@ -33,7 +32,7 @@ func NewHypercubeAdaptive(dims int) *MeshAdaptive {
 // paper's implicit ablation baseline for the dynamic links, and the mesh
 // two-phase scheme on the mesh whose sides are all 2.
 func NewHypercubeHung(dims int) *MeshTwoPhase {
-	return &MeshTwoPhase{inner: hung("hypercube-hung", topology.NewHypercube(dims))}
+	return hungStatic("hypercube-hung", topology.NewHypercube(dims))
 }
 
 // incorrectZeros returns the mask of dimensions where cur has a 0 that must
@@ -56,12 +55,15 @@ func incorrectOnes(cur, dst int32) uint32 { return uint32(cur &^ dst) }
 // above it is not a mesh scheme on the side-2 mesh: mesh-xy there would use
 // 2*dims direction classes, not dims+1 hop classes.
 type HypercubeECube struct {
+	Derived
 	cube *topology.Mesh
 }
 
 // NewHypercubeECube returns the oblivious dimension-order hypercube baseline.
 func NewHypercubeECube(dims int) *HypercubeECube {
-	return &HypercubeECube{cube: topology.NewHypercube(dims)}
+	h := &HypercubeECube{cube: topology.NewHypercube(dims)}
+	h.Derived = Derive(h)
+	return h
 }
 
 func (h *HypercubeECube) Name() string                { return "hypercube-ecube" }
@@ -81,12 +83,16 @@ func (h *HypercubeECube) Inject(src, dst int32) (QueueClass, uint32) {
 	return 0, 0
 }
 
-func (h *HypercubeECube) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
+// PortMask offers the one move of dimension order in the per-port
+// encoding: the lowest incorrect dimension, into the next hop class.
+func (h *HypercubeECube) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
-	t := bits.TrailingZeros32(uint32(node ^ dst)) // lowest incorrect dimension
-	return append(buf, Move{
-		Node: node ^ 1<<t, Port: int16(t), Class: class + 1, Kind: Static, MinFree: 1,
-	})
+	t := bits.TrailingZeros32(uint32(node ^ dst))
+	pm.perPort(0)
+	pm.StaticMask = 1 << uint(t)
+	pm.PortClass[t] = class + 1
+	return true
 }

@@ -17,6 +17,7 @@ import (
 // node, plus injection and delivery. On the mesh whose sides are all 2 it is
 // the hypercube algorithm of Section 3 (NewHypercubeAdaptive).
 type MeshAdaptive struct {
+	Derived
 	mesh   *topology.Mesh
 	name   string
 	binary bool // every side is 2: coordinates are address bits, port i is dimension i
@@ -29,7 +30,13 @@ func hung(name string, mesh *topology.Mesh) MeshAdaptive {
 
 // NewMeshAdaptive returns the Section 4 algorithm on a k-dimensional mesh.
 func NewMeshAdaptive(shape ...int) *MeshAdaptive {
-	a := hung("mesh-adaptive", topology.NewMesh(shape...))
+	return hungAdaptive("mesh-adaptive", topology.NewMesh(shape...))
+}
+
+// hungAdaptive returns the two-phase scheme with its dynamic links.
+func hungAdaptive(name string, mesh *topology.Mesh) *MeshAdaptive {
+	a := hung(name, mesh)
+	a.Derived = Derive(&a)
 	return &a
 }
 
@@ -69,44 +76,46 @@ func (m *MeshAdaptive) hasAscending(cur, dst int) bool {
 	return false
 }
 
-// PortMask implements the PortMaskRouter fast path with the grouped
-// encoding. Phase A offers one static ascending move per dimension still
-// below its target — all into q_A, except that a single ascending dimension
-// one step from its target makes every ascending move the last phase-A
-// correction, entering q_B — plus one dynamic descending move per dimension
-// above its target. Phase B is one static q_B move per descending
-// dimension. Only the internal phase change (no ascent left in q_A,
-// unreachable in normal operation) falls back to Candidates.
+// PortMask states the scheme in the grouped encoding. Phase A offers one
+// static ascending move per dimension still below its target — all into
+// q_A, except that a single ascending dimension one step from its target
+// makes every ascending move the last phase-A correction, entering q_B —
+// plus one dynamic descending move per dimension above its target. Phase B
+// is one static q_B move per descending dimension. A phase-A packet with no
+// ascent left (unreachable: the last ascending correction enters q_B on
+// arrival) changes phase in place.
 func (m *MeshAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
+		pm.Deliver = true
 		return false
+	}
+	if class > ClassB {
+		panic(fmt.Sprintf("%s: invalid queue class %d", m.name, class))
 	}
 	if m.binary {
 		// Incorrect 0s ascend and incorrect 1s descend, one step each, so
 		// a single incorrect 0 is the last phase-A correction. Each class
 		// computes only the masks it offers.
-		switch class {
-		case ClassA:
-			zeros := incorrectZeros(node, dst)
-			if zeros == 0 {
-				return false
-			}
-			*pm = PortMasks{Dyn: incorrectOnes(node, dst), DynClass: ClassA}
-			if zeros&(zeros-1) == 0 {
-				pm.Static[ClassB] = zeros
-			} else {
-				pm.Static[ClassA] = zeros
-			}
-			return true
-		case ClassB:
-			*pm = PortMasks{}
-			pm.Static[ClassB] = incorrectOnes(node, dst)
+		if class == ClassB {
+			pm.grouped(0, 0)
+			pm.Static[ClassB] = uint64(incorrectOnes(node, dst))
 			return true
 		}
-		return false
+		zeros := uint64(incorrectZeros(node, dst))
+		if zeros == 0 {
+			pm.only(ClassB, 0)
+			return false
+		}
+		pm.grouped(uint64(incorrectOnes(node, dst)), ClassA)
+		if zeros&(zeros-1) == 0 {
+			pm.Static[ClassB] = zeros
+		} else {
+			pm.Static[ClassA] = zeros
+		}
+		return true
 	}
 	n, d := int(node), int(dst)
-	var asc, desc uint32
+	var asc, desc uint64
 	ascDims, gapOne := 0, false
 	for i := 0; i < m.mesh.Dims(); i++ {
 		cn, cd := m.mesh.Coord(n, i), m.mesh.Coord(d, i)
@@ -119,79 +128,27 @@ func (m *MeshAdaptive) PortMask(node int32, class QueueClass, work uint32, dst i
 			desc |= 1 << uint(m.mesh.DownPort(i))
 		}
 	}
-	switch class {
-	case ClassA:
-		if asc == 0 {
-			return false
-		}
-		*pm = PortMasks{Dyn: desc, DynClass: ClassA}
-		if ascDims == 1 && gapOne {
-			// The only ascending move is the last phase-A correction:
-			// hasAscending is false at its endpoint, so it enters q_B.
-			pm.Static[ClassB] = asc
-		} else {
-			// Either several ascending dimensions remain (each move leaves
-			// the others pending) or the single one has gap > 1: every
-			// endpoint still has ascent, so every move stays in q_A.
-			pm.Static[ClassA] = asc
-		}
-		return true
-	case ClassB:
-		*pm = PortMasks{}
+	if class == ClassB {
+		pm.grouped(0, 0)
 		pm.Static[ClassB] = desc
 		return true
 	}
-	return false
-}
-
-func (m *MeshAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
+	if asc == 0 {
+		pm.only(ClassB, 0)
+		return false
 	}
-	n, d := int(node), int(dst)
-	switch class {
-	case ClassA:
-		if !m.hasAscending(n, d) {
-			// Unreachable fallback: the last ascending correction enters
-			// q_B directly on arrival (see below).
-			return append(buf, Move{Node: node, Port: PortInternal, Class: ClassB, Kind: Static, MinFree: 1})
-		}
-		for i := 0; i < m.mesh.Dims(); i++ {
-			cn, cd := m.mesh.Coord(n, i), m.mesh.Coord(d, i)
-			switch {
-			case cd > cn: // ascend: static link of the hung mesh
-				port := m.mesh.UpPort(i)
-				next := m.mesh.Neighbor(n, port)
-				target := ClassA
-				if !m.hasAscending(next, d) {
-					target = ClassB // nothing left to correct in phase A
-				}
-				buf = append(buf, Move{
-					Node: int32(next), Port: int16(port),
-					Class: target, Kind: Static, MinFree: 1,
-				})
-			case cd < cn: // descend while in phase A: dynamic link
-				port := m.mesh.DownPort(i)
-				buf = append(buf, Move{
-					Node: int32(m.mesh.Neighbor(n, port)), Port: int16(port),
-					Class: ClassA, Kind: Dynamic, MinFree: 1,
-				})
-			}
-		}
-		return buf
-	case ClassB:
-		for i := 0; i < m.mesh.Dims(); i++ {
-			if m.mesh.Coord(d, i) < m.mesh.Coord(n, i) {
-				port := m.mesh.DownPort(i)
-				buf = append(buf, Move{
-					Node: int32(m.mesh.Neighbor(n, port)), Port: int16(port),
-					Class: ClassB, Kind: Static, MinFree: 1,
-				})
-			}
-		}
-		return buf
+	pm.grouped(desc, ClassA)
+	if ascDims == 1 && gapOne {
+		// The only ascending move is the last phase-A correction:
+		// hasAscending is false at its endpoint, so it enters q_B.
+		pm.Static[ClassB] = asc
+	} else {
+		// Either several ascending dimensions remain (each move leaves
+		// the others pending) or the single one has gap > 1: every
+		// endpoint still has ascent, so every move stays in q_A.
+		pm.Static[ClassA] = asc
 	}
-	panic(fmt.Sprintf("%s: invalid queue class %d", m.name, class))
+	return true
 }
 
 // MeshTwoPhase is the first scheme of Section 4: the same two hung phases
@@ -201,12 +158,20 @@ func (m *MeshAdaptive) Candidates(node int32, class QueueClass, work uint32, dst
 // corrections has a single path. Ablation baseline for the dynamic links;
 // on the mesh whose sides are all 2 it is NewHypercubeHung.
 type MeshTwoPhase struct {
+	Derived
 	inner MeshAdaptive
 }
 
 // NewMeshTwoPhase returns the static two-phase mesh scheme.
 func NewMeshTwoPhase(shape ...int) *MeshTwoPhase {
-	return &MeshTwoPhase{inner: hung("mesh-twophase", topology.NewMesh(shape...))}
+	return hungStatic("mesh-twophase", topology.NewMesh(shape...))
+}
+
+// hungStatic returns the two-phase scheme without its dynamic links.
+func hungStatic(name string, mesh *topology.Mesh) *MeshTwoPhase {
+	m := &MeshTwoPhase{inner: hung(name, mesh)}
+	m.Derived = Derive(m)
+	return m
 }
 
 func (m *MeshTwoPhase) Name() string                  { return m.inner.name }
@@ -221,26 +186,12 @@ func (m *MeshTwoPhase) Inject(src, dst int32) (QueueClass, uint32) {
 	return m.inner.Inject(src, dst)
 }
 
-// PortMask is the adaptive mesh's mask with the dynamic links removed,
-// mirroring what Candidates filters.
+// PortMask is the adaptive mesh's set with the dynamic links removed: what
+// remains is the underlying acyclic scheme.
 func (m *MeshTwoPhase) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
-	if !m.inner.PortMask(node, class, work, dst, pm) {
-		return false
-	}
+	plain := m.inner.PortMask(node, class, work, dst, pm)
 	pm.Dyn = 0
-	return true
-}
-
-func (m *MeshTwoPhase) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	buf = m.inner.Candidates(node, class, work, dst, buf)
-	// Drop the dynamic links; what remains is the underlying acyclic scheme.
-	kept := buf[:0]
-	for _, mv := range buf {
-		if mv.Kind == Static {
-			kept = append(kept, mv)
-		}
-	}
-	return kept
+	return plain
 }
 
 // MeshXY is the oblivious dimension-order baseline (XY routing in two
@@ -252,12 +203,15 @@ func (m *MeshTwoPhase) Candidates(node int32, class QueueClass, work uint32, dst
 // 2k queues per node for a k-dimensional mesh — already more than the
 // adaptive scheme's two.
 type MeshXY struct {
+	Derived
 	mesh *topology.Mesh
 }
 
 // NewMeshXY returns the oblivious dimension-order mesh baseline.
 func NewMeshXY(shape ...int) *MeshXY {
-	return &MeshXY{mesh: topology.NewMesh(shape...)}
+	m := &MeshXY{mesh: topology.NewMesh(shape...)}
+	m.Derived = Derive(m)
+	return m
 }
 
 func (m *MeshXY) Name() string                { return "mesh-xy" }
@@ -294,9 +248,12 @@ func (m *MeshXY) Inject(src, dst int32) (QueueClass, uint32) {
 	return m.classFor(int(src), int(dst)), 0
 }
 
-func (m *MeshXY) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
+// PortMask offers the one move of dimension order in the per-port
+// encoding: the lowest dimension still to correct, in its direction.
+func (m *MeshXY) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
 	n, d := int(node), int(dst)
 	for i := 0; i < m.mesh.Dims(); i++ {
@@ -315,10 +272,10 @@ func (m *MeshXY) Candidates(node int32, class QueueClass, work uint32, dst int32
 			// current class so queue classes stay monotone along any route.
 			nextClass = class
 		}
-		return append(buf, Move{
-			Node: int32(next), Port: int16(port),
-			Class: nextClass, Kind: Static, MinFree: 1,
-		})
+		pm.perPort(0)
+		pm.StaticMask = 1 << uint(port)
+		pm.PortClass[port] = nextClass
+		return true
 	}
 	panic("mesh-xy: unreachable")
 }

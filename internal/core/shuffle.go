@@ -46,6 +46,7 @@ func shuffleKSwitch(w uint32) int { return int(w >> 8 & 0xff) }
 // published; the dateline-plus-bubble realization here is verified
 // mechanically by the qdg package and empirically by the deadlock watchdog.
 type ShuffleExchangeAdaptive struct {
+	Derived
 	net     *topology.ShuffleExchange
 	dynamic bool // offer the phase-1 dynamic 1->0 exchange links
 	eager   bool // offer the early phase switch (extension, see below)
@@ -54,13 +55,13 @@ type ShuffleExchangeAdaptive struct {
 // NewShuffleExchangeAdaptive returns the Section 5 algorithm on the 2^dims
 // node shuffle-exchange network.
 func NewShuffleExchangeAdaptive(dims int) *ShuffleExchangeAdaptive {
-	return &ShuffleExchangeAdaptive{net: topology.NewShuffleExchange(dims), dynamic: true}
+	return newShuffle(dims, true, false)
 }
 
 // NewShuffleExchangeStatic returns the underlying scheme without the dynamic
 // links: every 1->0 correction waits for phase 2. Ablation baseline.
 func NewShuffleExchangeStatic(dims int) *ShuffleExchangeAdaptive {
-	return &ShuffleExchangeAdaptive{net: topology.NewShuffleExchange(dims), dynamic: false}
+	return newShuffle(dims, false, false)
 }
 
 // NewShuffleExchangeEager returns the adaptive scheme extended with an early
@@ -72,7 +73,13 @@ func NewShuffleExchangeStatic(dims int) *ShuffleExchangeAdaptive {
 // order, so the QDG certification is unaffected. An extension beyond the
 // paper, kept separate so the published scheme stays exactly Section 5.
 func NewShuffleExchangeEager(dims int) *ShuffleExchangeAdaptive {
-	return &ShuffleExchangeAdaptive{net: topology.NewShuffleExchange(dims), dynamic: true, eager: true}
+	return newShuffle(dims, true, true)
+}
+
+func newShuffle(dims int, dynamic, eager bool) *ShuffleExchangeAdaptive {
+	s := &ShuffleExchangeAdaptive{net: topology.NewShuffleExchange(dims), dynamic: dynamic, eager: eager}
+	s.Derived = Derive(s)
+	return s
 }
 
 func (s *ShuffleExchangeAdaptive) Name() string {
@@ -157,186 +164,55 @@ func (s *ShuffleExchangeAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
 	return ClassP1C0, shuffleWork(0, 0)
 }
 
-// shuffleMove builds the static shuffle step from node with the given phase
-// base class (ClassP1C0 or ClassP2C0) and current channel.
-func (s *ShuffleExchangeAdaptive) shuffleMove(node int32, base, cur QueueClass, w uint32) Move {
-	k := shuffleK(w)
-	next := s.net.RotLeft(int(node))
-	nw := shuffleWork(k+1, shuffleKSwitch(w))
-	if next == int(node) {
-		// Fixed point of the rotation (0...0 / 1...1): the shuffle step is
-		// internal; the packet stays put and its count advances.
-		return Move{Node: node, Port: PortInternal, Class: cur, Kind: Static, MinFree: 1, Work: nw}
-	}
-	channel := cur - base // 0 or 1
-	crossing := next == s.net.CycleBreak(int(node))
-	if crossing {
-		channel = 1
-	}
-	mv := Move{
-		Node: int32(next), Port: topology.ShufflePort,
-		Class: base + channel, Kind: Static, MinFree: 1, Work: nw,
-	}
-	// In a full-length cycle a packet stays fewer than CycleLen steps, so
-	// it crosses the dateline at most once and the channel-1 queues stay
-	// acyclic: ordinary blocking flow control suffices. In a degenerate
-	// (periodic-address) cycle a packet may wrap again, closing the
-	// channel-1 ring; every move onto that ring is then *credited* (bubble
-	// flow control): an entry from channel 0 must leave a spare slot on the
-	// ring (Credit 2) and a continuation may not over-commit its target
-	// (Credit 1), which keeps the ring from ever filling completely.
-	if channel == 1 && s.net.CycleLen(int(node)) < s.net.Dims() {
-		if crossing && cur-base == 0 {
-			mv.Credit = 2
-		} else {
-			mv.Credit = 1
-		}
-	}
-	return mv
-}
-
-// PortMask implements the PortMaskRouter fast path with the grouped
-// encoding (4 classes). Mask-eligible states are the pure link moves:
-// a mandatory or phase-2 exchange, an ordinary (uncredited, non-fixed-point)
-// shuffle step, and the phase-1 deferred correction, whose static shuffle
-// and dynamic exchange advance the shuffle count differently — the only
-// algorithm where Work and DynWork diverge. States with an internal move
-// (phase changes, eager early switch, rotation fixed points) or a credited
-// bubble move (degenerate-cycle channel-1 rings) decline to Candidates.
+// PortMask states the scheme in the grouped encoding (4 classes). Phase 1
+// performs mandatory 0->1 corrections through the static exchange and
+// otherwise shuffles on; a deferred 1->0 correction may also take the
+// dynamic exchange, which keeps the shuffle count where the static shuffle
+// advances it — the only state where Work and DynWork diverge. Phase 2
+// performs the 1->0 corrections. The moves that are not plain: the phase
+// change once phase 1's n steps are spent, the eager variant's early switch
+// (listed before the other moves), the shuffle step at a fixed point of
+// the rotation (internal: the packet stays put and its count advances), and
+// the credited shuffle steps onto a degenerate cycle's channel-1 ring.
 func (s *ShuffleExchangeAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
+		pm.Deliver = true
 		return false
 	}
 	n := s.net.Dims()
 	k := shuffleK(work)
 	bit0 := int(node) & 1
 	want := s.examTarget(dst, k)
-
-	switch class {
-	case ClassP1C0, ClassP1C1:
-		if k == n {
-			return false // internal phase change
-		}
-		if s.eager && s.noZeroFixRemains(node, dst, k) {
-			return false // internal early switch is one of the candidates
-		}
-		if bit0 == 0 && want == 1 {
-			*pm = PortMasks{Work: work}
-			pm.Static[ClassP1C0] = 1 << topology.ExchangePort
-			return true
-		}
-		sc, sw, ok := s.shuffleMask(node, ClassP1C0, class, work)
-		if !ok {
-			return false
-		}
-		*pm = PortMasks{Work: sw}
-		pm.Static[sc] = 1 << topology.ShufflePort
-		if bit0 == 1 && want == 0 && s.dynamic {
-			// Deferred 1->0 fix: the dynamic exchange keeps the shuffle
-			// count, the static shuffle advances it.
-			pm.Dyn = 1 << topology.ExchangePort
-			pm.DynClass = ClassP1C0
-			pm.DynWork = work
-		}
-		return true
-	case ClassP2C0, ClassP2C1:
-		if k >= shuffleKSwitch(work)+n {
-			if !s.eager {
-				return false // Candidates panics; keep the slow path's report
-			}
-			sc, sw, ok := s.shuffleMask(node, ClassP2C0, class, work)
-			if !ok {
-				return false
-			}
-			*pm = PortMasks{Work: sw}
-			pm.Static[sc] = 1 << topology.ShufflePort
-			return true
-		}
-		if bit0 == 1 && want == 0 {
-			*pm = PortMasks{Work: work}
-			pm.Static[ClassP2C0] = 1 << topology.ExchangePort
-			return true
-		}
-		if bit0 == 0 && want == 1 {
-			return false // Candidates panics; keep the slow path's report
-		}
-		sc, sw, ok := s.shuffleMask(node, ClassP2C0, class, work)
-		if !ok {
-			return false
-		}
-		*pm = PortMasks{Work: sw}
-		pm.Static[sc] = 1 << topology.ShufflePort
-		return true
-	}
-	return false
-}
-
-// shuffleMask mirrors shuffleMove for the mask path: it returns the target
-// class and scratch of the static shuffle step, or ok == false when the step
-// is not mask-representable (rotation fixed point: internal; degenerate-cycle
-// channel-1 ring: credited).
-func (s *ShuffleExchangeAdaptive) shuffleMask(node int32, base, cur QueueClass, w uint32) (QueueClass, uint32, bool) {
-	next := s.net.RotLeft(int(node))
-	if next == int(node) {
-		return 0, 0, false
-	}
-	channel := cur - base
-	if next == s.net.CycleBreak(int(node)) {
-		channel = 1
-	}
-	if channel == 1 && s.net.CycleLen(int(node)) < s.net.Dims() {
-		return 0, 0, false
-	}
-	return base + channel, shuffleWork(shuffleK(w)+1, shuffleKSwitch(w)), true
-}
-
-func (s *ShuffleExchangeAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true, Work: work})
-	}
-	n := s.net.Dims()
-	k := shuffleK(work)
-	bit0 := int(node) & 1
-	want := s.examTarget(dst, k)
-
+	pm.grouped(0, 0)
+	pm.special()
 	switch class {
 	case ClassP1C0, ClassP1C1:
 		if k == n {
 			// Phase 1 budget exhausted: change phase in place.
-			return append(buf, Move{
-				Node: node, Port: PortInternal, Class: ClassP2C0, Kind: Static, MinFree: 1,
-				Work: shuffleWork(k, k),
-			})
+			pm.internal(ClassP2C0, shuffleWork(k, k))
+			return false
 		}
 		if s.eager && s.noZeroFixRemains(node, dst, k) {
 			// Extension: none of the remaining phase-1 positions needs a
 			// 0->1 correction, so phase 2 can take over immediately and the
 			// packet saves up to n-k shuffle steps.
-			buf = append(buf, Move{
-				Node: node, Port: PortInternal, Class: ClassP2C0, Kind: Static, MinFree: 1,
-				Work: shuffleWork(k, k),
-			})
+			pm.internal(ClassP2C0, shuffleWork(k, k))
 		}
-		exch := Move{
-			Node: node ^ 1, Port: topology.ExchangePort,
-			Class: ClassP1C0, Kind: Static, MinFree: 1, Work: work,
-		}
-		switch {
-		case bit0 == 0 && want == 1:
+		if bit0 == 0 && want == 1 {
 			// Mandatory 0->1 correction: phase 2 cannot perform it.
-			return append(buf, exch)
-		case bit0 == 1 && want == 0:
+			pm.Static[ClassP1C0] = 1 << topology.ExchangePort
+			pm.Work = work
+			return pm.Internal == 0
+		}
+		plain := s.shuffleStep(node, ClassP1C0, class, work, pm)
+		if bit0 == 1 && want == 0 && s.dynamic {
 			// Deferred correction: shuffle on statically, or take the
 			// dynamic exchange link and do the 1->0 fix now.
-			buf = append(buf, s.shuffleMove(node, ClassP1C0, class, work))
-			if s.dynamic {
-				exch.Kind = Dynamic
-				buf = append(buf, exch)
-			}
-			return buf
-		default:
-			return append(buf, s.shuffleMove(node, ClassP1C0, class, work))
+			pm.Dyn = 1 << topology.ExchangePort
+			pm.DynClass = ClassP1C0
+			pm.DynWork = work
 		}
+		return plain && pm.Internal == 0
 	case ClassP2C0, ClassP2C1:
 		if k >= shuffleKSwitch(work)+n {
 			// All exam positions have been covered. With the paper's
@@ -348,18 +224,54 @@ func (s *ShuffleExchangeAdaptive) Candidates(node int32, class QueueClass, work 
 			if !s.eager {
 				panic(fmt.Sprintf("shuffle-exchange: packet for %d stranded at %d after phase 2 (k=%d)", dst, node, k))
 			}
-			return append(buf, s.shuffleMove(node, ClassP2C0, class, work))
+			return s.shuffleStep(node, ClassP2C0, class, work, pm)
 		}
 		if bit0 == 1 && want == 0 {
-			return append(buf, Move{
-				Node: node ^ 1, Port: topology.ExchangePort,
-				Class: ClassP2C0, Kind: Static, MinFree: 1, Work: work,
-			})
+			pm.Static[ClassP2C0] = 1 << topology.ExchangePort
+			pm.Work = work
+			return true
 		}
 		if bit0 == 0 && want == 1 {
 			panic(fmt.Sprintf("shuffle-exchange: 0->1 correction required in phase 2 at node %d for %d (k=%d)", node, dst, k))
 		}
-		return append(buf, s.shuffleMove(node, ClassP2C0, class, work))
+		return s.shuffleStep(node, ClassP2C0, class, work, pm)
 	}
 	panic(fmt.Sprintf("shuffle-exchange: invalid queue class %d", class))
+}
+
+// shuffleStep adds the static shuffle step from node to pm, for the phase
+// base class (ClassP1C0 or ClassP2C0) and current channel, and reports
+// whether it is plain. The step crossing the cycle's dateline moves the
+// packet to channel 1. At a fixed point of the rotation (0...0 / 1...1)
+// the step is internal: the packet stays put and its count advances.
+func (s *ShuffleExchangeAdaptive) shuffleStep(node int32, base, cur QueueClass, w uint32, pm *PortMasks) bool {
+	nw := shuffleWork(shuffleK(w)+1, shuffleKSwitch(w))
+	next := s.net.RotLeft(int(node))
+	if next == int(node) {
+		pm.internal(cur, nw)
+		return false
+	}
+	channel := cur - base // 0 or 1
+	crossing := next == s.net.CycleBreak(int(node))
+	if crossing {
+		channel = 1
+	}
+	pm.Static[base+channel] = 1 << topology.ShufflePort
+	pm.Work = nw
+	// In a full-length cycle a packet stays fewer than CycleLen steps, so
+	// it crosses the dateline at most once and the channel-1 queues stay
+	// acyclic: ordinary blocking flow control suffices. In a degenerate
+	// (periodic-address) cycle a packet may wrap again, closing the
+	// channel-1 ring; every move onto that ring is then *credited* (bubble
+	// flow control): an entry from channel 0 must leave a spare slot on the
+	// ring (Credit 2) and a continuation may not over-commit its target
+	// (Credit 1), which keeps the ring from ever filling completely.
+	if channel == 0 || s.net.CycleLen(int(node)) == s.net.Dims() {
+		return true
+	}
+	pm.Credit = 1
+	if crossing && cur == base {
+		pm.Credit = 2
+	}
+	return false
 }

@@ -79,7 +79,7 @@ func TestShuffleDatelineChannels(t *testing.T) {
 	s := NewShuffleExchangeAdaptive(4)
 	// Cycle of 0001: 0001 -> 0010 -> 0100 -> 1000 -> 0001; break node 0001.
 	// From 1000 the shuffle crosses the dateline into 0001.
-	mv := s.shuffleMove(0b1000, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
+	mv := shuffleMove(s, 0b1000, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
 	if mv.Node != 0b0001 || mv.Class != ClassP1C1 {
 		t.Errorf("dateline crossing: %+v", mv)
 	}
@@ -87,7 +87,7 @@ func TestShuffleDatelineChannels(t *testing.T) {
 		t.Errorf("full-length cycle crossing must not be credited: %+v", mv)
 	}
 	// From 0010 the shuffle stays in channel 0.
-	mv = s.shuffleMove(0b0010, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
+	mv = shuffleMove(s, 0b0010, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
 	if mv.Node != 0b0100 || mv.Class != ClassP1C0 {
 		t.Errorf("in-cycle move: %+v", mv)
 	}
@@ -98,18 +98,18 @@ func TestShuffleDatelineChannels(t *testing.T) {
 func TestShuffleDegenerateCredits(t *testing.T) {
 	s := NewShuffleExchangeAdaptive(4)
 	// rot(1010) = 0101 = break node: crossing. From channel 0: entry.
-	entry := s.shuffleMove(0b1010, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
+	entry := shuffleMove(s, 0b1010, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
 	if entry.Class != ClassP1C1 || entry.Credit != 2 {
 		t.Errorf("degenerate entry: %+v", entry)
 	}
 	// Same crossing from channel 1: continuation.
-	cont := s.shuffleMove(0b1010, ClassP1C0, ClassP1C1, shuffleWork(2, 0))
+	cont := shuffleMove(s, 0b1010, ClassP1C0, ClassP1C1, shuffleWork(2, 0))
 	if cont.Class != ClassP1C1 || cont.Credit != 1 {
 		t.Errorf("degenerate continuation: %+v", cont)
 	}
 	// The non-crossing edge of the degenerate cycle in channel 1 is also an
 	// in-ring continuation.
-	cont2 := s.shuffleMove(0b0101, ClassP1C0, ClassP1C1, shuffleWork(2, 0))
+	cont2 := shuffleMove(s, 0b0101, ClassP1C0, ClassP1C1, shuffleWork(2, 0))
 	if cont2.Node != 0b1010 || cont2.Credit != 1 {
 		t.Errorf("degenerate in-ring move: %+v", cont2)
 	}
@@ -119,7 +119,7 @@ func TestShuffleDegenerateCredits(t *testing.T) {
 // place.
 func TestShuffleFixedPointSpin(t *testing.T) {
 	s := NewShuffleExchangeAdaptive(4)
-	mv := s.shuffleMove(0b0000, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
+	mv := shuffleMove(s, 0b0000, ClassP1C0, ClassP1C0, shuffleWork(1, 0))
 	if mv.Port != PortInternal || mv.Node != 0 || shuffleK(mv.Work) != 2 {
 		t.Errorf("fixed-point spin: %+v", mv)
 	}
@@ -185,5 +185,20 @@ func TestShuffleEagerSwitch(t *testing.T) {
 		if m.Port == PortInternal && m.Class == ClassP2C0 {
 			t.Errorf("eager switch offered with 0->1 work remaining: %+v", m)
 		}
+	}
+}
+
+// shuffleMove is the shuffle step shuffleStep states, as a Move.
+func shuffleMove(s *ShuffleExchangeAdaptive, node int32, base, cur QueueClass, w uint32) Move {
+	var pm PortMasks
+	pm.grouped(0, 0)
+	pm.special()
+	s.shuffleStep(node, base, cur, w, &pm)
+	if pm.Internal == 1 {
+		return Move{Node: node, Port: PortInternal, Class: pm.IntClass[0], Work: pm.IntWork[0]}
+	}
+	return Move{
+		Node: int32(s.net.RotLeft(int(node))), Port: topology.ShufflePort,
+		Class: pm.StaticClass(topology.ShufflePort), Work: pm.Work, Credit: pm.Credit,
 	}
 }

@@ -31,6 +31,7 @@ import (
 // torus) instead of the 4 the paper conjectures for 2 dimensions; DESIGN.md
 // discusses the deviation. Queue class c encodes (wrapSet << 1) | phase.
 type TorusAdaptive struct {
+	Derived
 	torus *topology.Torus
 }
 
@@ -44,6 +45,7 @@ func NewTorusAdaptive(shape ...int) *TorusAdaptive {
 	if t.torus.Dims() > MaxTorusDims {
 		panic(fmt.Sprintf("core: torus-adaptive supports at most %d dimensions", MaxTorusDims))
 	}
+	t.Derived = Derive(t)
 	return t
 }
 
@@ -141,32 +143,22 @@ func (t *TorusAdaptive) Inject(src, dst int32) (QueueClass, uint32) {
 	return t.class(0, t.phaseFor(src, dst, dirs, 0)), dirs
 }
 
-// wrapMove builds the class-changing move across the wraparound link of
-// dimension i. Wrap moves are static: they ascend the wrap-class DAG.
-func (t *TorusAdaptive) wrapMove(node, dst int32, dirs, wraps uint32, i int, ascend bool) Move {
-	port := 2 * i
-	if !ascend {
-		port++
-	}
-	next := int32(t.torus.Neighbor(int(node), port))
-	nw := wraps | 1<<i
-	return Move{
-		Node: next, Port: int16(port),
-		Class: t.class(nw, t.phaseFor(next, dst, dirs, nw)),
-		Kind:  Static, MinFree: 1, Work: dirs,
-	}
-}
-
-// PortMask implements the PortMaskRouter fast path with the per-port
-// encoding (wrap classes exceed the grouped shape's 4-class limit). It
-// derives the same moves as Candidates from one pass over the dimensions:
+// PortMask states the scheme in the per-port encoding (wrap classes exceed
+// the grouped shape's 4-class limit), from one pass over the dimensions:
 // each dimension contributes at most one port (ascend, descend, or wrap
 // crossing), and the phase of every endpoint follows from counts computed
 // in the same pass instead of re-walking the dimensions per move the way
-// pending/phaseFor do. Only the internal phase change (phase A without
-// ascent) and the phase-B-with-ascent panic state fall back to Candidates.
+// pending/phaseFor do.
+//
+// Phase A ascends statically, crosses pending wraps statically, and
+// descends through dynamic links while ascent remains; the last ascending
+// correction enters the phase-B queue of the node it reaches. A phase-A
+// packet without ascent (unreachable) changes phase in place. Phase B
+// descends statically; its pending wrap crossings (necessarily in
+// descending dimensions sitting on their boundary) are static too.
 func (t *TorusAdaptive) PortMask(node int32, class QueueClass, work uint32, dst int32, pm *PortMasks) bool {
 	if node == dst {
+		pm.Deliver = true
 		return false
 	}
 	k := t.dims()
@@ -209,9 +201,11 @@ func (t *TorusAdaptive) PortMask(node int32, class QueueClass, work uint32, dst 
 	}
 	if phase == 0 {
 		if ascMask == 0 {
-			return false // internal phase change
+			pm.only(t.class(wraps, 1), work)
+			return false
 		}
-		*pm = PortMasks{PerPort: true, Work: dirs, DynWork: dirs, DynClass: class}
+		pm.perPort(dirs)
+		pm.DynClass = class
 		for m := wrapMask; m != 0; m &= m - 1 {
 			i := bits.TrailingZeros32(m)
 			p := 2 * i
@@ -239,9 +233,9 @@ func (t *TorusAdaptive) PortMask(node int32, class QueueClass, work uint32, dst 
 		return true
 	}
 	if ascMask != 0 {
-		return false // Candidates panics here; keep the slow path's report
+		panic(fmt.Sprintf("torus-adaptive: ascending work in phase B at node %d for %d", node, dst))
 	}
-	*pm = PortMasks{PerPort: true, Work: dirs, DynWork: dirs}
+	pm.perPort(dirs)
 	for m := wrapMask; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
 		p := 2 * i
@@ -264,72 +258,4 @@ func (t *TorusAdaptive) PortMask(node int32, class QueueClass, work uint32, dst 
 		pm.PortClass[2*i+1] = class
 	}
 	return true
-}
-
-func (t *TorusAdaptive) Candidates(node int32, class QueueClass, work uint32, dst int32, buf []Move) []Move {
-	if node == dst {
-		return append(buf, Move{Node: node, Port: PortInternal, Kind: Static, MinFree: 1, Deliver: true, Work: work})
-	}
-	wraps := uint32(class >> 1)
-	phase := class & 1
-	dirs := work
-	n := int(node)
-
-	if phase == 0 {
-		// Phase A: ascend statically, cross pending wraps statically,
-		// descend through dynamic links while ascent remains.
-		hasAscent := false
-		for i := 0; i < t.dims(); i++ {
-			if p := t.pending(node, dst, dirs, wraps, i); p.moving && p.ascend {
-				hasAscent = true
-				break
-			}
-		}
-		if !hasAscent {
-			return append(buf, Move{
-				Node: node, Port: PortInternal, Class: t.class(wraps, 1),
-				Kind: Static, MinFree: 1, Work: work,
-			})
-		}
-		for i := 0; i < t.dims(); i++ {
-			p := t.pending(node, dst, dirs, wraps, i)
-			switch {
-			case p.wrapNext:
-				buf = append(buf, t.wrapMove(node, dst, dirs, wraps, i, p.ascend))
-			case p.moving && p.ascend:
-				// The last ascending correction enters the phase-B queue of
-				// the node it reaches, avoiding an internal phase change.
-				next := int32(t.torus.Neighbor(n, 2*i))
-				buf = append(buf, Move{
-					Node: next, Port: int16(2 * i),
-					Class: t.class(wraps, t.phaseFor(next, dst, dirs, wraps)),
-					Kind:  Static, MinFree: 1, Work: work,
-				})
-			case p.moving: // descending while ascent remains: dynamic link
-				buf = append(buf, Move{
-					Node: int32(t.torus.Neighbor(n, 2*i+1)), Port: int16(2*i + 1),
-					Class: class, Kind: Dynamic, MinFree: 1, Work: work,
-				})
-			}
-		}
-		return buf
-	}
-
-	// Phase B: descend statically; pending wrap crossings (necessarily in
-	// descending dimensions sitting on their boundary) are also static.
-	for i := 0; i < t.dims(); i++ {
-		p := t.pending(node, dst, dirs, wraps, i)
-		switch {
-		case p.wrapNext:
-			buf = append(buf, t.wrapMove(node, dst, dirs, wraps, i, p.ascend))
-		case p.moving && !p.ascend:
-			buf = append(buf, Move{
-				Node: int32(t.torus.Neighbor(n, 2*i+1)), Port: int16(2*i + 1),
-				Class: class, Kind: Static, MinFree: 1, Work: work,
-			})
-		case p.moving:
-			panic(fmt.Sprintf("torus-adaptive: ascending work in phase B at node %d for %d", node, dst))
-		}
-	}
-	return buf
 }

@@ -2,6 +2,7 @@ package qdg
 
 import (
 	"errors"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -15,7 +16,16 @@ import (
 
 // cyclicStatic routes around a ring with a single static class and no
 // dateline: a textbook static QDG cycle.
-type cyclicStatic struct{ torus *topology.Torus }
+type cyclicStatic struct {
+	core.Derived
+	torus *topology.Torus
+}
+
+func newCyclicStatic(torus *topology.Torus) *cyclicStatic {
+	c := &cyclicStatic{torus: torus}
+	c.Derived = core.Derive(c)
+	return c
+}
 
 func (c *cyclicStatic) Name() string                                    { return "broken-cyclic-static" }
 func (c *cyclicStatic) Topology() topology.Topology                     { return c.torus }
@@ -25,17 +35,17 @@ func (c *cyclicStatic) Props() core.Props                               { return
 func (c *cyclicStatic) MaxHops(src, dst int32) int                      { return c.torus.Nodes() }
 func (c *cyclicStatic) Inject(src, dst int32) (core.QueueClass, uint32) { return 0, 0 }
 
-func (c *cyclicStatic) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
+func (c *cyclicStatic) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if node == dst {
-		return append(buf, core.Move{Node: node, Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
-	return append(buf, core.Move{
-		Node: int32(c.torus.Neighbor(int(node), 0)), Port: 0, Kind: core.Static, MinFree: 1,
-	})
+	*pm = core.PortMasks{PerPort: true, StaticMask: 1}
+	return true
 }
 
 func TestVerifierRejectsStaticCycle(t *testing.T) {
-	g, err := Build(&cyclicStatic{torus: topology.NewTorus(5)})
+	g, err := Build(newCyclicStatic(topology.NewTorus(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,10 @@ func TestVerifierRejectsStaticCycle(t *testing.T) {
 // noEscape is a hypercube scheme whose packets, once every remaining
 // correction is 1->0, are offered only *dynamic* moves: the Section 2
 // escape condition is violated even though every individual move is fine.
-type noEscape struct{ cube *topology.Mesh }
+type noEscape struct {
+	core.Derived
+	cube *topology.Mesh
+}
 
 func (n *noEscape) Name() string                                    { return "broken-no-escape" }
 func (n *noEscape) Topology() topology.Topology                     { return n.cube }
@@ -64,33 +77,21 @@ func (n *noEscape) Props() core.Props                               { return cor
 func (n *noEscape) MaxHops(src, dst int32) int                      { return n.cube.Dims() }
 func (n *noEscape) Inject(src, dst int32) (core.QueueClass, uint32) { return 0, 0 }
 
-func (n *noEscape) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
+func (n *noEscape) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if node == dst {
-		return append(buf, core.Move{Node: node, Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
-	diff := uint32(node ^ dst)
-	for d := diff; d != 0; d &= d - 1 {
-		t := trailing(d)
-		kind := core.Static
-		if node&(1<<t) != 0 {
-			kind = core.Dynamic // all 1->0 fixes dynamic, no static fallback
-		}
-		buf = append(buf, core.Move{Node: node ^ 1<<t, Port: int16(t), Kind: kind, MinFree: 1})
-	}
-	return buf
-}
-
-func trailing(v uint32) int {
-	t := 0
-	for v&1 == 0 {
-		v >>= 1
-		t++
-	}
-	return t
+	// All 1->0 fixes dynamic, no static fallback.
+	*pm = core.PortMasks{Dyn: uint64(node &^ dst)}
+	pm.Static[0] = uint64(dst &^ node)
+	return true
 }
 
 func TestVerifierRejectsMissingEscape(t *testing.T) {
-	g, err := Build(&noEscape{cube: topology.NewHypercube(3)})
+	ne := &noEscape{cube: topology.NewHypercube(3)}
+	ne.Derived = core.Derive(ne)
+	g, err := Build(ne)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,10 @@ func TestVerifierRejectsMissingEscape(t *testing.T) {
 // queue the only static option loops between two helper classes that never
 // deliver. CheckDynamicEscape (one step) passes — the trap has a static
 // move — but CheckStaticProgress must catch it.
-type trapDoor struct{ cube *topology.Mesh }
+type trapDoor struct {
+	core.Derived
+	cube *topology.Mesh
+}
 
 func (tr *trapDoor) Name() string                                    { return "broken-trap-door" }
 func (tr *trapDoor) Topology() topology.Topology                     { return tr.cube }
@@ -123,26 +127,32 @@ func (tr *trapDoor) Props() core.Props                               { return co
 func (tr *trapDoor) MaxHops(src, dst int32) int                      { return 4 * tr.cube.Dims() }
 func (tr *trapDoor) Inject(src, dst int32) (core.QueueClass, uint32) { return 0, 0 }
 
-func (tr *trapDoor) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
+func (tr *trapDoor) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if class == 1 {
-		// The trap: a static self-spin that advances bookkeeping forever
-		// without ever delivering (work flips to dodge in-place detection
-		// being meaningless here: it is still the same queue).
-		return append(buf, core.Move{
-			Node: node ^ 1, Port: 0, Class: 1, Kind: core.Static, MinFree: 1, Work: work ^ 1,
-		})
+		// The trap: a static self-loop through port 0 that advances
+		// bookkeeping forever without ever delivering.
+		*pm = core.PortMasks{PerPort: true, StaticMask: 1, Work: work ^ 1}
+		pm.PortClass[0] = 1
+		return true
 	}
 	if node == dst {
-		return append(buf, core.Move{Node: node, Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
-	t := trailing(uint32(node ^ dst))
-	buf = append(buf, core.Move{Node: node ^ 1<<t, Port: int16(t), Class: 0, Kind: core.Static, MinFree: 1})
+	t := bits.TrailingZeros32(uint32(node ^ dst))
+	*pm = core.PortMasks{PerPort: true, StaticMask: 1 << t}
+	if t == 0 {
+		return true // the static hop takes port 0; the door needs it free
+	}
 	// The dynamic door into the trap.
-	return append(buf, core.Move{Node: node ^ 1, Port: 0, Class: 1, Kind: core.Dynamic, MinFree: 1})
+	pm.Dyn, pm.DynClass = 1, 1
+	return true
 }
 
 func TestVerifierRejectsTrapDoor(t *testing.T) {
-	g, err := Build(&trapDoor{cube: topology.NewHypercube(3)})
+	tr := &trapDoor{cube: topology.NewHypercube(3)}
+	tr.Derived = core.Derive(tr)
+	g, err := Build(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +170,7 @@ func TestVerifierRejectsTrapDoor(t *testing.T) {
 // matching human-readable rendering.
 func TestCycleErrorReportsPath(t *testing.T) {
 	torus := topology.NewTorus(5)
-	g, err := Build(&cyclicStatic{torus: torus})
+	g, err := Build(newCyclicStatic(torus))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func DescribeNode(a core.Algorithm, node int32) (*NodeDesign, error) {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		buf = a.Candidates(s.node, s.class, s.work, s.dst, buf[:0])
+		buf = core.Candidates(a, s.node, s.class, s.work, s.dst, buf[:0])
 		for _, m := range buf {
 			if !m.Deliver {
 				push(state{m.Node, m.Class, m.Work, s.dst})

@@ -9,7 +9,7 @@
 //     candidate — the packet always retains an escape path through the
 //     underlying DAG (CheckDynamicEscape).
 //
-// Edges that carry a bubble guard (MinFree >= 2) are collected separately:
+// Edges that carry a bubble guard (Credit 2) are collected separately:
 // they are allowed to close static cycles because the guard keeps the
 // guarded ring from ever filling completely (see the shuffle-exchange
 // algorithm's documentation).
@@ -42,9 +42,9 @@ type Edge struct {
 type Graph struct {
 	Algo    core.Algorithm
 	Queues  []Queue
-	Static  map[Edge]bool  // A_s: unguarded static edges (MinFree == 1)
+	Static  map[Edge]bool  // A_s: unguarded static edges
 	Dynamic map[Edge]bool  // A_d: the added dynamic links
-	Guarded map[Edge]bool  // static edges with a bubble guard (MinFree >= 2)
+	Guarded map[Edge]bool  // static edges with a bubble guard (Credit 2)
 	Inject  map[Queue]bool // queues that receive packets straight from injection
 
 	index map[Queue]int
@@ -96,7 +96,7 @@ func Build(a core.Algorithm) (*Graph, error) {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		g.touch(Queue{s.node, s.class})
-		buf = a.Candidates(s.node, s.class, s.work, s.dst, buf[:0])
+		buf = core.Candidates(a, s.node, s.class, s.work, s.dst, buf[:0])
 		if len(buf) == 0 {
 			return nil, fmt.Errorf("qdg: %s: empty candidate set at node=%d class=%d work=%#x dst=%d",
 				a.Name(), s.node, s.class, s.work, s.dst)
@@ -116,7 +116,7 @@ func Build(a core.Algorithm) (*Graph, error) {
 			switch {
 			case m.Kind == core.Dynamic:
 				g.Dynamic[e] = true
-			case m.Credit >= 2 || m.MinFree >= 2:
+			case m.Credit >= 2:
 				g.Guarded[e] = true
 			default:
 				g.Static[e] = true
@@ -201,7 +201,7 @@ func (g *Graph) allStatic() map[Edge]bool {
 //     within the component),
 //   - among queues of a single class,
 //   - all of whose entry edges (static edges arriving from outside the
-//     component) are bubble guarded (MinFree >= 2),
+//     component) are bubble guarded (Credit 2),
 //   - with no dynamic edge and no injection landing inside it.
 //
 // The SCC condensation of a digraph is always acyclic, so once every
@@ -297,7 +297,7 @@ func (g *Graph) CheckDynamicEscape() error {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		buf = a.Candidates(s.node, s.class, s.work, s.dst, buf[:0])
+		buf = core.Candidates(a, s.node, s.class, s.work, s.dst, buf[:0])
 		for _, m := range buf {
 			if m.Deliver {
 				continue
@@ -306,7 +306,7 @@ func (g *Graph) CheckDynamicEscape() error {
 			if m.Kind != core.Dynamic {
 				continue
 			}
-			esc = a.Candidates(m.Node, m.Class, m.Work, s.dst, esc[:0])
+			esc = core.Candidates(a, m.Node, m.Class, m.Work, s.dst, esc[:0])
 			hasStatic := false
 			for _, em := range esc {
 				if em.Kind == core.Static {
@@ -357,7 +357,7 @@ func (g *Graph) CheckStaticProgress() error {
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		buf = a.Candidates(s.node, s.class, s.work, s.dst, buf[:0])
+		buf = core.Candidates(a, s.node, s.class, s.work, s.dst, buf[:0])
 		for _, m := range buf {
 			if m.Deliver {
 				if m.Kind == core.Static {

@@ -25,18 +25,13 @@ import (
 type AtomicEngine struct {
 	kernel
 
-	// maskFF selects the port-mask fast path (see nodePhaseA in engine.go for
-	// the buffered counterpart): with a PortMaskRouter algorithm and the
-	// FirstFree policy, mask-eligible head packets route through an inline
-	// bitmask scan over the neighbor table instead of materializing Moves.
-	maskFF bool
-
 	// What a cycle visits, one bit per queue (DESIGN.md §3.3). occ: may hold
 	// a packet; set by qPush, dropped at the next cycle start once the queue
-	// has emptied. stuck: parked — every target queue of the head was full
-	// when the mask path last probed them, so only a pop from a full queue of
-	// an out-neighbor can release it, and exactly those pops call wake. snap:
-	// the cycle's work list, occ &^ stuck plus what wake returns mid-sweep.
+	// has emptied. stuck: parked — the head's moves are all remote and
+	// uncredited, and every target queue was full when the sweep last probed
+	// them, so only a pop from a full queue of an out-neighbor can release
+	// it, and exactly those pops call wake. snap: the cycle's work list, occ
+	// &^ stuck plus what wake returns mid-sweep.
 	park             bool
 	occ, stuck, snap []uint64
 	// inNbr[inOff[v]:inOff[v+1]] are v's in-neighbors, the inverse of nbr
@@ -45,8 +40,6 @@ type AtomicEngine struct {
 
 	// Route(q) scratch, overwritten per queue; touch sinks the loads that
 	// warm the next head's record.
-	cand  [64]core.Move
-	adm   [64]int
 	pm    core.PortMasks
 	touch int32
 }
@@ -68,11 +61,10 @@ func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
 		return nil, err
 	}
 	e.sizeTables(func(int) int { return 0 })
-	e.maskFF = e.pmr != nil && cfg.Policy == PolicyFirstFree
-	// Parking needs "admissible" to mean "some target queue is not full" and
-	// no more: the mask path, no faults. wake takes a node's queues to fit two
-	// words of stuck.
-	e.park = e.maskFF && e.flt == nil && e.classes <= 64
+	// Parking needs a blocked head to stay blocked until a target queue pops:
+	// first-free, no faults (links revive without a pop). wake takes a node's
+	// queues to fit two words of stuck.
+	e.park = cfg.Policy == PolicyFirstFree && e.flt == nil && e.classes <= 64
 	words := (len(e.qlen) + 63) / 64
 	e.occ, e.stuck, e.snap = make([]uint64, words), make([]uint64, words), make([]uint64, words)
 	return e, nil
@@ -143,7 +135,6 @@ func (e *AtomicEngine) qFree(qi int) int {
 func (e *AtomicEngine) sweep(cycle int64) {
 	st, t := &e.statsBuf[0], &e.tabs[0]
 	win := e.rs.win
-	f := e.flt
 	e.inject(0, 0, e.nodes)
 	e.lap(phInject)
 
@@ -202,10 +193,14 @@ func (e *AtomicEngine) sweep(cycle int64) {
 
 	e.lap(phB)
 
-	// Route(q) for every listed queue, ascending: advance the head packet if
-	// possible. wake may add queues ahead of position b while the sweep runs,
-	// so the word is read again at every step, not cached.
-	classes := e.classes
+	// Route(q) for every listed queue, ascending: the head packet takes the
+	// move the policy selects among its admissible candidates, those whose
+	// target queue has a free slot (Credit free slots for a credited move;
+	// none for an in-place step). wake may add queues ahead of position b
+	// while the sweep runs, so the word is read again at every step, not
+	// cached.
+	f, pm, classes := e.flt, &e.pm, e.classes
+	ff := e.cfg.Policy == PolicyFirstFree && f == nil
 	for wi := range e.snap {
 		for b := uint(0); e.snap[wi]>>b != 0; b++ {
 			b += uint(bits.TrailingZeros64(e.snap[wi] >> b))
@@ -221,169 +216,172 @@ func (e *AtomicEngine) sweep(cycle int64) {
 			c := qi - int(u)*classes
 			r := e.qHead(qi)
 			pkt := &t.pkts[r]
-			if e.maskFF && pkt.Dst != u {
-				// Port-mask fast path: identical move-by-move to running the
-				// FirstFree selection over Candidates (including the hashed
-				// pick for fault-displaced packets), but the moves are
-				// implied by the mask bits and never built. States PortMask
-				// declines fall through to the Candidates scan below.
-				pm := &e.pm
-				if e.pmr.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, pm) {
-					union := pm.StaticUnion() | pm.Dyn
-					if f != nil {
-						lp := f.livePorts[u]
-						pm.Static[0] &= lp
-						pm.Static[1] &= lp
-						pm.Static[2] &= lp
-						pm.Static[3] &= lp
-						pm.StaticMask &= lp
-						pm.Dyn &= lp
-						union = pm.StaticUnion() | pm.Dyn
-						if union == 0 {
-							e.misroute(u, qi, cycle, st)
-							continue
-						}
+			plain := e.algo.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, pm)
+			if plain && ff {
+				// The tables' case, inline and lean (the general loop below
+				// read 10-20% slower on saturated cells): the lowest port
+				// whose target queue has room. Locals keep the engine's
+				// fields in registers across the probe loop, the hottest
+				// lines of the model.
+				nbase := int(u) * e.ports
+				qlen, nbr, full := e.qlen, e.nbr, int32(e.queueCap)
+				p := -1
+				for mk := pm.StaticUnion() | pm.Dyn; mk != 0; mk &= mk - 1 {
+					port := bits.TrailingZeros64(mk)
+					tc, _ := pm.Class(port)
+					if qlen[int(nbr[nbase+port])*classes+int(tc)] < full {
+						p = port
+						break
 					}
-					// First-free takes the lowest admissible port, so the probe
-					// stops at the first hit; only the hashed pick of a
-					// fault-displaced packet needs the whole admissible set.
-					hashed := f != nil && pkt.Misrouted()
-					adm := uint32(0)
-					nbase := int(u) * e.ports
-					// Locals keep the engine's fields in registers across the
-					// probe loop, the hottest lines of the model.
-					qlen, nbr, full := e.qlen, e.nbr, int32(e.queueCap)
-					for mk := union; mk != 0; mk &= mk - 1 {
-						p := bits.TrailingZeros32(mk)
-						tc := int(pm.DynClass)
-						if pm.Dyn>>uint(p)&1 == 0 {
-							tc = int(pm.StaticClass(p))
-						}
-						if qlen[int(nbr[nbase+p])*classes+tc] < full {
-							adm |= 1 << uint(p)
-							if !hashed {
-								break
-							}
-						}
-					}
-					if adm == 0 {
-						if e.obsOn {
-							st.obs.Inc(obs.COutputStalls)
-						}
-						if e.park {
-							if e.inOff == nil {
-								e.invertNbr()
-							}
-							e.stuck[wi] |= 1 << b
-						}
-						continue
-					}
-					sel := bits.TrailingZeros32(adm)
-					if hashed && adm&(adm-1) != 0 {
-						k := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(bits.OnesCount32(adm)))
-						mk := adm
-						for i := 0; i < k; i++ {
-							mk &= mk - 1
-						}
-						sel = bits.TrailingZeros32(mk)
-					}
-					dyn := pm.Dyn>>uint(sel)&1 != 0
-					tc := int(pm.DynClass)
-					if !dyn {
-						tc = int(pm.StaticClass(sel))
-					}
-					e.wake(qi)
-					e.qPop(qi)
-					pkt.Hops++
-					pkt.Class = core.QueueClass(tc)
-					if dyn {
-						pkt.Work = pm.DynWork
-					} else {
-						pkt.Work = pm.Work
-					}
-					l := e.qPush(int(e.nbr[nbase+sel])*e.classes+tc, r)
-					if l > st.maxQueue {
-						st.maxQueue = l
-					}
+				}
+				if p < 0 {
 					if e.obsOn {
-						st.obs.Observe(obs.HQueueLen, int64(l))
-						st.obs.Inc(obs.CLinkTransfers)
+						st.obs.Inc(obs.COutputStalls)
 					}
-					st.moves++
-					if dyn {
-						st.dynamicMoves++
+					if e.park {
+						if e.inOff == nil {
+							e.invertNbr()
+						}
+						e.stuck[wi] |= 1 << b
 					}
 					continue
 				}
+				tc, dyn := pm.Class(p)
+				pkt.Work = pm.Work
+				if dyn {
+					pkt.Work = pm.DynWork
+					st.dynamicMoves++
+				}
+				e.wake(qi)
+				e.qPop(qi)
+				pkt.Hops++
+				pkt.Class = tc
+				l := e.qPush(int(nbr[nbase+p])*classes+int(tc), r)
+				if l > st.maxQueue {
+					st.maxQueue = l
+				}
+				if e.obsOn {
+					st.obs.Observe(obs.HQueueLen, int64(l))
+					st.obs.Inc(obs.CLinkTransfers)
+				}
+				st.moves++
+				continue
 			}
-			moves := e.algo.Candidates(u, core.QueueClass(c), pkt.Work, pkt.Dst, e.cand[:0])
+			nint, credit := 0, 1
+			if !plain {
+				if pm.Deliver {
+					e.drawDelivery(u)
+					e.wake(qi)
+					e.qPop(qi)
+					if e.obsOn {
+						st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
+					}
+					e.deliver(t, r, cycle, win, st)
+					continue
+				}
+				nint, credit = int(pm.Internal), max(credit, int(pm.Credit))
+			}
+			union := pm.StaticUnion() | pm.Dyn
+			pol := e.cfg.Policy
+			hashed := false
 			if f != nil {
-				moves = f.filterLiveMoves(u, moves)
-				if len(moves) == 0 {
+				union &= f.livePorts[u]
+				if union == 0 && nint == 0 {
 					// Faults removed every candidate: misroute or drop.
 					e.misroute(u, qi, cycle, st)
 					continue
 				}
+				// Positional policies would deterministically walk a fault-displaced
+				// packet back into the dead minimal cut; hash the pick instead (see
+				// Engine.misroute).
+				hashed = (pol == PolicyFirstFree || pol == PolicyLastFree) && pkt.Misrouted() && nint+bits.OnesCount64(union) > 1
 			}
-			nAdm := 0
-			for i := range moves {
-				if e.admissible(u, core.QueueClass(c), moves[i]) {
-					e.adm[nAdm] = i
-					nAdm++
+			// First-free takes the first admissible candidate it meets (in, or p
+			// into tc); the other policies collect them all and choose below.
+			first := pol == PolicyFirstFree && !hashed
+			qi0 := int(u) * classes
+			in, p := -1, -1
+			tc, dyn := core.QueueClass(0), false
+			var ai uint8
+			var ap uint64
+			for i := 0; i < nint; i++ {
+				if tc := int(pm.IntClass[i]); tc == c || e.qFree(qi0+tc) >= 1 {
+					ai |= 1 << uint(i)
+					if first {
+						in = i
+						break
+					}
 				}
 			}
-			if nAdm == 0 {
+			if in < 0 {
+				qlen, nbr, nbase := e.qlen, e.nbr, int(u)*e.ports
+				for mk := union; mk != 0; mk &= mk - 1 {
+					port := bits.TrailingZeros64(mk)
+					tc, dyn = pm.Class(port)
+					need := int32(1)
+					if !dyn {
+						need = int32(credit)
+					}
+					if qlen[int(nbr[nbase+port])*classes+int(tc)] <= int32(e.queueCap)-need {
+						ap |= 1 << uint(port)
+						if first {
+							p = port
+							break
+						}
+					}
+				}
+			}
+			if ai == 0 && ap == 0 {
+				// Not parked: only the inline scan above parks, and it took
+				// every plain set an engine that parks meets.
 				if e.obsOn {
 					st.obs.Inc(obs.COutputStalls)
 				}
 				continue
 			}
-			var mv core.Move
-			if f != nil && nAdm > 1 && pkt.Misrouted() &&
-				(e.cfg.Policy == PolicyFirstFree || e.cfg.Policy == PolicyLastFree) {
-				// Positional policies would deterministically walk a
-				// fault-displaced packet back into the dead minimal cut;
-				// hash the pick instead (see Engine.misroute).
-				mv = moves[e.adm[int(misrouteHash(cycle, pkt.ID, pkt.HopCount())%uint32(nAdm))]]
-			} else {
-				mv = moves[choose(e.cfg.Policy, &e.rngs[u], moves, e.adm[:nAdm])]
+			if !first {
+				if hashed {
+					in, p = nth(ai, ap, int(misrouteHash(cycle, pkt.ID, pkt.HopCount())%uint32(bits.OnesCount8(ai)+bits.OnesCount64(ap))))
+				} else {
+					in, p = choose(pol, &e.rngs[u], ai, ap, pm.Dyn)
+				}
+				if in < 0 {
+					tc, dyn = pm.Class(p)
+				}
 			}
-			switch {
-			case mv.Deliver:
-				e.wake(qi)
-				e.qPop(qi)
-				if e.obsOn {
-					st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
+			qi2 := 0
+			if in >= 0 {
+				tc = pm.IntClass[in]
+				pkt.Work = pm.IntWork[in]
+				if int(tc) == c {
+					st.moves++ // in-place step: the bookkeeping advances, the packet stays
+					continue
 				}
-				e.deliver(t, r, cycle, win, st)
-			case mv.Node == u && mv.Class == core.QueueClass(c) && mv.Port == core.PortInternal:
-				pkt.Work = mv.Work
-				st.moves++
-			default:
-				e.wake(qi)
-				e.qPop(qi)
-				if mv.Port != core.PortInternal {
-					pkt.Hops++
-				}
-				pkt.Class = mv.Class
-				pkt.Work = mv.Work
-				qi2 := e.queueIndex(mv.Node, mv.Class)
-				l := e.qPush(qi2, r)
-				if l > st.maxQueue {
-					st.maxQueue = l
-				}
-				if e.obsOn {
-					// Pop and push cancel in the occupancy gauge.
-					st.obs.Observe(obs.HQueueLen, int64(l))
-					if mv.Port != core.PortInternal {
-						st.obs.Inc(obs.CLinkTransfers)
-					}
-				}
-				st.moves++
-				if mv.Kind == core.Dynamic {
+				qi2 = qi0 + int(tc)
+			} else {
+				pkt.Work = pm.Work
+				if dyn {
+					pkt.Work = pm.DynWork
 					st.dynamicMoves++
 				}
+				pkt.Hops++
+				qi2 = int(e.nbr[int(u)*e.ports+p])*classes + int(tc)
 			}
+			e.wake(qi)
+			e.qPop(qi)
+			pkt.Class = tc
+			l := e.qPush(qi2, r)
+			if l > st.maxQueue {
+				st.maxQueue = l
+			}
+			if e.obsOn {
+				// Pop and push cancel in the occupancy gauge.
+				st.obs.Observe(obs.HQueueLen, int64(l))
+				if in < 0 {
+					st.obs.Inc(obs.CLinkTransfers)
+				}
+			}
+			st.moves++
 		}
 	}
 	e.lap(phA)
@@ -461,11 +459,11 @@ func (e *AtomicEngine) invertNbr() {
 // surviving neighbor's queue (re-entering it as a fresh injection with the
 // misroute flag set) or is dropped once its hop budget runs out.
 func (e *AtomicEngine) misroute(u int32, qi int, cycle int64, st *cycleStats) {
-	f, t := e.flt, &e.tabs[0]
+	t := &e.tabs[0]
 	r := e.qHead(qi)
 	pkt := &t.pkts[r]
-	lp := f.livePorts[u]
-	if lp == 0 || pkt.HopCount() >= e.algo.MaxHops(pkt.Src, pkt.Dst)+f.hopBudget {
+	order, ok := e.flt.detour(u, pkt, e.algo.MaxHops(pkt.Src, pkt.Dst), cycle)
+	if !ok {
 		e.qPop(qi)
 		if e.obsOn {
 			st.obs.GaugeAdd(obs.GQueueOccupancy, -1)
@@ -473,17 +471,9 @@ func (e *AtomicEngine) misroute(u int32, qi int, cycle int64, st *cycleStats) {
 		e.dropRef(t, r, cycle, st)
 		return
 	}
-	// Hashed start port, not a (cycle+hops) rotation: see Engine.misroute
-	// for why the rotation can orbit a packet forever.
-	n := bits.OnesCount32(lp)
-	k := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(n))
-	upper := lp
-	for i := 0; i < k; i++ {
-		upper &= upper - 1
-	}
-	for _, mk := range [2]uint32{upper, lp ^ upper} {
+	for _, mk := range order {
 		for ; mk != 0; mk &= mk - 1 {
-			p := bits.TrailingZeros32(mk)
+			p := bits.TrailingZeros64(mk)
 			v := int32(e.topo.Neighbor(int(u), p))
 			class, work := e.algo.Inject(v, pkt.Dst)
 			qi2 := e.queueIndex(v, class)
@@ -510,25 +500,5 @@ func (e *AtomicEngine) misroute(u int32, qi int, cycle int64, st *cycleStats) {
 	}
 	if e.obsOn {
 		st.obs.Inc(obs.COutputStalls)
-	}
-}
-
-// admissible implements the atomic model's check: a move may be taken iff
-// the target queue has MinFree free slots right now (deliveries and
-// in-place moves are always admissible).
-func (e *AtomicEngine) admissible(u int32, class core.QueueClass, mv core.Move) bool {
-	switch {
-	case mv.Deliver:
-		return true
-	case mv.Node == u && mv.Class == class && mv.Port == core.PortInternal:
-		return true
-	default:
-		required := int(mv.MinFree)
-		// In the atomic model nothing is ever in flight, so a credited
-		// move's condition reduces to requiring Credit free slots.
-		if int(mv.Credit) > required {
-			required = int(mv.Credit)
-		}
-		return e.qFree(e.queueIndex(mv.Node, mv.Class)) >= required
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -14,8 +15,8 @@ import (
 	"repro/internal/traffic"
 )
 
-// atomicAlgos is the matrix the atomic-engine tests sweep: every
-// PortMaskRouter family of portMaskAlgos plus a generated graph, whose
+// atomicAlgos is the matrix the atomic-engine tests sweep: every family
+// of portMaskAlgos plus a generated graph, whose
 // links pair up but whose port numbers do not.
 func atomicAlgos(t *testing.T) []struct {
 	name string
@@ -176,11 +177,10 @@ func stepTwins(t *testing.T, a, b *AtomicEngine) (parkedCycles int) {
 }
 
 // TestAtomicParkDifferential holds the parking sweep to the plain one: an
-// engine that parks blocked heads and its maskless twin, which routes every
-// head through Candidates every cycle and so never parks, must agree
-// on the whole network state after every single cycle — including the
-// metrics core, whose COutputStalls counts parked heads the sweep never
-// visits.
+// engine that parks blocked heads and its never-parking twin, which routes
+// every head every cycle, must agree on the whole network state after
+// every single cycle — including the metrics core, whose COutputStalls
+// counts parked heads the sweep never visits.
 func TestAtomicParkDifferential(t *testing.T) {
 	for _, al := range atomicAlgos(t) {
 		t.Run(al.name, func(t *testing.T) {
@@ -193,16 +193,13 @@ func TestAtomicParkDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					cfg.Algorithm = maskless{cfg.Algorithm}
 					b, err := NewAtomicEngine(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if b.pmr != nil {
-						t.Fatal("the maskless twin took the port-mask path")
-					}
-					if want := c.policy == PolicyFirstFree; a.park != want || b.park {
-						t.Fatalf("park = %v, twin %v; want %v and false", a.park, b.park, want)
+					b.park = false
+					if want := c.policy == PolicyFirstFree; a.park != want {
+						t.Fatalf("park = %v, want %v", a.park, want)
 					}
 					c.start(a)
 					c.start(b)
@@ -221,8 +218,7 @@ func TestAtomicParkDifferential(t *testing.T) {
 }
 
 // TestAtomicParkFaultsOff: with a fault plan a head's admissible set changes
-// without any pop (links die and revive), so the engine must not park, and
-// the faulted run must equal its twin as well.
+// without any pop (links die and revive), so the engine must not park.
 func TestAtomicParkFaultsOff(t *testing.T) {
 	plan := func() *fault.Plan {
 		p := &fault.Plan{}
@@ -239,22 +235,15 @@ func TestAtomicParkFaultsOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Algorithm, cfg.Faults = maskless{mk()}, plan()
-		b, err := NewAtomicEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.pmr != nil {
-			t.Fatal("the maskless twin took the port-mask path")
-		}
 		if a.park {
 			t.Fatalf("%s: a faulted engine parks", cfg.Algorithm.Name())
 		}
-		cell := atomicCell{lambda: 1, cap: 2}
-		cell.start(a)
-		cell.start(b)
-		if n := stepTwins(t, a, b); n != 0 {
-			t.Errorf("%s: %d cycles with a parked head under faults", cfg.Algorithm.Name(), n)
+		atomicCell{lambda: 1, cap: 2}.start(a)
+		for done := false; !done; {
+			done, _ = a.Step()
+			if anyParked(a) {
+				t.Fatalf("%s: cycle %d: a head is parked under faults", cfg.Algorithm.Name(), a.Metrics().Cycles)
+			}
 		}
 		if a.Metrics().Dropped == 0 {
 			t.Errorf("%s: the node outage dropped nothing: the plan did not bite", cfg.Algorithm.Name())
@@ -264,11 +253,11 @@ func TestAtomicParkFaultsOff(t *testing.T) {
 
 // checkParkState asserts, between two cycles, what the sweep takes on trust
 // when it skips a queue: occ covers every non-empty queue, and every parked
-// queue is non-empty with a head that — by brute force through Candidates —
-// has no admissible move.
+// queue is non-empty with a head whose moves are all remote and uncredited
+// and — by brute force over its PortMask — lead to full queues only.
 func checkParkState(t *testing.T, e *AtomicEngine, cycle int64) {
 	t.Helper()
-	var cand []core.Move
+	var pm core.PortMasks
 	for qi, n := range e.qlen {
 		bit := uint64(1) << (uint(qi) & 63)
 		if n > 0 && e.occ[qi>>6]&bit == 0 {
@@ -282,36 +271,17 @@ func checkParkState(t *testing.T, e *AtomicEngine, cycle int64) {
 		}
 		u, c := int32(qi/e.classes), core.QueueClass(qi%e.classes)
 		pkt := e.qAt(qi, 0)
-		cand = e.algo.Candidates(u, c, pkt.Work, pkt.Dst, cand[:0])
-		for _, mv := range cand {
-			if e.admissible(u, c, mv) {
-				t.Fatalf("cycle %d: queue %d (node %d class %d) is parked but its head %d can move: %+v",
-					cycle, qi, u, c, pkt.ID, mv)
+		if !e.algo.PortMask(u, c, pkt.Work, pkt.Dst, &pm) {
+			t.Fatalf("cycle %d: queue %d (node %d class %d) is parked but its head %d has a delivery, internal or credited move", cycle, qi, u, c, pkt.ID)
+		}
+		for m := pm.StaticUnion() | pm.Dyn; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			tc, _ := pm.Class(p)
+			if v := e.topo.Neighbor(int(u), p); e.qFree(v*e.classes+int(tc)) > 0 {
+				t.Fatalf("cycle %d: queue %d (node %d class %d) is parked but its head %d can move through port %d", cycle, qi, u, c, pkt.ID, p)
 			}
 		}
 	}
-}
-
-// maskedManyClassRing is manyClassRing without the dynamic twin of its one
-// move, so that the move fits a port mask: a PortMaskRouter with 256 queue
-// classes, more than wake can clear as two words.
-type maskedManyClassRing struct{ manyClassRing }
-
-func (r *maskedManyClassRing) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
-	buf = r.manyClassRing.Candidates(node, class, work, dst, buf)
-	if len(buf) == 2 {
-		buf = buf[:1]
-	}
-	return buf
-}
-
-func (r *maskedManyClassRing) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
-	if node == dst {
-		return false
-	}
-	*pm = core.PortMasks{PerPort: true, StaticMask: 1}
-	pm.PortClass[0] = class + 1
-	return true
 }
 
 // TestAtomicParkInvariant steps saturated capacity-1 and capacity-2 runs and
@@ -345,7 +315,7 @@ func TestAtomicParkInvariant(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"random policy": {Algorithm: core.NewHypercubeAdaptive(6), Policy: PolicyRandom},
 		"fault plan":    {Algorithm: core.NewHypercubeAdaptive(6), Faults: plan},
-		"256 classes":   {Algorithm: &maskedManyClassRing{manyClassRing{torus: topology.NewTorus(6)}}},
+		"256 classes":   {Algorithm: newManyClassRing()},
 	} {
 		cfg.Seed, cfg.QueueCap = 7, 1
 		e, err := NewAtomicEngine(cfg)

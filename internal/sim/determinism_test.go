@@ -95,8 +95,8 @@ func TestDeterminismShardsAndPipelines(t *testing.T) {
 		}
 		// The fused pipeline times no phase of its own; the split one times
 		// phases (a) and (b) separately.
-		if pt := e.PhaseTimes(); !e.fuseOK || (pt.PhaseANs > 0 && pt.PhaseBNs > 0) != prof {
-			t.Fatalf("workers=%d phaseprof=%v: fuseOK=%v, phase times %+v", workers, prof, e.fuseOK, pt)
+		if pt := e.PhaseTimes(); (pt.PhaseANs > 0 && pt.PhaseBNs > 0) != prof {
+			t.Fatalf("workers=%d phaseprof=%v: phase times %+v", workers, prof, pt)
 		}
 		return m
 	}
@@ -139,12 +139,19 @@ func TestDeterminismCanonicalSnapshot(t *testing.T) {
 // manyClassRing is a hop-ordered structured-buffer-pool scheme on a 6-node
 // ring that declares the maximum representable number of queue classes
 // (QueueClass is uint8, so 256). Packets are injected into class 250 and
-// ascend one class per hop, and every hop also offers a dynamic alternative
-// whose link buffer is the shared dynamic buffer at index NumClasses == 256.
-// The engine's per-worker scratch must therefore be sized from the
-// algorithm, not a fixed array; a fixed [256] lens table overflows here.
+// ascend one class per hop, and every other hop is dynamic, so its link
+// buffer is the shared dynamic buffer at index NumClasses == 256. The
+// engine's per-worker scratch must therefore be sized from the algorithm,
+// not a fixed array; a fixed [256] lens table overflows here.
 type manyClassRing struct {
+	core.Derived
 	torus *topology.Torus
+}
+
+func newManyClassRing() *manyClassRing {
+	r := &manyClassRing{torus: topology.NewTorus(6)}
+	r.Derived = core.Derive(r)
+	return r
 }
 
 func (r *manyClassRing) Name() string                       { return "many-class-ring" }
@@ -160,15 +167,19 @@ func (r *manyClassRing) MaxHops(src, dst int32) int {
 	return (int(dst) - int(src) + r.torus.Nodes()) % r.torus.Nodes()
 }
 
-func (r *manyClassRing) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
+func (r *manyClassRing) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if node == dst {
-		return append(buf, core.Move{Node: node, Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
-	next := int32(r.torus.Neighbor(int(node), 0))
-	// Hop-ordered classes keep the static QDG acyclic; the dynamic twin of
-	// the same move exists purely to route through buffer class 256.
-	buf = append(buf, core.Move{Node: next, Port: 0, Class: class + 1, Kind: core.Static, MinFree: 1})
-	return append(buf, core.Move{Node: next, Port: 0, Class: class + 1, Kind: core.Dynamic, MinFree: 1})
+	// Hop-ordered classes keep the static QDG acyclic; the odd hops are
+	// dynamic purely to route through buffer class 256.
+	*pm = core.PortMasks{PerPort: true, StaticMask: 1, DynClass: class + 1}
+	pm.PortClass[0] = class + 1
+	if class&1 == 1 {
+		pm.StaticMask, pm.Dyn = 0, 1
+	}
+	return true
 }
 
 // TestEngineManyClasses regression-tests the worker-scratch sizing: with 256
@@ -176,7 +187,7 @@ func (r *manyClassRing) Candidates(node int32, class core.QueueClass, work uint3
 // 256-entry scratch table can address. The run must complete (not panic) and
 // deliver every packet.
 func TestEngineManyClasses(t *testing.T) {
-	a := &manyClassRing{torus: topology.NewTorus(6)}
+	a := newManyClassRing()
 	for _, workers := range []int{1, 2} {
 		e, err := NewEngine(Config{Algorithm: a, Seed: 5, Workers: workers})
 		if err != nil {

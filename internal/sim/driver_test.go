@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -164,7 +163,7 @@ func TestDriverContract(t *testing.T) {
 			src := traffic.NewStaticSource(&traffic.Permutation{Label: "shift3", Sigma: sigma}, 6, 10, 1)
 			catcher := &dumpCatcher{}
 			e := build(t, kind, Config{
-				Algorithm: &brokenRing{torus: topology.NewTorus(6)}, QueueCap: 1,
+				Algorithm: newBrokenRing(), QueueCap: 1,
 				Observer: catcher,
 			})
 			_, err := e.Run(context.Background(), src, StaticPlan(1_000_000))

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -73,10 +71,11 @@ import (
 // independent of Workers. Every cross-shard interaction is barrier-ordered
 // (mail lanes, input buffers), so node order within a phase cannot
 // influence the outcome. The one exception is credited moves
-// (shuffle-exchange bubble rings): their commit CAS reads live occupancy, so
-// a sharded run could tie-break differently from the sequential one. Such
+// (shuffle-exchange bubble rings): a credited claim reads the occupancy of
+// a queue at another node, which a sharded run could see mid-phase. Such
 // algorithms (Props().Credits) therefore run on one worker only: Config
 // refuses them with Workers > 1, and exec pins their RunSpecs to one worker.
+// So every counter has one writer, and none needs an atomic.
 type Engine struct {
 	kernel
 	bufClasses int
@@ -87,11 +86,10 @@ type Engine struct {
 	// outMask[u] mirrors u's outFull flags as a bitset. While every masked
 	// slot stays full, re-running the candidate scan provably fails the
 	// same way, so phase (a) skips it — packets park without paying the
-	// Candidates call every cycle.
+	// PortMask call every cycle.
 	qwait   []uint64
 	outMask []uint64
 
-	occ     []int32 // atomic occupancy mirror of the queues
 	inbound []int32 // committed-but-not-delivered packets per queue (credit accounting)
 
 	// Output buffers, structure of arrays, indexed by sender:
@@ -124,10 +122,6 @@ type Engine struct {
 	inCount  []int32 // per node: occupied inbound input buffers
 	outCount []int32 // per node: occupied output buffers
 
-	// atomicOcc selects atomic maintenance of occ/inbound; plain counters
-	// suffice for credit-free algorithms, whose occupancy is only ever read
-	// by the owning worker (see core.Props.Credits).
-	atomicOcc bool
 	// waitFast enables the blocked-packet wait-mask cache. It requires a
 	// node's output buffers to fit one word, and failure causes beyond
 	// "that buffer is full" (credit reservations, link liveness) to be
@@ -147,11 +141,6 @@ type Engine struct {
 	// (node -> worker) is the kernel's.
 	mail []mailLane
 	pool *phasePool
-	// fuseOK records that the inject/(a)/(b) phases touch only shard-owned
-	// state (no occupancy snapshot, no credited occupancy probes), so one
-	// worker may run them back-to-back and a cycle needs three barriers
-	// instead of five; begin splits them again under Config.PhaseProf.
-	fuseOK bool
 }
 
 // mailLane is one cross-shard arrival lane from srcWorker to dstWorker: the
@@ -179,10 +168,8 @@ type arrival struct {
 // workerScratch holds per-worker reusable buffers so the hot loop does not
 // allocate.
 type workerScratch struct {
-	cand []core.Move
-	adm  []int
 	lens []int32        // phase (a) queue-length snapshot, sized to NumClasses
-	pm   core.PortMasks // PortMaskRouter scratch, overwritten per call
+	pm   core.PortMasks // PortMask scratch, overwritten per call
 
 	// Phase (b) rotation cache: start = cycle mod (inDeg+1) computed once
 	// per distinct degree per cycle, not once per node (regular topologies
@@ -190,12 +177,6 @@ type workerScratch struct {
 	rotCycle int64
 	rotTotal int
 	rotStart int
-
-	// Failure accumulator filled by admissibleA across one candidate scan:
-	// the output-buffer slots that blocked remote moves, and whether every
-	// failure was of that kind (the precondition for caching the mask).
-	failMask uint64
-	failOK   bool
 
 	// touch sinks the record loads of loadRecords.
 	touch int32
@@ -214,18 +195,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	a := cfg.Algorithm
-	if a.Props().AtomicOnly {
-		return nil, fmt.Errorf("sim: algorithm %s requires the atomic engine", a.Name())
-	}
 	e := &Engine{workers: cfg.Workers}
 	if err := e.kernel.init(cfg, e, e.workers); err != nil {
 		return nil, err
 	}
 	e.bufClasses = e.classes + 1
-	nQueues := e.nodes * e.classes
-	e.occ = make([]int32, nQueues)
-	e.inbound = make([]int32, nQueues)
+	e.inbound = make([]int32, e.nodes*e.classes)
 	nLinks := e.nodes * e.ports
 	e.outRef = make([]int32, nLinks*e.bufClasses)
 	e.outFull = make([]uint8, nLinks*e.bufClasses)
@@ -265,8 +240,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.inRef = make([]int32, nIn)
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
-	e.atomicOcc = a.Props().Credits
-	e.waitFast = e.ports*e.bufClasses <= 64 && !e.atomicOcc && e.flt == nil
+	e.waitFast = e.ports*e.bufClasses <= 64 && !cfg.Algorithm.Props().Credits && e.flt == nil
 	if e.waitFast {
 		e.qwait = make([]uint64, len(e.qref))
 		e.outMask = make([]uint64, e.nodes)
@@ -281,11 +255,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.bounds = make([]int32, e.workers+1)
 	e.uniformBounds()
 	e.sizeTables(func(u int) int { return e.ports*e.bufClasses + int(e.inDeg[u]) })
-	e.fuseOK = !e.atomicOcc
 	e.scratch = make([]workerScratch, e.workers)
 	for i := range e.scratch {
-		e.scratch[i].cand = make([]core.Move, 0, 64)
-		e.scratch[i].adm = make([]int, 64)
 		e.scratch[i].lens = make([]int32, e.classes)
 	}
 	e.mail = make([]mailLane, e.workers*e.workers)
@@ -307,7 +278,6 @@ func (e *Engine) stopPool() {
 // body. The phase closures are built once per run; release drops the one the
 // pool still holds, so parked workers never retain the engine.
 func (e *Engine) begin() func(cycle int64) {
-	clear(e.occ)
 	clear(e.inbound)
 	clear(e.qwait)
 	clear(e.outMask)
@@ -329,13 +299,14 @@ func (e *Engine) begin() func(cycle int64) {
 	link := func(w int) { e.workerLink(w) }
 	fold := func(w int) { e.workerFold(w) }
 	var fused func(int)
-	if e.fuseOK && !e.cfg.PhaseProf {
-		// Inject/(a)/(b) touch only shard-owned state here (no occupancy
-		// snapshot, no credited probes), so one worker can run them
-		// back-to-back: the cycle pays three barriers instead of five. The
-		// link phase and the fold still need their own: the link phase
-		// writes the senders' lanes, which the fold reads. PhaseProf forces
-		// the split pipeline so each phase is individually timed.
+	if !e.cfg.PhaseProf {
+		// Inject/(a)/(b) touch only shard-owned state (a credited probe of
+		// another node's queue runs on the one worker there is), so one
+		// worker can run them back-to-back: the cycle pays three barriers
+		// instead of five. The link phase and the fold still need their
+		// own: the link phase writes the senders' lanes, which the fold
+		// reads. PhaseProf forces the split pipeline so each phase is
+		// individually timed.
 		fused = func(w int) {
 			e.workerInject(w)
 			e.workerPhaseA(w)
@@ -399,9 +370,8 @@ func (e *Engine) setLive(u int32) {
 	e.liveBits[u>>6] |= 1 << (uint(u) & 63)
 }
 
-// qPush and qDrop route every central-queue mutation through the atomic
-// occupancy mirror (read by credited claims from other nodes) and the
-// per-node worklist total. qPush appends packet reference r to queue qi.
+// qPush and qDrop route every central-queue mutation through the per-node
+// worklist total. qPush appends packet reference r to queue qi.
 func (e *Engine) qPush(u int32, qi int, r int32) int {
 	n := e.qlen[qi]
 	if int(n) == e.queueCap {
@@ -417,11 +387,6 @@ func (e *Engine) qPush(u int32, qi int, r int32) int {
 	}
 	e.qlen[qi] = n + 1
 	e.qTotal[u]++
-	if e.atomicOcc {
-		atomic.AddInt32(&e.occ[qi], 1)
-	} else {
-		e.occ[qi]++
-	}
 	if e.obsOn {
 		sh := &e.statsBuf[e.owner[u]].obs
 		sh.GaugeAdd(obs.GQueueOccupancy, 1)
@@ -460,45 +425,16 @@ func (e *Engine) qDrop(u int32, qi int, idx int32) {
 	e.qhead[qi] = head
 	e.qlen[qi]--
 	e.qTotal[u]--
-	if e.atomicOcc {
-		atomic.AddInt32(&e.occ[qi], -1)
-	} else {
-		e.occ[qi]--
-	}
 	if e.obsOn {
 		e.statsBuf[e.owner[u]].obs.GaugeAdd(obs.GQueueOccupancy, -1)
 	}
 }
 
 // effectiveFree returns the target queue's capacity minus occupancy minus
-// committed inbound packets. With credits the reads are atomic (remote
-// claimers race with the owner); during node phase (a) the target's
-// occupancy can only shrink, so a stale read is conservative. Without
-// credits only the owning worker ever reads a queue's occupancy, and plain
-// loads suffice.
+// committed inbound packets: the room a credited claim or an internal move
+// may take.
 func (e *Engine) effectiveFree(qi int) int32 {
-	if e.atomicOcc {
-		return int32(e.queueCap) - atomic.LoadInt32(&e.occ[qi]) - atomic.LoadInt32(&e.inbound[qi])
-	}
-	return int32(e.queueCap) - e.occ[qi] - e.inbound[qi]
-}
-
-// tryReserve atomically reserves one inbound slot at queue qi, succeeding
-// only while effectiveFree >= need. Only credited moves reserve, and each
-// credited target has a unique upstream claimer; the CAS keeps
-// occupancy+inbound <= capacity machine-checked regardless, so a reserved
-// packet's eventual push can never find the queue full.
-func (e *Engine) tryReserve(qi int, need int32) bool {
-	for {
-		in := atomic.LoadInt32(&e.inbound[qi])
-		free := int32(e.queueCap) - atomic.LoadInt32(&e.occ[qi]) - in
-		if free < need {
-			return false
-		}
-		if atomic.CompareAndSwapInt32(&e.inbound[qi], in, in+1) {
-			return true
-		}
-	}
+	return int32(e.queueCap) - e.qlen[qi] - e.inbound[qi]
 }
 
 // liveCount returns the number of nodes on the active worklist.
@@ -625,23 +561,21 @@ func (e *Engine) loadRecords(u int32, pkts []core.Packet) int32 {
 // ascending order), so the first packet in FIFO order wins any contended
 // buffer, as Section 7.1 prescribes. The packets are records of t, u's
 // shard table; rot is cycle mod classes.
+//
+// Each packet's candidate set is its PortMask, and the policy selects among
+// its admissible candidates: an internal move needs a free slot in its
+// target queue (none for an in-place step), a port a free output buffer
+// (and, credited, Credit free slots at the far queue). First-free stops at
+// the first admissible candidate; the other policies see them all.
 func (e *Engine) nodePhaseA(u int32, rot int, cycle int64, win runWindow, st *cycleStats, sc *workerScratch, t *pktTable) {
-	r := &e.rngs[u]
 	pkts := t.pkts // phase (a) takes no reference, so the table cannot grow
 	wf := e.waitFast
 	on := e.obsOn
+	f := e.flt
 	pol := e.cfg.Policy
+	ff := pol == PolicyFirstFree && f == nil
 	headOnly := e.cfg.HeadOnly
-	// A remote uncredited move is decided by its output-buffer flag alone,
-	// so the FirstFree scan below probes the flag inline instead of calling
-	// admissibleA. fastFF requires the FirstFree policy and a PortMaskRouter
-	// algorithm (with at most 32 ports, see kernel.pmr): eligible
-	// packets then route without materializing Moves. These are the only
-	// per-run conditions; per-state eligibility is PortMask's ok result
-	// below, so a partial implementor that declines some (or even most)
-	// states simply routes those packets through the Candidates scan within
-	// the same cycle — the fallback is per packet, not per run.
-	fastFF := e.pmr != nil && pol == PolicyFirstFree
+	pm := &sc.pm
 	lbase := int(u) * e.ports
 	obase := lbase * e.bufClasses
 	qi0 := int(u) * e.classes
@@ -676,255 +610,127 @@ func (e *Engine) nodePhaseA(u int32, rot int, cycle int64, win runWindow, st *cy
 			}
 			pi := qi*e.queueCap + int(pos)
 			pkt := &pkts[e.qref[pi]]
-			if wf {
-				// Blocked-packet fast path: if every buffer the packet was
-				// waiting on is still full, the candidate scan is known to
-				// fail and is skipped outright.
-				if parked(e.qwait[pi], e.outMask[u]) {
+			// Blocked-packet fast path: if every buffer the packet was
+			// waiting on is still full, its scan is known to fail and is
+			// skipped outright.
+			if wf && parked(e.qwait[pi], e.outMask[u]) {
+				if on {
+					st.obs.Inc(obs.CWaitParked)
+				}
+				idx++
+				continue
+			}
+			plain := e.algo.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, pm)
+			if plain && ff {
+				// The tables' case, the hot loop of the engine, inline: a plain
+				// set takes its lowest port whose output buffer is free.
+				fail, b := uint64(0), -1
+				p, tc, dyn := 0, core.QueueClass(0), false
+				for mk := pm.StaticUnion() | pm.Dyn; mk != 0; mk &= mk - 1 {
+					p = bits.TrailingZeros64(mk)
+					tc, dyn = pm.Class(p)
+					b = int(tc)
+					if dyn {
+						b = e.classes
+					}
+					if b += p * e.bufClasses; e.outFull[obase+b] == 0 {
+						break
+					}
+					fail |= 1 << uint(b&63)
+					b = -1
+				}
+				if b < 0 {
+					if wf {
+						e.qwait[pi] = fail
+					}
 					if on {
-						st.obs.Inc(obs.CWaitParked)
+						st.obs.Inc(obs.COutputStalls)
 					}
 					idx++
 					continue
 				}
+				r := e.qref[pi]
+				e.qDrop(u, qi, idx)
+				e.send(u, p, tc, dyn, r, pkt, pm, false, st)
+				continue
 			}
-			if fastFF && pkt.Dst != u {
-				// Port-mask fast path: identical move-by-move to running the
-				// FirstFree scan over Candidates, but the moves are implied
-				// by the mask bits (ascending ports) and never built.
-				if pm := &sc.pm; e.pmr.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, pm) {
-					fail := uint64(0)
-					port, found, tgt := 0, -1, 0
-					dyn := false
-					if e.flt == nil {
-						// Fault-free scan: kept branch-for-branch identical to
-						// the pre-fault engine so an unused fault subsystem
-						// costs the hot path nothing.
-						for mk := pm.StaticUnion() | pm.Dyn; mk != 0; mk &= mk - 1 {
-							t := bits.TrailingZeros32(mk)
-							bit := uint32(1) << uint(t)
-							tc, bc := 0, 0
-							d := pm.Dyn&bit != 0
-							switch {
-							case d:
-								tc, bc = int(pm.DynClass), e.classes
-							case pm.PerPort:
-								tc = int(pm.PortClass[t])
-								bc = tc
-							default:
-								for pm.Static[tc]&bit == 0 {
-									tc++
-								}
-								bc = tc
-							}
-							b := t*e.bufClasses + bc
-							if e.outFull[obase+b] != 0 {
-								fail |= 1 << uint(b&63)
-								continue
-							}
-							port, found, tgt, dyn = t, b, tc, d
-							break
-						}
-					} else {
-						// Mask out dead links; if that empties the candidate
-						// set, fall back to misrouting over survivors.
-						lp := e.flt.livePorts[u]
-						pm.Static[0] &= lp
-						pm.Static[1] &= lp
-						pm.Static[2] &= lp
-						pm.Static[3] &= lp
-						pm.StaticMask &= lp
-						pm.Dyn &= lp
-						union := pm.StaticUnion() | pm.Dyn
-						if union == 0 {
-							if !e.misroute(u, qi, idx, t, cycle, st) {
-								idx++
-							}
-							continue
-						}
-						lower := uint32(0)
-						if union&(union-1) != 0 && pkt.Misrouted() {
-							// A fault-displaced packet must not scan low-to-high:
-							// first-free would deterministically re-take the
-							// dimension its last misroute came over, orbiting it
-							// back into the dead minimal cut forever. Hash the
-							// scan start instead (node-local, worker-safe) by
-							// splitting the mask at the k-th set bit.
-							k := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(bits.OnesCount32(union)))
-							up := union
-							for i := 0; i < k; i++ {
-								up &= up - 1
-							}
-							lower = union ^ up
-							union = up
-						}
-						for mk := union; ; mk &= mk - 1 {
-							if mk == 0 {
-								if lower == 0 {
-									break
-								}
-								mk, lower = lower, 0 // wrap to the skipped low bits
-							}
-							t := bits.TrailingZeros32(mk)
-							bit := uint32(1) << uint(t)
-							tc, bc := 0, 0
-							d := pm.Dyn&bit != 0
-							switch {
-							case d:
-								tc, bc = int(pm.DynClass), e.classes
-							case pm.PerPort:
-								tc = int(pm.PortClass[t])
-								bc = tc
-							default:
-								for pm.Static[tc]&bit == 0 {
-									tc++
-								}
-								bc = tc
-							}
-							b := t*e.bufClasses + bc
-							if e.outFull[obase+b] != 0 {
-								fail |= 1 << uint(b&63)
-								continue
-							}
-							port, found, tgt, dyn = t, b, tc, d
-							break
-						}
-					}
-					if found < 0 {
-						if wf {
-							e.qwait[pi] = fail // every failure was a full buffer
-						}
-						if on {
-							st.obs.Inc(obs.COutputStalls)
-						}
-						idx++
-						continue
-					}
-					si := obase + found
-					pkt.Class = core.QueueClass(tgt)
-					if dyn {
-						pkt.Work = pm.DynWork
-					} else {
-						pkt.Work = pm.Work
-					}
-					pkt.MinFree = 1
-					pkt.Hops++
-					e.outRef[si] = e.qref[pi]
+			nint, credit := 0, uint8(0)
+			if !plain {
+				if pm.Deliver {
+					e.drawDelivery(u)
+					e.deliver(t, e.qref[pi], cycle, win, st)
 					e.qDrop(u, qi, idx)
-					e.outFull[si] = e.arrivalCode(lbase+port, pkt)
-					if wf {
-						e.outMask[u] |= 1 << uint(found&63)
-					}
-					e.outLink[lbase+port]++
-					e.outCount[u]++
-					st.moves++
-					if dyn {
-						st.dynamicMoves++
-					}
 					continue
 				}
+				nint, credit = int(pm.Internal), pm.Credit
 			}
-			sc.cand = e.algo.Candidates(u, core.QueueClass(c), pkt.Work, pkt.Dst, sc.cand[:0])
-			moves := sc.cand
-			if e.flt != nil {
-				moves = e.flt.filterLiveMoves(u, moves)
-				if len(moves) == 0 {
-					// Faults removed every candidate (deliveries and internal
-					// moves always survive the filter): misroute or drop.
+			union := pm.StaticUnion() | pm.Dyn
+			hashed := false
+			if f != nil {
+				union &= f.livePorts[u]
+				if union == 0 && nint == 0 {
+					// Faults removed every candidate: misroute or drop.
 					if !e.misroute(u, qi, idx, t, cycle, st) {
 						idx++
 					}
 					continue
 				}
+				// A fault-displaced packet must not scan from the lowest
+				// candidate: first-free would deterministically re-take the
+				// dimension its last misroute came over, orbiting it back
+				// into the dead minimal cut forever. Its scan starts at a
+				// hashed candidate instead (node-local, worker-safe).
+				hashed = pol == PolicyFirstFree && pkt.Misrouted() && nint+bits.OnesCount64(union) > 1
 			}
-			sc.failMask, sc.failOK = 0, true
-			// Select among the admissible candidates. The positional
-			// policies short-circuit the admissibility scan; the random
-			// policies need the full admissible set (and its count) to keep
-			// the per-node RNG stream aligned.
-			mvi := -1
-			switch pol {
-			case PolicyFirstFree:
-				if e.flt != nil && len(moves) > 1 && pkt.Misrouted() {
-					// Hashed scan start for fault-displaced packets: see the
-					// port-mask path above for why first-free would orbit
-					// them back into the dead minimal cut.
-					start := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(len(moves)))
-					for ii := range moves {
-						i := ii + start
-						if i >= len(moves) {
-							i -= len(moves)
-						}
-						m := &moves[i]
-						if m.Port >= 0 && m.Credit == 0 {
-							bc := int(m.Class)
-							if m.Kind == core.Dynamic {
-								bc = e.classes
-							}
-							bc += int(m.Port) * e.bufClasses
-							if e.outFull[obase+bc] != 0 {
-								sc.failMask |= 1 << uint(bc&63)
-								continue
-							}
-							mvi = i
-							break
-						}
-						if e.admissibleA(u, core.QueueClass(c), m, sc) {
-							mvi = i
-							break
-						}
-					}
-					break
-				}
-				for i := range moves {
-					m := &moves[i]
-					if m.Port >= 0 && m.Credit == 0 {
-						bc := int(m.Class)
-						if m.Kind == core.Dynamic {
-							bc = e.classes
-						}
-						bc += int(m.Port) * e.bufClasses
-						if e.outFull[obase+bc] != 0 {
-							sc.failMask |= 1 << uint(bc&63)
-							continue
-						}
-						mvi = i
+			// First-free takes the first admissible candidate it meets (in,
+			// p); the other policies collect them all and choose below.
+			first := pol == PolicyFirstFree && !hashed
+			in, p := -1, -1
+			tc, dyn := core.QueueClass(0), false
+			var ai uint8
+			var ap, fail uint64
+			failOK := true // every failure was a full buffer: the wait mask may be cached
+			for i := 0; i < nint; i++ {
+				if tc := int(pm.IntClass[i]); tc == c || e.effectiveFree(qi0+tc) >= 1 {
+					ai |= 1 << uint(i)
+					if first {
+						in = i
 						break
 					}
-					if e.admissibleA(u, core.QueueClass(c), m, sc) {
-						mvi = i
-						break
-					}
-				}
-			case PolicyLastFree:
-				for i := len(moves) - 1; i >= 0; i-- {
-					if e.admissibleA(u, core.QueueClass(c), &moves[i], sc) {
-						mvi = i
-						break
-					}
-				}
-			default:
-				if len(moves) > len(sc.adm) {
-					sc.adm = make([]int, len(moves)+16)
-				}
-				nAdm := 0
-				for i := range moves {
-					if e.admissibleA(u, core.QueueClass(c), &moves[i], sc) {
-						sc.adm[nAdm] = i
-						nAdm++
-					}
-				}
-				if nAdm > 0 {
-					mvi = choose(pol, r, moves, sc.adm[:nAdm])
+				} else {
+					failOK = false
 				}
 			}
-			if mvi < 0 {
+			if in < 0 {
+				for mk := union; mk != 0; mk &= mk - 1 {
+					port := bits.TrailingZeros64(mk)
+					tc, dyn = pm.Class(port)
+					b := int(tc)
+					if dyn {
+						b = e.classes
+					}
+					b += port * e.bufClasses
+					if e.outFull[obase+b] != 0 {
+						fail |= 1 << uint(b&63)
+						continue
+					}
+					if credit > 0 && !dyn && e.effectiveFree(int(e.nbr[lbase+port])*e.classes+int(tc)) < int32(credit) {
+						failOK = false
+						continue
+					}
+					ap |= 1 << uint(port)
+					if first {
+						p = port
+						break
+					}
+				}
+			}
+			if ai == 0 && ap == 0 {
 				if wf {
-					m := sc.failMask
-					if !sc.failOK {
-						m = 0 // uncacheable failure mode; rescan next cycle
+					if !failOK {
+						fail = 0 // uncacheable failure mode; rescan next cycle
 					}
-					e.qwait[pi] = m
+					e.qwait[pi] = fail
 				}
 				if on {
 					st.obs.Inc(obs.COutputStalls)
@@ -932,111 +738,99 @@ func (e *Engine) nodePhaseA(u int32, rot int, cycle int64, win runWindow, st *cy
 				idx++
 				continue
 			}
-			mv := &moves[mvi]
-			switch {
-			case mv.Deliver:
-				e.deliver(t, e.qref[pi], cycle, win, st)
-				e.qDrop(u, qi, idx)
-			case mv.Port == core.PortInternal && mv.Node == u && mv.Class == core.QueueClass(c):
-				// Self-spin: advance bookkeeping in place.
-				pkt.Work = mv.Work
-				idx++
+			if !first {
+				if hashed {
+					in, p = rotFirst(ai, ap, nint, union, int(misrouteHash(cycle, pkt.ID, pkt.HopCount())%uint32(nint+bits.OnesCount64(union))))
+				} else {
+					in, p = choose(pol, &e.rngs[u], ai, ap, pm.Dyn)
+				}
+				if in < 0 {
+					tc, dyn = pm.Class(p)
+				}
+			}
+			if in >= 0 {
+				tc := pm.IntClass[in]
+				pkt.Work = pm.IntWork[in]
 				st.moves++
-			case mv.Port == core.PortInternal:
+				if int(tc) == c {
+					idx++ // in-place step: the bookkeeping advances, the packet stays
+					continue
+				}
 				// The record is edited in place and its reference pushed to
-				// the target queue, then dropped here; the in-place case
-				// above caught class == c.
-				pkt.Class = mv.Class
-				pkt.Work = mv.Work
-				pkt.MinFree = 1
-				if l := e.qPush(u, qi0+int(mv.Class), e.qref[pi]); l > st.maxQueue {
+				// the target queue, then dropped here.
+				pkt.Class, pkt.MinFree = tc, 1
+				if l := e.qPush(u, qi0+int(tc), e.qref[pi]); l > st.maxQueue {
 					st.maxQueue = l
 				}
 				e.qDrop(u, qi, idx)
-				st.moves++
-			default:
-				if mv.Credit > 0 {
-					// Credited move: reserve the slot before committing.
-					// The unique upstream claimer makes the CAS a formality,
-					// but it keeps the invariant machine-checked.
-					if !e.tryReserve(e.queueIndex(mv.Node, mv.Class), int32(mv.Credit)) {
-						idx++
-						continue
-					}
-				}
-				bc := int(mv.Class)
-				if mv.Kind == core.Dynamic {
-					bc = e.classes
-				}
-				link := int(u)*e.ports + int(mv.Port)
-				si := link*e.bufClasses + bc
-				pkt.Class = mv.Class
-				pkt.Work = mv.Work
-				if mv.Credit > 0 {
-					pkt.MinFree = 0 // marks the reservation for the drain
-				} else {
-					pkt.MinFree = mv.MinFree
-				}
-				// The hop is counted at commit time rather than at transfer:
-				// a packet is never observed while it waits in the link
-				// buffers, so charging the traversal early is equivalent and
-				// the link phase never touches a record.
-				pkt.Hops++
-				e.outRef[si] = e.qref[pi]
-				e.qDrop(u, qi, idx)
-				e.outFull[si] = e.arrivalCode(link, pkt)
-				if wf {
-					e.outMask[u] |= 1 << uint((int(mv.Port)*e.bufClasses+bc)&63)
-				}
-				e.outLink[link]++
-				e.outCount[u]++
-				st.moves++
-				if mv.Kind == core.Dynamic {
-					st.dynamicMoves++
-				}
+				continue
 			}
+			credited := credit > 0 && !dyn
+			if credited {
+				// Reserve the slot the admissibility check found free.
+				e.inbound[int(e.nbr[lbase+p])*e.classes+int(tc)]++
+			}
+			r := e.qref[pi]
+			e.qDrop(u, qi, idx)
+			e.send(u, p, tc, dyn, r, pkt, pm, credited, st)
 		}
 	}
 }
 
-// admissibleA reports whether a move can be taken during node phase (a):
-// output buffer free for remote moves (plus the credit reservation for
-// credited moves), capacity available for internal ones. Failures feed the
-// scratch accumulator behind the wait-mask cache: a remote move blocked by
-// a full buffer records the buffer's node-local slot bit; any other failure
-// mode poisons the mask (those can clear without a local buffer event).
-func (e *Engine) admissibleA(u int32, class core.QueueClass, mv *core.Move, sc *workerScratch) bool {
-	switch {
-	case mv.Deliver:
-		return true
-	case mv.Port == core.PortInternal && mv.Node == u && mv.Class == class:
-		return true // in-place
-	case mv.Port == core.PortInternal:
-		// Internal moves must not consume slots reserved by inbound
-		// credited packets.
-		if e.effectiveFree(e.queueIndex(u, mv.Class)) >= int32(mv.MinFree) {
-			return true
+// rotFirst returns the first admissible candidate at or after position
+// start of the candidate order, wrapping, as choose returns it: positions
+// below nint are the internal moves (admissible in ai), the rest the ports
+// of union in ascending order (admissible in ap).
+func rotFirst(ai uint8, ap uint64, nint int, union uint64, start int) (int, int) {
+	if start < nint {
+		if hi := ai >> uint(start); hi != 0 {
+			return start + bits.TrailingZeros8(hi), 0
 		}
-		sc.failOK = false
-		return false
-	default:
-		bc := int(mv.Port)*e.bufClasses + int(mv.Class)
-		if mv.Kind == core.Dynamic {
-			bc = int(mv.Port)*e.bufClasses + e.classes
+		if ap != 0 {
+			return -1, bits.TrailingZeros64(ap)
 		}
-		if e.outFull[int(u)*e.ports*e.bufClasses+bc] != 0 {
-			sc.failMask |= 1 << uint(bc&63)
-			return false
-		}
-		if mv.Credit > 0 {
-			if e.effectiveFree(e.queueIndex(mv.Node, mv.Class)) >= int32(mv.Credit) {
-				return true
-			}
-			sc.failOK = false
-			return false
-		}
-		return true
+		return bits.TrailingZeros8(ai), 0
 	}
+	lower, upper := splitAt(union, start-nint)
+	if m := ap & upper; m != 0 {
+		return -1, bits.TrailingZeros64(m)
+	}
+	if ai != 0 {
+		return bits.TrailingZeros8(ai), 0
+	}
+	return -1, bits.TrailingZeros64(ap & lower)
+}
+
+// send commits packet r (record pkt) of node u to the output buffer of port
+// p, taking the move pm states through it, into class tc (dyn: the dynamic
+// move); credited marks a credited static move, whose slot at the far queue
+// is reserved. The caller has taken the reference out of the queue or input
+// buffer that held it.
+func (e *Engine) send(u int32, p int, tc core.QueueClass, dyn bool, r int32, pkt *core.Packet, pm *core.PortMasks, credited bool, st *cycleStats) {
+	bc := int(tc)
+	pkt.Class, pkt.Work, pkt.MinFree = tc, pm.Work, 1
+	if dyn {
+		bc, pkt.Work = e.classes, pm.DynWork
+		st.dynamicMoves++
+	}
+	if credited {
+		pkt.MinFree = 0 // marks the reservation for the drain
+	}
+	// The hop is counted at commit time rather than at transfer: a packet is
+	// never observed while it waits in the link buffers, so charging the
+	// traversal early is equivalent and the link phase never touches a
+	// record.
+	pkt.Hops++
+	link := int(u)*e.ports + p
+	si := link*e.bufClasses + bc
+	e.outRef[si] = r
+	e.outFull[si] = e.arrivalCode(link, pkt)
+	if e.waitFast {
+		e.outMask[u] |= 1 << uint((p*e.bufClasses+bc)&63)
+	}
+	e.outLink[link]++
+	e.outCount[u]++
+	st.moves++
 }
 
 // workerPhaseB runs node phase (b) over the live nodes of one shard.
@@ -1107,7 +901,7 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 				c = t.pkts[r].Class
 			}
 			qi := e.queueIndex(u, c)
-			if e.effectiveFree(qi) >= 1 { // a fresh packet's MinFree (enqueue)
+			if e.effectiveFree(qi) >= 1 {
 				t.pkts[r].InjectedAt = cycle
 				if l := e.qPush(u, qi, r); l > st.maxQueue {
 					st.maxQueue = l
@@ -1131,14 +925,14 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 			continue
 		}
 		pkt := &t.pkts[r]
-		if ct && pkt.Dst != u && pkt.MinFree != 0 && e.cutThrough(u, si, pkt, st, sc) {
+		if ct && pkt.Dst != u && pkt.MinFree != 0 && e.cutThrough(u, si, pkt, st, &sc.pm) {
 			continue
 		}
 		if pkt.Dst == u {
 			if pkt.MinFree == 0 {
 				// Release the credit reservation of a packet consumed
 				// straight from the input buffer.
-				atomic.AddInt32(&e.inbound[e.queueIndex(u, pkt.Class)], -1)
+				e.inbound[e.queueIndex(u, pkt.Class)]--
 			}
 			e.deliver(t, r, cycle, win, st)
 			e.inFree(u, si)
@@ -1149,28 +943,21 @@ func (e *Engine) nodePhaseB(u int32, inj bool, cycle int64, win runWindow, st *c
 			// Credited packet: its slot was reserved at claim time, so the
 			// push cannot fail; release the reservation.
 			pkt.MinFree = 1
-			if l := e.qPush(u, qi, r); l > st.maxQueue {
-				st.maxQueue = l
-			}
-			atomic.AddInt32(&e.inbound[qi], -1)
-			e.inFree(u, si)
-			st.moves++
+			e.inbound[qi]--
+		} else if e.qlen[qi] == int32(e.queueCap) {
 			continue
 		}
-		if int32(e.queueCap)-e.qlen[qi] >= int32(pkt.MinFree) {
-			if l := e.qPush(u, qi, r); l > st.maxQueue {
-				st.maxQueue = l
-			}
-			e.inFree(u, si)
-			st.moves++
+		if l := e.qPush(u, qi, r); l > st.maxQueue {
+			st.maxQueue = l
 		}
+		e.inFree(u, si)
+		st.moves++
 	}
 }
 
 // arriveByRecord is the arrival code of a packet that phase (b) must read
 // the record of to drain: one that is delivered at the far end, a credited
-// packet, one whose move needs MinFree other than 1, or one whose class does
-// not fit the code. Any other packet's code is its queue class plus one,
+// packet (MinFree 0), or one whose class does not fit the code. Any other packet's code is its queue class plus one,
 // which is all phase (b) needs to queue it; phase (a) at the sender, where
 // the record was just written, sets it.
 const arriveByRecord = 255
@@ -1237,47 +1024,33 @@ func nextDrain(flags []uint8, inj bool, start, i int) int {
 // cutThrough attempts to forward pkt, the packet in input buffer si,
 // straight to a free output buffer (virtual cut-through), editing its record
 // only once a buffer is found. It must not be used for credited packets
-// (their reservation is tied to the queue they bypass). Reports whether the
-// packet moved.
-func (e *Engine) cutThrough(u int32, si int32, pkt *core.Packet, st *cycleStats, sc *workerScratch) bool {
-	sc.cand = e.algo.Candidates(u, pkt.Class, pkt.Work, pkt.Dst, sc.cand[:0])
-	for i := range sc.cand {
-		mv := &sc.cand[i]
-		if mv.Deliver || mv.Port == core.PortInternal || mv.Credit > 0 {
-			// Internal transitions and credited (bubble-reserved) moves go
-			// through the queues; everything else may cut through — the
-			// packet only ever occupies buffers that were free, so the
-			// deadlock analysis is unchanged and waiting strictly shrinks.
-			continue
-		}
-		if e.flt != nil && !e.flt.portAlive(u, mv.Port) {
-			continue
-		}
-		bc := int(mv.Class)
-		if mv.Kind == core.Dynamic {
+// (their reservation is tied to the queue they bypass). Internal
+// transitions and credited (bubble-reserved) moves go through the queues;
+// every other candidate may cut through, lowest port first — the packet
+// only ever occupies buffers that were free, so the deadlock analysis is
+// unchanged and waiting strictly shrinks. Reports whether the packet moved.
+func (e *Engine) cutThrough(u int32, si int32, pkt *core.Packet, st *cycleStats, pm *core.PortMasks) bool {
+	plain := e.algo.PortMask(u, pkt.Class, pkt.Work, pkt.Dst, pm)
+	m := pm.StaticUnion() | pm.Dyn
+	if !plain && pm.Credit > 0 {
+		m = pm.Dyn
+	}
+	if e.flt != nil {
+		m &= e.flt.livePorts[u]
+	}
+	lbase := int(u) * e.ports
+	for ; m != 0; m &= m - 1 {
+		p := bits.TrailingZeros64(m)
+		tc, dyn := pm.Class(p)
+		bc := int(tc)
+		if dyn {
 			bc = e.classes
 		}
-		link := int(u)*e.ports + int(mv.Port)
-		so := link*e.bufClasses + bc
-		if e.outFull[so] != 0 {
+		if e.outFull[(lbase+p)*e.bufClasses+bc] != 0 {
 			continue
 		}
-		pkt.Class = mv.Class
-		pkt.Work = mv.Work
-		pkt.MinFree = mv.MinFree
-		pkt.Hops++ // charged at commit time, as in phase (a)
-		e.outRef[so] = e.inRef[si]
-		e.outFull[so] = e.arrivalCode(link, pkt)
-		if e.waitFast {
-			e.outMask[u] |= 1 << uint((int(mv.Port)*e.bufClasses+bc)&63)
-		}
-		e.outLink[link]++
-		e.outCount[u]++
+		e.send(u, p, tc, dyn, e.inRef[si], pkt, pm, false, st)
 		e.inFree(u, si)
-		st.moves++
-		if mv.Kind == core.Dynamic {
-			st.dynamicMoves++
-		}
 		if e.obsOn {
 			st.obs.Inc(obs.CCutThrough)
 		}

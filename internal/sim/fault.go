@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -23,7 +22,7 @@ type faultState struct {
 	sched     *fault.Schedule
 	nextEv    int
 	live      *topology.Liveness
-	livePorts []uint32  // per node: usable out-port mask (link + both endpoints alive)
+	livePorts []uint64  // per node: usable out-port mask (link + both endpoints alive)
 	inEdges   [][]int32 // per node: directed-link ids (u*ports+p) entering it
 	hopBudget int       // extra traversals beyond MaxHops before a misrouted packet drops
 	injFail   []uint8   // per node: consecutive failed injection attempts (backoff exponent)
@@ -42,7 +41,7 @@ func newFaultState(t topology.Topology, sched *fault.Schedule, hopBudget int) *f
 	f := &faultState{
 		sched:     sched,
 		live:      topology.NewLiveness(t),
-		livePorts: make([]uint32, n),
+		livePorts: make([]uint64, n),
 		inEdges:   make([][]int32, n),
 		hopBudget: hopBudget,
 		injFail:   make([]uint8, n),
@@ -81,12 +80,6 @@ func (f *faultState) recomputeLivePorts() {
 	}
 }
 
-// portAlive reports whether the directed link out of u through port p is
-// usable for routing this cycle.
-func (f *faultState) portAlive(u int32, p int16) bool {
-	return f.livePorts[u]&(1<<uint(p)) != 0
-}
-
 // backoff handles a saturated injection attempt: the node waits an
 // exponentially growing number of cycles before the next attempt.
 func (f *faultState) backoff(u int32, cycle int64) {
@@ -110,7 +103,7 @@ func (e *Engine) purgeLink(l int, cycle int64, st *cycleStats) {
 		r := e.outRef[base+bc]
 		if pkt := &t.pkts[r]; pkt.MinFree == 0 {
 			// Credited packet: release its reservation at the target queue.
-			atomic.AddInt32(&e.inbound[e.queueIndex(e.nbr[l], pkt.Class)], -1)
+			e.inbound[e.queueIndex(e.nbr[l], pkt.Class)]--
 		}
 		e.dropRef(t, r, cycle, st)
 		e.outFull[base+bc] = 0
@@ -129,15 +122,7 @@ func (e *Engine) purgeNode(u int32, cycle int64, st *cycleStats) {
 		e.purgeLink(int(l), cycle, st)
 	}
 	e.purgeQueues(u, cycle, st)
-	for qi := int(u) * e.classes; qi < (int(u)+1)*e.classes; qi++ {
-		if e.atomicOcc {
-			atomic.StoreInt32(&e.occ[qi], 0)
-			atomic.StoreInt32(&e.inbound[qi], 0)
-		} else {
-			e.occ[qi] = 0
-			e.inbound[qi] = 0
-		}
-	}
+	clear(e.inbound[int(u)*e.classes : (int(u)+1)*e.classes])
 	e.qTotal[u] = 0
 	base, deg := e.inBase[u], e.inDeg[u]
 	t := &e.tabs[e.owner[u]]
@@ -169,6 +154,24 @@ func misrouteHash(cycle, id int64, hops int) uint32 {
 	return uint32(x)
 }
 
+// detour returns the ports a fault-trapped packet at u may leave through,
+// in the order to try them, or ok == false once its hop budget is spent (or
+// no port survives) and it is to be dropped. The order starts at a port
+// hashed from the cycle, the packet and its progress — deterministic and
+// node-local, so worker counts cannot change it — and wraps. A plain
+// (cycle+hops) rotation is not enough: on a closed detour of length L both
+// advance by L per lap, so the same port would be chosen forever whenever
+// 2L divides the live-port count, and the packet would orbit until its hop
+// budget ran out.
+func (f *faultState) detour(u int32, pkt *core.Packet, maxHops int, cycle int64) (order [2]uint64, ok bool) {
+	lp := f.livePorts[u]
+	if lp == 0 || pkt.HopCount() >= maxHops+f.hopBudget {
+		return order, false
+	}
+	lower, upper := splitAt(lp, int(misrouteHash(cycle, pkt.ID, pkt.HopCount())%uint32(bits.OnesCount64(lp))))
+	return [2]uint64{upper, lower}, true
+}
+
 // misroute is the degraded-routing fallback: every minimal candidate of the
 // packet at FIFO position idx of queue qi (a record of t, u's shard table)
 // was removed by faults. The packet is re-routed through any surviving
@@ -177,31 +180,18 @@ func misrouteHash(cycle, id int64, hops int) uint32 {
 // dropped once its hop budget is exhausted. Reports whether the packet left
 // the queue.
 func (e *Engine) misroute(u int32, qi int, idx int32, t *pktTable, cycle int64, st *cycleStats) bool {
-	f := e.flt
 	r := e.qref[e.qSlot(qi, idx)]
 	pkt := &t.pkts[r]
-	lp := f.livePorts[u]
-	if lp == 0 || pkt.HopCount() >= e.algo.MaxHops(pkt.Src, pkt.Dst)+f.hopBudget {
+	order, ok := e.flt.detour(u, pkt, e.algo.MaxHops(pkt.Src, pkt.Dst), cycle)
+	if !ok {
 		e.dropRef(t, r, cycle, st)
 		e.qDrop(u, qi, idx)
 		return true
 	}
-	// Pick the starting port from a hash of the cycle, the packet and its
-	// progress — deterministic and node-local, so worker counts cannot
-	// change it. A plain (cycle+hops) rotation is not enough: on a closed
-	// detour of length L both advance by L per lap, so the same port would
-	// be chosen forever whenever 2L divides the live-port count, and the
-	// packet would orbit until its hop budget ran out.
-	n := bits.OnesCount32(lp)
-	k := int(misrouteHash(cycle, pkt.ID, pkt.HopCount()) % uint32(n))
-	upper := lp
-	for i := 0; i < k; i++ {
-		upper &= upper - 1
-	}
 	lbase := int(u) * e.ports
-	for _, mk := range [2]uint32{upper, lp ^ upper} {
+	for _, mk := range order {
 		for ; mk != 0; mk &= mk - 1 {
-			p := bits.TrailingZeros32(mk)
+			p := bits.TrailingZeros64(mk)
 			si := (lbase+p)*e.bufClasses + e.classes // shared dynamic buffer
 			if e.outFull[si] != 0 {
 				continue
@@ -229,19 +219,4 @@ func (e *Engine) misroute(u int32, qi int, idx int32, t *pktTable, cycle int64, 
 		st.obs.Inc(obs.COutputStalls)
 	}
 	return false
-}
-
-// filterLiveMoves removes remote candidates over dead links, in place.
-// The returned slice is empty exactly when faults trapped the packet
-// (deliveries and internal moves always survive).
-func (f *faultState) filterLiveMoves(u int32, moves []core.Move) []core.Move {
-	lp := f.livePorts[u]
-	kept := moves[:0]
-	for i := range moves {
-		if p := moves[i].Port; p >= 0 && lp&(1<<uint(p)) == 0 {
-			continue
-		}
-		kept = append(kept, moves[i])
-	}
-	return kept
 }

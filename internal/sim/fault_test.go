@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/topology"
 	"repro/internal/traffic"
 )
 
@@ -134,7 +133,7 @@ func (d *dumpCatcher) OnDeadlock(dump *obs.DeadlockDump) { d.dump = dump }
 // engines attach a populated wait-for dump to ErrDeadlock and deliver the
 // same dump to a DeadlockObserver.
 func TestWatchdogDumpReportsWaits(t *testing.T) {
-	ring := &brokenRing{torus: topology.NewTorus(6)}
+	ring := newBrokenRing()
 	mk := func() TrafficSource {
 		sigma := make([]int32, 6)
 		for i := range sigma {

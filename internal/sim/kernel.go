@@ -35,11 +35,7 @@ type kernel struct {
 	// minimal caches Props().Minimal so the per-delivery hop assertion does
 	// not pay an interface call.
 	minimal bool
-	// pmr is the algorithm's optional PortMaskRouter fast path; nil when not
-	// implemented or when a node has more than 32 ports, which a PortMasks
-	// word cannot hold.
-	pmr core.PortMaskRouter
-	nbr []int32 // neighbor table [node*ports+port]; -1 for missing links
+	nbr     []int32 // neighbor table [node*ports+port]; -1 for missing links
 
 	// tabs holds one packet table per worker shard and owner maps a node to
 	// its shard. Every packet slot of a node — central queue, injection
@@ -114,18 +110,27 @@ type nodeModel interface {
 // (see grow).
 type pktTable struct {
 	pkts  []core.Packet
-	free  []int32 // released references, reused last-in first-out
-	slots int     // the places a packet can wait in the shard
-	_     [8]byte // two slice headers and slots (56 bytes on 64-bit) padded to a cache line
+	free  []int32 // free[:nfree] are released references, reused last-in first-out
+	nfree int
+	slots int // the places a packet can wait in the shard
 }
 
-// alloc returns an unused reference, growing the table when none is free.
+// alloc returns an unused reference: the last one released, or a new
+// record. It is small enough to inline into the injection and fold loops;
+// the new record is the out-of-line slow path.
 func (t *pktTable) alloc() int32 {
-	if n := len(t.free) - 1; n >= 0 {
-		r := t.free[n]
-		t.free = t.free[:n]
-		return r
+	if t.nfree == 0 {
+		return t.extend()
 	}
+	t.nfree--
+	return t.free[t.nfree]
+}
+
+// extend appends a record, growing the table when it is full, and returns
+// its reference.
+//
+//go:noinline
+func (t *pktTable) extend() int32 {
 	if len(t.pkts) == cap(t.pkts) {
 		t.pkts = grow(t.pkts, t.slots)
 	}
@@ -135,10 +140,12 @@ func (t *pktTable) alloc() int32 {
 
 // release gives reference r back.
 func (t *pktTable) release(r int32) {
-	if len(t.free) == cap(t.free) {
-		t.free = grow(t.free, t.slots)
+	if t.nfree == len(t.free) {
+		g := grow(t.free, t.slots)
+		t.free = g[:cap(g)]
 	}
-	t.free = append(t.free, r)
+	t.free[t.nfree] = r
+	t.nfree++
 }
 
 // grow returns the full slice s with room for more: append's growth, but
@@ -256,6 +263,9 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 		nodes: t.Nodes(), ports: t.Ports(), classes: a.NumClasses(),
 		queueCap: cfg.QueueCap, minimal: a.Props().Minimal,
 	}
+	if k.ports > core.MaxPorts {
+		return fmt.Errorf("sim: %s has %d ports per node, above the %d a port mask holds", t.Name(), k.ports, core.MaxPorts)
+	}
 	nQueues := k.nodes * k.classes
 	k.qref = make([]int32, nQueues*k.queueCap)
 	k.qhead = make([]int32, nQueues)
@@ -270,9 +280,6 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 			k.nbr[u*k.ports+p] = int32(v)
 		}
 	}
-	if k.ports <= 32 {
-		k.pmr, _ = a.(core.PortMaskRouter)
-	}
 	nWords := (k.nodes + 63) / 64
 	k.injRef = make([]int32, k.nodes)
 	k.injClass = make([]uint8, k.nodes)
@@ -285,9 +292,6 @@ func (k *kernel) init(cfg Config, model nodeModel, shards int) error {
 	k.nextID = make([]int64, k.nodes)
 	k.statsBuf = make([]cycleStats, shards)
 	if !cfg.Faults.Empty() {
-		if k.ports > 32 {
-			return fmt.Errorf("sim: fault injection supports at most 32 ports per node, %s has %d", t.Name(), k.ports)
-		}
 		sched, err := cfg.Faults.Compile(t)
 		if err != nil {
 			return err
@@ -308,7 +312,7 @@ func (k *kernel) reset() {
 	clear(k.qhead)
 	clear(k.injFull)
 	for i := range k.tabs {
-		k.tabs[i].pkts, k.tabs[i].free = k.tabs[i].pkts[:0], k.tabs[i].free[:0]
+		k.tabs[i].pkts, k.tabs[i].nfree = k.tabs[i].pkts[:0], 0
 	}
 	clear(k.statsBuf)
 	for u := range k.rngs {
@@ -862,29 +866,60 @@ func (k *kernel) applyFaults(cycle int64, st *cycleStats) {
 	}
 }
 
-// choose applies the selection policy to the admissible move indices.
-func choose(pol Policy, r *xrand.RNG, moves []core.Move, adm []int) int {
+// choose applies the selection policy to the admissible candidates of a
+// packet, in candidate order: the internal moves in ai (bit i: internal
+// move i), then the ports in ap, ascending; dyn marks the dynamic ports.
+// The set is not empty. It returns the internal move's index, or -1 and
+// the port.
+func choose(pol Policy, r *xrand.RNG, ai uint8, ap, dyn uint64) (int, int) {
 	switch pol {
 	case PolicyFirstFree:
-		return adm[0]
+		if ai != 0 {
+			return bits.TrailingZeros8(ai), 0
+		}
+		return -1, bits.TrailingZeros64(ap)
 	case PolicyLastFree:
-		return adm[len(adm)-1]
+		if ap != 0 {
+			return -1, 63 - bits.LeadingZeros64(ap)
+		}
+		return 7 - bits.LeadingZeros8(ai), 0
 	case PolicyStaticFirst:
-		var static [64]int
-		n := 0
-		for _, i := range adm {
-			if moves[i].Kind == core.Static {
-				static[n] = i
-				n++
-			}
+		// Internal moves are static.
+		if n := bits.OnesCount8(ai) + bits.OnesCount64(ap&^dyn); n > 0 {
+			return nth(ai, ap&^dyn, r.Intn(n))
 		}
-		if n > 0 {
-			return static[r.Intn(n)]
-		}
-		return adm[r.Intn(len(adm))]
-	default: // PolicyRandom
-		return adm[r.Intn(len(adm))]
 	}
+	return nth(ai, ap, r.Intn(bits.OnesCount8(ai)+bits.OnesCount64(ap)))
+}
+
+// drawDelivery advances u's generator as the random policies always have
+// at a delivery: a draw among its one candidate.
+func (k *kernel) drawDelivery(u int32) {
+	if p := k.cfg.Policy; p == PolicyRandom || p == PolicyStaticFirst {
+		k.rngs[u].Next()
+	}
+}
+
+// nth returns the k-th candidate of (ai, ap) in candidate order, as choose
+// does.
+func nth(ai uint8, ap uint64, k int) (int, int) {
+	if n := bits.OnesCount8(ai); k >= n {
+		_, upper := splitAt(ap, k-n)
+		return -1, bits.TrailingZeros64(upper)
+	}
+	_, upper := splitAt(uint64(ai), k)
+	return bits.TrailingZeros64(upper), 0
+}
+
+// splitAt returns the set bits of m below its k-th (counting from 0) and
+// the rest: a scan that starts at the k-th bit and wraps visits upper, then
+// lower.
+func splitAt(m uint64, k int) (lower, upper uint64) {
+	upper = m
+	for i := 0; i < k; i++ {
+		upper &= upper - 1
+	}
+	return m ^ upper, upper
 }
 
 // deadlockDump assembles the wait-for state behind a watchdog firing: one
@@ -892,7 +927,7 @@ func choose(pol Policy, r *xrand.RNG, moves []core.Move, adm []int) int {
 // wait on.
 func (k *kernel) deadlockDump(cycle int64) *obs.DeadlockDump {
 	d := &obs.DeadlockDump{Cycle: cycle, Window: deadlockWindow, InFlight: k.rs.m.InFlight}
-	var cand []core.Move
+	var pm core.PortMasks
 	for qi, qlen := range k.qlen {
 		if qlen == 0 {
 			continue
@@ -907,20 +942,18 @@ func (k *kernel) deadlockDump(cycle int64) *obs.DeadlockDump {
 			Node: u, Class: uint8(c), QueueLen: int(qlen),
 			PacketID: pkt.ID, Dst: pkt.Dst,
 		}
-		cand = k.algo.Candidates(u, core.QueueClass(c), pkt.Work, pkt.Dst, cand[:0])
-		for _, mv := range cand {
-			if mv.Deliver || mv.Port == core.PortInternal {
-				continue
+		if k.algo.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, &pm) || !pm.Deliver {
+			for m := pm.StaticUnion() | pm.Dyn; m != 0; m &= m - 1 {
+				p := bits.TrailingZeros64(m)
+				bc, dyn := pm.Class(p)
+				if dyn {
+					bc = uint8(k.classes)
+				}
+				w.WaitsOn = append(w.WaitsOn, obs.WaitTarget{
+					Node: int32(k.topo.Neighbor(int(u), p)), Port: int16(p),
+					Class: bc, Dynamic: dyn, Dead: k.flt != nil && k.flt.livePorts[u]>>uint(p)&1 == 0,
+				})
 			}
-			bc := uint8(mv.Class)
-			dyn := mv.Kind == core.Dynamic
-			if dyn {
-				bc = uint8(k.classes)
-			}
-			w.WaitsOn = append(w.WaitsOn, obs.WaitTarget{
-				Node: int32(k.topo.Neighbor(int(u), int(mv.Port))), Port: mv.Port,
-				Class: bc, Dynamic: dyn, Dead: k.flt != nil && !k.flt.portAlive(u, mv.Port),
-			})
 		}
 		d.Waits = append(d.Waits, w)
 	}

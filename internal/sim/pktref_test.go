@@ -95,7 +95,7 @@ func checkRefs(t *testing.T, k *kernel, held [][]int32, slots []int, cycle int64
 				state[r] = as
 			}
 		}
-		mark(tab.free, "free")
+		mark(tab.free[:tab.nfree], "free")
 		mark(held[w], "held")
 		for r, s := range state {
 			if s == "" {

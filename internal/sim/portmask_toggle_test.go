@@ -10,9 +10,9 @@ import (
 	"repro/internal/traffic"
 )
 
-// portMaskAlgos are the PortMaskRouter implementors the toggle tests sweep,
-// at sizes small enough to keep the matrix fast but large enough for wrap
-// classes, degenerate shuffle cycles, and multi-dimension adaptivity.
+// portMaskAlgos are the algorithms the encoding tests sweep, at sizes
+// small enough to keep the matrix fast but large enough for wrap classes,
+// degenerate shuffle cycles, and multi-dimension adaptivity.
 var portMaskAlgos = []struct {
 	name string
 	mk   func() core.Algorithm
@@ -29,20 +29,48 @@ var portMaskAlgos = []struct {
 	{"ccc", func() core.Algorithm { return core.NewCCCAdaptive(3) }},
 }
 
-// maskless hides the algorithm's PortMask method, so the engines route
-// every decision through Candidates: the reference path a PortMaskRouter
-// twin is held to.
-type maskless struct{ core.Algorithm }
+// viaMoves routes by its algorithm's masks rebuilt from the algorithm's
+// Move listing (core.Candidates, what the QDG verifier certifies), all in
+// the per-port encoding. The engines must run it exactly as they run the
+// algorithm itself: then the listing states the moves the engines take,
+// and the engines read the grouped and the per-port encodings alike.
+type viaMoves struct{ core.Algorithm }
+
+func (v viaMoves) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
+	*pm = core.PortMasks{PerPort: true}
+	plain := true
+	for _, m := range core.Candidates(v.Algorithm, node, class, work, dst, nil) {
+		switch {
+		case m.Deliver:
+			pm.Deliver = true
+			return false
+		case m.Port == core.PortInternal:
+			pm.IntClass[pm.Internal], pm.IntWork[pm.Internal] = m.Class, m.Work
+			pm.Internal++
+			plain = false
+		case m.Kind == core.Dynamic:
+			pm.Dyn |= 1 << uint(m.Port)
+			pm.DynClass, pm.DynWork = m.Class, m.Work
+		default:
+			pm.StaticMask |= 1 << uint(m.Port)
+			pm.PortClass[m.Port], pm.Work = m.Class, m.Work
+			if m.Credit > 0 {
+				pm.Credit = m.Credit
+				plain = false
+			}
+		}
+	}
+	return plain
+}
 
 // runToggled runs one (engine, algorithm, traffic) combination on the
-// port-mask path or, with disable, on its maskless twin, and returns the
-// metrics.
-func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable bool,
+// algorithm or, with via, on its viaMoves twin, and returns the metrics.
+func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, via bool,
 	inject string, faults *fault.Plan, workers int) Metrics {
 	t.Helper()
 	a, kind := mk(), "buffered"
-	if disable {
-		a = maskless{a}
+	if via {
+		a = viaMoves{a}
 	}
 	if atomic {
 		kind = "atomic"
@@ -50,9 +78,6 @@ func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable boo
 	e, err := NewSimulator(kind, Config{Algorithm: a, Seed: 12345, Workers: workers, Faults: faults})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if disable && kernelOf(e).pmr != nil {
-		t.Fatalf("%s: the maskless twin took the port-mask path", a.Name())
 	}
 	nodes := a.Topology().Nodes()
 	var m Metrics
@@ -62,17 +87,18 @@ func runToggled(t *testing.T, atomic bool, mk func() core.Algorithm, disable boo
 		m, err = runDynamic(e, traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.2, 99), 50, 150)
 	}
 	if err != nil {
-		t.Fatalf("mask-disabled=%v: %v", disable, err)
+		t.Fatalf("via moves=%v: %v", via, err)
 	}
 	return m
 }
 
-// TestPortMaskToggleDeterminism pins the fast path's central contract on the
-// buffered engine: for every PortMaskRouter algorithm, metrics are
-// bit-identical with the mask path forced on and off, under both injection
-// models and across worker counts. Combined with the core package's
-// reachable-state cross-check this shows the engines route move-by-move
-// identically through either path.
+// TestPortMaskToggleDeterminism pins the one representation on the
+// buffered engine: for every algorithm, metrics are bit-identical whether
+// the engine reads the algorithm's own masks or the ones rebuilt from its
+// Move listing, under both injection models and across worker counts.
+// Combined with the core package's reachable-state cross-check against the
+// reference statements this shows the engines route move by move as the
+// paper's rules say.
 func TestPortMaskToggleDeterminism(t *testing.T) {
 	for _, al := range portMaskAlgos {
 		for _, inject := range []string{"static", "dynamic"} {
@@ -85,7 +111,7 @@ func TestPortMaskToggleDeterminism(t *testing.T) {
 						continue // Config refuses credited algorithms on several workers
 					}
 					if got := runToggled(t, false, al.mk, true, inject, nil, workers); got != want {
-						t.Errorf("workers=%d mask-off diverged:\n got  %+v\n want %+v", workers, got, want)
+						t.Errorf("workers=%d via moves diverged:\n got  %+v\n want %+v", workers, got, want)
 					}
 				}
 			})
@@ -93,9 +119,8 @@ func TestPortMaskToggleDeterminism(t *testing.T) {
 	}
 }
 
-// TestAtomicPortMaskToggleDeterminism is the atomic-engine counterpart: the
-// new inline bitmask scan must reproduce the Candidates-based Route(q)
-// decision (FirstFree over ascending ports) bit-identically.
+// TestAtomicPortMaskToggleDeterminism is the atomic-engine counterpart:
+// Route(q) must take the same decisions on either encoding.
 func TestAtomicPortMaskToggleDeterminism(t *testing.T) {
 	for _, al := range portMaskAlgos {
 		for _, inject := range []string{"static", "dynamic"} {
@@ -104,18 +129,17 @@ func TestAtomicPortMaskToggleDeterminism(t *testing.T) {
 				t.Parallel()
 				want := runToggled(t, true, al.mk, false, inject, nil, 0)
 				if got := runToggled(t, true, al.mk, true, inject, nil, 0); got != want {
-					t.Errorf("mask-off diverged:\n got  %+v\n want %+v", got, want)
+					t.Errorf("via moves diverged:\n got  %+v\n want %+v", got, want)
 				}
 			})
 		}
 	}
 }
 
-// TestPortMaskFaultDeterminism toggles the mask path under an active fault
+// TestPortMaskFaultDeterminism compares the encodings under an active fault
 // plan: dead-link masking and the hashed misroute pick must behave
-// identically whether the candidate set is a mask or a Move slice. Both
-// engines, both mesh and torus (the per-port encoding) plus the hypercube
-// (the grouped one).
+// identically on either. Both engines, both mesh and torus (the per-port
+// encoding) plus the hypercube (the grouped one).
 func TestPortMaskFaultDeterminism(t *testing.T) {
 	plan := func() *fault.Plan {
 		p := &fault.Plan{}
@@ -144,112 +168,143 @@ func TestPortMaskFaultDeterminism(t *testing.T) {
 				}
 				want := runToggled(t, atomic, al.mk, false, "dynamic", plan(), workers)
 				if got := runToggled(t, atomic, al.mk, true, "dynamic", plan(), workers); got != want {
-					t.Errorf("mask-off diverged under faults:\n got  %+v\n want %+v", got, want)
+					t.Errorf("via moves diverged under faults:\n got  %+v\n want %+v", got, want)
 				}
 			})
 		}
 	}
 }
 
-// halfMaskHypercube wraps the adaptive hypercube but declines the port-mask
-// fast path at every odd node, exercising the per-packet (not per-run)
-// fallback documented on core.PortMaskRouter: the engines must route the
-// declined packets through Candidates within the same cycle and produce
-// metrics identical to a run with the mask path disabled entirely.
-type halfMaskHypercube struct {
-	*core.MeshAdaptive
+// rook is the rook's graph K_a x K_b, the two-dimensional HyperX: node
+// (i, j) = i*b+j links to every other node of its row (ports 0..b-2) and of
+// its column (ports b-1..a+b-3). Two nodes differing in both coordinates
+// are two hops apart by two minimal paths.
+type rook struct{ a, b int }
+
+func (g rook) Name() string { return fmt.Sprintf("rook(%dx%d)", g.a, g.b) }
+func (g rook) Nodes() int   { return g.a * g.b }
+func (g rook) Ports() int   { return g.a + g.b - 2 }
+func (g rook) Neighbor(u, p int) int {
+	i, j := u/g.b, u%g.b
+	if p < g.b-1 { // row: the p-th other column
+		if p >= j {
+			p++
+		}
+		return i*g.b + p
+	}
+	if p -= g.b - 1; p >= i {
+		p++
+	}
+	return p*g.b + j
+}
+func (g rook) ReversePort(u, p int) int { return g.PortTo(g.Neighbor(u, p), u) }
+func (g rook) PortTo(u, v int) int {
+	iu, ju, iv, jv := u/g.b, u%g.b, v/g.b, v%g.b
+	switch {
+	case u == v || iu != iv && ju != jv:
+		return topology.None
+	case iu == iv && jv > ju:
+		return jv - 1
+	case iu == iv:
+		return jv
+	case iv > iu:
+		return g.b - 1 + iv - 1
+	}
+	return g.b - 1 + iv
+}
+func (g rook) Distance(u, v int) int {
+	d := 0
+	if u/g.b != v/g.b {
+		d++
+	}
+	if u%g.b != v%g.b {
+		d++
+	}
+	return d
 }
 
-func (h halfMaskHypercube) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
-	if node&1 == 1 {
+// rookMinimal is minimal hop-class routing on a rook's graph from its
+// closed-form distance, port by port: the brute-force reference
+// graph-adaptive's distance-table masks are held to.
+type rookMinimal struct {
+	core.Derived
+	g    rook
+	wide *bool // set once a mask needs a port above 31
+}
+
+func (r *rookMinimal) Name() string                                    { return "rook-minimal" }
+func (r *rookMinimal) Topology() topology.Topology                     { return r.g }
+func (r *rookMinimal) NumClasses() int                                 { return 3 }
+func (r *rookMinimal) ClassName(c core.QueueClass) string              { return fmt.Sprintf("hop%d", c) }
+func (r *rookMinimal) Props() core.Props                               { return core.Props{Minimal: true, FullyAdaptive: true} }
+func (r *rookMinimal) MaxHops(src, dst int32) int                      { return r.g.Distance(int(src), int(dst)) }
+func (r *rookMinimal) Inject(src, dst int32) (core.QueueClass, uint32) { return 0, 0 }
+
+func (r *rookMinimal) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
+	if node == dst {
+		pm.Deliver = true
 		return false
 	}
-	return h.MeshAdaptive.PortMask(node, class, work, dst, pm)
+	*pm = core.PortMasks{PerPort: true}
+	d := r.g.Distance(int(node), int(dst))
+	for p := 0; p < r.g.Ports(); p++ {
+		if r.g.Distance(r.g.Neighbor(int(node), p), int(dst)) == d-1 {
+			pm.StaticMask |= 1 << uint(p)
+			pm.PortClass[p] = class + 1
+		}
+	}
+	if pm.StaticMask>>32 != 0 {
+		*r.wide = true
+	}
+	return true
 }
 
-// TestPortMaskPartialImplementorFallback pins the per-state fallback on both
-// engines with a partial implementor that declines half its states.
-func TestPortMaskPartialImplementorFallback(t *testing.T) {
-	mk := func() core.Algorithm { return halfMaskHypercube{core.NewHypercubeAdaptive(6)} }
-	for _, engine := range []string{"buffered", "atomic"} {
-		engine := engine
-		t.Run(engine, func(t *testing.T) {
+// TestWideNodesRouteThroughMasks runs graph-adaptive on rook's graphs whose
+// nodes have 33 and 64 ports, beyond a 32-bit word, on both engines, under
+// three policies and, at first-free, under a fault plan (its live-port
+// masks need the upper half of the word too), and holds the metrics to the
+// brute-force reference's.
+func TestWideNodesRouteThroughMasks(t *testing.T) {
+	for _, g := range []rook{{a: 15, b: 20}, {a: 33, b: 33}} {
+		g := g
+		t.Run(g.Name(), func(t *testing.T) {
 			t.Parallel()
-			atomic := engine == "atomic"
-			workers := 2
-			if atomic {
-				workers = 0
+			ga, err := core.NewGraphAdaptive(g)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, inject := range []string{"static", "dynamic"} {
-				want := runToggled(t, atomic, mk, true, inject, nil, workers)
-				if got := runToggled(t, atomic, mk, false, inject, nil, workers); got != want {
-					t.Errorf("%s: partial implementor diverged from mask-off:\n got  %+v\n want %+v", inject, got, want)
+			wide := false
+			ref := &rookMinimal{g: g, wide: &wide}
+			ref.Derived = core.Derive(ref)
+			for _, engine := range []string{"buffered", "atomic"} {
+				for _, c := range []struct {
+					pol    Policy
+					faults bool
+				}{{PolicyFirstFree, false}, {PolicyRandom, false}, {PolicyLastFree, false}, {PolicyFirstFree, true}} {
+					run := func(a core.Algorithm) Metrics {
+						cfg := Config{Algorithm: a, Seed: 1, QueueCap: 2, Policy: c.pol}
+						if c.faults {
+							cfg.Faults = (&fault.Plan{}).FailRandomLinks(0.05, 1, 0, fault.Forever)
+						}
+						e, err := NewSimulator(engine, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						n := g.Nodes()
+						m, err := runDynamic(e, traffic.NewBernoulliSource(traffic.Random{Nodes: n}, n, 0.5, 99), 20, 60)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return m
+					}
+					if got, want := run(ga), run(ref); got != want || got.Delivered == 0 {
+						t.Errorf("%s/%s faults=%v: graph-adaptive %+v, reference %+v", engine, c.pol, c.faults, got, want)
+					}
 				}
 			}
+			if !wide {
+				t.Error("no mask used a port above 31: the test did not reach the upper half of the word")
+			}
 		})
-	}
-}
-
-// completeGraph is the complete digraph on n nodes: port p of node u leads
-// to the p-th other node in ascending order, so every node has n-1 ports.
-type completeGraph struct{ n int }
-
-func (g completeGraph) Name() string { return fmt.Sprintf("complete(%d)", g.n) }
-func (g completeGraph) Nodes() int   { return g.n }
-func (g completeGraph) Ports() int   { return g.n - 1 }
-func (g completeGraph) Neighbor(u, p int) int {
-	if p >= u {
-		return p + 1
-	}
-	return p
-}
-func (g completeGraph) ReversePort(u, p int) int { return g.PortTo(g.Neighbor(u, p), u) }
-func (g completeGraph) PortTo(u, v int) int {
-	switch {
-	case u == v:
-		return topology.None
-	case v > u:
-		return v - 1
-	}
-	return v
-}
-func (g completeGraph) Distance(a, b int) int {
-	if a == b {
-		return 0
-	}
-	return 1
-}
-
-// wideGraphAdaptive is graph-adaptive routing that fails the test if an
-// engine ever asks it for a port mask: a PortMasks word holds 32 ports.
-type wideGraphAdaptive struct {
-	*core.GraphAdaptive
-	t *testing.T
-}
-
-func (a wideGraphAdaptive) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
-	a.t.Errorf("PortMask called at node %d of a %d-port network", node, a.Topology().Ports())
-	return false
-}
-
-// TestWideNodesSkipPortMask runs both engines to full delivery on a
-// 34-node complete graph, whose 33 ports do not fit a 32-bit mask: the
-// kernel must route every decision through Candidates.
-func TestWideNodesSkipPortMask(t *testing.T) {
-	g, err := core.NewGraphAdaptive(completeGraph{n: 34})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := wideGraphAdaptive{g, t}
-	for _, engine := range []string{"buffered", "atomic"} {
-		e, err := NewSimulator(engine, Config{Algorithm: a, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := traffic.NewStaticSource(traffic.Random{Nodes: 34}, 34, 4, 99)
-		m, err := runStatic(e, src, 1_000_000)
-		if err != nil || m.Delivered != 4*34 {
-			t.Errorf("%s: delivered %d of %d: %v", engine, m.Delivered, 4*34, err)
-		}
 	}
 }

@@ -157,7 +157,14 @@ func TestDeterminism(t *testing.T) {
 // class on a unidirectional ring with no ordering at all. Filling the ring
 // wedges it; the watchdog must catch this.
 type brokenRing struct {
+	core.Derived
 	torus *topology.Torus
+}
+
+func newBrokenRing() *brokenRing {
+	b := &brokenRing{torus: topology.NewTorus(6)}
+	b.Derived = core.Derive(b)
+	return b
 }
 
 func (b *brokenRing) Name() string                                    { return "broken-ring" }
@@ -168,22 +175,21 @@ func (b *brokenRing) Props() core.Props                               { return c
 func (b *brokenRing) MaxHops(src, dst int32) int                      { return b.torus.Nodes() }
 func (b *brokenRing) Inject(src, dst int32) (core.QueueClass, uint32) { return 0, 0 }
 
-func (b *brokenRing) Candidates(node int32, class core.QueueClass, work uint32, dst int32, buf []core.Move) []core.Move {
+func (b *brokenRing) PortMask(node int32, class core.QueueClass, work uint32, dst int32, pm *core.PortMasks) bool {
 	if node == dst {
-		return append(buf, core.Move{Node: node, Port: core.PortInternal, Kind: core.Static, MinFree: 1, Deliver: true})
+		pm.Deliver = true
+		return false
 	}
 	// Always move +1 around dimension 0, with no dateline: a textbook
 	// store-and-forward deadlock.
-	return append(buf, core.Move{
-		Node: int32(b.torus.Neighbor(int(node), 0)), Port: 0,
-		Class: 0, Kind: core.Static, MinFree: 1,
-	})
+	*pm = core.PortMasks{PerPort: true, StaticMask: 1}
+	return true
 }
 
 // TestWatchdogCatchesDeadlock wedges the broken ring and checks both
 // engines report ErrDeadlock rather than spinning forever.
 func TestWatchdogCatchesDeadlock(t *testing.T) {
-	ring := &brokenRing{torus: topology.NewTorus(6)}
+	ring := newBrokenRing()
 	mk := func() TrafficSource {
 		// Every node floods packets to the node 3 ahead: the ring wedges.
 		sigma := make([]int32, 6)

@@ -16,9 +16,8 @@ import (
 // holds a 4-byte packet reference.
 const MaxGraphNodes = 4096
 
-// MaxGraphPorts caps the per-node port count of a generated network at the
-// width of the engines' port bitmasks, so every Graph instance stays
-// eligible for the PortMaskRouter fast path.
+// MaxGraphPorts caps the per-node port count of a generated network. It is
+// below the 64 ports the engines' port masks hold.
 const MaxGraphPorts = 32
 
 // Graph is an arbitrary strongly-connected digraph given by explicit

@@ -112,9 +112,9 @@ func (l *Liveness) Reset() {
 
 // LivePorts returns the bitmask of ports of u whose directed links are
 // usable (connected, link alive, both endpoints alive). Ports() must be at
-// most 32, which holds for every topology in this repository.
-func (l *Liveness) LivePorts(u int) uint32 {
-	var m uint32
+// most 64.
+func (l *Liveness) LivePorts(u int) uint64 {
+	var m uint64
 	if !l.NodeAlive(u) {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -178,6 +179,11 @@ func (s *TraceSource) parseLine(line []byte) (ok bool, err error) {
 	}
 	switch key {
 	case 'b':
+		// Each node attempts at most once per cycle, so no record of a
+		// cycle's blocked attempts counts more than the network's nodes.
+		if v1 > int64(len(s.slotCycle)) {
+			return false, fmt.Errorf("traffic: blocked count out of range in %q", line)
+		}
 		s.pb = traceRec{valid: true, isBlk: true, cycle: cyc, count: int(v1)}
 	case 's':
 		if i+4 >= len(line) || line[i] != ',' || string(line[i+1:i+5]) != `"d":` {
@@ -197,11 +203,15 @@ func (s *TraceSource) parseLine(line []byte) (ok bool, err error) {
 	return true, nil
 }
 
-// parseInt reads a non-negative decimal starting at line[i].
+// parseInt reads a non-negative decimal starting at line[i], refusing one
+// that does not fit an int64.
 func parseInt(line []byte, i int) (int64, int, error) {
 	start := i
 	var v int64
 	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
+		if v > (math.MaxInt64-9)/10 {
+			return 0, i, fmt.Errorf("traffic: number out of range")
+		}
 		v = v*10 + int64(line[i]-'0')
 		i++
 	}
