@@ -129,8 +129,12 @@ type (
 )
 
 // ExecuteSpec validates and runs a RunSpec to completion (or ctx
-// cancellation), with an optional read-only observer tapping the run. The
-// returned SpecResult.Metrics is bit-deterministic for a given fingerprint.
+// cancellation), with an optional read-only observer tapping the run. A
+// spec with Workers 0 runs on the workers its network size pays for (at
+// most one per exec.NodesPerWorker nodes, up to GOMAXPROCS), and
+// SpecResult.Spec.Workers records the count used. The returned
+// SpecResult.Metrics is bit-deterministic for a given fingerprint, whatever
+// that count.
 func ExecuteSpec(ctx context.Context, s RunSpec, o Observer) (SpecResult, error) {
 	return exec.Run(ctx, s, o)
 }

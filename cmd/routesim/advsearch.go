@@ -78,7 +78,7 @@ func advSearch(ctx context.Context, c *exec.Compiled, iters, swaps int) (advResu
 	s := c.Spec
 	score := func(sigma []int32) (advEval, error) {
 		lat := obs.NewLatency()
-		eng, err := c.Build(s.Workers, lat)
+		eng, err := c.Build(c.Workers(s.Workers), lat)
 		if err != nil {
 			return advEval{}, err
 		}

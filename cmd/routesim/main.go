@@ -57,7 +57,7 @@ func main() {
 		cap_      = flag.Int("cap", 5, "central queue capacity")
 		policy    = flag.String("policy", "first-free", "selection policy: "+strings.Join(sim.PolicyNames, "|"))
 		engine    = flag.String("engine", "buffered", "engine: buffered (Sections 6-7 node model) | buffered:vct (the same with virtual cut-through [KK79]) | atomic (Section 2 model)")
-		workers   = flag.Int("workers", 1, "parallel workers for the buffered engine (the atomic engine refuses more than 1)")
+		workers   = flag.Int("workers", 0, fmt.Sprintf("parallel workers for the buffered engine; 0 = by network size, one per %d nodes up to GOMAXPROCS (the atomic engine refuses more than 1)", exec.NodesPerWorker))
 		verify    = flag.Bool("verify", false, "verify deadlock freedom via the QDG checker first (small networks only)")
 		hist      = flag.Bool("hist", false, "print a latency histogram and percentiles")
 		maxCyc    = flag.Int64("maxcycles", 10_000_000, "static model: abort after this many cycles")
@@ -176,7 +176,7 @@ func main() {
 	}
 
 	// Build the engine up front so -http can expose its live metrics core.
-	kind, cfg := c.Config(c.Spec.Workers, repro.MultiObserver(observers...))
+	kind, cfg := c.Config(c.Workers(c.Spec.Workers), repro.MultiObserver(observers...))
 	cfg.PhaseProf = *phaseprof
 	eng, err := repro.NewSimulator(kind, cfg)
 	fatal(err)
@@ -255,9 +255,9 @@ func main() {
 		t := eng.PhaseTimes()
 		nc := float64(t.Cycles) * float64(algo.Topology().Nodes())
 		perNC := func(v int64) float64 { return float64(v) / nc }
-		fmt.Printf("phases    : ns/node-cycle inject=%.2f a=%.2f b=%.2f link=%.2f merge=%.2f other=%.2f, moves/node-cycle=%.3f\n",
+		fmt.Printf("phases    : ns/node-cycle inject=%.2f a=%.2f b=%.2f link=%.2f merge=%.2f other=%.2f, moves/node-cycle=%.3f, parks/cycle=%.2f\n",
 			perNC(t.InjectNs), perNC(t.PhaseANs), perNC(t.PhaseBNs), perNC(t.LinkNs),
-			perNC(t.MergeNs), perNC(t.OtherNs), perNC(m.Moves))
+			perNC(t.MergeNs), perNC(t.OtherNs), perNC(m.Moves), float64(t.Parks)/float64(max(t.Cycles, 1)))
 	}
 	if collector != nil {
 		fmt.Printf("histogram : %s\n%s", collector.Summary(), collector.Histogram(16))

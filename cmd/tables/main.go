@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -55,7 +56,7 @@ func run() int {
 		warmup    = flag.Int64("warmup", 500, "dynamic runs: warmup cycles")
 		measure   = flag.Int64("measure", 1500, "dynamic runs: measured cycles")
 		policy    = flag.String("policy", "first-free", "selection policy: first-free|random|static-first|last-free")
-		workers   = flag.Int("workers", 0, "force this many workers per simulation (0 = let the scheduler decide)")
+		workers   = flag.Int("workers", 0, fmt.Sprintf("force this many workers per simulation (0 = let the scheduler split -budget by cost, at most one worker per %d nodes)", exec.NodesPerWorker))
 		engine    = flag.String("engine", "buffered", "simulation model: buffered (paper's node model) | buffered:vct (the same with virtual cut-through) | atomic (Section 2)")
 		jobs      = flag.Int("jobs", 1, "concurrent experiment cells")
 		budget    = flag.Int("budget", 0, "total worker budget across cells (0 = GOMAXPROCS)")

@@ -326,6 +326,7 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Com
 	var runErr error
 	task := sweep.Task{
 		Cost:           cost,
+		Nodes:          compiled.Nodes(),
 		Parallelizable: compiled.Parallelizable,
 		Run: func(workers int) {
 			defer close(done)

@@ -26,8 +26,9 @@ type Result struct {
 	BuildID    string      `json:"build_id"`
 }
 
-// Run compiles the spec and executes it with the workers it names; see
-// Compiled.Run.
+// Run compiles the spec and executes it with the workers it names, or,
+// where it names none, with the count WorkersBySize gives its network under
+// a budget of GOMAXPROCS; see Compiled.Run.
 func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
 	c, err := Compile(s)
 	if err != nil {
@@ -38,7 +39,8 @@ func Run(ctx context.Context, s RunSpec, o obs.Observer) (Result, error) {
 
 // Run builds the engine, source and plan, and executes the run to
 // completion (or ctx cancellation). workers is a scheduler's grant: it
-// applies where the spec leaves Workers unset, and the Result's spec
+// applies where the spec leaves Workers unset, and where neither names a
+// count the run takes the size rule's (Compiled.Workers). The Result's spec
 // records the count the run used. o, when non-nil, taps the run's Observer
 // probes — progress streaming for the daemon's SSE endpoint; observers are
 // read-only, so the Result is bit-identical with or without one.
@@ -47,6 +49,7 @@ func (c *Compiled) Run(ctx context.Context, workers int, o obs.Observer) (Result
 	if ran.Workers == 0 {
 		ran.Workers = workers
 	}
+	ran.Workers = c.Workers(ran.Workers)
 	eng, err := c.Build(ran.Workers, o)
 	if err != nil {
 		return Result{}, err

@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -100,8 +101,12 @@ type RunSpec struct {
 	HopBudget int `json:"hop_budget,omitempty"`
 	// Workers shards the buffered engine across goroutines. Results are
 	// bit-identical for any value, so it is excluded from Fingerprint.
-	// The atomic engine is inherently sequential: Validate rejects
-	// Workers > 1 with Engine "atomic" instead of silently ignoring it.
+	// 0 means "by size": a run (Run, Compiled.Run) takes the scheduler's
+	// grant where one runs it, and otherwise WorkersBySize's count for its
+	// network under a budget of GOMAXPROCS; Build, which runs nothing,
+	// builds one worker. The atomic engine is inherently sequential:
+	// Validate rejects Workers > 1 with Engine "atomic" instead of silently
+	// ignoring it.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -413,7 +418,9 @@ func (c *Compiled) Build(workers int, o obs.Observer) (sim.Simulator, error) {
 
 // Config returns the engine kind and the sim.Config that Build hands to
 // sim.NewSimulator, for a caller that sets a probe (PhaseProf) the spec
-// does not carry before building the engine itself.
+// does not carry before building the engine itself. workers is taken as
+// given, 0 being the engines' one worker; a caller that wants Run's count
+// for a request passes Workers(request).
 func (c *Compiled) Config(workers int, o obs.Observer) (string, sim.Config) {
 	kind, option, _ := strings.Cut(c.Spec.Engine, ":")
 	cfg := sim.Config{
@@ -436,6 +443,40 @@ func (c *Compiled) Config(workers int, o obs.Observer) (string, sim.Config) {
 	return kind, cfg
 }
 
+// NodesPerWorker is the size rule's C: a run is given at most one worker
+// per NodesPerWorker nodes. Two workers won the median at λ=0.05 and λ=1 on
+// hypercubes and random-regular graphs from 1 024 nodes up and lost it on
+// the 256- and 512-node hypercubes at λ=0.05, where a cycle holds too
+// little work to pay for its barriers; EXPERIMENTS.md ("The worker cliff,
+// measured") has the alternated pairs.
+const NodesPerWorker = 512
+
+// WorkersBySize is the one rule for a worker count nobody named: at most
+// one worker per NodesPerWorker nodes, never more than budget, and exactly
+// one for a run that is not parallelizable. A run with Workers 0 takes it
+// with a budget of GOMAXPROCS; the sweep's and the daemon's grants are
+// capped by it under their own budgets.
+func WorkersBySize(nodes, budget int, parallelizable bool) int {
+	if !parallelizable {
+		return 1
+	}
+	return max(1, min(nodes/NodesPerWorker, budget))
+}
+
+// Workers resolves a worker request for a run of this spec: a run that is
+// not Parallelizable gets one worker, 0 takes WorkersBySize under a budget
+// of GOMAXPROCS, and any other count is honoured as given. Run resolves
+// its request here, and so does routesim, which builds its engine itself.
+func (c *Compiled) Workers(workers int) int {
+	if workers == 0 || !c.Parallelizable {
+		return WorkersBySize(c.Nodes(), runtime.GOMAXPROCS(0), c.Parallelizable)
+	}
+	return workers
+}
+
+// Nodes is the size of the spec's network.
+func (c *Compiled) Nodes() int { return c.algo.Topology().Nodes() }
+
 // Source validates the spec and constructs its traffic source and run
 // plan, the counterpart of Build.
 func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
@@ -449,7 +490,7 @@ func (s RunSpec) Source() (sim.TrafficSource, sim.Plan, error) {
 // Source builds a fresh traffic source and the run plan. It can fail: a
 // trace model opens its file here, at run time.
 func (c *Compiled) Source() (sim.TrafficSource, sim.Plan, error) {
-	nodes := c.algo.Topology().Nodes()
+	nodes := c.Nodes()
 	plan := sim.StaticPlan(c.Spec.MaxCycles)
 	if c.Spec.Inject == "dynamic" {
 		plan = sim.DynamicPlan(c.Spec.Warmup, c.Spec.Measure)

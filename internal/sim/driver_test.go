@@ -215,3 +215,61 @@ func TestPoolReapedWithEngine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestPooledEngineFreedInOneGC: a dropped multi-worker engine is garbage
+// after one collection. The pool's finalizer sits on a small handle, not
+// on the engine, so it does not keep the engine's tables alive for a
+// second cycle.
+func TestPooledEngineFreedInOneGC(t *testing.T) {
+	a := core.NewHypercubeAdaptive(12)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	runPooledEngine(t, a)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 1<<20 {
+		t.Errorf("heap holds %.2f MB more after one GC than before the build: the dropped engine survived the collection", float64(grew)/(1<<20))
+	}
+}
+
+//go:noinline
+func runPooledEngine(t *testing.T, a core.Algorithm) {
+	e, err := NewEngine(Config{Algorithm: a, Seed: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := a.Topology().Nodes()
+	src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.1, 2)
+	if _, err := e.Run(context.Background(), src, DynamicPlan(10, 20)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPooledEngineCountsParks: under PhaseProf, a cycle that finds the pool
+// workers parked reports their slow-path waits in PhaseTimes.Parks, and
+// without PhaseProf the count stays zero like every other field.
+func TestPooledEngineCountsParks(t *testing.T) {
+	a := core.NewHypercubeAdaptive(8)
+	for _, prof := range []bool{true, false} {
+		e, err := NewEngine(Config{Algorithm: a, Seed: 1, Workers: 2, PhaseProf: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(traffic.NewBernoulliSource(traffic.Random{Nodes: 256}, 256, 0.1, 2), DynamicPlan(0, 10))
+		for i := 0; i < 3; i++ {
+			// Idle far longer than the spin and yield budgets, so the
+			// workers park before the next cycle releases them.
+			time.Sleep(5 * time.Millisecond)
+			if done, err := e.Step(); done || err != nil {
+				t.Fatalf("step %d: done %v err %v", i, done, err)
+			}
+		}
+		if parks := e.PhaseTimes().Parks; (parks > 0) != prof {
+			t.Errorf("PhaseProf %v: %d parks over 3 cycles after idle gaps", prof, parks)
+		}
+		for done := false; !done; {
+			done, _ = e.Step()
+		}
+	}
+}

@@ -141,7 +141,14 @@ type Engine struct {
 	// (node -> worker) is the kernel's.
 	mail []mailLane
 	pool *phasePool
+	// reaper carries the finalizer that stops pool. It sits on this small
+	// handle, not on the engine: a finalizer keeps what its object reaches
+	// alive for one more GC cycle, and the engine reaches its tables.
+	reaper *poolReaper
 }
+
+// poolReaper is the engine's handle on its pool for the finalizer.
+type poolReaper struct{ p *phasePool }
 
 // mailLane is one cross-shard arrival lane from srcWorker to dstWorker: the
 // packets srcWorker's link phase moved into input buffers of dstWorker's
@@ -189,8 +196,9 @@ type workerScratch struct {
 
 // NewEngine builds a buffered engine for the given configuration. Engines
 // with Workers > 1 own a persistent worker pool whose goroutines are
-// created here, parked between runs, and reaped by a finalizer once the
-// engine is unreachable.
+// created here and parked between runs. Once the engine is unreachable, one
+// GC cycle frees it and runs the finalizer of its pool handle, which stops
+// the goroutines.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -262,16 +270,10 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.mail = make([]mailLane, e.workers*e.workers)
 	if e.workers > 1 {
 		e.pool = newPhasePool(e.workers)
-		runtime.SetFinalizer(e, (*Engine).stopPool)
+		e.reaper = &poolReaper{e.pool}
+		runtime.SetFinalizer(e.reaper, func(r *poolReaper) { r.p.stop() })
 	}
 	return e, nil
-}
-
-// stopPool reaps the pooled goroutines; installed as the engine finalizer.
-func (e *Engine) stopPool() {
-	if e.pool != nil {
-		e.pool.stop()
-	}
 }
 
 // begin clears the node model's state for a new run and returns the cycle
@@ -313,6 +315,10 @@ func (e *Engine) begin() func(cycle int64) {
 			e.workerPhaseB(w)
 		}
 	}
+	var parked int64 // the pool's park count at the last PhaseProf read
+	if e.pool != nil {
+		parked = e.pool.parks.Load()
+	}
 	return func(cycle int64) {
 		if fused != nil {
 			e.exec(fused)
@@ -329,6 +335,11 @@ func (e *Engine) begin() func(cycle int64) {
 			e.exec(fold)
 		}
 		e.lap(phLink)
+		if fused == nil && e.pool != nil {
+			n := e.pool.parks.Load()
+			e.rs.pt.Parks += n - parked
+			parked = n
+		}
 		if e.obsOn {
 			e.obsCore.SetGauge(obs.GLiveNodes, e.liveCount())
 		}

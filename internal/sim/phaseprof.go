@@ -18,6 +18,10 @@ type PhaseTimes struct {
 	MergeNs  int64 // sequential per-cycle stats/metric merge
 	OtherNs  int64 // rest of the cycle: watchdog, observer probes, fault replay
 	Cycles   int64 // cycles the breakdown covers
+	// Parks counts the pool workers' slow-path parks (a channel wait after
+	// the spin and yield budgets ran out). Many parks per cycle say the
+	// workers waited on each other; few, in a slow run, point at the host.
+	Parks int64
 }
 
 // TotalNs returns the summed wall time across all phases.

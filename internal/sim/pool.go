@@ -26,6 +26,7 @@ type phasePool struct {
 	epoch    atomic.Uint32 // bumped once per phase to release the workers
 	pending  atomic.Int32  // workers still inside the current phase
 	sleepers atomic.Int32  // workers parked on the slow path
+	parks    atomic.Int64  // slow-path channel waits so far (PhaseTimes.Parks)
 	stopping atomic.Bool   // set once; workers drain and exit
 	wake     chan struct{} // closed-and-replaced broadcast for parked workers
 }
@@ -67,12 +68,14 @@ func (p *phasePool) run(fn func(w int)) {
 }
 
 // clear drops the phase closure so the pool does not retain the engine
-// between runs (the engine's finalizer is what eventually stops the pool).
+// between runs (the finalizer of the engine's pool handle is what
+// eventually stops the pool).
 func (p *phasePool) clear() { p.fn = nil }
 
 // stop releases the workers for exit. Safe to call more than once; called
-// from the engine finalizer, so it must not block on a running phase (by
-// construction it cannot: the engine is unreachable, hence no run is live).
+// from the finalizer of the engine's pool handle, so it must not block on a
+// running phase (by construction it cannot: the engine is unreachable,
+// hence no run is live).
 func (p *phasePool) stop() {
 	if p.stopping.Swap(true) {
 		return
@@ -131,6 +134,7 @@ func (p *phasePool) await(last uint32) uint32 {
 			p.sleepers.Add(-1)
 			return e
 		}
+		p.parks.Add(1)
 		<-wake
 		p.sleepers.Add(-1)
 	}

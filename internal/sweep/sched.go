@@ -3,6 +3,8 @@ package sweep
 import (
 	"errors"
 	"sync"
+
+	"repro/internal/exec"
 )
 
 // ErrQueueFull reports that a Scheduler's bounded submission queue is at
@@ -13,11 +15,12 @@ var ErrQueueFull = errors.New("sweep: job queue full")
 var ErrSchedClosed = errors.New("sweep: scheduler closed")
 
 // Task is one unit of work submitted to a Scheduler: a cost estimate (the
-// sweep cell cost model's units, node-cycles), whether its results are
-// invariant under Workers > 1, and the function to run. Run receives the
-// worker grant the scheduler decided for it.
+// sweep cell cost model's units, node-cycles), the size of its network,
+// whether its results are invariant under Workers > 1, and the function to
+// run. Run receives the worker grant the scheduler decided for it.
 type Task struct {
 	Cost           float64
+	Nodes          int
 	Parallelizable bool
 	Run            func(workers int)
 }
@@ -31,11 +34,10 @@ type Task struct {
 // Submission order is service order (no LPT re-sort: a service must not
 // starve cheap requests behind expensive ones).
 type Scheduler struct {
-	pool      *slotPool
-	tasks     chan Task
-	jobs      int
-	budget    int
-	smallCost float64
+	pool   *slotPool
+	tasks  chan Task
+	jobs   int
+	budget int
 
 	mu     sync.Mutex
 	closed bool
@@ -59,11 +61,10 @@ func NewScheduler(jobs, budget, queueCap int) *Scheduler {
 		queueCap = 0
 	}
 	s := &Scheduler{
-		pool:      newSlotPool(jobs, budget),
-		tasks:     make(chan Task, queueCap),
-		jobs:      jobs,
-		budget:    budget,
-		smallCost: DefaultSmallCost,
+		pool:   newSlotPool(jobs, budget),
+		tasks:  make(chan Task, queueCap),
+		jobs:   jobs,
+		budget: budget,
 	}
 	s.loopWg.Add(1)
 	go s.dispatch()
@@ -71,18 +72,12 @@ func NewScheduler(jobs, budget, queueCap int) *Scheduler {
 }
 
 // grant decides a task's worker count: the online analogue of WorkersFor.
-// Cheap or worker-sensitive tasks run sequentially; the rest receive an
-// equal split of the budget across slots (no cost-proportional widening —
-// an online scheduler cannot know the queue's future cost distribution).
+// A task receives an equal split of the budget across slots (no
+// cost-proportional widening — an online scheduler cannot know the queue's
+// future cost distribution), capped by exec.WorkersBySize: a small or
+// worker-sensitive task runs on one worker.
 func (s *Scheduler) grant(t Task) int {
-	if !t.Parallelizable || s.budget <= 1 || t.Cost < s.smallCost {
-		return 1
-	}
-	w := s.budget / s.jobs
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(s.budget/s.jobs, exec.WorkersBySize(t.Nodes, s.budget, t.Parallelizable)))
 }
 
 // dispatch admits queued tasks through the slot pool, in submission order.
@@ -97,11 +92,6 @@ func (s *Scheduler) dispatch() {
 		go func(t Task, w int) {
 			defer s.wg.Done()
 			defer s.pool.release(w)
-			// A one-worker grant means "run sequentially": Workers 0 is the
-			// engines' plain single-threaded path (same results, no pool).
-			if w == 1 {
-				w = 0
-			}
 			t.Run(w)
 		}(t, w)
 	}

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/exec"
 )
 
 func TestSchedulerRunsTasks(t *testing.T) {
@@ -29,34 +31,57 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	}
 }
 
-// Cheap or worker-sensitive tasks run sequentially (workers 0); expensive
-// parallelizable tasks get an equal split of the budget.
+// Small or worker-sensitive tasks get one worker, passed as 1; tasks on
+// networks the size rule lets widen get an equal split of the budget.
 func TestSchedulerWorkerGrants(t *testing.T) {
+	big := 8 * exec.NodesPerWorker
 	s := NewScheduler(2, 8, 8)
 	defer s.Close()
-	grant := func(task Task) int {
-		ch := make(chan int, 1)
-		run := task.Run
-		task.Run = func(w int) {
-			if run != nil {
-				run(w)
+	if w := runGranted(t, s, Task{Nodes: big, Parallelizable: true}); w != 4 {
+		t.Errorf("large parallelizable task got %d workers, want 8/2=4", w)
+	}
+	if w := runGranted(t, s, Task{Nodes: big, Parallelizable: false}); w != 1 {
+		t.Errorf("non-parallelizable task got workers=%d, want 1", w)
+	}
+	if w := runGranted(t, s, Task{Nodes: exec.NodesPerWorker / 4, Parallelizable: true}); w != 1 {
+		t.Errorf("small task got workers=%d, want 1", w)
+	}
+	if w := runGranted(t, s, Task{Nodes: 2 * exec.NodesPerWorker, Parallelizable: true}); w != 2 {
+		t.Errorf("task sized for two workers got %d, want 2", w)
+	}
+	// Under budget 2 a parallelizable 256-node task of cost 4·2^20 runs on
+	// one worker: cost alone no longer buys it a second.
+	two := NewScheduler(1, 2, 1)
+	defer two.Close()
+	if w := runGranted(t, two, Task{Nodes: 256, Cost: 4 << 20, Parallelizable: true}); w != 1 {
+		t.Errorf("256-node task under budget 2 got %d workers, want 1", w)
+	}
+}
+
+// No grant exceeds the size rule under the scheduler's budget.
+func TestSchedulerGrantNeverExceedsRule(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {1, 2}, {2, 8}, {3, 8}, {1, 8}} {
+		s := &Scheduler{jobs: shape[0], budget: shape[1]}
+		for nodes := 16; nodes <= 1<<14; nodes *= 2 {
+			for _, par := range []bool{false, true} {
+				got := s.grant(Task{Nodes: nodes, Cost: 1 << 24, Parallelizable: par})
+				if rule := exec.WorkersBySize(nodes, s.budget, par); got < 1 || got > rule {
+					t.Fatalf("jobs %d budget %d: grant(%d nodes, par %v) = %d, rule allows 1..%d", s.jobs, s.budget, nodes, par, got, rule)
+				}
 			}
-			ch <- w
 		}
-		if err := s.TrySubmit(task); err != nil {
-			t.Fatal(err)
-		}
-		return <-ch
 	}
-	if w := grant(Task{Cost: DefaultSmallCost * 2, Parallelizable: true}); w != 4 {
-		t.Errorf("expensive parallelizable task got %d workers, want 8/2=4", w)
+}
+
+// runGranted submits task to s and returns the worker count its Run got.
+func runGranted(t *testing.T, s *Scheduler, task Task) int {
+	t.Helper()
+	ch := make(chan int, 1)
+	task.Run = func(w int) { ch <- w }
+	if err := s.TrySubmit(task); err != nil {
+		t.Fatal(err)
 	}
-	if w := grant(Task{Cost: DefaultSmallCost * 2, Parallelizable: false}); w != 0 {
-		t.Errorf("non-parallelizable task got workers=%d, want 0 (sequential)", w)
-	}
-	if w := grant(Task{Cost: 1, Parallelizable: true}); w != 0 {
-		t.Errorf("cheap task got workers=%d, want 0 (sequential)", w)
-	}
+	return <-ch
 }
 
 // The backpressure contract the daemon's 429 path relies on: with every

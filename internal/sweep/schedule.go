@@ -5,12 +5,9 @@ import (
 	"math"
 	"sort"
 	"sync"
-)
 
-// DefaultSmallCost is the cost (estimated node-cycles) below which a cell
-// runs with a single worker: per-cycle barrier overhead beats the shard
-// parallelism on small networks and short drains.
-const DefaultSmallCost = 1 << 20
+	"repro/internal/exec"
+)
 
 // LPTOrder returns the indices of pending ordered longest-processing-time
 // first: descending cost, ties broken by ascending Seq. Starting the most
@@ -30,29 +27,19 @@ func LPTOrder(jobs []Job, pending []int) []int {
 }
 
 // WorkersFor splits the global worker budget between concurrent cells and
-// per-simulation parallelism. Cheap cells (below smallCost) and cells whose
-// results are not worker-invariant run sequentially; the rest receive a
-// share of the budget proportional to their cost, floored at budget/slots,
-// so the dominant cells (the n=14 dynamic runs) widen toward the whole
-// machine instead of serializing the sweep tail on one worker.
-func WorkersFor(job Job, budget, slots int, smallCost, maxCost float64) int {
-	if !job.Parallelizable || budget <= 1 || job.Cost < smallCost {
-		return 1
-	}
+// per-simulation parallelism. A cell receives a share of the budget
+// proportional to its cost, floored at budget/slots, so the dominant cells
+// (the n=14 dynamic runs) widen toward the whole machine instead of
+// serializing the sweep tail on one worker; the share is capped by
+// exec.WorkersBySize, so a cell whose network is too small to pay for a
+// second worker, or whose results are not worker-invariant, gets one.
+func WorkersFor(job Job, budget, slots int, maxCost float64) int {
 	w := 1
 	if maxCost > 0 {
 		w = int(math.Round(float64(budget) * job.Cost / maxCost))
 	}
-	if base := budget / slots; w < base {
-		w = base
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > budget {
-		w = budget
-	}
-	return w
+	w = max(w, budget/slots)
+	return max(1, min(w, exec.WorkersBySize(job.Nodes, budget, job.Parallelizable)))
 }
 
 // slotPool is a weighted admission gate: at most `jobs` cells run at once,

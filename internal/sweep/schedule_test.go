@@ -3,6 +3,8 @@ package sweep
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/exec"
 )
 
 func TestLPTOrder(t *testing.T) {
@@ -37,26 +39,52 @@ func TestLPTOrderSubset(t *testing.T) {
 	}
 }
 
+// Cells are sized in nodes: the size rule (exec.WorkersBySize) caps every
+// cost-proportional share, so "big" is a network with room for eight
+// workers and "small" one with room for one.
 func TestWorkersFor(t *testing.T) {
-	big := float64(DefaultSmallCost) * 4
+	const cost = 4 << 20
+	big, small := 8*exec.NodesPerWorker, exec.NodesPerWorker/4
 	cases := []struct {
-		name               string
-		job                Job
-		budget, slots      int
-		smallCost, maxCost float64
-		want               int
+		name          string
+		job           Job
+		budget, slots int
+		maxCost       float64
+		want          int
 	}{
-		{"not parallelizable", Job{Parallelizable: false, Cost: big}, 8, 2, DefaultSmallCost, big, 1},
-		{"budget one", Job{Parallelizable: true, Cost: big}, 1, 2, DefaultSmallCost, big, 1},
-		{"below small cost", Job{Parallelizable: true, Cost: 100}, 8, 2, DefaultSmallCost, big, 1},
-		{"dominant cell gets full budget", Job{Parallelizable: true, Cost: big}, 8, 2, DefaultSmallCost, big, 8},
-		{"half-cost cell gets half", Job{Parallelizable: true, Cost: big / 2}, 8, 2, DefaultSmallCost, big, 4},
-		{"floor at budget/slots", Job{Parallelizable: true, Cost: big / 1000}, 8, 2, 0, big, 4},
-		{"never exceeds budget", Job{Parallelizable: true, Cost: big}, 3, 1, DefaultSmallCost, big / 2, 3},
+		{"not parallelizable", Job{Parallelizable: false, Nodes: big, Cost: cost}, 8, 2, cost, 1},
+		{"budget one", Job{Parallelizable: true, Nodes: big, Cost: cost}, 1, 2, cost, 1},
+		{"small network", Job{Parallelizable: true, Nodes: small, Cost: cost}, 8, 2, cost, 1},
+		{"256 nodes under budget 2", Job{Parallelizable: true, Nodes: 256, Cost: cost}, 2, 1, cost, 1},
+		{"dominant cell gets full budget", Job{Parallelizable: true, Nodes: big, Cost: cost}, 8, 2, cost, 8},
+		{"size caps the dominant cell", Job{Parallelizable: true, Nodes: 3 * exec.NodesPerWorker, Cost: cost}, 8, 2, cost, 3},
+		{"half-cost cell gets half", Job{Parallelizable: true, Nodes: big, Cost: cost / 2}, 8, 2, cost, 4},
+		{"floor at budget/slots", Job{Parallelizable: true, Nodes: big, Cost: cost / 1000}, 8, 2, cost, 4},
+		{"never exceeds budget", Job{Parallelizable: true, Nodes: big, Cost: cost}, 3, 1, cost / 2, 3},
 	}
 	for _, c := range cases {
-		if got := WorkersFor(c.job, c.budget, c.slots, c.smallCost, c.maxCost); got != c.want {
+		if got := WorkersFor(c.job, c.budget, c.slots, c.maxCost); got != c.want {
 			t.Errorf("%s: WorkersFor = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// No share WorkersFor hands out exceeds the size rule, at any size, budget,
+// slot count or cost.
+func TestWorkersForNeverExceedsRule(t *testing.T) {
+	for nodes := 16; nodes <= 1<<14; nodes *= 2 {
+		for budget := 1; budget <= 8; budget++ {
+			for slots := 1; slots <= 3; slots++ {
+				for _, par := range []bool{false, true} {
+					for _, cost := range []float64{1, 1 << 20, 1 << 24} {
+						job := Job{Nodes: nodes, Cost: cost, Parallelizable: par}
+						got := WorkersFor(job, budget, slots, 1<<24)
+						if rule := exec.WorkersBySize(nodes, budget, par); got < 1 || got > rule {
+							t.Fatalf("WorkersFor(%+v, budget %d, slots %d) = %d, rule allows 1..%d", job, budget, slots, got, rule)
+						}
+					}
+				}
+			}
 		}
 	}
 }

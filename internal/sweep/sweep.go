@@ -164,7 +164,8 @@ type Options struct {
 	Jobs   int // concurrent cells (default 1)
 	Budget int // total worker budget across concurrent cells (default GOMAXPROCS)
 	// FixedWorkers forces every cell to this Workers value (the -workers
-	// flag); 0 lets the scheduler split Budget cost-aware per cell.
+	// flag); 0 lets the scheduler split Budget cost-aware per cell, capped
+	// by exec.WorkersBySize (WorkersFor).
 	FixedWorkers int
 	// Store, when set, is consulted for every cell before anything runs and
 	// receives every cell that does run, keyed by the cell's
@@ -177,7 +178,6 @@ type Options struct {
 	// "kill" half of the kill/resume tests and CI smoke job.
 	StopAfter int
 	Sink      obs.SweepSink // progress events (nil = none)
-	SmallCost float64       // cells cheaper than this run sequentially (default DefaultSmallCost)
 }
 
 func (o *Options) fill() {
@@ -186,9 +186,6 @@ func (o *Options) fill() {
 	}
 	if o.Budget < 1 {
 		o.Budget = runtime.GOMAXPROCS(0)
-	}
-	if o.SmallCost == 0 {
-		o.SmallCost = DefaultSmallCost
 	}
 }
 
@@ -248,7 +245,7 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 	)
 	for _, idx := range order {
 		job := jobs[idx]
-		w := WorkersFor(job, o.Budget, o.Jobs, o.SmallCost, maxCost)
+		w := WorkersFor(job, o.Budget, o.Jobs, maxCost)
 		if o.FixedWorkers > 0 {
 			w = o.FixedWorkers
 			if w > o.Budget {
@@ -264,13 +261,9 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			defer pool.release(w)
 			prog.start(job, w)
 			c := cells[idx]
-			// A one-worker grant means "run this cell sequentially": the
-			// engine's plain single-threaded path (Workers 0) computes the
-			// same results as a one-worker pool without the pool overhead.
+			// The grant is explicit, 1 included: Workers 0 would let the
+			// run size itself against GOMAXPROCS, not this sweep's budget.
 			c.spec.Workers = w
-			if w == 1 {
-				c.spec.Workers = 0
-			}
 			t0 := time.Now()
 			res, err := exec.Run(runCtx, c.spec, nil)
 			elapsed := time.Since(t0).Seconds()
