@@ -155,17 +155,8 @@ func printResults(results []sweep.Result) {
 		for _, r := range results[i:j] {
 			rows = append(rows, r.Row)
 		}
-		switch results[i].Job.Suite {
-		case sweep.SuitePaper:
-			ex, err := bench.FindTable(results[i].Job.Exp)
-			if err == nil {
-				fmt.Print(ex.Format(rows))
-			}
-		case sweep.SuiteExtended:
-			ex, err := bench.FindExtended(results[i].Job.Exp)
-			if err == nil {
-				fmt.Print(ex.Format(rows))
-			}
+		if ex, err := bench.Find(results[i].Job.Exp); err == nil {
+			fmt.Print(ex.Format(rows))
 		}
 		fmt.Println()
 		i = j

@@ -1,24 +1,28 @@
 // Package bench is the experiment harness that regenerates the paper's
 // evaluation (Section 7): one Experiment per published table, carrying the
-// paper's reported numbers so runs print paper-vs-measured side by side.
+// paper's reported numbers so runs print paper-vs-measured side by side,
+// and the extended suite, the same methodology on the paper's other
+// networks.
 //
 // All twelve tables simulate the fully-adaptive hypercube algorithm with
 // injection queue size 1 and central queue capacity 5, across hypercube
 // dimensions 10-14 (1K-16K nodes); Table 12 additionally reports n=9.
 // Static experiments inject 1 or n packets per node and drain; dynamic
 // experiments run a Bernoulli λ=1 process and measure the steady state.
+// Every cell is an exec.RunSpec (Spec), so a table cell and a POSTed spec
+// with the same parameters are the same run, fingerprint and all.
 package bench
 
 import (
 	"context"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sim"
 )
 
-// PatternKind names the four communication patterns of Section 7.1.
+// PatternKind names a communication pattern in the spec grammar; the
+// constants are the four patterns of Section 7.1.
 type PatternKind string
 
 // The paper's communication patterns.
@@ -33,7 +37,7 @@ const (
 type InjectionKind string
 
 // Injection models: static with 1 packet per node, static with n packets
-// per node, and dynamic Bernoulli λ=1.
+// per node (n = the cell's size), and dynamic Bernoulli injection.
 const (
 	Static1 InjectionKind = "static-1"
 	StaticN InjectionKind = "static-n"
@@ -48,18 +52,29 @@ type PaperRow struct {
 	Ir   float64 // published effective injection rate in percent (dynamic only)
 }
 
-// Experiment describes one table of the paper.
+// Experiment is one table: a paper table, which carries its published
+// rows, or a table of the extended suite, which has none.
 type Experiment struct {
-	ID        string // "table1" ... "table12"
-	Title     string // the paper's caption
+	ID    string // "table1" ... "table12", "ext-mesh-random-n"
+	Title string // the table's caption
+	// Algo is the cell's algorithm spec with its size in place of each
+	// %[1]d ("mesh-adaptive:%[1]dx%[1]d"). Empty is the paper's hypercube
+	// in the variant Options.Algorithm names.
+	Algo string
+	// Pattern is a spec-grammar pattern name ("random", "mesh-transpose");
+	// the run resolves it against the cell's network, as a POSTed RunSpec
+	// would.
 	Pattern   PatternKind
 	Injection InjectionKind
-	Paper     []PaperRow
+	Lambda    float64    // dynamic rate; 0 is the paper's λ=1
+	SizeLabel string     // what a size is: "n" (hypercube dimension), "side" or "dims"
+	Sizes     []int      // the sizes the table reports
+	Paper     []PaperRow // the published rows; nil in the extended suite
 }
 
 // Row is one measured row, paired with the paper's values.
 type Row struct {
-	Dims      int
+	Dims      int // the cell's size
 	Nodes     int
 	Lavg      float64
 	Lmax      int64
@@ -69,16 +84,17 @@ type Row struct {
 	Paper     PaperRow
 }
 
-// Options tunes a run. The zero value reproduces the paper's setup.
+// Options tunes a run. The zero value reproduces the paper's setup: zero
+// fields take the RunSpec defaults, which are the paper's values.
 type Options struct {
 	Seed     int64
 	QueueCap int        // default 5 (the paper's value)
 	Policy   sim.Policy // default PolicyFirstFree (the paper's fill order)
 	Warmup   int64      // dynamic runs: warmup cycles (default 500)
 	Measure  int64      // dynamic runs: measured cycles (default 1500)
-	Workers  int
-	// Algorithm overrides the fully-adaptive scheme for ablations:
-	// "adaptive" (default), "hung", "ecube".
+	// Algorithm overrides the paper tables' fully-adaptive scheme for
+	// ablations: "adaptive" (default), "hung", "ecube". The extended suite
+	// ignores it.
 	Algorithm string
 	// Engine selects the simulation model, as RunSpec.Engine: "buffered"
 	// (default, the paper's node model), "buffered:vct" (the same with
@@ -86,37 +102,14 @@ type Options struct {
 	Engine string
 	// Traffic overrides the injection model of dynamic cells for ablations:
 	// a RunSpec traffic spec such as "mmpp" or "onoff:hi=0.9,lo=0.1" (empty
-	// = the paper's Bernoulli process). Static cells ignore it.
+	// = Bernoulli). Static cells ignore it.
 	Traffic string
 }
 
-// Filled returns the options with unset fields replaced by the paper's
-// defaults — the exported form of the fill step, for callers (the sweep
-// orchestrator) that need the effective values for cost estimates.
-func (o Options) Filled() Options {
-	o.fill()
-	return o
-}
-
-func (o *Options) fill() {
-	if o.QueueCap == 0 {
-		o.QueueCap = 5
-	}
-	if o.Warmup == 0 {
-		o.Warmup = 500
-	}
-	if o.Measure == 0 {
-		o.Measure = 1500
-	}
-	if o.Algorithm == "" {
-		o.Algorithm = "adaptive"
-	}
-}
-
 // Tables returns the twelve experiments of Section 7 with the paper's
-// published values.
+// published values, each run at the dimensions the paper reports.
 func Tables() []Experiment {
-	return []Experiment{
+	ts := []Experiment{
 		{
 			ID: "table1", Title: "Random Routing, 1 packet", Pattern: Random, Injection: Static1,
 			Paper: []PaperRow{{10, 10.96, 19, 0}, {11, 12.09, 21, 0}, {12, 13.08, 25, 0}, {13, 14.03, 27, 0}, {14, 15.04, 29, 0}},
@@ -166,11 +159,94 @@ func Tables() []Experiment {
 			Paper: []PaperRow{{9, 11.28, 37, 94}, {10, 12.47, 43, 91}, {11, 13.50, 48, 89}, {12, 15.17, 56, 84}, {13, 16.91, 53, 80}, {14, 18.46, 57, 75}},
 		},
 	}
+	for i := range ts {
+		ts[i].SizeLabel = "n"
+		for _, r := range ts[i].Paper {
+			ts[i].Sizes = append(ts[i].Sizes, r.Dims)
+		}
+	}
+	return ts
 }
 
-// FindTable returns the experiment with the given id ("table7").
-func FindTable(id string) (Experiment, error) {
-	for _, ex := range Tables() {
+// ExtendedSuite returns the extended experiments: the measurements the
+// paper announced but never published ("Simulations on higher-dimensional
+// hypercubes and other topologies will be reported soon", end of Section
+// 1). Same methodology as Tables 1-12 — the buffered node model, queue
+// capacity 5, static 1/n-packet and dynamic Bernoulli injection — applied
+// to 2-D meshes, 2-D tori, shuffle-exchanges and cube-connected cycles.
+// Dynamic rates are fixed per topology at roughly 60-80% of the
+// uniform-traffic saturation point, where latency and the effective
+// injection rate are both informative (λ=1 drives the low-degree networks
+// straight into the saturated regime studied separately in EXPERIMENTS.md).
+func ExtendedSuite() []Experiment {
+	const (
+		mesh    = "mesh-adaptive:%[1]dx%[1]d"
+		torus   = "torus-adaptive:%[1]dx%[1]d"
+		shuffle = "shuffle-adaptive:%[1]d"
+		ccc     = "ccc-adaptive:%[1]d"
+	)
+	return []Experiment{
+		{
+			ID: "ext-mesh-random-n", Title: "Mesh, random, n packets (n = side)",
+			SizeLabel: "side", Sizes: []int{8, 16, 24, 32}, Injection: StaticN,
+			Algo: mesh, Pattern: Random,
+		},
+		{
+			ID: "ext-mesh-transpose-n", Title: "Mesh, matrix transpose, n packets",
+			SizeLabel: "side", Sizes: []int{8, 16, 24, 32}, Injection: StaticN,
+			Algo: mesh, Pattern: "mesh-transpose",
+		},
+		{
+			ID: "ext-mesh-random-dyn", Title: "Mesh, random, dynamic lambda=0.08",
+			SizeLabel: "side", Sizes: []int{8, 16, 24}, Injection: Dynamic, Lambda: 0.08,
+			Algo: mesh, Pattern: Random,
+		},
+		{
+			ID: "ext-torus-random-n", Title: "Torus, random, n packets",
+			SizeLabel: "side", Sizes: []int{8, 16, 24}, Injection: StaticN,
+			Algo: torus, Pattern: Random,
+		},
+		{
+			ID: "ext-torus-random-dyn", Title: "Torus, random, dynamic lambda=0.2",
+			SizeLabel: "side", Sizes: []int{8, 16, 24}, Injection: Dynamic, Lambda: 0.2,
+			Algo: torus, Pattern: Random,
+		},
+		{
+			ID: "ext-shuffle-random-n", Title: "Shuffle-exchange, random, n packets (n = dims)",
+			SizeLabel: "dims", Sizes: []int{8, 10, 12}, Injection: StaticN,
+			Algo: shuffle, Pattern: Random,
+		},
+		{
+			ID: "ext-shuffle-random-dyn", Title: "Shuffle-exchange, random, dynamic lambda=0.02",
+			SizeLabel: "dims", Sizes: []int{8, 10, 12}, Injection: Dynamic, Lambda: 0.02,
+			Algo: shuffle, Pattern: Random,
+		},
+		{
+			ID: "ext-ccc-random-n", Title: "Cube-connected cycles, random, n packets (n = order)",
+			SizeLabel: "dims", Sizes: []int{5, 6, 7, 8}, Injection: StaticN,
+			Algo: ccc, Pattern: Random,
+		},
+		{
+			ID: "ext-ccc-random-dyn", Title: "Cube-connected cycles, random, dynamic lambda=0.04",
+			SizeLabel: "dims", Sizes: []int{5, 6, 7}, Injection: Dynamic, Lambda: 0.04,
+			Algo: ccc, Pattern: Random,
+		},
+	}
+}
+
+// Find returns the experiment with the given id from either suite.
+func Find(id string) (Experiment, error) {
+	return find(append(Tables(), ExtendedSuite()...), id)
+}
+
+// FindTable returns the paper table with the given id ("table7").
+func FindTable(id string) (Experiment, error) { return find(Tables(), id) }
+
+// FindExtended returns the extended experiment with the given id.
+func FindExtended(id string) (Experiment, error) { return find(ExtendedSuite(), id) }
+
+func find(exps []Experiment, id string) (Experiment, error) {
+	for _, ex := range exps {
 		if ex.ID == id {
 			return ex, nil
 		}
@@ -178,18 +254,9 @@ func FindTable(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q", id)
 }
 
-// algorithm builds the hypercube algorithm variant for the options.
-func algorithm(dims int, opt Options) (core.Algorithm, error) {
-	switch opt.Algorithm {
-	case "adaptive":
-		return core.NewHypercubeAdaptive(dims), nil
-	case "hung":
-		return core.NewHypercubeHung(dims), nil
-	case "ecube":
-		return core.NewHypercubeECube(dims), nil
-	}
-	return nil, fmt.Errorf("bench: unknown algorithm variant %q", opt.Algorithm)
-}
+// Published reports whether the experiment is one of the paper's tables,
+// with published rows to print its measurements against.
+func (ex Experiment) Published() bool { return ex.Paper != nil }
 
 // paperRow returns the published values for dims, or a zero row.
 func (ex Experiment) paperRow(dims int) PaperRow {
@@ -201,57 +268,35 @@ func (ex Experiment) paperRow(dims int) PaperRow {
 	return PaperRow{Dims: dims}
 }
 
-// Dims lists the hypercube dimensions the paper reports for this table.
-func (ex Experiment) Dims() []int {
-	out := make([]int, len(ex.Paper))
-	for i, r := range ex.Paper {
-		out[i] = r.Dims
+// Spec translates one cell into the canonical exec.RunSpec: the algorithm
+// and pattern as spec strings, the injection model as packets per node or
+// a Bernoulli window, and the options' result-affecting knobs. The
+// returned spec is what Run executes.
+func (ex Experiment) Spec(size int, opt Options) (exec.RunSpec, error) {
+	algo := ex.Algo
+	if algo == "" {
+		variant := opt.Algorithm
+		if variant == "" {
+			variant = "adaptive"
+		}
+		algo = "hypercube-" + variant + ":%[1]d"
 	}
-	return out
-}
-
-// Cell returns orchestration facts about the cell at the given dimension:
-// its node count and whether the cell may be simulated with Workers > 1
-// without changing its results (credited algorithms tie-break differently
-// across worker counts; the atomic engine ignores Workers entirely, so
-// granting it more would only waste budget).
-func (ex Experiment) Cell(dims int, opt Options) (nodes int, parallelizable bool, err error) {
-	opt.fill()
-	a, err := algorithm(dims, opt)
-	if err != nil {
-		return 0, false, err
-	}
-	return a.Topology().Nodes(), !a.Props().Credits && opt.Engine != "atomic", nil
-}
-
-// Run executes one row of the experiment at the given hypercube dimension.
-func (ex Experiment) Run(dims int, opt Options) (Row, error) {
-	return ex.RunCtx(nil, dims, opt)
-}
-
-// Spec translates one table cell into the canonical exec.RunSpec: the
-// paper's algorithm variant and pattern as spec strings, the injection
-// model as packets-per-node or a λ=1 Bernoulli window, and the options'
-// result-affecting knobs. The returned spec is what RunCtx executes.
-func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
-	opt.fill()
 	s := exec.RunSpec{
 		V:        exec.SpecVersion,
-		Algo:     fmt.Sprintf("hypercube-%s:%d", opt.Algorithm, dims),
+		Algo:     fmt.Sprintf(algo, size),
 		Pattern:  string(ex.Pattern),
 		Engine:   opt.Engine,
 		Policy:   opt.Policy.String(),
 		Seed:     opt.Seed,
 		QueueCap: opt.QueueCap,
-		Workers:  opt.Workers,
 	}
 	switch ex.Injection {
 	case Static1:
 		s.Inject, s.Packets = "static", 1
 	case StaticN:
-		s.Inject, s.Packets = "static", dims
+		s.Inject, s.Packets = "static", size
 	case Dynamic:
-		s.Inject, s.Lambda, s.Warmup, s.Measure = "dynamic", 1, opt.Warmup, opt.Measure
+		s.Inject, s.Lambda, s.Warmup, s.Measure = "dynamic", ex.Lambda, opt.Warmup, opt.Measure
 		s.Traffic = opt.Traffic
 	default:
 		return exec.RunSpec{}, fmt.Errorf("bench: unknown injection %q", ex.Injection)
@@ -259,35 +304,35 @@ func (ex Experiment) Spec(dims int, opt Options) (exec.RunSpec, error) {
 	return s, nil
 }
 
+// Run executes the cell of the given size.
+func (ex Experiment) Run(size int, opt Options) (Row, error) {
+	return ex.RunCtx(nil, size, opt)
+}
+
 // RunCtx is Run with cancellation: the simulation stops within one cycle of
 // ctx being canceled and the cell returns ctx's error.
-//
-// Execution goes through the canonical exec.RunSpec path — the same
-// assembly the daemon and the result store use — so a table cell and a
-// POSTed spec with the same parameters are the same run, fingerprint and
-// all.
-func (ex Experiment) RunCtx(ctx context.Context, dims int, opt Options) (Row, error) {
-	s, err := ex.Spec(dims, opt)
+func (ex Experiment) RunCtx(ctx context.Context, size int, opt Options) (Row, error) {
+	s, err := ex.Spec(size, opt)
 	if err != nil {
 		return Row{}, err
 	}
-	res, err := exec.Run(ctx, s, nil)
+	c, err := exec.Compile(s)
 	if err != nil {
 		return Row{}, err
 	}
-	return ex.Row(dims, res), nil
+	res, err := c.Run(ctx, 0, nil)
+	if err != nil {
+		return Row{}, err
+	}
+	return ex.Row(size, c.Nodes(), res), nil
 }
 
-// Row is the table row of the cell at dims whose spec (Spec) produced res,
-// whether res was just computed or read back from the result store.
-func (ex Experiment) Row(dims int, res exec.Result) Row {
-	return rowOf(dims, 1<<dims, res.Metrics, ex.paperRow(dims))
-}
-
-// rowOf reads a row off a run's metrics. The metrics are integer counters,
-// so a row rebuilt from a stored result equals the one first computed,
-// bit for bit.
-func rowOf(size, nodes int, m sim.Metrics, paper PaperRow) Row {
+// Row is the table row of the cell at size, on a network of nodes nodes,
+// whose spec (Spec) produced res, whether res was just computed or read
+// back from the result store. The metrics are integer counters, so a row
+// rebuilt from a stored result equals the one first computed, bit for bit.
+func (ex Experiment) Row(size, nodes int, res exec.Result) Row {
+	m := res.Metrics
 	return Row{
 		Dims:      size,
 		Nodes:     nodes,
@@ -296,41 +341,53 @@ func rowOf(size, nodes int, m sim.Metrics, paper PaperRow) Row {
 		Ir:        100 * m.InjectionRate(),
 		Cycles:    m.Cycles,
 		Delivered: m.Delivered,
-		Paper:     paper,
+		Paper:     ex.paperRow(size),
 	}
 }
 
-// RunAll executes the experiment at every dimension the paper reports, up
-// to maxDims (0 = all).
-func (ex Experiment) RunAll(maxDims int, opt Options) ([]Row, error) {
+// RunAll executes the experiment at every size it reports, up to maxSize
+// (0 = all).
+func (ex Experiment) RunAll(maxSize int, opt Options) ([]Row, error) {
 	var rows []Row
-	for _, d := range ex.Dims() {
-		if maxDims > 0 && d > maxDims {
+	for _, size := range ex.Sizes {
+		if maxSize > 0 && size > maxSize {
 			continue
 		}
-		r, err := ex.Run(d, opt)
+		r, err := ex.Run(size, opt)
 		if err != nil {
-			return rows, fmt.Errorf("%s n=%d: %w", ex.ID, d, err)
+			return rows, fmt.Errorf("%s %s=%d: %w", ex.ID, ex.SizeLabel, size, err)
 		}
 		rows = append(rows, r)
 	}
 	return rows, nil
 }
 
-// Format renders measured rows against the paper's values.
+// Format renders measured rows: against the published values for a paper
+// table, with the cycle count of static cells for the extended suite.
 func (ex Experiment) Format(rows []Row) string {
 	s := fmt.Sprintf("%s: %s\n", ex.ID, ex.Title)
-	if ex.Injection == Dynamic {
-		s += "  n      N |   Lavg   Lmax  Ir%% |  paper:  Lavg   Lmax  Ir%%\n"
+	switch {
+	case ex.Published() && ex.Injection == Dynamic:
+		s += "  n      N |   Lavg   Lmax  Ir% |  paper:  Lavg   Lmax  Ir%\n"
 		for _, r := range rows {
 			s += fmt.Sprintf(" %2d %6d | %6.2f %6d  %3.0f |         %6.2f %6d  %3.0f\n",
 				r.Dims, r.Nodes, r.Lavg, r.Lmax, r.Ir, r.Paper.Lavg, r.Paper.Lmax, r.Paper.Ir)
 		}
-	} else {
+	case ex.Published():
 		s += "  n      N |   Lavg   Lmax |  paper:  Lavg   Lmax\n"
 		for _, r := range rows {
 			s += fmt.Sprintf(" %2d %6d | %6.2f %6d |         %6.2f %6d\n",
 				r.Dims, r.Nodes, r.Lavg, r.Lmax, r.Paper.Lavg, r.Paper.Lmax)
+		}
+	case ex.Injection == Dynamic:
+		s += fmt.Sprintf("  %4s      N |   Lavg   Lmax  Ir%%\n", ex.SizeLabel)
+		for _, r := range rows {
+			s += fmt.Sprintf("  %4d %6d | %6.2f %6d  %3.0f\n", r.Dims, r.Nodes, r.Lavg, r.Lmax, r.Ir)
+		}
+	default:
+		s += fmt.Sprintf("  %4s      N |   Lavg   Lmax   cycles\n", ex.SizeLabel)
+		for _, r := range rows {
+			s += fmt.Sprintf("  %4d %6d | %6.2f %6d %8d\n", r.Dims, r.Nodes, r.Lavg, r.Lmax, r.Cycles)
 		}
 	}
 	return s

@@ -134,10 +134,14 @@ func TestRunAllRespectsMaxDims(t *testing.T) {
 func TestFormat(t *testing.T) {
 	ex, _ := FindTable("table9")
 	out := ex.Format([]Row{{Dims: 10, Nodes: 1024, Lavg: 12.3, Lmax: 31, Ir: 92, Paper: PaperRow{10, 12.10, 30, 93}}})
-	for _, want := range []string{"table9", "12.30", "12.10", "Ir"} {
+	for _, want := range []string{"table9", "12.30", "12.10"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
+	}
+	const header = "  n      N |   Lavg   Lmax  Ir% |  paper:  Lavg   Lmax  Ir%"
+	if lines := strings.Split(out, "\n"); len(lines) < 2 || lines[1] != header {
+		t.Errorf("Format header line is not %q:\n%s", header, out)
 	}
 	ex2, _ := FindTable("table1")
 	out2 := ex2.Format([]Row{{Dims: 10, Nodes: 1024, Lavg: 11.0, Lmax: 19, Paper: PaperRow{10, 10.96, 19, 0}}})

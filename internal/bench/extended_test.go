@@ -19,7 +19,7 @@ func TestExtendedSuiteWellFormed(t *testing.T) {
 			t.Errorf("duplicate id %s", ex.ID)
 		}
 		seen[ex.ID] = true
-		if len(ex.Sizes) == 0 || ex.Algo == nil || ex.Pattern == "" {
+		if len(ex.Sizes) == 0 || ex.Algo == "" || ex.Pattern == "" {
 			t.Errorf("%s: incomplete definition", ex.ID)
 		}
 		if ex.Injection == Dynamic && (ex.Lambda <= 0 || ex.Lambda > 1) {

@@ -296,8 +296,7 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Com
 		close(fl.done)
 	}
 
-	cost := compiled.Cost
-	if s.cfg.MaxCost > 0 && cost > s.cfg.MaxCost {
+	if cost := compiled.Cost; s.cfg.MaxCost > 0 && cost > s.cfg.MaxCost {
 		s.rejected.Add(1)
 		err := fmt.Errorf("spec estimated cost %.3g node-cycles exceeds this server's limit %.3g", cost, s.cfg.MaxCost)
 		finish(Response{}, err, http.StatusRequestEntityTooLarge)
@@ -325,7 +324,6 @@ func (s *Server) lead(w http.ResponseWriter, r *http.Request, compiled *exec.Com
 	var res exec.Result
 	var runErr error
 	task := sweep.Task{
-		Cost:           cost,
 		Nodes:          compiled.Nodes(),
 		Parallelizable: compiled.Parallelizable,
 		Run: func(workers int) {

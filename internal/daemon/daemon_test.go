@@ -617,7 +617,7 @@ func TestSweepAndDaemonShareStore(t *testing.T) {
 		if err := json.Unmarshal(body, &r); err != nil {
 			t.Fatal(err)
 		}
-		return r, ex.Row(10, r.Result)
+		return r, ex.Row(10, 1<<10, r.Result)
 	}
 
 	t.Run("sweep then daemon", func(t *testing.T) {

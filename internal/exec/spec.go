@@ -29,9 +29,8 @@ import (
 // ("hypercube-adaptive") and the new "topology" field the network spec
 // ("hypercube:10", "graph:dragonfly:a=4,g=9"). Version-1 specs (combined
 // "hypercube-adaptive:10" algos, no topology field) are accepted
-// everywhere and canonicalized to v2 by Canon; their fingerprints are
-// unchanged (Fingerprint reconstructs the v1 recipe for every
-// v1-expressible spec), so stored results survive the schema change.
+// everywhere and canonicalized to v2 by Canon, so a v1 spec and its v2
+// spelling are the same run under the same Fingerprint.
 const SpecVersion = 2
 
 // RunSpec is the canonical description of one simulation run — the single
@@ -213,9 +212,9 @@ func (s RunSpec) Validate() error {
 type Compiled struct {
 	// Spec is the canonical form (Canon) of the spec that was compiled.
 	Spec RunSpec
-	// Cost estimates the run's work in node-cycles for admission control
-	// and worker-grant decisions — the RunSpec analogue of the sweep's
-	// cell cost model. Only relative accuracy matters.
+	// Cost estimates the run's work in node-cycles for the daemon's
+	// admission control and the sweep's longest-first order and worker
+	// split. Only relative accuracy matters.
 	Cost float64
 	// Parallelizable reports whether the run's results are invariant under
 	// Workers > 1 (credited algorithms and the atomic engine are not), the
@@ -347,43 +346,20 @@ func Compile(s RunSpec) (*Compiled, error) {
 	return out, nil
 }
 
-// Fingerprint hashes everything that determines the run's results — the
-// canonical spec fields plus the build identity — into the store key for
-// its result. The recipe is an explicit field-ordered string, so the hash
-// is stable across JSON field reordering and Go struct changes; Workers
-// is excluded because results are bit-deterministic across it. The spec version is folded in, so a schema change
-// invalidates stored entries instead of misreading them, and so does
-// buildID, so a rebuilt binary re-simulates rather than trusting results
-// of different code.
-// Every spec expressible in the v1 grammar — a v1 family on its implied
-// topology kind — hashes the exact v1 recipe (version literal 1, combined
-// algo spec, no topology part), so every store entry written before the v2
-// schema still matches. Only specs v1 could not express (graph-adaptive
-// over a generated network) use the v2 recipe with its separate topology
-// field.
+// Fingerprint hashes everything that determines the run's results — every
+// canonical spec field but Workers, plus the build identity — into the
+// store key for its result. The recipe is an explicit field-ordered string,
+// so the hash is stable across JSON field reordering and Go struct changes,
+// and it hashes the canonical form, so every spelling of one run (v1 or v2,
+// defaults omitted or explicit) shares a key. Workers is excluded because
+// results are bit-deterministic across it; buildID is included, so a
+// rebuilt binary re-simulates rather than trusting results of different
+// code.
 func (s RunSpec) Fingerprint(buildID string) string {
 	c := s.Canon()
-	version, algoField, topoPart := 1, c.Algo, ""
-	if c.Topology != "" {
-		if combined, ok := spec.JoinAlgo(c.Algo, c.Topology); ok && c.Algo != "graph-adaptive" {
-			algoField = combined
-		} else {
-			version, topoPart = 2, "|topology="+c.Topology
-		}
-	}
-	// The traffic part appears only for non-default models, so every spec
-	// that predates the traffic field — and every spec spelling the default
-	// explicitly — keeps the fingerprint it always had. No older recipe can
-	// collide with the inserted part: the fields before it (faults, hop)
-	// never contain "|traffic=".
-	trafficPart := ""
-	if c.Traffic != "" && c.Traffic != "bernoulli" {
-		trafficPart = "|traffic=" + c.Traffic
-	}
-	id := fmt.Sprintf("rs%d|algo=%s%s|pattern=%s|engine=%s|policy=%s|seed=%d|inject=%s|packets=%d|lambda=%g|warmup=%d|measure=%d|maxcycles=%d|cap=%d|faults=%s|hop=%d%s|build=%s",
-		version, algoField, topoPart, c.Pattern, c.Engine, c.Policy, c.Seed, c.Inject,
-		c.Packets, c.Lambda, c.Warmup, c.Measure, c.MaxCycles,
-		c.QueueCap, c.Faults, c.HopBudget, trafficPart, buildID)
+	id := fmt.Sprintf("rs%d|algo=%s|topology=%s|pattern=%s|engine=%s|policy=%s|seed=%d|inject=%s|traffic=%s|packets=%d|lambda=%g|warmup=%d|measure=%d|maxcycles=%d|cap=%d|faults=%s|hop=%d|build=%s",
+		c.V, c.Algo, c.Topology, c.Pattern, c.Engine, c.Policy, c.Seed, c.Inject, c.Traffic,
+		c.Packets, c.Lambda, c.Warmup, c.Measure, c.MaxCycles, c.QueueCap, c.Faults, c.HopBudget, buildID)
 	h := sha256.Sum256([]byte(id))
 	return hex.EncodeToString(h[:12])
 }
@@ -509,7 +485,10 @@ func (c *Compiled) Source() (sim.TrafficSource, sim.Plan, error) {
 }
 
 // cost is the work estimate behind Compiled.Cost for a canonical spec on a
-// network of the given size.
+// network of the given size. Dynamic runs simulate exactly warmup+measure
+// cycles over all nodes; static runs drain, so their work tracks the total
+// hop count, packets times a diameter of ⌈log₂ nodes⌉, rather than the
+// cycle count.
 func cost(c RunSpec, nodes int) float64 {
 	if c.Inject == "dynamic" {
 		return float64(nodes) * float64(c.Warmup+c.Measure)
@@ -519,20 +498,4 @@ func cost(c RunSpec, nodes int) float64 {
 		diam++
 	}
 	return float64(nodes) * float64(c.Packets) * float64(diam)
-}
-
-// Cost is Compiled.Cost for a spec not yet compiled. Invalid specs cost 0.
-func (s RunSpec) Cost() float64 {
-	c, err := Compile(s)
-	if err != nil {
-		return 0
-	}
-	return c.Cost
-}
-
-// Parallelizable is Compiled.Parallelizable for a spec not yet compiled.
-// Invalid specs report false.
-func (s RunSpec) Parallelizable() bool {
-	c, err := Compile(s)
-	return err == nil && c.Parallelizable
 }

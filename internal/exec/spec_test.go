@@ -213,8 +213,8 @@ func TestRunDeterministic(t *testing.T) {
 // one worker instead of tripping sim.Config's refusal.
 func TestRunPinsCreditedAlgorithms(t *testing.T) {
 	s := RunSpec{Algo: "shuffle-adaptive:6", Inject: "dynamic", Lambda: 0.5, Warmup: 50, Measure: 100, Seed: 3}
-	if s.Parallelizable() {
-		t.Fatal("shuffle-adaptive reported as parallelizable")
+	if c, err := Compile(s); err != nil || c.Parallelizable {
+		t.Fatalf("shuffle-adaptive reported as parallelizable (err %v)", err)
 	}
 	one, err := Run(context.Background(), s, nil)
 	if err != nil {
@@ -231,36 +231,44 @@ func TestRunPinsCreditedAlgorithms(t *testing.T) {
 }
 
 func TestCostAndParallelizable(t *testing.T) {
-	stat := small()
-	dyn := RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Warmup: 100, Measure: 300}
-	if stat.Cost() <= 0 || dyn.Cost() <= 0 {
-		t.Fatalf("valid specs must have positive cost: %v %v", stat.Cost(), dyn.Cost())
+	compile := func(s RunSpec) *Compiled {
+		t.Helper()
+		c, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	if (RunSpec{}).Cost() != 0 {
-		t.Error("invalid spec should cost 0")
+	stat := compile(small())
+	dyn := compile(RunSpec{Algo: "hypercube-adaptive:4", Inject: "dynamic", Warmup: 100, Measure: 300})
+	if stat.Cost <= 0 || dyn.Cost <= 0 {
+		t.Fatalf("valid specs must have positive cost: %v %v", stat.Cost, dyn.Cost)
 	}
-	if !stat.Parallelizable() {
+	if want := float64(16 * 400); dyn.Cost != want {
+		t.Errorf("dynamic cost %v, want nodes x window = %v", dyn.Cost, want)
+	}
+	if !stat.Parallelizable {
 		t.Error("buffered non-credited run should be parallelizable")
 	}
 	atomic := small()
 	atomic.Engine = "atomic"
-	if atomic.Parallelizable() {
+	if compile(atomic).Parallelizable {
 		t.Error("atomic engine must not be parallelizable")
 	}
 }
 
-// One Compile answers everything the wrappers answer, and its Run is the
-// run Run makes: same metrics, fingerprint and recorded spec, whether the
-// worker count comes from the spec or from the caller's grant, and again on
-// a second Run of the same Compiled.
+// Compile records the canonical spec, and its Run is the run Run makes:
+// same metrics, fingerprint and recorded spec, whether the worker count
+// comes from the spec or from the caller's grant, and again on a second Run
+// of the same Compiled.
 func TestCompileOnce(t *testing.T) {
 	s := RunSpec{Algo: "graph-adaptive:random-regular:n=64,k=3,seed=2", Inject: "dynamic", Lambda: 0.2, Warmup: 20, Measure: 60, Seed: 7}
 	c, err := Compile(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Spec != s.Canon() || c.Cost != s.Cost() || c.Parallelizable != s.Parallelizable() {
-		t.Fatalf("Compiled disagrees with the RunSpec wrappers: %+v cost %v parallelizable %v", c.Spec, c.Cost, c.Parallelizable)
+	if c.Spec != s.Canon() {
+		t.Fatalf("Compiled spec %+v, want the canonical %+v", c.Spec, s.Canon())
 	}
 	withWorkers := s
 	withWorkers.Workers = 2

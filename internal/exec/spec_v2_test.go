@@ -7,29 +7,29 @@ import (
 )
 
 // TestGoldenV1Fingerprints pins the fingerprint of one spec per v1
-// algorithm family (plus assorted option shapes) to the exact values the
-// v1 schema produced, captured before the v2 topology split. These are the
-// store keys of every result cached before the schema change: if any of
-// them moves, warmed stores silently go cold.
+// algorithm family (plus assorted option shapes), and checks that the v1
+// spelling, the v2 spelling and an explicit v:1 share the key. A pinned
+// value moves only with the recipe: a change there must be deliberate,
+// since every stored result keyed under the old recipe goes cold.
 func TestGoldenV1Fingerprints(t *testing.T) {
 	cases := []struct {
 		spec RunSpec
 		want string
 	}{
-		{RunSpec{Algo: "hypercube-adaptive:4", Seed: 1}, "745de69293f7f39a26b4ef70"},
-		{RunSpec{Algo: "hypercube-adaptive:10", Pattern: "transpose", Inject: "dynamic", Seed: 7}, "6e69f36aadd1b07d5cdd14d8"},
-		{RunSpec{Algo: "hypercube-hung:6", Policy: "random", Seed: 2}, "4e4a87633f267feb67260a15"},
-		{RunSpec{Algo: "hypercube-ecube:5", Engine: "atomic", Seed: 3}, "6a8789fb09333b8cc6bf6ae3"},
-		{RunSpec{Algo: "mesh-adaptive:16x16", Pattern: "mesh-transpose", Seed: 4, QueueCap: 7}, "b0d9ca82e1dc0bb9bd4374cb"},
-		{RunSpec{Algo: "mesh-twophase:8x8", Inject: "dynamic", Lambda: 0.08, Seed: 5}, "d72406ad2752bc3fbf8c5857"},
-		{RunSpec{Algo: "mesh-xy:4x3x3", Seed: 6}, "1883f36980d4af77c382f240"},
-		{RunSpec{Algo: "torus-adaptive:8x8", Faults: "links:0.05@0", HopBudget: 12, Seed: 8}, "9d145ab94f7207d5f4d3d7c9"},
-		{RunSpec{Algo: "shuffle-adaptive:5", Engine: "atomic", Seed: 9}, "4c6028b4747a93942b990296"},
-		{RunSpec{Algo: "shuffle-static:4", Packets: 3, Seed: 10}, "415b7eefa4d03c186aa91e7d"},
-		{RunSpec{Algo: "shuffle-eager:4", Seed: 11}, "189bf533ff8f7684502c9c58"},
-		{RunSpec{Algo: "ccc-adaptive:4", Pattern: "hotspot:0.3", Seed: 12}, "657713edb15ee404dd3b84d4"},
-		{RunSpec{Algo: "ccc-static:3", MaxCycles: 12345, Seed: 13}, "46ca73b0ba08ad251f098eb3"},
-		{RunSpec{Algo: "torus-adaptive:4x3x3", Workers: 8, Seed: 14}, "9c7805cdc040c203cd9710ea"},
+		{RunSpec{Algo: "hypercube-adaptive:4", Seed: 1}, "67060fc903d2c92f0d98d8bb"},
+		{RunSpec{Algo: "hypercube-adaptive:10", Pattern: "transpose", Inject: "dynamic", Seed: 7}, "1d7558f618cbabdbff5c202e"},
+		{RunSpec{Algo: "hypercube-hung:6", Policy: "random", Seed: 2}, "0e89fad083f8450f69962afa"},
+		{RunSpec{Algo: "hypercube-ecube:5", Engine: "atomic", Seed: 3}, "3684c4139a159114be1a4cb4"},
+		{RunSpec{Algo: "mesh-adaptive:16x16", Pattern: "mesh-transpose", Seed: 4, QueueCap: 7}, "48f1f46eac8a7e82b42b3a93"},
+		{RunSpec{Algo: "mesh-twophase:8x8", Inject: "dynamic", Lambda: 0.08, Seed: 5}, "8315ca44fc4fa57222184795"},
+		{RunSpec{Algo: "mesh-xy:4x3x3", Seed: 6}, "47e0e9cbde3f36c8b636867b"},
+		{RunSpec{Algo: "torus-adaptive:8x8", Faults: "links:0.05@0", HopBudget: 12, Seed: 8}, "f4c47957b929b86511b44237"},
+		{RunSpec{Algo: "shuffle-adaptive:5", Engine: "atomic", Seed: 9}, "3f2cf6101c6c91bccd9251ba"},
+		{RunSpec{Algo: "shuffle-static:4", Packets: 3, Seed: 10}, "516dcbf8ef2403d50426cb0f"},
+		{RunSpec{Algo: "shuffle-eager:4", Seed: 11}, "e981b2df9893df3f0e50dd33"},
+		{RunSpec{Algo: "ccc-adaptive:4", Pattern: "hotspot:0.3", Seed: 12}, "1759b63776cb37c955b587f5"},
+		{RunSpec{Algo: "ccc-static:3", MaxCycles: 12345, Seed: 13}, "5cddee2355876fad78b63b49"},
+		{RunSpec{Algo: "torus-adaptive:4x3x3", Workers: 8, Seed: 14}, "ec11cab29941507937408337"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Fingerprint("golden-build"); got != c.want {
@@ -115,8 +115,9 @@ func TestValidateV2Fields(t *testing.T) {
 	}
 }
 
-// TestGraphFingerprintShape: generated-topology specs use the v2 recipe and
-// are sensitive to the generator parameters.
+// TestGraphFingerprintShape: a generated-topology spec has one key for its
+// combined and split spellings, and the key follows the generator
+// parameters.
 func TestGraphFingerprintShape(t *testing.T) {
 	base := RunSpec{Algo: "graph-adaptive", Topology: "graph:dragonfly:a=4,g=9", Seed: 1}
 	fp := base.Fingerprint("b")
@@ -133,11 +134,11 @@ func TestGraphFingerprintShape(t *testing.T) {
 }
 
 // TestTrafficFingerprints pins the traffic field's fingerprint behavior:
-// the default model (empty or explicit "bernoulli") must not move any
-// pre-traffic store key, while non-default models get their own stable key.
+// the default model, empty or explicit "bernoulli", is one key, while
+// non-default models get their own stable key.
 func TestTrafficFingerprints(t *testing.T) {
 	base := RunSpec{Algo: "hypercube-adaptive:10", Pattern: "transpose", Inject: "dynamic", Seed: 7}
-	const want = "6e69f36aadd1b07d5cdd14d8" // golden v1 value, pinned above
+	const want = "1d7558f618cbabdbff5c202e" // pinned in TestGoldenV1Fingerprints
 	if got := base.Fingerprint("golden-build"); got != want {
 		t.Fatalf("base fingerprint drifted: %s", got)
 	}
@@ -149,7 +150,7 @@ func TestTrafficFingerprints(t *testing.T) {
 
 	mmpp := base
 	mmpp.Traffic = "mmpp:on=0.9,off=0.05,p10=0.1,p01=0.1"
-	const wantMMPP = "5d48e5123fe54048a8277d11"
+	const wantMMPP = "4da6647fa8003d669d7613d6"
 	if got := mmpp.Fingerprint("golden-build"); got != wantMMPP {
 		t.Errorf("mmpp fingerprint drifted: got %s, want %s", got, wantMMPP)
 	}
@@ -160,16 +161,16 @@ func TestTrafficFingerprints(t *testing.T) {
 
 // TestCutThroughEngine pins the one engine value with a node-model option:
 // "buffered:vct" has its own stable store key, apart from plain "buffered"
-// (whose golden key it must not move), and it builds the cut-through node
+// (whose pinned key it must not move), and it builds the cut-through node
 // model. Worker-count determinism of that model at 2 and 7 workers is
 // sim's TestDeterminismAcrossWorkers; here the spec path is checked at 1
 // and 2, because the fingerprint excludes Workers.
 func TestCutThroughEngine(t *testing.T) {
 	plain := RunSpec{Algo: "hypercube-adaptive:10", Pattern: "transpose", Inject: "dynamic", Seed: 7}
-	const want = "6e69f36aadd1b07d5cdd14d8" // golden v1 value, pinned above
+	const want = "1d7558f618cbabdbff5c202e" // pinned in TestGoldenV1Fingerprints
 	vct := plain
 	vct.Engine = "buffered:vct"
-	const wantVCT = "6c4ed4c9080ded9ca0ea5475"
+	const wantVCT = "4be35e9c8dbbbb8c00cec959"
 	if got := plain.Fingerprint("golden-build"); got != want {
 		t.Fatalf("plain buffered fingerprint drifted: %s", got)
 	}

@@ -234,19 +234,6 @@ func SplitAlgo(algoSpec string) (family, topoSpec string, err error) {
 	return family, kind + ":" + arg, nil
 }
 
-// JoinAlgo is SplitAlgo's inverse: it reconstructs the combined v1
-// algorithm spec from a bare family and a topology spec, or reports ok ==
-// false when the pair has no v1 form (topology kind differing from the
-// family's implied kind).
-func JoinAlgo(family, topoSpec string) (string, bool) {
-	kind := impliedKind(family)
-	arg, found := strings.CutPrefix(topoSpec, kind+":")
-	if kind == "" || !found {
-		return "", false
-	}
-	return family + ":" + arg, true
-}
-
 // AlgorithmOn builds the routing algorithm of a bare family over an
 // already-constructed topology — the v2 path, in which the network comes
 // from Topology and the algo field carries no size. The topology must be of

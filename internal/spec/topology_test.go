@@ -102,19 +102,12 @@ func TestSplitJoinAlgo(t *testing.T) {
 		if err != nil || family != c.family || topo != c.topo {
 			t.Errorf("SplitAlgo(%q) = (%q, %q, %v), want (%q, %q)", c.algo, family, topo, err, c.family, c.topo)
 		}
-		joined, ok := JoinAlgo(c.family, c.topo)
-		if !ok || joined != c.algo {
-			t.Errorf("JoinAlgo(%q, %q) = (%q, %v), want %q", c.family, c.topo, joined, ok, c.algo)
-		}
 	}
 	if f, topo, err := SplitAlgo("mesh-adaptive"); err != nil || f != "mesh-adaptive" || topo != "" {
 		t.Errorf("SplitAlgo(bare family) = (%q, %q, %v)", f, topo, err)
 	}
 	if _, _, err := SplitAlgo("banyan-adaptive:4"); err == nil {
 		t.Error("SplitAlgo accepted unknown family")
-	}
-	if _, ok := JoinAlgo("hypercube-adaptive", "mesh:4x4"); ok {
-		t.Error("JoinAlgo accepted mismatched topology kind")
 	}
 }
 

@@ -14,12 +14,11 @@ var ErrQueueFull = errors.New("sweep: job queue full")
 // ErrSchedClosed reports a submission to a closed Scheduler.
 var ErrSchedClosed = errors.New("sweep: scheduler closed")
 
-// Task is one unit of work submitted to a Scheduler: a cost estimate (the
-// sweep cell cost model's units, node-cycles), the size of its network,
-// whether its results are invariant under Workers > 1, and the function to
-// run. Run receives the worker grant the scheduler decided for it.
+// Task is one unit of work submitted to a Scheduler: the size of its
+// network, whether its results are invariant under Workers > 1, and the
+// function to run. Run receives the worker grant the scheduler decided for
+// it.
 type Task struct {
-	Cost           float64
 	Nodes          int
 	Parallelizable bool
 	Run            func(workers int)

@@ -16,7 +16,7 @@ func TestSchedulerRunsTasks(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 5; i++ {
 		wg.Add(1)
-		err := s.TrySubmit(Task{Cost: 1, Run: func(int) {
+		err := s.TrySubmit(Task{Run: func(int) {
 			n.Add(1)
 			wg.Done()
 		}})
@@ -49,11 +49,11 @@ func TestSchedulerWorkerGrants(t *testing.T) {
 	if w := runGranted(t, s, Task{Nodes: 2 * exec.NodesPerWorker, Parallelizable: true}); w != 2 {
 		t.Errorf("task sized for two workers got %d, want 2", w)
 	}
-	// Under budget 2 a parallelizable 256-node task of cost 4·2^20 runs on
-	// one worker: cost alone no longer buys it a second.
+	// Under budget 2 a parallelizable 256-node task runs on one worker:
+	// only its size could buy it a second.
 	two := NewScheduler(1, 2, 1)
 	defer two.Close()
-	if w := runGranted(t, two, Task{Nodes: 256, Cost: 4 << 20, Parallelizable: true}); w != 1 {
+	if w := runGranted(t, two, Task{Nodes: 256, Parallelizable: true}); w != 1 {
 		t.Errorf("256-node task under budget 2 got %d workers, want 1", w)
 	}
 }
@@ -64,7 +64,7 @@ func TestSchedulerGrantNeverExceedsRule(t *testing.T) {
 		s := &Scheduler{jobs: shape[0], budget: shape[1]}
 		for nodes := 16; nodes <= 1<<14; nodes *= 2 {
 			for _, par := range []bool{false, true} {
-				got := s.grant(Task{Nodes: nodes, Cost: 1 << 24, Parallelizable: par})
+				got := s.grant(Task{Nodes: nodes, Parallelizable: par})
 				if rule := exec.WorkersBySize(nodes, s.budget, par); got < 1 || got > rule {
 					t.Fatalf("jobs %d budget %d: grant(%d nodes, par %v) = %d, rule allows 1..%d", s.jobs, s.budget, nodes, par, got, rule)
 				}

@@ -1,7 +1,7 @@
 // Package sweep is the parallel orchestrator behind cmd/tables: it turns
 // the paper's evaluation (bench.Tables, bench.ExtendedSuite) into a flat
-// list of independent (experiment, size) cells with per-cell cost
-// estimates, schedules them longest-processing-time-first onto a bounded
+// list of independent (experiment, size) cells, each costed by exec.Compile
+// of its spec, schedules them longest-processing-time-first onto a bounded
 // slot pool that splits a global worker budget between concurrent cells
 // and per-simulation Workers. Every cell is an exec.RunSpec; given a result
 // store, the sweep keeps each completed cell's exec.Result there under the
@@ -46,14 +46,12 @@ type Job struct {
 	Exp   string // experiment id within the suite
 	Size  int    // hypercube dimension, or the topology's size parameter
 	Seq   int    // canonical output position (the sequential run's order)
-	Nodes int
-	// Cost estimates the cell's work in node-cycles: nodes x window for
-	// dynamic cells, total minimal hop work for static ones. It drives the
-	// LPT schedule, the worker split, and the progress ETA — only relative
-	// accuracy matters.
-	Cost float64
-	// Parallelizable cells may be granted Workers > 1: their results are
-	// invariant under the worker count and the engine honors it.
+	// Nodes, Cost and Parallelizable are the compiled spec's
+	// (exec.Compiled): the network size, the work estimate that drives the
+	// LPT schedule, the worker split and the progress ETA, and whether the
+	// cell may be granted Workers > 1.
+	Nodes          int
+	Cost           float64
 	Parallelizable bool
 }
 
@@ -61,89 +59,54 @@ type Job struct {
 // canonical (sequential-output) order. table, when non-empty, selects one
 // experiment by id and overrides suite; maxN bounds the hypercube dimension
 // of paper cells (0 = all) and is ignored for extended cells, matching the
-// sequential path.
+// sequential path. Every cell's spec is compiled here, so a bad option is
+// refused before any cell runs, and the cell's Nodes, Cost and
+// Parallelizable are the compiled spec's.
 func BuildJobs(suite, table string, maxN int, opt bench.Options) ([]Job, error) {
-	opt = opt.Filled()
-	var paper []bench.Experiment
-	var ext []bench.Extended
+	var exps []bench.Experiment
 	switch {
 	case table != "":
-		if ex, err := bench.FindTable(table); err == nil {
-			paper = []bench.Experiment{ex}
-		} else if xe, err := bench.FindExtended(table); err == nil {
-			ext = []bench.Extended{xe}
-		} else {
+		ex, err := bench.Find(table)
+		if err != nil {
 			return nil, fmt.Errorf("sweep: unknown experiment %q", table)
 		}
+		exps = []bench.Experiment{ex}
 	case suite == SuitePaper:
-		paper = bench.Tables()
+		exps = bench.Tables()
 	case suite == SuiteExtended:
-		ext = bench.ExtendedSuite()
+		exps = bench.ExtendedSuite()
 	case suite == SuiteAll:
-		paper = bench.Tables()
-		ext = bench.ExtendedSuite()
+		exps = append(bench.Tables(), bench.ExtendedSuite()...)
 	default:
 		return nil, fmt.Errorf("sweep: unknown suite %q (want paper|extended|all)", suite)
 	}
 
 	var jobs []Job
-	for _, ex := range paper {
-		for _, d := range ex.Dims() {
-			if maxN > 0 && d > maxN {
+	for _, ex := range exps {
+		group := SuiteExtended
+		if ex.Published() {
+			group = SuitePaper
+		}
+		for _, size := range ex.Sizes {
+			if maxN > 0 && size > maxN && ex.Published() {
 				continue
 			}
-			nodes, par, err := ex.Cell(d, opt)
+			id := fmt.Sprintf("%s/%s%d", ex.ID, ex.SizeLabel, size)
+			s, err := ex.Spec(size, opt)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("sweep: %s: %w", id, err)
 			}
-			perNode := 1
-			if ex.Injection == bench.StaticN {
-				perNode = d
+			c, err := exec.Compile(s)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: %s: %w", id, err)
 			}
 			jobs = append(jobs, Job{
-				ID:    fmt.Sprintf("%s/n%d", ex.ID, d),
-				Suite: SuitePaper, Exp: ex.ID, Size: d, Seq: len(jobs),
-				Nodes:          nodes,
-				Cost:           cellCost(ex.Injection, nodes, perNode, d, opt),
-				Parallelizable: par,
-			})
-		}
-	}
-	for _, ex := range ext {
-		for _, s := range ex.Sizes {
-			nodes, par, err := ex.Cell(s, opt)
-			if err != nil {
-				return nil, err
-			}
-			perNode := 1
-			if ex.Injection == bench.StaticN {
-				perNode = ex.PacketsPerNode(s)
-			}
-			jobs = append(jobs, Job{
-				ID:    fmt.Sprintf("%s/%s%d", ex.ID, ex.SizeLabel, s),
-				Suite: SuiteExtended, Exp: ex.ID, Size: s, Seq: len(jobs),
-				Nodes:          nodes,
-				Cost:           cellCost(ex.Injection, nodes, perNode, 2*s, opt),
-				Parallelizable: par,
+				ID: id, Suite: group, Exp: ex.ID, Size: size, Seq: len(jobs),
+				Nodes: c.Nodes(), Cost: c.Cost, Parallelizable: c.Parallelizable,
 			})
 		}
 	}
 	return jobs, nil
-}
-
-// cellCost estimates a cell's work in node-cycles. Dynamic cells simulate
-// exactly warmup+measure cycles over all nodes; static cells drain, so
-// their work tracks the total minimal hop count (packets x diameter)
-// rather than the cycle count — calibrated against the recorded sequential
-// sweep, where the dynamic cells dominate by two orders of magnitude.
-func cellCost(inj bench.InjectionKind, nodes, perNode, diam int, opt bench.Options) float64 {
-	if inj == bench.Dynamic {
-		return float64(nodes) * float64(opt.Warmup+opt.Measure)
-	}
-	if diam < 1 {
-		diam = 1
-	}
-	return float64(nodes) * float64(perNode) * float64(diam)
 }
 
 // Result is one completed cell, in canonical order in Run's result slice.
@@ -195,7 +158,6 @@ func (o *Options) fill() {
 // Options.Store when one is configured.
 func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Result, error) {
 	o.fill()
-	opt = opt.Filled()
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -214,7 +176,7 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			// An entry that does not decode is a miss: the cell re-runs and
 			// its Put supersedes the damaged line.
 			if res, ok, _ := exec.Load(o.Store, c.key); ok {
-				results[i] = Result{Job: job, Row: c.row(res), ElapsedSec: res.ElapsedSec, Cached: true}
+				results[i] = Result{Job: job, Row: c.ex.Row(job.Size, job.Nodes, res), ElapsedSec: res.ElapsedSec, Cached: true}
 				prog.cached(job)
 				continue
 			}
@@ -280,7 +242,7 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 				cancel()
 				return
 			}
-			results[idx] = Result{Job: job, Row: c.row(res), ElapsedSec: elapsed}
+			results[idx] = Result{Job: job, Row: c.ex.Row(job.Size, job.Nodes, res), ElapsedSec: elapsed}
 			mu.Lock()
 			executed++
 			stopNow := o.StopAfter > 0 && executed >= o.StopAfter && !stopped
@@ -308,41 +270,22 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 	return results, nil
 }
 
-// experiment is what the sweep needs of a bench.Experiment or a
-// bench.Extended: a cell's spec, and the row a result of that spec makes.
-type experiment interface {
-	Spec(size int, opt bench.Options) (exec.RunSpec, error)
-	Row(size int, res exec.Result) bench.Row
-}
-
 // cell is a job resolved against its experiment: the spec that runs it and
 // the store key of its result ("" = not kept: no store, or a spec that is
 // not Storable).
 type cell struct {
-	ex   experiment
-	size int
+	ex   bench.Experiment
 	spec exec.RunSpec
 	key  string
 }
 
-func (c cell) row(res exec.Result) bench.Row { return c.ex.Row(c.size, res) }
-
 func newCell(job Job, opt bench.Options) (cell, error) {
-	var ex experiment
-	var err error
-	switch job.Suite {
-	case SuitePaper:
-		ex, err = bench.FindTable(job.Exp)
-	case SuiteExtended:
-		ex, err = bench.FindExtended(job.Exp)
-	default:
-		err = fmt.Errorf("sweep: unknown suite %q", job.Suite)
-	}
+	ex, err := bench.Find(job.Exp)
 	if err != nil {
 		return cell{}, err
 	}
 	s, err := ex.Spec(job.Size, opt)
-	return cell{ex: ex, size: job.Size, spec: s}, err
+	return cell{ex: ex, spec: s}, err
 }
 
 // progress aggregates completion state and derives the events' ETA from the

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/exec"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -15,7 +16,7 @@ import (
 // testOptions keeps the simulated windows short: the determinism claims
 // under test do not depend on the window length.
 func testOptions() bench.Options {
-	return bench.Options{Seed: 1, Warmup: 50, Measure: 100}.Filled()
+	return bench.Options{Seed: 1, Warmup: 50, Measure: 100}
 }
 
 func testJobs(t *testing.T, opt bench.Options) []Job {
@@ -328,6 +329,53 @@ func TestBuildJobsShape(t *testing.T) {
 	for _, j := range aJobs {
 		if j.Parallelizable {
 			t.Errorf("%s: atomic-engine cell marked parallelizable", j.ID)
+		}
+	}
+}
+
+// A job's Nodes, Cost and Parallelizable are what exec.Compile says of the
+// spec its cell runs, for every cell of both suites and on both engines.
+func TestBuildJobsAreCompiledSpecs(t *testing.T) {
+	for _, engine := range []string{"", "atomic"} {
+		opt := testOptions()
+		opt.Engine = engine
+		jobs, err := BuildJobs(SuiteAll, "", 0, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			ex, err := bench.Find(j.Exp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := ex.Spec(j.Size, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := exec.Compile(s)
+			if err != nil {
+				t.Fatalf("%s: %v", j.ID, err)
+			}
+			if j.Nodes != c.Nodes() || j.Cost != c.Cost || j.Parallelizable != c.Parallelizable {
+				t.Errorf("%s (engine %q): job has nodes %d cost %g parallelizable %v, the compiled spec %d %g %v",
+					j.ID, engine, j.Nodes, j.Cost, j.Parallelizable, c.Nodes(), c.Cost, c.Parallelizable)
+			}
+		}
+	}
+}
+
+// A bad option is refused while the job list is built, before any cell
+// runs.
+func TestBuildJobsRefusesBadOptions(t *testing.T) {
+	for name, change := range map[string]func(*bench.Options){
+		"traffic":   func(o *bench.Options) { o.Traffic = "bogus" },
+		"algorithm": func(o *bench.Options) { o.Algorithm = "bogus" },
+		"engine":    func(o *bench.Options) { o.Engine = "bogus" },
+	} {
+		opt := testOptions()
+		change(&opt)
+		if _, err := BuildJobs(SuitePaper, "", 10, opt); err == nil {
+			t.Errorf("%s: a bogus value built a job list", name)
 		}
 	}
 }
