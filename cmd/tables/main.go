@@ -6,6 +6,7 @@
 //	tables [-table tableK] [-maxn 14] [-seed 1] [-cap 5] [-algo adaptive]
 //	       [-warmup 500] [-measure 1500] [-policy first-free]
 //	       [-jobs 4] [-budget 8] [-cache results.jsonl] [-progress]
+//	       [-score score.txt]
 //
 // The sweep runs through the internal/sweep orchestrator: cells are
 // scheduled longest-first onto -jobs concurrent slots sharing a -budget
@@ -20,6 +21,9 @@
 // Table output is written to stdout and is bit-identical for any -jobs
 // value, with or without -cache, and across a kill and rerun; timings and
 // -progress status lines go to stderr so stdout stays clean for diffing.
+// -score FILE writes bench.Score of the same run to FILE: how far each paper
+// table's rows land from the published ones (tables_score.txt is the
+// -maxn 14 run's).
 //
 // Exit codes: 0 success, 1 simulation error, 2 usage, 3 stopped early by
 // -stop-after (the -cache file holds the completed cells).
@@ -63,6 +67,7 @@ func run() int {
 		progress  = flag.Bool("progress", false, "live per-cell status with ETA on stderr")
 		stopAfter = flag.Int("stop-after", 0, "stop (exit 3) after completing this many cells; for kill-and-rerun testing with -cache")
 		cache     = flag.String("cache", "", "result store file: completed cells are kept here and cells it already holds are not simulated again (same seed/options/build only; shared with routesimd -cache)")
+		score     = flag.String("score", "", "also write to this file the mean relative error of L_avg, L_max and I_r against the paper's rows, per table and overall")
 		tmodel    = flag.String("traffic", "", "override the injection model of dynamic cells for ablations: mmpp[:...]|onoff[:...] (default: the paper's Bernoulli process); static cells are unaffected")
 	)
 	flag.Parse()
@@ -137,28 +142,40 @@ func run() int {
 		return 1
 	}
 
-	printResults(results)
+	tables := groupResults(results)
+	for _, tb := range tables {
+		fmt.Print(tb.Exp.Format(tb.Rows))
+		fmt.Println()
+	}
 	fmt.Fprintf(os.Stderr, "tables: %d cells in %s\n", len(results), wall.Round(time.Millisecond))
+	if *score != "" {
+		if err := os.WriteFile(*score, []byte(bench.Score(tables)), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
+			return 1
+		}
+	}
 	return 0
 }
 
-// printResults renders the merged results in canonical order: one Format
-// block per experiment, rows grouped exactly as the sequential loop printed
-// them. Results arrive indexed by Seq, so the grouping is a single pass.
-func printResults(results []sweep.Result) {
+// groupResults gathers the merged results into one table per experiment,
+// rows in the order the sequential loop produced them. Results arrive
+// indexed by Seq, so the grouping is a single pass.
+func groupResults(results []sweep.Result) []bench.Table {
+	var tables []bench.Table
 	for i := 0; i < len(results); {
 		j := i
 		for j < len(results) && results[j].Job.Exp == results[i].Job.Exp {
 			j++
 		}
-		rows := make([]bench.Row, 0, j-i)
-		for _, r := range results[i:j] {
-			rows = append(rows, r.Row)
+		ex, err := bench.Find(results[i].Job.Exp)
+		if err == nil {
+			tb := bench.Table{Exp: ex}
+			for _, r := range results[i:j] {
+				tb.Rows = append(tb.Rows, r.Row)
+			}
+			tables = append(tables, tb)
 		}
-		if ex, err := bench.Find(results[i].Job.Exp); err == nil {
-			fmt.Print(ex.Format(rows))
-		}
-		fmt.Println()
 		i = j
 	}
+	return tables
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -59,5 +60,26 @@ func TestBadOptionIsUsageError(t *testing.T) {
 	out, errOut, code := tables(t, "-traffic", "bogus")
 	if code != 2 || out != "" {
 		t.Errorf("exit %d with stdout %q, want exit 2 and no stdout; stderr:\n%s", code, out, errOut)
+	}
+}
+
+// -score writes the relative errors of the run whose tables go to stdout:
+// one line per paper table and one over all rows, which for a single
+// table are the same numbers.
+func TestScoreFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "score.txt")
+	out, errOut, code := tables(t, "-engine", "atomic", "-table", "table9", "-maxn", "10",
+		"-warmup", "50", "-measure", "150", "-score", path)
+	if code != 0 || !strings.HasPrefix(out, "table9:") {
+		t.Fatalf("exit %d, stdout %q:\n%s", code, out, errOut)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[2], "  table9      1 ") ||
+		strings.TrimPrefix(lines[2], "  table9 ") != strings.TrimPrefix(lines[3], "  all    ") {
+		t.Errorf("score file is not a header, a table9 line and an equal all line:\n%s", b)
 	}
 }

@@ -16,6 +16,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/exec"
 	"repro/internal/sim"
@@ -391,4 +392,66 @@ func (ex Experiment) Format(rows []Row) string {
 		}
 	}
 	return s
+}
+
+// Table is one experiment's measured rows, as Format and Score take them.
+type Table struct {
+	Exp  Experiment
+	Rows []Row
+}
+
+// Score renders how far the measured rows of the paper tables land from the
+// published ones: the mean relative error |measured - paper| / paper of
+// L_avg, L_max and, in the dynamic tables, I_r, per table and over every
+// row. Tables without published rows (the extended suite) are left out.
+func Score(tables []Table) string {
+	s := "score: mean relative error |measured - paper| / paper over each table's rows\n"
+	s += "  table    rows    L_avg    L_max      I_r\n"
+	var all errSums
+	for _, tb := range tables {
+		if !tb.Exp.Published() {
+			continue
+		}
+		var e errSums
+		for _, r := range tb.Rows {
+			e.add(r, tb.Exp.Injection == Dynamic)
+		}
+		s += e.format(tb.Exp.ID)
+		all.merge(e)
+	}
+	return s + all.format("all")
+}
+
+// errSums accumulates relative errors over rows; ir counts the rows with a
+// published injection rate.
+type errSums struct {
+	rows, ir        int
+	lavg, lmax, irE float64
+}
+
+func (e *errSums) add(r Row, dynamic bool) {
+	e.rows++
+	e.lavg += math.Abs(r.Lavg-r.Paper.Lavg) / r.Paper.Lavg
+	e.lmax += math.Abs(float64(r.Lmax-r.Paper.Lmax)) / float64(r.Paper.Lmax)
+	if dynamic {
+		e.ir++
+		e.irE += math.Abs(r.Ir-r.Paper.Ir) / r.Paper.Ir
+	}
+}
+
+func (e *errSums) merge(o errSums) {
+	e.rows, e.ir = e.rows+o.rows, e.ir+o.ir
+	e.lavg, e.lmax, e.irE = e.lavg+o.lavg, e.lmax+o.lmax, e.irE+o.irE
+}
+
+func (e errSums) format(id string) string {
+	if e.rows == 0 {
+		return fmt.Sprintf("  %-8s %4d %8s %8s %8s\n", id, 0, "-", "-", "-")
+	}
+	ir := "-"
+	if e.ir > 0 {
+		ir = fmt.Sprintf("%7.2f%%", 100*e.irE/float64(e.ir))
+	}
+	return fmt.Sprintf("  %-8s %4d %7.2f%% %7.2f%% %8s\n", id, e.rows,
+		100*e.lavg/float64(e.rows), 100*e.lmax/float64(e.rows), ir)
 }

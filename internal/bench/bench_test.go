@@ -149,3 +149,27 @@ func TestFormat(t *testing.T) {
 		t.Errorf("static table format mentions Ir:\n%s", out2)
 	}
 }
+
+// TestScore: the mean relative errors per paper table and over every row,
+// I_r over the dynamic rows only, and no line for an extended table.
+func TestScore(t *testing.T) {
+	t1, _ := FindTable("table1")
+	t9, _ := FindTable("table9")
+	ext, _ := FindExtended("ext-mesh-random-n")
+	out := Score([]Table{
+		{t1, []Row{
+			{Dims: 10, Lavg: 11.0, Lmax: 21, Paper: PaperRow{10, 10.96, 19, 0}},
+			{Dims: 11, Lavg: 12.09, Lmax: 21, Paper: PaperRow{11, 12.09, 21, 0}},
+		}},
+		{t9, []Row{{Dims: 10, Lavg: 13.31, Lmax: 30, Ir: 100, Paper: PaperRow{10, 12.10, 30, 93}}}},
+		{ext, []Row{{Dims: 8, Lavg: 7, Lmax: 9}}},
+	})
+	want := "score: mean relative error |measured - paper| / paper over each table's rows\n" +
+		"  table    rows    L_avg    L_max      I_r\n" +
+		"  table1      2    0.18%    5.26%        -\n" +
+		"  table9      1   10.00%    0.00%    7.53%\n" +
+		"  all         3    3.45%    3.51%    7.53%\n"
+	if out != want {
+		t.Errorf("Score:\n%s\nwant:\n%s", out, want)
+	}
+}

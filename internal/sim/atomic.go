@@ -35,8 +35,14 @@ type AtomicEngine struct {
 	park             bool
 	occ, stuck, snap []uint64
 	// inNbr[inOff[v]:inOff[v+1]] are v's in-neighbors, the inverse of nbr
-	// (not nbr: shuffle links are one-way). Built when the first head parks.
-	inOff, inNbr []int32
+	// (not nbr: shuffle links are one-way, and nbr has no self-loops),
+	// ascending; inMid[v] splits them into those before v and those after
+	// it. Built when the first head parks.
+	inOff, inMid, inNbr []int32
+	// deferred: the queues this cycle popped from full, waiters before them
+	// left parked. Those wake after the next injection drain, and only if
+	// the popped queue still has room then. Built with inOff.
+	deferred []int32
 
 	// Route(q) scratch, overwritten per queue; touch sinks the loads that
 	// warm the next head's record.
@@ -75,6 +81,7 @@ func NewAtomicEngine(cfg Config) (*AtomicEngine, error) {
 func (e *AtomicEngine) begin() func(cycle int64) {
 	clear(e.occ)
 	clear(e.stuck)
+	e.deferred = e.deferred[:0]
 	return e.sweep
 }
 
@@ -191,6 +198,8 @@ func (e *AtomicEngine) sweep(cycle int64) {
 		}
 	}
 
+	e.recheck()
+
 	e.lap(phB)
 
 	// Route(q) for every listed queue, ascending: the head packet takes the
@@ -228,8 +237,7 @@ func (e *AtomicEngine) sweep(cycle int64) {
 				p := -1
 				for mk := pm.StaticUnion() | pm.Dyn; mk != 0; mk &= mk - 1 {
 					port := bits.TrailingZeros64(mk)
-					tc, _ := pm.Class(port)
-					if qlen[int(nbr[nbase+port])*classes+int(tc)] < full {
+					if qlen[int(nbr[nbase+port])*classes+int(portClass(pm, port))] < full {
 						p = port
 						break
 					}
@@ -387,6 +395,19 @@ func (e *AtomicEngine) sweep(cycle int64) {
 	e.lap(phA)
 }
 
+// portClass is pm.Class(port) without StaticClass's search: the mask
+// groups are disjoint, so at most one of Static[1..3] has bit port set.
+func portClass(pm *core.PortMasks, port int) core.QueueClass {
+	switch {
+	case pm.Dyn>>uint(port)&1 != 0:
+		return pm.DynClass
+	case pm.PerPort:
+		return pm.PortClass[port]
+	}
+	p := uint(port)
+	return core.QueueClass(pm.Static[1]>>p&1 | (pm.Static[2]>>p&1)<<1 | (pm.Static[3]>>p&1)*3)
+}
+
 // wake precedes every pop of the sweep, from queue pos at its turn: a pop
 // that takes a queue from full to one slot free is what releases parked heads.
 func (e *AtomicEngine) wake(pos int) {
@@ -395,45 +416,71 @@ func (e *AtomicEngine) wake(pos int) {
 	}
 }
 
-// wakeIn releases the heads that may be parked on a queue of the node that
-// owns queue pos: every queue of every in-neighbor (a parked head does not
-// record which targets it probed).
+// wakeIn releases the heads that may be parked on a queue of v, the node
+// that owns queue pos: the queues of its in-neighbors (a parked head does
+// not record which targets it probed). Queue u*classes+c comes before pos
+// exactly when u < v, and v's in-neighbor list is ascending. The sweep is at
+// pos: the in-neighbors after v run this cycle, as the full sweep would run
+// them. Those before v were blocked at their turn, and the next cycle's
+// injection drain, which runs before their next turn, mostly refills pos;
+// so pos goes on deferred, and recheck wakes them after that drain if pos
+// has room.
 func (e *AtomicEngine) wakeIn(pos int) {
-	v, cl := pos/e.classes, uint(e.classes)
+	v := pos / e.classes
+	e.unparkNodes(e.inNbr[e.inMid[v]:e.inOff[v+1]])
+	if e.inMid[v] > e.inOff[v] {
+		e.deferred = append(e.deferred, int32(pos))
+	}
+}
+
+// recheck runs after the injection drain, before the sweep: for each queue
+// the last cycle popped from full with in-neighbors before it, it wakes those
+// in-neighbors' heads if the queue still has room. A waiter whose slot is
+// full again would only block at its turn: only Route(q) pops q, and the
+// sweep reaches the waiter first.
+func (e *AtomicEngine) recheck() {
+	for _, pos := range e.deferred {
+		if e.qlen[pos] == int32(e.queueCap) {
+			continue
+		}
+		v := int(pos) / e.classes
+		e.unparkNodes(e.inNbr[e.inOff[v]:e.inMid[v]])
+	}
+	e.deferred = e.deferred[:0]
+}
+
+// unparkNodes returns every parked queue of the nodes us to the sweep, ahead
+// of its position.
+func (e *AtomicEngine) unparkNodes(us []int32) {
+	cl := uint(e.classes)
 	all := ^uint64(0) >> (64 - cl)
-	for _, u := range e.inNbr[e.inOff[v]:e.inOff[v+1]] {
+	for _, u := range us {
 		lo := uint(u) * cl
 		wi, sh := int(lo>>6), lo&63
-		e.unpark(wi, all<<sh, pos)
+		e.unpark(wi, all<<sh)
 		if sh+cl > 64 {
-			e.unpark(wi+1, all>>(64-sh), pos)
+			e.unpark(wi+1, all>>(64-sh))
 		}
 	}
 }
 
-// unpark returns the parked queues of stuck[wi]&m to the sweep, which is at
-// queue pos. Those ahead of pos get their Route(q) this very cycle, as the
-// full sweep would give them; those behind were blocked at their turn (their
-// targets stayed full until this pop) and run again next cycle.
-func (e *AtomicEngine) unpark(wi int, m uint64, pos int) {
+// unpark returns the parked queues of stuck[wi]&m to the sweep. The snapshot
+// charged each a stall; they count their own if they block again, so the
+// charge is taken back. It stores whether or not s is empty: which it is
+// cannot be predicted, and a mispredicted test costs more than the stores.
+func (e *AtomicEngine) unpark(wi int, m uint64) {
 	s := e.stuck[wi] & m
-	if s == 0 {
-		return
-	}
 	e.stuck[wi] &^= s
 	e.snap[wi] |= s
-	if e.obsOn && wi >= pos>>6 {
-		// The heads ahead count their own stall if they block again; take
-		// back the one the snapshot charged them.
-		if wi == pos>>6 {
-			s &= ^uint64(0) << (uint(pos) & 63)
-		}
+	if e.obsOn {
 		e.statsBuf[0].obs.Add(obs.COutputStalls, -int64(bits.OnesCount64(s)))
 	}
 }
 
-// invertNbr builds the in-neighbor lists wake walks. off[v+1] counts up from
-// the start of v's list to the start of the next, so off ends as the offsets.
+// invertNbr builds the in-neighbor lists wake walks, and the deferred list.
+// off[v+1] counts up from the start of v's list to the start of the next, so
+// off ends as the offsets; links are read in node order, so each list is
+// ascending.
 func (e *AtomicEngine) invertNbr() {
 	off := make([]int32, e.nodes+2)
 	for _, v := range e.nbr {
@@ -451,7 +498,17 @@ func (e *AtomicEngine) invertNbr() {
 			off[v+1]++
 		}
 	}
-	e.inOff, e.inNbr = off, in
+	mid := make([]int32, e.nodes)
+	for v := range mid {
+		i := off[v]
+		for i < off[v+1] && int(in[i]) < v {
+			i++
+		}
+		mid[v] = i
+	}
+	e.inOff, e.inMid, e.inNbr = off, mid, in
+	// Only Route(q) pops q, once a cycle: one entry per queue bounds the list.
+	e.deferred = make([]int32, 0, len(e.qlen))
 }
 
 // misroute is the atomic model's degraded-routing fallback: the head

@@ -254,8 +254,10 @@ func TestAtomicParkFaultsOff(t *testing.T) {
 // checkParkState asserts, between two cycles, what the sweep takes on trust
 // when it skips a queue: occ covers every non-empty queue, and every parked
 // queue is non-empty with a head whose moves are all remote and uncredited
-// and — by brute force over its PortMask — lead to full queues only.
-func checkParkState(t *testing.T, e *AtomicEngine, cycle int64) {
+// and — by brute force over its PortMask — lead to full queues only, or to
+// a queue on deferred, which the next cycle rechecks after its drain. It
+// returns how many parked heads wait on deferred.
+func checkParkState(t *testing.T, e *AtomicEngine, cycle int64) (onDeferred int) {
 	t.Helper()
 	var pm core.PortMasks
 	for qi, n := range e.qlen {
@@ -277,16 +279,24 @@ func checkParkState(t *testing.T, e *AtomicEngine, cycle int64) {
 		for m := pm.StaticUnion() | pm.Dyn; m != 0; m &= m - 1 {
 			p := bits.TrailingZeros64(m)
 			tc, _ := pm.Class(p)
-			if v := e.topo.Neighbor(int(u), p); e.qFree(v*e.classes+int(tc)) > 0 {
+			tq := e.topo.Neighbor(int(u), p)*e.classes + int(tc)
+			if e.qFree(tq) == 0 {
+				continue
+			}
+			if !slices.Contains(e.deferred, int32(tq)) {
 				t.Fatalf("cycle %d: queue %d (node %d class %d) is parked but its head %d can move through port %d", cycle, qi, u, c, pkt.ID, p)
 			}
+			onDeferred++
+			break
 		}
 	}
+	return onDeferred
 }
 
 // TestAtomicParkInvariant steps saturated capacity-1 and capacity-2 runs and
-// checks the parked set after every cycle; then that the engines that must
-// not park never do, blocked heads or not.
+// checks the parked set after every cycle: a parked head's targets are full
+// or wait on deferred for the next drain's recheck. Then it checks that the
+// engines that must not park never do, blocked heads or not.
 func TestAtomicParkInvariant(t *testing.T) {
 	for _, al := range atomicAlgos(t) {
 		t.Run(al.name, func(t *testing.T) {
@@ -297,14 +307,14 @@ func TestAtomicParkInvariant(t *testing.T) {
 					t.Fatal(err)
 				}
 				c.start(e)
-				parked := false
+				parked, waits := false, 0
 				for done := false; !done; {
 					done, _ = e.Step()
-					checkParkState(t, e, e.Metrics().Cycles)
+					waits += checkParkState(t, e, e.Metrics().Cycles)
 					parked = parked || anyParked(e)
 				}
-				if !parked && c.lambda == 1 {
-					t.Errorf("%s: a saturated capacity-1 run never parked a head", c)
+				if c.lambda == 1 && (!parked || waits == 0) {
+					t.Errorf("%s: parked a head: %v; heads waited on deferred %d times; a saturated capacity-1 run must do both", c, parked, waits)
 				}
 			}
 		})
@@ -336,6 +346,104 @@ func TestAtomicParkInvariant(t *testing.T) {
 		}
 		if m := e.Metrics(); m.Delivered == 0 || m.Attempts == m.Successes {
 			t.Errorf("%s: delivered %d, %d of %d injections accepted: the run never blocked", name, m.Delivered, m.Successes, m.Attempts)
+		}
+	}
+}
+
+// oneWayRing routes every packet clockwise round a ring in one queue class:
+// queue qi is node qi, and the waiter on node u+1's queue is node u's head,
+// one index behind it in the sweep.
+type oneWayRing struct {
+	core.Derived
+	ring *topology.Torus
+}
+
+func newOneWayRing(n int) *oneWayRing {
+	r := &oneWayRing{ring: topology.NewTorus(n)}
+	r.Derived = core.Derive(r)
+	return r
+}
+
+func (r *oneWayRing) Name() string                                  { return "one-way-ring" }
+func (r *oneWayRing) Topology() topology.Topology                   { return r.ring }
+func (r *oneWayRing) NumClasses() int                               { return 1 }
+func (r *oneWayRing) ClassName(core.QueueClass) string              { return "q" }
+func (r *oneWayRing) Props() core.Props                             { return core.Props{} }
+func (r *oneWayRing) Inject(int32, int32) (core.QueueClass, uint32) { return 0, 0 }
+func (r *oneWayRing) MaxHops(src, dst int32) int {
+	return (int(dst) - int(src) + r.ring.Nodes()) % r.ring.Nodes()
+}
+
+func (r *oneWayRing) PortMask(node int32, _ core.QueueClass, _ uint32, dst int32, pm *core.PortMasks) bool {
+	if node == dst {
+		pm.Deliver = true
+		return false
+	}
+	*pm = core.PortMasks{PerPort: true, StaticMask: 1} // port 0 is +1, into class 0
+	return true
+}
+
+// scriptSource injects packet dst at node u in cycle c for each entry
+// {c, u, dst}, and nothing else.
+type scriptSource [][3]int32
+
+func (s scriptSource) Wants(node int32, cycle int64) bool {
+	return slices.ContainsFunc(s, func(e [3]int32) bool { return int64(e[0]) == cycle && e[1] == node })
+}
+
+func (s scriptSource) Take(node int32, cycle int64) int32 {
+	i := slices.IndexFunc(s, func(e [3]int32) bool { return int64(e[0]) == cycle && e[1] == node })
+	return s[i][2]
+}
+
+func (s scriptSource) Exhausted(int32) bool { return false }
+
+// TestAtomicDeferredWake pins when a waiter behind the sweep wakes. On a
+// capacity-1 ring, cycle 0 injects head A at node 1 (for node 3) and head B
+// at node 2 (for node 4). In cycle 1, A blocks on B's queue and parks, then
+// B moves on: a pop from a full queue behind which A waits, so queue 2 goes
+// on deferred. In cycle 2, either nothing is injected and the drain leaves
+// queue 2 free, so A must wake and move; or node 2 injects C, the drain
+// refills queue 2, and A must stay parked without being visited.
+func TestAtomicDeferredWake(t *testing.T) {
+	for _, refill := range []bool{false, true} {
+		script := scriptSource{{0, 1, 3}, {0, 2, 4}}
+		if refill {
+			script = append(script, [3]int32{2, 2, 5})
+		}
+		e, err := NewAtomicEngine(Config{Algorithm: newOneWayRing(6), Seed: 1, QueueCap: 1, Metrics: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Start(script, DynamicPlan(0, 10))
+		for range 2 {
+			if _, err := e.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if e.stuck[0] != 1<<1 || !slices.Equal(e.deferred, []int32{2}) {
+			t.Fatalf("refill %v: after cycle 1: parked %b, deferred %v; want queue 1 parked and queue 2 deferred", refill, e.stuck[0], e.deferred)
+		}
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+		visited, parked := e.snap[0]>>1&1 != 0, e.stuck[0]>>1&1 != 0
+		moved := e.qlen[1] == 0
+		if refill && (visited || !parked || moved) {
+			t.Errorf("queue 2 refilled by the drain: A visited %v, parked %v, moved %v; want parked and not visited", visited, parked, moved)
+		}
+		if !refill && (!visited || parked || !moved || e.qAt(2, 0).Src != 1) {
+			t.Errorf("queue 2 free after the drain: A visited %v, parked %v, moved %v; want it visited and in queue 2", visited, parked, moved)
+		}
+		checkParkState(t, e, 3)
+		// A stalls in cycle 1, and in cycle 2 too if the drain refilled its
+		// target: the snapshot's charge is taken back only for a woken A.
+		want := int64(1)
+		if refill {
+			want = 2
+		}
+		if snap := e.Obs().Latest(); snap.Counter(obs.COutputStalls) != want {
+			t.Errorf("refill %v: %d output stalls, want %d", refill, snap.Counter(obs.COutputStalls), want)
 		}
 	}
 }

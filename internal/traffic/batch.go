@@ -19,19 +19,23 @@ type batchFiller interface {
 
 // FillCycle implements sim.BatchSource: each node with allotment left
 // attempts; attempts against an occupied injection queue are counted and
-// consume nothing, like the scalar path (Wants uses no generator state).
+// consume nothing, like the scalar path (Wants uses no generator state). It
+// walks the left bitmap a word at a time, as BernoulliSource's λ >= 1 path
+// walks every node, so a drained word costs one test; left has no bits past
+// the node count, so a shard ending there needs no mask.
 func (s *StaticSource) FillCycle(_ int64, lo, hi int32, full []uint64, out []core.PendingInject) (n, blocked int) {
-	for u := lo; u < hi; u++ {
-		if s.remaining[u] <= 0 {
+	for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
+		w := s.left[wi]
+		if w == 0 {
 			continue
 		}
-		if full[u>>6]&(1<<(uint(u)&63)) != 0 {
-			blocked++
-			continue
+		occ := w & full[wi]
+		blocked += bits.OnesCount64(occ)
+		for free := w &^ occ; free != 0; free &= free - 1 {
+			u := wi<<6 + int32(bits.TrailingZeros64(free))
+			out[n] = core.PendingInject{Node: u, Dst: s.Take(u, 0)}
+			n++
 		}
-		s.remaining[u]--
-		out[n] = core.PendingInject{Node: u, Dst: s.pattern.Dest(u, &s.rngs[u])}
-		n++
 	}
 	return n, blocked
 }

@@ -15,6 +15,7 @@ import (
 type StaticSource struct {
 	pattern   Pattern
 	remaining []int32
+	left      []uint64 // bit u: remaining[u] > 0
 	rngs      []xrand.RNG
 }
 
@@ -25,11 +26,15 @@ func NewStaticSource(pattern Pattern, nodes, perNode int, seed int64) *StaticSou
 	s := &StaticSource{
 		pattern:   pattern,
 		remaining: make([]int32, nodes),
+		left:      make([]uint64, (nodes+63)/64),
 		rngs:      make([]xrand.RNG, nodes),
 	}
 	for u := range s.remaining {
 		s.remaining[u] = int32(perNode)
 		s.rngs[u] = xrand.New(seed, int32(u))
+		if perNode > 0 {
+			s.left[u>>6] |= 1 << (uint(u) & 63)
+		}
 	}
 	return s
 }
@@ -39,7 +44,9 @@ func (s *StaticSource) Wants(node int32, _ int64) bool { return s.remaining[node
 
 // Take consumes one packet from the node's allotment.
 func (s *StaticSource) Take(node int32, _ int64) int32 {
-	s.remaining[node]--
+	if s.remaining[node]--; s.remaining[node] == 0 {
+		s.left[node>>6] &^= 1 << (uint(node) & 63)
+	}
 	return s.pattern.Dest(node, &s.rngs[node])
 }
 
