@@ -11,11 +11,13 @@ import (
 //
 // Contract:
 //
-//   - OnDeliver is called at every delivery with the packet and its
-//     measured latency (cycles since network entry). With Workers > 1 it is
-//     called concurrently from the worker goroutines and must be safe for
-//     parallel use. It must not mutate the packet's meaning for the run —
-//     observers are read-only taps; the engine's results must be
+//   - OnDeliver is called once per delivery with the packet and its
+//     measured latency (cycles since network entry). The engine buffers a
+//     cycle's deliveries per worker and replays them at the end of the
+//     cycle, before OnCycle, on the goroutine that steps the run, so the
+//     probes of one run never overlap. Deliveries come in worker order, so
+//     their order within a cycle depends on Workers; their set does not.
+//     Observers are read-only taps; the engine's results must be
 //     bit-identical with or without them.
 //   - OnCycle is called once at the end of every simulated cycle, outside
 //     the parallel phases, with the merged metric snapshot. The snapshot
@@ -86,8 +88,9 @@ func (m MultiObserver) OnDeadlock(dump *DeadlockDump) {
 }
 
 // Latency is the latency-collection observer: it absorbs stats.Collector
-// (streaming mean/variance, exact percentiles, histograms) behind the
-// Observer interface. Safe for concurrent delivery under Workers > 1.
+// (mean and variance from integer sums, exact percentiles, histograms)
+// behind the Observer interface. What it reports is independent of the
+// delivery order, so it is bit-identical at every worker count.
 type Latency struct {
 	*stats.Collector
 }

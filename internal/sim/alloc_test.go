@@ -25,6 +25,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		algo    string
 		workers int
 		metrics bool
+		observe bool   // attach an observer: deliveries are buffered for the merge
 		source  string // "" = bernoulli
 		noBatch bool
 		cold    bool // no warm-up: measure from the second cycle of the run
@@ -35,6 +36,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{engine: "buffered", algo: "hypercube", workers: 2, metrics: true},
 		{engine: "atomic", algo: "hypercube", workers: 1},
 		{engine: "atomic", algo: "hypercube", workers: 1, metrics: true},
+		{engine: "buffered", algo: "hypercube", workers: 1, observe: true},
+		{engine: "buffered", algo: "hypercube", workers: 2, observe: true},
+		{engine: "atomic", algo: "hypercube", workers: 1, observe: true},
 		// The sources implement BatchSource, so the cases above exercise the
 		// batched injection path; noBatch hides FillCycle (scalarOnly) to
 		// keep the scalar path covered too.
@@ -72,6 +76,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		}
 		name := fmt.Sprintf("%s/%s/workers=%d/metrics=%v/%s/nobatch=%v",
 			tc.engine, tc.algo, tc.workers, tc.metrics, source, tc.noBatch)
+		if tc.observe {
+			name += "/observed"
+		}
 		t.Run(name, func(t *testing.T) {
 			var algo core.Algorithm = core.NewHypercubeAdaptive(6)
 			lambda := 1.0
@@ -89,12 +96,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 				}
 				lambda = 0.3 // below saturation, matching the bench rates
 			}
-			eng, err := NewSimulator(tc.engine, Config{
-				Algorithm: algo,
-				Seed:      1,
-				Workers:   tc.workers,
-				Metrics:   tc.metrics,
-			})
+			cfg := Config{Algorithm: algo, Seed: 1, Workers: tc.workers, Metrics: tc.metrics}
+			delivered := int64(0)
+			if tc.observe {
+				cfg.Observer = &probe{deliver: func(core.Packet, int64) { delivered++ }}
+			}
+			eng, err := NewSimulator(tc.engine, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,6 +141,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("Step allocates %.1f times per cycle in steady state, want 0", allocs)
+			}
+			if m := eng.Metrics(); tc.observe && delivered != m.Delivered {
+				t.Errorf("observer saw %d deliveries, engine reported %d", delivered, m.Delivered)
 			}
 		})
 	}

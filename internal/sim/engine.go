@@ -75,7 +75,13 @@ import (
 // a queue at another node, which a sharded run could see mid-phase. Such
 // algorithms (Props().Credits) therefore run on one worker only: Config
 // refuses them with Workers > 1, and exec pins their RunSpecs to one worker.
-// So every counter has one writer, and none needs an atomic.
+// So every counter has one writer, and none needs an atomic. Parking (see
+// qwait) changes no outcome, credited algorithms included: phase (a) skips a
+// head only while every buffer its last scan failed on is still full, which
+// is when the skipped scan would fail the same way. Observer deliveries are
+// buffered per worker and replayed at the cycle merge in worker order, so
+// OnDeliver runs on one goroutine and sees the same deliveries at every
+// worker count.
 type Engine struct {
 	kernel
 	bufClasses int
@@ -123,10 +129,13 @@ type Engine struct {
 	outCount []int32 // per node: occupied output buffers
 
 	// waitFast enables the blocked-packet wait-mask cache. It requires a
-	// node's output buffers to fit one word, and failure causes beyond
-	// "that buffer is full" (credit reservations, link liveness) to be
-	// absent, because those can clear without any local buffer changing —
-	// which is why fault-enabled engines run without it.
+	// node's output buffers to fit one word and no link liveness to consult:
+	// a link that revives changes a packet's candidates without any local
+	// buffer changing, which is why fault-enabled engines run without it.
+	// Credited algorithms keep it: a failed credit or internal-move check
+	// leaves the packet's wait mask empty (failOK), so a packet parks only
+	// when every candidate failed on a full local output buffer, and only a
+	// link transfer out of one of those buffers can change that outcome.
 	waitFast bool
 	slotPort [64]uint8 // waitFast: outMask bit -> port (avoids a division)
 
@@ -248,7 +257,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	e.inRef = make([]int32, nIn)
 	e.inFull = make([]uint8, nIn)
 	e.linkRR = make([]uint32, nLinks)
-	e.waitFast = e.ports*e.bufClasses <= 64 && !cfg.Algorithm.Props().Credits && e.flt == nil
+	e.waitFast = e.ports*e.bufClasses <= 64 && e.flt == nil
 	if e.waitFast {
 		e.qwait = make([]uint64, len(e.qref))
 		e.outMask = make([]uint64, e.nodes)

@@ -192,6 +192,27 @@ func (w runWindow) contains(cycle int64) bool {
 // cycleStats accumulates per-worker observations that are folded into
 // Metrics once per cycle.
 type cycleStats struct {
+	tally
+	// deliveries holds the cycle's deliveries while an observer is attached,
+	// for mergeCycle to replay; its storage is reused from cycle to cycle.
+	deliveries []delivery
+	_          [16]byte // pad: keeps the counters and the shard on separate lines
+
+	// obs is the worker's metric shard, folded into the engine's obs.Core
+	// at the same barrier that merges the fields above. It stays zero (and
+	// unread) unless the engine's metrics core is enabled.
+	obs obs.Shard
+
+	// Tail pad: stats live one-per-worker in a contiguous slice, and a
+	// trailing cache line guarantees no two workers' per-cycle increments
+	// ever share a line regardless of the struct's total size.
+	_ [64]byte
+}
+
+// tally is the part of cycleStats that mergeCycle adds to Metrics and then
+// zeroes. The rest is never reassigned as a whole: Fold clears the obs shard
+// and deliveries keeps its storage, so the per-cycle reset writes 88 bytes.
+type tally struct {
 	moves        int64
 	dynamicMoves int64
 	injected     int64
@@ -203,17 +224,13 @@ type cycleStats struct {
 	latencyMax   int64
 	measured     int64
 	maxQueue     int
-	_            [40]byte // pad: keeps the counters and the shard on separate lines
+}
 
-	// obs is the worker's metric shard, folded into the engine's obs.Core
-	// at the same barrier that merges the fields above. It stays zero (and
-	// unread) unless the engine's metrics core is enabled.
-	obs obs.Shard
-
-	// Tail pad: stats live one-per-worker in a contiguous slice, and a
-	// trailing cache line guarantees no two workers' per-cycle increments
-	// ever share a line regardless of the struct's total size.
-	_ [64]byte
+// delivery is one delivery an attached observer has yet to see: the packet
+// as it arrived and its latency.
+type delivery struct {
+	pkt core.Packet
+	lat int64
 }
 
 // runState is the control state of a stepwise run; Start replaces it
@@ -314,7 +331,9 @@ func (k *kernel) reset() {
 	for i := range k.tabs {
 		k.tabs[i].pkts, k.tabs[i].nfree = k.tabs[i].pkts[:0], 0
 	}
-	clear(k.statsBuf)
+	for i := range k.statsBuf {
+		k.statsBuf[i] = cycleStats{deliveries: k.statsBuf[i].deliveries[:0]}
+	}
 	for u := range k.rngs {
 		k.rngs[u] = xrand.New(k.cfg.Seed, int32(u))
 		k.nextID[u] = int64(u) << 36
@@ -603,7 +622,9 @@ func (k *kernel) Step() (done bool, err error) {
 // per cycle. With the metrics core enabled it also mirrors the fields the
 // metrics share with Metrics into each worker's obs shard (so the hot loop
 // never double-counts them) and folds the shards — in worker order, so the
-// merged snapshot is bit-deterministic.
+// merged snapshot is bit-deterministic. The attached observer's OnDeliver
+// sees each worker's deliveries here, in worker order, on the goroutine that
+// steps the run.
 func (k *kernel) mergeCycle(m *Metrics) {
 	for i := range k.statsBuf {
 		st := &k.statsBuf[i]
@@ -628,9 +649,13 @@ func (k *kernel) mergeCycle(m *Metrics) {
 			sh.Add(obs.CDelivered, st.delivered)
 			sh.Add(obs.CMoves, st.moves)
 			sh.Add(obs.CDynamicMoves, st.dynamicMoves)
-			k.obsCore.Fold(sh)
+			k.obsCore.Fold(sh) // and clears the shard
 		}
-		*st = cycleStats{}
+		for _, d := range st.deliveries {
+			k.observer.OnDeliver(d.pkt, d.lat)
+		}
+		st.deliveries = st.deliveries[:0]
+		st.tally = tally{}
 	}
 }
 
@@ -762,7 +787,8 @@ func (k *kernel) injectNode(t *pktTable, u int32, cycle int64, src TrafficSource
 
 // deliver consumes packet r of table t at its destination, gives the
 // reference back and updates statistics, asserting the livelock-freedom hop
-// bound (and exact minimality for minimal algorithms).
+// bound (and exact minimality for minimal algorithms). An attached observer
+// gets the delivery at the cycle merge (see cycleStats.deliveries).
 func (k *kernel) deliver(t *pktTable, r int32, cycle int64, win runWindow, st *cycleStats) {
 	pkt := &t.pkts[r]
 	// Misrouted packets left the minimal path to dodge a fault; their hop
@@ -782,7 +808,7 @@ func (k *kernel) deliver(t *pktTable, r int32, cycle int64, win runWindow, st *c
 	st.moves++
 	lat := cycle - pkt.InjectedAt + 1
 	if k.observer != nil {
-		k.observer.OnDeliver(*pkt, lat)
+		st.deliveries = append(st.deliveries, delivery{*pkt, lat})
 	}
 	if k.obsOn {
 		st.obs.Observe(obs.HLatency, lat)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -16,11 +17,13 @@ import (
 // occupancy through inSrc, outMask equals the packed outFull occupancy, the
 // occupancy counters equal the flag counts (the fold phase has taken in
 // every arrival that crossed a shard cut, see engineRefs), every buffer flag
-// is the arrival code of the packet it holds, and every buffered reference
-// is a live record of its node's table (checkRefs).
+// is the arrival code of the packet it holds, every buffered reference is a
+// live record of its node's table (checkRefs), and every parked packet is
+// blocked (checkParked).
 func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 	t.Helper()
 	checkRefs(t, &e.kernel, engineRefs(t, e, cycle), engineSlots(e), cycle)
+	checkParked(t, e, cycle)
 	mirrored := 0
 	for v := 0; v < e.nodes; v++ {
 		full := int32(0)
@@ -84,6 +87,44 @@ func checkLinkState(t *testing.T, e *Engine, cycle int64) {
 	}
 }
 
+// checkParked asserts that the wait-mask cache skips only packets whose scan
+// would fail: a packet phase (a) would skip as parked, routed again now, has
+// no delivery and no internal move to take, and finds the output buffer of
+// every candidate port full — so no credit check is ever reached for it.
+func checkParked(t *testing.T, e *Engine, cycle int64) {
+	t.Helper()
+	if !e.waitFast {
+		return
+	}
+	var pm core.PortMasks
+	for qi, n := range e.qlen {
+		u, c := int32(qi/e.classes), qi%e.classes
+		obase := int(u) * e.ports * e.bufClasses
+		for i := int32(0); i < n; i++ {
+			si := e.qSlot(qi, i)
+			if !parked(e.qwait[si], e.outMask[u]) {
+				continue
+			}
+			pkt := e.pkt(u, e.qref[si])
+			if !e.algo.PortMask(u, core.QueueClass(c), pkt.Work, pkt.Dst, &pm) && (pm.Deliver || pm.Internal != 0) {
+				t.Fatalf("cycle %d: node %d queue %d entry %d parked with a delivery or an internal move (packet %d)", cycle, u, c, i, pkt.ID)
+			}
+			for m := pm.StaticUnion() | pm.Dyn; m != 0; m &= m - 1 {
+				p := bits.TrailingZeros64(m)
+				tc, dyn := pm.Class(p)
+				b := int(tc)
+				if dyn {
+					b = e.classes
+				}
+				if e.outFull[obase+p*e.bufClasses+b] == 0 {
+					t.Fatalf("cycle %d: node %d queue %d entry %d (packet %d) parked, but its port %d buffer %d is free",
+						cycle, u, c, i, pkt.ID, p, b)
+				}
+			}
+		}
+	}
+}
+
 // occupied is a buffer flag as 0 or 1.
 func occupied(f uint8) uint8 {
 	if f != 0 {
@@ -93,7 +134,8 @@ func occupied(f uint8) uint8 {
 }
 
 // TestLinkMirrorInvariant steps loaded runs and checks the link state after
-// every cycle: both link paths (waitFast and the credited / faulted scan),
+// every cycle: both link paths (waitFast, credited algorithms included, and
+// the faulted scan),
 // cut-through, a node that dies and revives mid-run, and sharded runs, where
 // the mirror's bytes are set and cleared by different workers (shards are
 // 64-aligned: the 128-node hypercube cuts into two, the 160-node graph into
@@ -115,7 +157,7 @@ func TestLinkMirrorInvariant(t *testing.T) {
 		{core.NewMeshAdaptive(8, 8), 0.6},
 		{core.NewTorusAdaptive(8, 8), 0.6},
 		{core.NewCCCAdaptive(4), 0.5},
-		{core.NewShuffleExchangeAdaptive(6), 0.4}, // credited: the scan path, one worker
+		{core.NewShuffleExchangeAdaptive(6), 0.4}, // credited: parks its heads, one worker
 		{graphAlgo, 0.5},
 	}
 	nodeOutage := func() *fault.Plan {
@@ -144,7 +186,7 @@ func TestLinkMirrorInvariant(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if wantFast := !al.a.Props().Credits && cfg.Faults == nil; e.waitFast != wantFast {
+					if wantFast := cfg.Faults == nil; e.waitFast != wantFast {
 						t.Fatalf("waitFast = %v, want %v", e.waitFast, wantFast)
 					}
 					nodes := al.a.Topology().Nodes()

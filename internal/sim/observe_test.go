@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -76,6 +78,58 @@ func TestObservedDeterminismAcrossWorkers(t *testing.T) {
 			if got.ts[i] != want.ts[i] {
 				t.Errorf("workers=%d sample %d diverged:\n got  %+v\n want %+v", w, i, got.ts[i], want.ts[i])
 				break
+			}
+		}
+	}
+}
+
+// TestObservedLatencyDeterministic holds the latency observer to the same
+// standard as the metrics: its mean, deviation, percentiles and hop
+// histogram are bit-identical at one, two (twice) and three workers, where
+// the replayed deliveries come in different orders, and attaching it leaves
+// Metrics as they are without it.
+func TestObservedLatencyDeterministic(t *testing.T) {
+	type summary struct {
+		mean, sd uint64 // float bits
+		p50, p99 int64
+		hops     string
+	}
+	for _, a := range []core.Algorithm{core.NewHypercubeAdaptive(8), core.NewMeshAdaptive(16, 16)} {
+		nodes := a.Topology().Nodes()
+		run := func(workers int, lat *obs.Latency) Metrics {
+			cfg := Config{Algorithm: a, Seed: 21, Workers: workers}
+			if lat != nil {
+				cfg.Observer = lat
+			}
+			e, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.6, 5)
+			res, err := e.Run(context.Background(), src, DynamicPlan(100, 300))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", a.Name(), workers, err)
+			}
+			return res.Metrics
+		}
+		base := run(1, nil)
+		var want summary
+		for i, w := range []int{1, 2, 2, 3} {
+			lat := obs.NewLatency()
+			if m := run(w, lat); m != base {
+				t.Fatalf("%s workers=%d: observed Metrics %+v, unobserved %+v", a.Name(), w, m, base)
+			}
+			if lat.Count() != base.Delivered {
+				t.Fatalf("%s workers=%d: observer saw %d deliveries, engine reported %d", a.Name(), w, lat.Count(), base.Delivered)
+			}
+			got := summary{math.Float64bits(lat.Mean()), math.Float64bits(lat.StdDev()),
+				lat.Percentile(50), lat.Percentile(99), fmt.Sprint(lat.HopHistogram())}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("%s workers=%d: latency summary %+v, at one worker %+v", a.Name(), w, got, want)
 			}
 		}
 	}

@@ -1,12 +1,13 @@
 // Package stats provides the latency statistics used by the experiment
-// harness and the routesim tool: streaming mean/variance (Welford), exact
-// percentiles over a bounded latency domain, and a text histogram. The
+// harness and the routesim tool: mean and variance from exact integer sums,
+// exact percentiles over a bounded latency domain, and a text histogram. The
 // obs.Latency observer wraps a Collector behind the Observer interface.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -15,13 +16,15 @@ import (
 )
 
 // Collector accumulates per-delivery latencies. It is safe for concurrent
-// use (the buffered engine may deliver from several workers).
+// use. It keeps integer sums and derives the mean and the deviation when
+// they are read, so what it reports does not depend on the order the
+// deliveries came in.
 type Collector struct {
 	mu sync.Mutex
 
 	count  int64
-	mean   float64
-	m2     float64
+	sum    int64 // of the latencies
+	sumSq  int64 // of their squares: exact while it fits, e.g. 3e9 deliveries of latency 50 000
 	min    int64
 	max    int64
 	counts map[int64]int64 // exact latency -> occurrences
@@ -38,9 +41,8 @@ func (c *Collector) OnDeliver(pkt core.Packet, latency int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.count++
-	delta := float64(latency) - c.mean
-	c.mean += delta / float64(c.count)
-	c.m2 += delta * (float64(latency) - c.mean)
+	c.sum += latency
+	c.sumSq += latency * latency
 	if latency < c.min {
 		c.min = latency
 	}
@@ -62,17 +64,29 @@ func (c *Collector) Count() int64 {
 func (c *Collector) Mean() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.mean
+	if c.count == 0 {
+		return 0
+	}
+	return float64(c.sum) / float64(c.count)
 }
 
-// StdDev returns the sample standard deviation of the latencies.
+// StdDev returns the sample standard deviation of the latencies. Its
+// numerator, count·Σl² − (Σl)², is formed exactly in 128 bits.
 func (c *Collector) StdDev() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.count < 2 {
 		return 0
 	}
-	return math.Sqrt(c.m2 / float64(c.count-1))
+	n, s := uint64(c.count), c.sum
+	if s < 0 {
+		s = -s
+	}
+	hi1, lo1 := bits.Mul64(n, uint64(c.sumSq))
+	hi2, lo2 := bits.Mul64(uint64(s), uint64(s))
+	lo, borrow := bits.Sub64(lo1, lo2, 0)
+	hi, _ := bits.Sub64(hi1, hi2, borrow)
+	return math.Sqrt((float64(hi)*0x1p64 + float64(lo)) / (float64(n) * float64(n-1)))
 }
 
 // Min and Max return the latency extremes (0 if nothing was recorded).

@@ -15,11 +15,16 @@ import (
 // The mesh whose sides are all 2 is the binary hypercube: node ids are
 // address bit vectors, port i flips bit i, and distances and levels are
 // popcounts.
+//
+// Any other mesh keeps every node's coordinates in a table built at
+// construction (see coordTable), so routing decisions and distances read
+// coordinates instead of dividing.
 type Mesh struct {
 	shape  []int
 	stride []int
-	up     []int // up[i] is dimension i's +1 port
-	dim    []int // dim[p] is the dimension port p moves along
+	coords []int32 // coordTable of shape, or nil: binary, or too large
+	up     []int   // up[i] is dimension i's +1 port
+	dim    []int   // dim[p] is the dimension port p moves along
 	nodes  int
 	binary bool // every side is 2
 	cube   bool // built by NewHypercube
@@ -44,7 +49,41 @@ func NewMesh(shape ...int) *Mesh {
 		}
 		m.binary = m.binary && s == 2
 	}
+	if !m.binary {
+		m.coords = coordTable(m.shape, m.nodes)
+	}
 	return m
+}
+
+// maxCoordTable caps a coordinate table at 2^20 entries (nodes x
+// dimensions, 4 MB): a larger mesh or torus divides instead, so a spec near
+// the node cap compiles without a table of hundreds of megabytes.
+const maxCoordTable = 1 << 20
+
+// coordTable returns the coordinates of every node of the mixed-radix
+// shape, node u's at [u*len(shape), (u+1)*len(shape)), or nil when they
+// would take more than maxCoordTable entries. Dimension i's column is runs
+// of stride(i) equal values counting 0, 1, ..., side-1 and over again, so
+// it is written in one pass that divides nothing.
+func coordTable(shape []int, nodes int) []int32 {
+	k := len(shape)
+	if nodes > maxCoordTable/k {
+		return nil
+	}
+	tab := make([]int32, nodes*k)
+	stride := 1
+	for i, side := range shape {
+		for j := i; j < len(tab); {
+			for c := int32(0); c < int32(side); c++ {
+				for r := 0; r < stride; r++ {
+					tab[j] = c
+					j += k
+				}
+			}
+		}
+		stride *= side
+	}
+	return tab
 }
 
 // NewMesh2D returns the square 2-dimensional side x side mesh studied in
@@ -109,7 +148,12 @@ func (m *Mesh) DownPort(i int) int {
 }
 
 // Coord returns the coordinate of u along dimension i.
-func (m *Mesh) Coord(u, i int) int { return u / m.stride[i] % m.shape[i] }
+func (m *Mesh) Coord(u, i int) int {
+	if m.coords != nil {
+		return int(m.coords[u*len(m.shape)+i])
+	}
+	return u / m.stride[i] % m.shape[i]
+}
 
 // NodeAt returns the node id at the given coordinates.
 func (m *Mesh) NodeAt(coord ...int) int {

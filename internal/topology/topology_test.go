@@ -112,6 +112,47 @@ func TestMeshKDimensional(t *testing.T) {
 	}
 }
 
+// TestCoordTable holds the odometer-built coordinate tables to the
+// mixed-radix divisions they replace, side-1 dimensions included, and checks
+// that a binary mesh and a shape past maxCoordTable build none (and still
+// answer Coord by dividing).
+func TestCoordTable(t *testing.T) {
+	div := func(u, stride, side int) int { return u / stride % side }
+	check := func(name string, shape []int, nodes int, coord func(u, i int) int, tab []int32) {
+		t.Helper()
+		if tab == nil || len(tab) != nodes*len(shape) {
+			t.Fatalf("%s: table of %d entries, want %d", name, len(tab), nodes*len(shape))
+		}
+		for u := 0; u < nodes; u++ {
+			stride := 1
+			for i, side := range shape {
+				if got, want := coord(u, i), div(u, stride, side); got != want {
+					t.Fatalf("%s: Coord(%d, %d) = %d, want %d", name, u, i, got, want)
+				}
+				stride *= side
+			}
+		}
+	}
+	for _, shape := range [][]int{{5}, {3, 4, 2}, {1, 3, 1, 4}, {2, 2, 3}, {7, 1}} {
+		m := NewMesh(shape...)
+		check(m.Name(), shape, m.Nodes(), m.Coord, m.coords)
+	}
+	for _, shape := range [][]int{{3}, {4, 3, 5}, {8, 8}} {
+		to := NewTorus(shape...)
+		check(to.Name(), shape, to.Nodes(), to.Coord, to.coords)
+	}
+	if m := NewHypercube(6); m.coords != nil {
+		t.Errorf("%s built a coordinate table", m.Name())
+	}
+	big := NewMesh(maxCoordTable/2+1, 2)
+	if big.coords != nil {
+		t.Fatalf("%s: table of %d entries past the cap", big.Name(), len(big.coords))
+	}
+	if u := big.NodeAt(12345, 1); big.Coord(u, 0) != 12345 || big.Coord(u, 1) != 1 {
+		t.Errorf("%s: Coord without a table = (%d, %d)", big.Name(), big.Coord(u, 0), big.Coord(u, 1))
+	}
+}
+
 func TestMeshValidate(t *testing.T) {
 	for _, m := range []*Mesh{NewMesh(1), NewMesh(5), NewMesh2D(2), NewMesh2D(5), NewMesh(2, 3, 4)} {
 		if err := Validate(m); err != nil {

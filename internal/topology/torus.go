@@ -3,10 +3,12 @@ package topology
 import "fmt"
 
 // Torus is a k-dimensional torus: a mesh whose borders wrap around. Port
-// 2*i moves +1 (mod side) in dimension i, port 2*i+1 moves -1.
+// 2*i moves +1 (mod side) in dimension i, port 2*i+1 moves -1. Like a
+// non-binary Mesh it reads node coordinates from a table (coordTable).
 type Torus struct {
 	shape  []int
 	stride []int
+	coords []int32 // coordTable of shape, or nil when too large
 	nodes  int
 }
 
@@ -25,6 +27,7 @@ func NewTorus(shape ...int) *Torus {
 		t.stride[i] = t.nodes
 		t.nodes *= s
 	}
+	t.coords = coordTable(t.shape, t.nodes)
 	return t
 }
 
@@ -52,7 +55,12 @@ func (t *Torus) Nodes() int { return t.nodes }
 func (t *Torus) Ports() int { return 2 * len(t.shape) }
 
 // Coord returns the coordinate of u along dimension i.
-func (t *Torus) Coord(u, i int) int { return u / t.stride[i] % t.shape[i] }
+func (t *Torus) Coord(u, i int) int {
+	if t.coords != nil {
+		return int(t.coords[u*len(t.shape)+i])
+	}
+	return u / t.stride[i] % t.shape[i]
+}
 
 // NodeAt returns the node id at the given coordinates.
 func (t *Torus) NodeAt(coord ...int) int {
