@@ -28,8 +28,8 @@ const dims = 9
 
 // qaProbe is an Observer that samples every q_A queue at the end of each
 // cycle, accumulating occupancy by the Hamming level of the node. OnCycle
-// runs outside the engine's parallel phases, so inspecting the engine
-// through Snapshot is safe.
+// runs outside the engine's parallel phases, so copying the engine's State
+// there is safe.
 type qaProbe struct {
 	repro.ObserverBase
 	eng     repro.Simulator
@@ -39,11 +39,10 @@ type qaProbe struct {
 
 func (p *qaProbe) OnCycle(cycle int64, _ *repro.MetricSnapshot) {
 	p.samples++
-	p.eng.Snapshot(func(q repro.QueueSnapshot) {
-		if q.Class == 0 { // q_A
-			p.sum[bits.OnesCount32(uint32(q.Node))] += float64(q.Len)
-		}
-	})
+	s := p.eng.State()
+	for qi := 0; qi < len(s.Queues); qi += s.Classes { // q_A: class 0
+		p.sum[bits.OnesCount32(uint32(qi/s.Classes))] += float64(len(s.Queues[qi]))
+	}
 }
 
 // profile runs the workload and returns the time-averaged q_A occupancy per

@@ -15,9 +15,9 @@ import (
 // bubble conditions are exact by construction), every node may accept one
 // injected packet, and deliveries are immediate.
 //
-// It is the reference semantics for deadlock-freedom studies and for quick
-// algorithm comparisons; the buffered Engine is the one that reproduces the
-// paper's latency tables.
+// It serves deadlock-freedom studies and quick algorithm comparisons; the
+// buffered Engine reproduces the paper's latency tables. After every cycle,
+// TestAtomicMatchesReference checks it against a naive Section 2 stepper.
 //
 // A cycle costs the heads that can move: empty queues are never visited, and
 // under first-free without faults a head whose every target queue is full

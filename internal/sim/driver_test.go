@@ -110,9 +110,9 @@ func TestDriverContract(t *testing.T) {
 				}
 			}
 			want, _ := e.Result()
-			if want.Metrics.Delivered != int64(2*nodes) || e.InNetwork() != 0 {
+			if want.Metrics.Delivered != int64(2*nodes) || e.State().Packets() != 0 {
 				t.Fatalf("drained run delivered %d of %d, %d left in network",
-					want.Metrics.Delivered, 2*nodes, e.InNetwork())
+					want.Metrics.Delivered, 2*nodes, e.State().Packets())
 			}
 			done, err := e.Step()
 			got, rerr := e.Result()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/traffic"
 )
 
@@ -81,29 +82,6 @@ func TestEngineReuse(t *testing.T) {
 			t.Fatalf("run %d differs from run %d:\n%+v\n%+v", i, i-1, m, prev)
 		}
 		prev = m
-	}
-}
-
-// TestAtomicDynamicRun exercises the atomic engine's dynamic path on the
-// shuffle-exchange (credited moves) and the torus.
-func TestAtomicDynamicRun(t *testing.T) {
-	for _, a := range []core.Algorithm{
-		core.NewShuffleExchangeAdaptive(5),
-		core.NewTorusAdaptive(4, 4),
-	} {
-		nodes := a.Topology().Nodes()
-		e, err := NewAtomicEngine(Config{Algorithm: a, Seed: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.5, 3)
-		m, err := runDynamic(e, src, 100, 400)
-		if err != nil {
-			t.Fatalf("%s: %v", a.Name(), err)
-		}
-		if m.Delivered == 0 || m.Measured == 0 {
-			t.Errorf("%s: nothing measured: %+v", a.Name(), m)
-		}
 	}
 }
 
@@ -189,59 +167,52 @@ func TestInjectionQueueBackpressure(t *testing.T) {
 	}
 }
 
-// TestConservationEveryCycle asserts the exact packet-conservation
-// invariant Injected == Delivered + InNetwork at every cycle boundary of a
-// loaded dynamic run, for several algorithms on the buffered engine.
+// TestConservationEveryCycle asserts Injected == Delivered + Dropped +
+// State().Packets() at every cycle boundary of a loaded dynamic run, on both
+// engines, with and without a fault plan. The buffered runs take three
+// workers where the algorithm allows it, and the 256-node cube gives each
+// of them a shard: State, read from OnCycle, copies at the barrier (a CI
+// step runs this under -race).
 func TestConservationEveryCycle(t *testing.T) {
 	for _, a := range []core.Algorithm{
-		core.NewHypercubeAdaptive(5),
+		core.NewHypercubeAdaptive(8),
 		core.NewShuffleExchangeAdaptive(4),
 		core.NewTorusAdaptive(4, 4),
 		core.NewCCCAdaptive(3),
 	} {
-		a := a
 		t.Run(a.Name(), func(t *testing.T) {
-			nodes := a.Topology().Nodes()
-			var eng *Engine
-			injected, delivered := int64(0), int64(0)
-			cfg := Config{Algorithm: a, Seed: 5, QueueCap: 3, Observer: &probe{
-				deliver: func(core.Packet, int64) { delivered++ },
-				cycle: func(cycle int64) {
-					inNet := int64(eng.InNetwork())
-					if injected != delivered+inNet {
-						t.Fatalf("cycle %d: injected %d != delivered %d + in-network %d",
-							cycle, injected, delivered, inNet)
+			for _, kind := range EngineKinds {
+				for _, faults := range []bool{false, true} {
+					var e Simulator
+					cfg := Config{Algorithm: a, Seed: 5, QueueCap: 3, Workers: 3, Observer: &probe{cycle: func(cycle int64) {
+						if m, n := e.Metrics(), e.State().Packets(); m.Injected != m.Delivered+m.Dropped+int64(n) {
+							t.Fatalf("%s: cycle %d: injected %d != delivered %d + dropped %d + held %d",
+								kind, cycle, m.Injected, m.Delivered, m.Dropped, n)
+						}
+					}}}
+					if a.Props().Credits {
+						cfg.Workers = 1
 					}
-				},
-			}}
-			var err error
-			eng, err = NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			src := &countingSource{inner: traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.8, 7), injected: &injected}
-			if _, err := runDynamic(eng, src, 0, 400); err != nil {
-				t.Fatal(err)
-			}
-			if injected == 0 {
-				t.Fatal("nothing injected")
+					if faults {
+						cfg.Faults = (&fault.Plan{}).FailLink(1, 0, 50, 100).FailNode(3, 100, 50)
+					}
+					var err error
+					if e, err = NewSimulator(kind, cfg); err != nil {
+						t.Fatal(err)
+					}
+					nodes := a.Topology().Nodes()
+					m, err := runDynamic(e, traffic.NewBernoulliSource(traffic.Random{Nodes: nodes}, nodes, 0.8, 7), 0, 400)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Injected == 0 || faults != (m.Dropped > 0) {
+						t.Fatalf("%s, faults %v: injected %d, dropped %d", kind, faults, m.Injected, m.Dropped)
+					}
+				}
 			}
 		})
 	}
 }
-
-// countingSource counts committed injections.
-type countingSource struct {
-	inner    TrafficSource
-	injected *int64
-}
-
-func (c *countingSource) Wants(node int32, cycle int64) bool { return c.inner.Wants(node, cycle) }
-func (c *countingSource) Take(node int32, cycle int64) int32 {
-	*c.injected++
-	return c.inner.Take(node, cycle)
-}
-func (c *countingSource) Exhausted(node int32) bool { return c.inner.Exhausted(node) }
 
 // TestCutThroughLatency pins the virtual cut-through timing: after the
 // first store-and-forward hop out of the source queue, every uncongested

@@ -397,40 +397,10 @@ func (k *kernel) Metrics() Metrics { return k.rs.m }
 // (there is no link phase).
 func (k *kernel) PhaseTimes() PhaseTimes { return k.rs.pt }
 
-// Snapshot invokes f for every central queue with its current occupancy.
-// It must not be called while a cycle is in progress (the engines are not
-// reentrant); its intended use is from an Observer's OnCycle probe, between
-// Step calls or after a run, to study where congestion accumulates — e.g.
-// the paper's observation that without dynamic links traffic concentrates
-// around node 1...1.
-func (k *kernel) Snapshot(f func(QueueSnapshot)) {
-	for qi, l := range k.qlen {
-		f(QueueSnapshot{
-			Node: int32(qi / k.classes), Class: core.QueueClass(qi % k.classes),
-			Len: int(l), Cap: k.queueCap,
-		})
-	}
-}
-
-// InNetwork counts the packets in the central and injection queues — all of
-// them for the atomic model. At any phase boundary Injected == Delivered +
-// Dropped + InNetwork holds exactly; the conservation tests assert it every
-// cycle.
-func (k *kernel) InNetwork() int {
-	total := 0
-	for _, l := range k.qlen {
-		total += int(l)
-	}
-	for _, w := range k.injFull {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
 // Start begins a stepwise run: the engine is reset and each subsequent Step
 // call simulates exactly one cycle. Run is Start plus a Step loop; use
 // Start/Step directly to interleave simulation with other work or inspect
-// engine state between cycles (Snapshot, Metrics).
+// engine state between cycles (State, Metrics).
 func (k *kernel) Start(src TrafficSource, plan Plan) {
 	k.reset()
 	rs := &k.rs

@@ -13,9 +13,9 @@
 //
 //   - AtomicEngine is the abstract store-and-forward model of Section 2
 //     (the greedy Route(q) algorithm): queue-to-queue moves applied
-//     atomically, one per queue per cycle. It is the reference model for
-//     the deadlock-freedom semantics (MinFree conditions are exact) and for
-//     algorithm-level studies.
+//     atomically, one per queue per cycle, so MinFree conditions are exact.
+//     The package's tests check it after every cycle against a naive
+//     stepper of the same model (ref, in reference_test.go).
 //
 // Both engines detect deadlock (no packet movement while packets remain)
 // and assert livelock freedom (hop bounds at delivery), and both are fully

@@ -26,10 +26,8 @@ type Simulator interface {
 	Result() (RunResult, error)
 	// Metrics returns the aggregate metrics of the run so far.
 	Metrics() Metrics
-	// Snapshot visits every non-empty central queue (between cycles only).
-	Snapshot(f func(QueueSnapshot))
-	// InNetwork counts the packets currently held anywhere in the simulator.
-	InNetwork() int
+	// State copies every packet's place (between cycles only).
+	State() State
 	// Obs returns the simulator's metrics core, or nil when observability is
 	// off.
 	Obs() *obs.Core

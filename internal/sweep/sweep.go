@@ -53,6 +53,9 @@ type Job struct {
 	Nodes          int
 	Cost           float64
 	Parallelizable bool
+
+	ex       bench.Experiment
+	compiled *exec.Compiled // the cell's spec, compiled once by BuildJobs
 }
 
 // BuildJobs flattens the selected experiments into the sweep's job list, in
@@ -103,6 +106,7 @@ func BuildJobs(suite, table string, maxN int, opt bench.Options) ([]Job, error) 
 			jobs = append(jobs, Job{
 				ID: id, Suite: group, Exp: ex.ID, Size: size, Seq: len(jobs),
 				Nodes: c.Nodes(), Cost: c.Cost, Parallelizable: c.Parallelizable,
+				ex: ex, compiled: c,
 			})
 		}
 	}
@@ -155,8 +159,9 @@ func (o *Options) fill() {
 // Run executes the jobs under the sweep options and returns one Result per
 // job, in the jobs' (canonical) order. On ErrStopped or cancellation the
 // results of unfinished cells are zero; completed cells are already in
-// Options.Store when one is configured.
-func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Result, error) {
+// Options.Store when one is configured. Each job runs the spec BuildJobs
+// compiled for it, so the bench.Options argument is not read.
+func Run(ctx context.Context, jobs []Job, _ bench.Options, o Options) ([]Result, error) {
 	o.fill()
 	if ctx == nil {
 		ctx = context.Background()
@@ -164,24 +169,23 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 
 	results := make([]Result, len(jobs))
 	prog := newProgress(jobs, o.Sink)
-	cells := make([]cell, len(jobs))
+	keys := make([]string, len(jobs)) // store keys; "" = not kept
 	var pending []int
 	for i, job := range jobs {
-		c, err := newCell(job, opt)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", job.ID, err)
+		c := job.compiled
+		if c == nil {
+			return nil, fmt.Errorf("sweep: %s: not a job of BuildJobs", job.ID)
 		}
-		if o.Store != nil && c.spec.Storable() {
-			c.key = c.spec.Fingerprint(buildid.ID())
+		if o.Store != nil && c.Spec.Storable() {
+			keys[i] = c.Spec.Fingerprint(buildid.ID())
 			// An entry that does not decode is a miss: the cell re-runs and
 			// its Put supersedes the damaged line.
-			if res, ok, _ := exec.Load(o.Store, c.key); ok {
-				results[i] = Result{Job: job, Row: c.ex.Row(job.Size, job.Nodes, res), ElapsedSec: res.ElapsedSec, Cached: true}
+			if res, ok, _ := exec.Load(o.Store, keys[i]); ok {
+				results[i] = Result{Job: job, Row: job.ex.Row(job.Size, job.Nodes, res), ElapsedSec: res.ElapsedSec, Cached: true}
 				prog.cached(job)
 				continue
 			}
 		}
-		cells[i] = c
 		pending = append(pending, i)
 	}
 
@@ -222,15 +226,13 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 			defer wg.Done()
 			defer pool.release(w)
 			prog.start(job, w)
-			c := cells[idx]
 			// The grant is explicit, 1 included: Workers 0 would let the
 			// run size itself against GOMAXPROCS, not this sweep's budget.
-			c.spec.Workers = w
 			t0 := time.Now()
-			res, err := exec.Run(runCtx, c.spec, nil)
+			res, err := job.compiled.Run(runCtx, w, nil)
 			elapsed := time.Since(t0).Seconds()
-			if err == nil && c.key != "" {
-				err = exec.Save(o.Store, c.key, res)
+			if err == nil && keys[idx] != "" {
+				err = exec.Save(o.Store, keys[idx], res)
 			}
 
 			if err != nil {
@@ -242,7 +244,7 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 				cancel()
 				return
 			}
-			results[idx] = Result{Job: job, Row: c.ex.Row(job.Size, job.Nodes, res), ElapsedSec: elapsed}
+			results[idx] = Result{Job: job, Row: job.ex.Row(job.Size, job.Nodes, res), ElapsedSec: elapsed}
 			mu.Lock()
 			executed++
 			stopNow := o.StopAfter > 0 && executed >= o.StopAfter && !stopped
@@ -268,24 +270,6 @@ func Run(ctx context.Context, jobs []Job, opt bench.Options, o Options) ([]Resul
 	}
 	prog.sweepDone()
 	return results, nil
-}
-
-// cell is a job resolved against its experiment: the spec that runs it and
-// the store key of its result ("" = not kept: no store, or a spec that is
-// not Storable).
-type cell struct {
-	ex   bench.Experiment
-	spec exec.RunSpec
-	key  string
-}
-
-func newCell(job Job, opt bench.Options) (cell, error) {
-	ex, err := bench.Find(job.Exp)
-	if err != nil {
-		return cell{}, err
-	}
-	s, err := ex.Spec(job.Size, opt)
-	return cell{ex: ex, spec: s}, err
 }
 
 // progress aggregates completion state and derives the events' ETA from the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -177,10 +178,15 @@ func TestSweepResumeIgnoresStaleCheckpoint(t *testing.T) {
 // must return the rows it would have computed with no store at all.
 func TestFingerprintInvalidation(t *testing.T) {
 	base := testOptions()
-	jobs, err := BuildJobs(SuitePaper, "table12", 10, base)
-	if err != nil {
-		t.Fatal(err)
+	jobsFor := func(o bench.Options) []Job { // each job carries its options' spec
+		t.Helper()
+		jobs, err := BuildJobs(SuitePaper, "table12", 10, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return jobs
 	}
+	jobs := jobsFor(base)
 	want, err := Run(context.Background(), jobs, base, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +200,7 @@ func TestFingerprintInvalidation(t *testing.T) {
 			st := openStore(t, filepath.Join(t.TempDir(), "results.jsonl"))
 			changed := base
 			change(&changed)
-			other, err := Run(context.Background(), jobs, changed, Options{Store: st})
+			other, err := Run(context.Background(), jobsFor(changed), changed, Options{Store: st})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +223,7 @@ func TestFingerprintInvalidation(t *testing.T) {
 			}
 			// Both option values now sit side by side in the one store.
 			for _, o := range []bench.Options{changed, base} {
-				warm, err := Run(context.Background(), jobs, o, Options{Store: st})
+				warm, err := Run(context.Background(), jobsFor(o), o, Options{Store: st})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -226,6 +232,14 @@ func TestFingerprintInvalidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A job BuildJobs did not make carries no compiled spec: Run refuses it.
+func TestRunRefusesForeignJob(t *testing.T) {
+	_, err := Run(context.Background(), []Job{{ID: "table9/n4", Exp: "table9", Size: 4}}, testOptions(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "table9/n4") {
+		t.Errorf("err = %v, want a refusal naming the job", err)
 	}
 }
 
